@@ -340,10 +340,36 @@ def hom_identity(orders: Orders) -> Matrix:
 
 
 def cokernel_size(dom: Orders, cod: Orders, mat: Matrix) -> int:
-    aug = [list(row) + [cod[i] if k == i else 0 for k in range(len(cod))] for i, row in enumerate(mat)]
-    if not aug:
-        return 1
-    return math.prod(smith_normal_form(aug).diag)
+    """Order of the cokernel of mat: dom -> cod.
+
+    The cokernel is Z^m / L with L the column lattice of [mat | diag(cod)],
+    so its order is the index of L, the |determinant| of any triangular
+    basis of L (Cohen, A Course in Computational Algebraic Number Theory,
+    section 2.4).  A column echelon form without transforms gives one: row r
+    gcd-folds columns r+1.. into column r, touching only rows >= r.  The
+    diag(cod) columns make L full rank, so no pivot is zero.
+
+    >>> cokernel_size((4,), (4,), ((2,),))
+    2
+    """
+    m = len(cod)
+    cols = [[mat[i][j] for i in range(m)] for j in range(len(dom))]
+    cols += [[c if i == k else 0 for i in range(m)] for k, c in enumerate(cod)]
+    det = 1
+    for r in range(m):
+        piv = cols[r]
+        for col in cols[r + 1:]:
+            b = col[r]
+            if b:
+                a = piv[r]
+                g, x, y = _xgcd(a, b)
+                p, q = a // g, b // g
+                for k in range(r, m):
+                    ak, bk = piv[k], col[k]
+                    piv[k] = x * ak + y * bk
+                    col[k] = p * bk - q * ak
+        det *= abs(piv[r])
+    return det
 
 
 def hom_classify(dom: Orders, cod: Orders, mat: Matrix) -> OrthClass:
@@ -691,7 +717,6 @@ def solve_hom_equations(
     """
     hg = hom_group(dom, cod)
     k = len(hg.orders)
-    big_rows: list[list[int]] = []
     big_orders: list[int] = []
     big_target: list[int] = []
     columns: list[list[int]] = [[] for _ in range(k)]
@@ -927,25 +952,3 @@ def invariant_factor_groups(bound: int) -> list[Orders]:
     extend((), 1)
     return sorted(out, key=lambda o: (group_size(o), o))
 
-
-INSTANCE = FinAbInstance()
-
-
-def kernel(f: Mor) -> Subgroup:
-    """Kernel of a hom, as a presented subgroup of its domain."""
-    INSTANCE.validate_mor(f)
-    return kernel_subgroup(f.dom.obj_key, f.cod.obj_key, f.payload)
-
-
-def image(f: Mor) -> Subgroup:
-    """Image of a hom, as a presented subgroup of its codomain."""
-    INSTANCE.validate_mor(f)
-    return image_subgroup(f.dom.obj_key, f.cod.obj_key, f.payload)
-
-
-def cokernel(f: Mor) -> tuple[ObjHandle, Mor]:
-    """Cokernel group of a hom together with the quotient map onto it."""
-    INSTANCE.validate_mor(f)
-    q_orders, quot = cokernel_data(f.dom.obj_key, f.cod.obj_key, f.payload)
-    q = INSTANCE.obj(q_orders)
-    return q, Mor(f.cod, q, quot)

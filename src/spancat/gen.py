@@ -25,6 +25,7 @@ class Sampler:
             raise SpanCatError("instance catalog is empty")
         self._class_pool: dict[tuple, tuple[Mor, ...]] = {}
         self._reach: dict[tuple, list[ObjHandle]] = {}
+        self._em_ends: dict[tuple, list[ObjHandle]] = {}
 
     # -- pools ---------------------------------------------------------------
 
@@ -270,21 +271,44 @@ class Sampler:
             if self.pool(r, src, "E") and self.pool(r, tgt, "M")
         ]
 
+    def em_ends(self, fixed: ObjHandle, side: str) -> list[ObjHandle]:
+        """Objects o with an EM-span fixed -> o (side 'tgt') or o -> fixed
+        (side 'src'); fixed itself is always one, by its identity legs."""
+        key = (fixed.obj_key, side)
+        hit = self._em_ends.get(key)
+        if hit is None:
+            if side == "tgt":
+                hit = [o for o in self.objects if self.em_apexes(fixed, o)]
+            else:
+                hit = [o for o in self.objects if self.em_apexes(o, fixed)]
+            self._em_ends[key] = hit
+        return hit
+
     def em_span_legs(self, src: Optional[ObjHandle] = None,
                      tgt: Optional[ObjHandle] = None) -> tuple[Mor, Mor]:
-        """Legs (d: R->src in E, m: R->tgt in M) of an EM-span src -> tgt."""
-        for _ in range(128):
-            s = src if src is not None else self.obj()
-            t = tgt if tgt is not None else self.obj()
-            apexes = self.em_apexes(s, t)
+        """Legs (d: R->src in E, m: R->tgt in M) of an EM-span src -> tgt.
+
+        With one end given, the other is drawn among the objects an EM-span
+        can join to it; with neither, both are drawn blindly until one can."""
+        if src is None and tgt is None:
+            for _ in range(128):
+                src, tgt = self.obj(), self.obj()
+                apexes = self.em_apexes(src, tgt)
+                if apexes:
+                    break
+            else:
+                raise SpanCatError("failed to sample an EM-span")
+        else:
+            if src is None:
+                src = self.rng.choice(self.em_ends(tgt, "src"))
+            elif tgt is None:
+                tgt = self.rng.choice(self.em_ends(src, "tgt"))
+            apexes = self.em_apexes(src, tgt)
             if not apexes:
-                if src is not None and tgt is not None:
-                    raise SpanCatError(
-                        f"no EM-span exists from {s.descriptor} to {t.descriptor}"
-                    )
-                continue
-            r = self.rng.choice(apexes)
-            d = self.rng.choice(self.pool(r, s, "E"))
-            m = self.rng.choice(self.pool(r, t, "M"))
-            return d, m
-        raise SpanCatError("failed to sample an EM-span")
+                raise SpanCatError(
+                    f"no EM-span exists from {src.descriptor} to {tgt.descriptor}"
+                )
+        r = self.rng.choice(apexes)
+        d = self.rng.choice(self.pool(r, src, "E"))
+        m = self.rng.choice(self.pool(r, tgt, "M"))
+        return d, m

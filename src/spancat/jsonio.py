@@ -11,6 +11,7 @@ written into reports can be replayed as input files.
 """
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any
 
@@ -70,6 +71,19 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationFailure(msg)
 
 
+def _input_errors(parse):
+    """Report a value the parser cannot convert (a non-number where a number
+    belongs, a number where a list belongs) as bad input."""
+    @functools.wraps(parse)
+    def wrapped(inst: Instance, data: Any):
+        try:
+            return parse(inst, data)
+        except (TypeError, ValueError) as exc:
+            raise ValidationFailure(f"bad value in input: {exc}") from exc
+    return wrapped
+
+
+@_input_errors
 def parse_obj(inst: Instance, data: Any) -> ObjHandle:
     fam = _family(inst)
     _require(isinstance(data, dict), f"object must be a JSON object, got {data!r}")
@@ -84,6 +98,7 @@ def parse_obj(inst: Instance, data: Any) -> ObjHandle:
     return inst.obj(data.get("star") and "*" or "*")
 
 
+@_input_errors
 def parse_mor(inst: Instance, data: Any) -> Mor:
     fam = _family(inst)
     _require(isinstance(data, dict), f"morphism must be a JSON object, got {data!r}")

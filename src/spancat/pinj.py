@@ -257,31 +257,3 @@ class PInjInstance(Instance):
         )
         return (m1.cod.obj_key, m2.cod.obj_key, pairs, left, right)
 
-
-INSTANCE = PInjInstance()
-
-
-def pinj_compose(g: Mor, f: Mor) -> Mor:
-    """g . f (apply f first)."""
-    return INSTANCE.compose(g, f)
-
-
-def pinj_reverse(f: Mor) -> Mor:
-    """The relational converse, swapping domain and codomain."""
-    return INSTANCE.reverse(f)
-
-
-def pinj_classify(f: Mor) -> OrthClass:
-    return INSTANCE.classify(f)
-
-
-def pinj_factorize(f: Mor) -> Factorization:
-    return INSTANCE.factorize(f)
-
-
-def pinj_pullback_along_M(f: Mor, m: Mor) -> ConeResult:
-    return INSTANCE.pullback_along_M(f, m)
-
-
-def pinj_pushout_along_E(f: Mor, e: Mor) -> ConeResult:
-    return INSTANCE.pushout_along_E(f, e)

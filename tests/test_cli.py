@@ -4,9 +4,14 @@ determinism."""
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import spancat
 from spancat.cli import EXIT_ERROR, EXIT_FAIL, EXIT_OK, SuiteReport, main
 from spancat.axioms import CheckReport
 from spancat.config import ConfigError, RunConfig, env_seed, instance_bound, load_instance
@@ -187,6 +192,36 @@ def test_fake_pullback_malformed_file(tmp_path, capsys):
     assert rc == EXIT_ERROR
     err = capsys.readouterr().err
     assert "bad.json:2:1" in err
+
+
+def test_fake_pullback_bad_number_exits_two(tmp_path):
+    # a non-number where a group order belongs is bad input (exit 2), not a
+    # failed law (exit 1), and is reported in one line without a traceback
+    z2 = FA.group(2)
+    cospan = {"f": span_dict(FA, id_span(FA, z2)), "g": span_dict(FA, id_span(FA, z2))}
+    cospan["f"]["d"]["dom"] = ["a"]
+    path = tmp_path / "badnumber.json"
+    path.write_text(dumps(cospan))
+    src = pathlib.Path(spancat.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spancat.cli", "fake-pullback", "--instance", "finab", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_ERROR
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", [7, 9])
+def test_finab_associativity_suite_samples_every_span(seed, tmp_path):
+    # these seeds used to give up drawing an EM-span with one end fixed
+    rc = main([
+        "suite", "--suite", "associativity", "--instance", "finab",
+        "--max-order", "16", "--samples", "50", "--seed", str(seed),
+        "--out", str(tmp_path / "assoc.json"),
+    ])
+    assert rc == EXIT_OK
 
 
 def test_fake_pullback_needs_a_cospan(tmp_path, capsys):

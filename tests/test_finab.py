@@ -6,6 +6,8 @@ algebraic laws against brute-force enumeration oracles.
 """
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from spancat.finab import (
     canonical_orders,
     close_elements,
     cokernel_data,
+    cokernel_size,
     diagonal_subgroup,
     elements_of,
     freeze,
@@ -365,6 +368,31 @@ def test_classify_matches_brute_force(data):
     ker = brute_kernel(dom, cod, mat)
     assert c.in_E == (len(img) == group_size(cod))
     assert c.in_M == (len(ker) == 1)
+
+
+def brute_homs(dom, cod):
+    """Every matrix dom -> cod with reduced entries that kill the domain
+    generators' orders, enumerated entry by entry."""
+    entries = [
+        [x for x in range(b) if (a * x) % b == 0] for b in cod for a in dom
+    ]
+    for flat in itertools.product(*entries):
+        yield tuple(tuple(flat[i * len(dom):(i + 1) * len(dom)]) for i in range(len(cod)))
+
+
+def test_cokernel_size_and_classify_exhaustive_up_to_order_8():
+    groups = invariant_factor_groups(8)
+    homs = 0
+    for dom in groups:
+        for cod in groups:
+            for mat in brute_homs(dom, cod):
+                img = len(brute_image(dom, cod, mat))
+                ker = len(brute_kernel(dom, cod, mat))
+                assert cokernel_size(dom, cod, mat) == group_size(cod) // img
+                c = hom_classify(dom, cod, mat)
+                assert (c.in_E, c.in_M) == (img == group_size(cod), ker == 1)
+                homs += 1
+    assert (len(groups), homs) == (11, 1128)
 
 
 @settings(max_examples=50, deadline=None)

@@ -204,6 +204,21 @@ def _sampled_spans(inst, seed, bound, n):
     return out
 
 
+def test_em_span_legs_draws_the_free_end_among_fitting_objects():
+    # up to order 8 only the trivial group spans to the trivial group and
+    # only Z/8 spans from Z/8, so a blind draw of the free end would miss 10
+    # times in 11
+    smp = Sampler(FA, "ends", 8)
+    zero, z8 = FA.group(), FA.group(8)
+    assert smp.em_ends(zero, "src") == [zero]
+    assert smp.em_ends(z8, "tgt") == [z8]
+    for _ in range(20):
+        d, m = smp.em_span_legs(tgt=zero)
+        assert d.cod == zero and m.cod == zero
+        d, m = smp.em_span_legs(src=z8)
+        assert d.cod == z8 and m.cod == z8
+
+
 @pytest.mark.parametrize(
     "inst,bound", [(FA, 6), (PI, 3), (S3, 1)], ids=["finab", "pinj", "groupoid"]
 )

@@ -60,6 +60,17 @@ class CheckReport:
         }
 
 
+def one_sample_report(inst: Instance, name: str, ok: bool, detail: str,
+                      dump: dict, bound: int) -> CheckReport:
+    """The report of one check on one input; a failure carries the input
+    dump with the detail added."""
+    failures = [] if ok else [dict(dump, detail=detail)]
+    return CheckReport(
+        check_name=name, instance=inst.name, samples=1,
+        passes=1 if ok else 0, failures=failures, seed=0, bound=bound,
+    )
+
+
 def merge_reports(check_name: str, reports: Sequence[CheckReport],
                   seed: int = 0, bound: int = 0) -> CheckReport:
     """Fold per-input reports from one check into a single batch report."""

@@ -12,6 +12,7 @@ category can be plugged in by implementing one class.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -140,6 +141,22 @@ def require_same_instance(*items: Any) -> str:
     return names.pop() if names else ""
 
 
+@dataclass(slots=True, eq=False, repr=False)
+class Memo:
+    """Per-instance tables of construction results, keyed by their inputs.
+
+    Each table maps an input to the result of a construction that returned
+    normally; a construction that raises stores nothing, so bad input raises
+    on every call.  The tables live as long as their instance.
+    """
+
+    fake_pullbacks: dict = field(default_factory=dict)  # (f, g) -> FakePullbackResult
+    span_composites: dict = field(default_factory=dict)  # (g, f) -> EMSpan
+    composite_keys: dict = field(default_factory=dict)  # (g, f) -> iso key of g . f
+    span_reps: dict = field(default_factory=dict)  # (src, tgt, bound) keys -> reps
+    properness: dict = field(default_factory=dict)  # (bound, seed) -> bool
+
+
 class Instance(ABC):
     """The contract every computable category with a suitable factorization
     system implements.
@@ -147,9 +164,19 @@ class Instance(ABC):
     Objects are referred to by hashable keys; ``obj`` interns a key into an
     ObjHandle.  All morphism payloads must be immutable and hashable so that
     morphisms can be deduplicated in the brute-force checks.
+
+    Every construction (compose, factorize, pullback_along_M, ...) must be a
+    deterministic function of the ``obj_key`` and payload of its arguments.
+    Together with immutable, hashable payloads this lets ``memo`` key derived
+    constructions (fake pullbacks, span composites) on their inputs.
     """
 
     name: str = "abstract"
+
+    @functools.cached_property
+    def memo(self) -> Memo:
+        """This instance's construction tables, made on first use."""
+        return Memo()
 
     # -- objects -----------------------------------------------------------
 

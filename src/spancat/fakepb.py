@@ -14,6 +14,10 @@ span) and the four readiness conditions V1-V4 for the span calculus: V1 and
 V2 delegate to the bipullback and exchange machinery, while v3_complete and
 v4_complete constructively complete mixed diagrams, certifying the produced
 squares by the bounded universal-property decisions.
+
+Fake pullbacks are memoized per instance (``Instance.memo``): the input,
+grid and output validation runs once per distinct cospan, and later calls
+with an equal cospan return the stored result.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from .axioms import (
     is_pullback,
     is_pushout,
     merge_reports,
+    one_sample_report,
     run_axiom_suite,
 )
 from .core import (
@@ -124,7 +129,15 @@ def fake_pullback(inst: Instance, f: EMSpan, g: EMSpan) -> FakePullbackResult:
 
     Steps: (1) pull f.m back against g.m, (2) factorize f.d composed with
     the pullback leg into U, (3) likewise into V, (4) push the two E-parts
-    out.  The result legs are (r, X, i): Q -> U and (s, Y, j): Q -> V."""
+    out.  The result legs are (r, X, i): Q -> U and (s, Y, j): Q -> V.
+
+    Memoized in ``inst.memo`` on (f, g).  Only results that passed every
+    check are stored, so each distinct cospan is validated once and a bad one
+    raises on every call."""
+    table = inst.memo.fake_pullbacks
+    hit = table.get((f, g))
+    if hit is not None:
+        return hit
     validate_em_span(inst, f)
     validate_em_span(inst, g)
     if f.tgt != g.tgt:
@@ -144,11 +157,12 @@ def fake_pullback(inst: Instance, f: EMSpan, g: EMSpan) -> FakePullbackResult:
         d=f.d, m=f.m, e=g.d, n=g.m,
     )
     _validate_grid(inst, grid)
-    return FakePullbackResult(
+    out = table[f, g] = FakePullbackResult(
         grid=grid,
         left_leg=em_span(inst, r, i),
         right_leg=em_span(inst, s, j),
     )
+    return out
 
 
 def _validate_grid(inst: Instance, grid: FakePullbackGrid) -> None:
@@ -229,15 +243,6 @@ def span_pair_iso_eq(inst: Instance, first: tuple[EMSpan, EMSpan],
     return False
 
 
-def _pair_report(inst: Instance, name: str, ok: bool, detail: str,
-                 dump: dict, bound: int) -> CheckReport:
-    failures = [] if ok else [dict(dump, detail=detail)]
-    return CheckReport(
-        check_name=name, instance=inst.name, samples=1,
-        passes=1 if ok else 0, failures=failures, seed=0, bound=bound,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the laws
 # ---------------------------------------------------------------------------
@@ -250,7 +255,7 @@ def check_symmetry(inst: Instance, f: EMSpan, g: EMSpan, bound: int) -> CheckRep
     ok = span_pair_iso_eq(
         inst, (fp.left_leg, fp.right_leg), (pf.right_leg, pf.left_leg)
     )
-    return _pair_report(
+    return one_sample_report(
         inst, "symmetry", ok, "swapped fake pullback is not isomorphic",
         {"f": span_dict(inst, f), "g": span_dict(inst, g)}, bound,
     )
@@ -262,7 +267,7 @@ def check_identity_law(inst: Instance, f: EMSpan, bound: int) -> CheckReport:
     ok = span_pair_iso_eq(
         inst, (fp.left_leg, fp.right_leg), (id_span(inst, f.src), f)
     )
-    return _pair_report(
+    return one_sample_report(
         inst, "identity", ok, "identity cospan leg did not absorb",
         {"f": span_dict(inst, f)}, bound,
     )
@@ -282,7 +287,7 @@ def check_stacking(inst: Instance, t: EMSpan, r: EMSpan, s: EMSpan,
     pasted = (fp2.left_leg, span_compose(inst, fp1.right_leg, fp2.right_leg))
     direct = fake_pullback(inst, span_compose(inst, r, t), s)
     ok = span_pair_iso_eq(inst, pasted, (direct.left_leg, direct.right_leg))
-    return _pair_report(
+    return one_sample_report(
         inst, "stacking", ok, "pasted fake pullback differs from direct one",
         {
             "t": span_dict(inst, t),
@@ -295,11 +300,7 @@ def check_stacking(inst: Instance, t: EMSpan, r: EMSpan, s: EMSpan,
 def properness_holds(inst: Instance, bound: int, seed: int = 0) -> bool:
     """Memoized spot check that E-members are epic and M-members are monic
     at catalog scope."""
-    try:
-        cache = inst._spancat_properness  # type: ignore[attr-defined]
-    except AttributeError:
-        cache = {}
-        inst._spancat_properness = cache  # type: ignore[attr-defined]
+    cache = inst.memo.properness
     key = (bound, seed)
     hit = cache.get(key)
     if hit is None:
@@ -316,7 +317,7 @@ def check_fake_mono(inst: Instance, f: EMSpan, bound: int) -> CheckReport:
     Requires properness (E inside the epis, M inside the monos); when the
     spot check refutes that, the report carries the skip as its failure."""
     if not properness_holds(inst, bound):
-        return _pair_report(
+        return one_sample_report(
             inst, "fake_mono", False,
             "properness precheck failed; fake-mono law not evaluated",
             {"f": span_dict(inst, f)}, bound,
@@ -324,7 +325,7 @@ def check_fake_mono(inst: Instance, f: EMSpan, bound: int) -> CheckReport:
     fp = fake_pullback(inst, f, f)
     one = id_span(inst, f.src)
     ok = span_pair_iso_eq(inst, (fp.left_leg, fp.right_leg), (one, one))
-    return _pair_report(
+    return one_sample_report(
         inst, "fake_mono", ok, "self fake pullback is not the identity span",
         {"f": span_dict(inst, f)}, bound,
     )

@@ -301,9 +301,9 @@ def reduce_matrix(mat: Sequence[Sequence[int]], cod: Orders) -> Matrix:
 
 
 def validate_hom(dom: Orders, cod: Orders, mat: Sequence[Sequence[int]]) -> Matrix:
-    m = reduce_matrix(mat, cod)
-    if len(m) != len(cod) or any(len(row) != len(dom) for row in m):
+    if len(mat) != len(cod) or any(len(row) != len(dom) for row in mat):
         raise ValidationFailure("matrix shape does not match dom/cod")
+    m = reduce_matrix(mat, cod)
     for i, b in enumerate(cod):
         for j, a in enumerate(dom):
             if (a * m[i][j]) % b != 0:

@@ -11,7 +11,6 @@ written into reports can be replayed as input files.
 """
 from __future__ import annotations
 
-import functools
 import json
 from typing import Any
 
@@ -71,55 +70,61 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationFailure(msg)
 
 
-def _input_errors(parse):
-    """Report a value the parser cannot convert (a non-number where a number
-    belongs, a number where a list belongs) as bad input."""
-    @functools.wraps(parse)
-    def wrapped(inst: Instance, data: Any):
-        try:
-            return parse(inst, data)
-        except (TypeError, ValueError) as exc:
-            raise ValidationFailure(f"bad value in input: {exc}") from exc
-    return wrapped
+def _int(x: Any, what: str) -> int:
+    """A JSON integer; floats, bools and strings are bad input."""
+    _require(type(x) is int, f"{what} must be a JSON integer, got {x!r}")
+    return x
 
 
-@_input_errors
+def _list(x: Any, what: str) -> list:
+    _require(isinstance(x, list), f"{what} must be a list, got {x!r}")
+    return x
+
+
+def _ints(x: Any, what: str) -> tuple[int, ...]:
+    return tuple(_int(n, what) for n in _list(x, what))
+
+
 def parse_obj(inst: Instance, data: Any) -> ObjHandle:
     fam = _family(inst)
     _require(isinstance(data, dict), f"object must be a JSON object, got {data!r}")
     if fam == "finab":
         _require("orders" in data, "finab object needs an 'orders' field")
-        orders = data["orders"]
-        _require(isinstance(orders, list), "'orders' must be a list")
-        return inst.obj(tuple(int(n) for n in orders))
+        return inst.obj(_ints(data["orders"], "'orders'"))
     if fam == "pinj":
         _require("size" in data, "pinj object needs a 'size' field")
-        return inst.obj(int(data["size"]))
-    return inst.obj(data.get("star") and "*" or "*")
+        return inst.obj(_int(data["size"], "'size'"))
+    _require(
+        list(data) == ["star"] and data["star"] is True,
+        f'groupoid object must be {{"star": true}}, got {data!r}',
+    )
+    return inst.obj("*")
 
 
-@_input_errors
 def parse_mor(inst: Instance, data: Any) -> Mor:
     fam = _family(inst)
     _require(isinstance(data, dict), f"morphism must be a JSON object, got {data!r}")
     if fam == "finab":
         for field in ("dom", "cod", "matrix"):
             _require(field in data, f"finab morphism needs a {field!r} field")
-        dom = inst.obj(tuple(int(n) for n in data["dom"]))
-        cod = inst.obj(tuple(int(n) for n in data["cod"]))
-        mat = tuple(tuple(int(x) for x in row) for row in data["matrix"])
+        dom = inst.obj(_ints(data["dom"], "'dom'"))
+        cod = inst.obj(_ints(data["cod"], "'cod'"))
+        mat = tuple(_ints(row, "'matrix' row") for row in _list(data["matrix"], "'matrix'"))
         f = Mor(dom, cod, mat)
     elif fam == "pinj":
         for field in ("dom", "cod", "map"):
             _require(field in data, f"pinj morphism needs a {field!r} field")
-        dom = inst.obj(int(data["dom"]))
-        cod = inst.obj(int(data["cod"]))
-        assign = tuple(None if x is None else int(x) for x in data["map"])
+        dom = inst.obj(_int(data["dom"], "'dom'"))
+        cod = inst.obj(_int(data["cod"], "'cod'"))
+        assign = tuple(
+            None if x is None else _int(x, "'map' entry")
+            for x in _list(data["map"], "'map'")
+        )
         f = Mor(dom, cod, assign)
     else:
         _require("element" in data, "groupoid morphism needs an 'element' field")
         star = inst.obj("*")
-        f = Mor(star, star, int(data["element"]))
+        f = Mor(star, star, _int(data["element"], "'element'"))
     inst.validate_mor(f)
     return f
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
-from .axioms import CheckReport, merge_reports
+from .axioms import CheckReport, merge_reports, one_sample_report
 from .core import (
     EndpointMismatch,
     Instance,
@@ -320,15 +320,6 @@ def all_matchings(nx: int, nz: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _rel_report(inst: Instance, name: str, ok: bool, detail: str,
-                dump: dict, bound: int) -> CheckReport:
-    failures = [] if ok else [dict(dump, detail=detail)]
-    return CheckReport(
-        check_name=name, instance=inst.name, samples=1,
-        passes=1 if ok else 0, failures=failures, seed=0, bound=bound,
-    )
-
-
 def check_units(inst: Instance, r: Relation, bound: int) -> CheckReport:
     """Identity relations absorb on both sides."""
     ok = rel_iso_eq(
@@ -336,7 +327,7 @@ def check_units(inst: Instance, r: Relation, bound: int) -> CheckReport:
     ) and rel_iso_eq(
         inst, rel_compose(inst, r, rel_identity(inst, r.X)), r
     )
-    return _rel_report(
+    return one_sample_report(
         inst, "rel_units", ok, "identity relation did not absorb",
         {"r": relation_dict(inst, r)}, bound,
     )
@@ -386,14 +377,14 @@ def check_rrr(inst: Instance, r: Relation, bound: int) -> CheckReport:
     Holds in proper instances; when the properness spot check fails the
     report carries the skip as its failure."""
     if not properness_holds(inst, bound):
-        return _rel_report(
+        return one_sample_report(
             inst, "rrr", False,
             "properness precheck failed; rrr law not evaluated",
             {"r": relation_dict(inst, r)}, bound,
         )
     back = rel_compose(inst, rel_compose(inst, r, rel_reverse(r)), r)
     ok = rel_iso_eq(inst, back, r)
-    return _rel_report(
+    return one_sample_report(
         inst, "rrr", ok, "composite with the reverse moved the relation",
         {"r": relation_dict(inst, r)}, bound,
     )
@@ -427,7 +418,7 @@ def check_goursat_zigzag_return(inst: Instance, r: Relation,
     fa = _require_finab(inst)
     back = subgroup_to_zigzag(fa, r.X, r.Z, goursat_to_subgroup(fa, r))
     ok = rel_iso_eq(fa, back, r)
-    return _rel_report(
+    return one_sample_report(
         fa, "goursat_return", ok, "zig-zag left its end-fixed iso class",
         {"r": relation_dict(fa, r)}, bound,
     )

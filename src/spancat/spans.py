@@ -6,6 +6,10 @@ result come from M-stability and the stability of E under pullback along M.
 2-cells are span morphisms between apexes; because M-legs are monic there is
 at most one 2-cell between parallel spans, so hom-categories are preorders
 and all iso-class reasoning reduces to cells-in-both-directions.
+
+Composites are memoized per instance (``Instance.memo``): the endpoint
+check and the pullback behind a composite run once per distinct pair of
+inputs.
 """
 from __future__ import annotations
 
@@ -91,7 +95,13 @@ def lift_e(inst: Instance, e: Mor) -> EMSpan:
 
 
 def span_compose(inst: Instance, g: EMSpan, f: EMSpan) -> EMSpan:
-    """g . f for f: U -> W and g: W -> V, via pullback over the middle."""
+    """g . f for f: U -> W and g: W -> V, via pullback over the middle.
+
+    Memoized in ``inst.memo`` on (g, f); a failed composite is not stored."""
+    table = inst.memo.span_composites
+    hit = table.get((g, f))
+    if hit is not None:
+        return hit
     if f.tgt != g.src:
         raise EndpointMismatch(
             f"cannot compose: f targets {f.tgt.descriptor}, g starts at {g.src.descriptor}"
@@ -99,7 +109,8 @@ def span_compose(inst: Instance, g: EMSpan, f: EMSpan) -> EMSpan:
     cone = inst.pullback_along_M(g.d, f.m)
     d = inst.compose(f.d, cone.leg2)
     m = inst.compose(g.m, cone.leg1)
-    return EMSpan(src=f.src, tgt=g.tgt, apex=cone.apex, d=d, m=m)
+    out = table[g, f] = EMSpan(src=f.src, tgt=g.tgt, apex=cone.apex, d=d, m=m)
+    return out
 
 
 def em_factor_span(inst: Instance, f: EMSpan) -> tuple[EMSpan, EMSpan]:
@@ -177,20 +188,11 @@ def exchange_square(inst: Instance, m: Mor, e: Mor) -> ExchangeResult:
 # ---------------------------------------------------------------------------
 
 
-def _caches(inst: Instance) -> dict:
-    try:
-        return inst._spancat_span_caches  # type: ignore[attr-defined]
-    except AttributeError:
-        c: dict = {"reps": {}, "keys": {}}
-        inst._spancat_span_caches = c  # type: ignore[attr-defined]
-        return c
-
-
 def span_class_reps(inst: Instance, src: ObjHandle, tgt: ObjHandle,
                     bound: int) -> list[EMSpan]:
     """One representative per iso class of EM-spans src -> tgt whose apex
     lies in the catalog up to bound."""
-    cache = _caches(inst)["reps"]
+    cache = inst.memo.span_reps
     ck = (src.obj_key, tgt.obj_key, bound)
     hit = cache.get(ck)
     if hit is not None:
@@ -215,22 +217,16 @@ def span_class_reps(inst: Instance, src: ObjHandle, tgt: ObjHandle,
 
 
 def _composite_key(inst: Instance, g: EMSpan, f: EMSpan) -> Any:
-    """Iso-class key of span_compose(g, f), memoized by the legs."""
-    cache = _caches(inst)["keys"]
-    # endpoint keys matter: payloads alone do not pin down a morphism
-    ck = (
-        f.src.obj_key, f.tgt.obj_key, g.tgt.obj_key,
-        g.apex.obj_key, g.d.payload, g.m.payload,
-        f.apex.obj_key, f.d.payload, f.m.payload,
-    )
-    hit = cache.get(ck)
+    """Iso-class key of span_compose(g, f), memoized on (g, f)."""
+    cache = inst.memo.composite_keys
+    hit = cache.get((g, f))
     if hit is None:
         comp = span_compose(inst, g, f)
         hit = span_key(inst, comp)
         if hit is None:
             # no complete invariant available: fall back to the span itself
             hit = comp
-        cache[ck] = hit
+        cache[g, f] = hit
     return hit
 
 

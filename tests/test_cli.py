@@ -15,9 +15,9 @@ import spancat
 from spancat.cli import EXIT_ERROR, EXIT_FAIL, EXIT_OK, SuiteReport, main
 from spancat.axioms import CheckReport
 from spancat.config import ConfigError, RunConfig, env_seed, instance_bound, load_instance
-from spancat.core import groupoid_instance, symmetric_group_table
+from spancat.core import ValidationFailure, groupoid_instance, symmetric_group_table
 from spancat.finab import FinAbInstance
-from spancat.jsonio import dumps, relation_dict, span_dict
+from spancat.jsonio import dumps, parse_mor, parse_obj, relation_dict, span_dict
 from spancat.pinj import PInjInstance
 from spancat.relations import rel_identity
 from spancat.spans import em_span, id_span, lift_m
@@ -194,23 +194,66 @@ def test_fake_pullback_malformed_file(tmp_path, capsys):
     assert "bad.json:2:1" in err
 
 
+def run_fake_pullback_file(tmp_path, instance: str, cospan: dict):
+    path = tmp_path / "cospan.json"
+    path.write_text(dumps(cospan))
+    src = pathlib.Path(spancat.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-m", "spancat.cli", "fake-pullback", "--instance", instance, str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def test_fake_pullback_bad_number_exits_two(tmp_path):
     # a non-number where a group order belongs is bad input (exit 2), not a
     # failed law (exit 1), and is reported in one line without a traceback
     z2 = FA.group(2)
     cospan = {"f": span_dict(FA, id_span(FA, z2)), "g": span_dict(FA, id_span(FA, z2))}
     cospan["f"]["d"]["dom"] = ["a"]
-    path = tmp_path / "badnumber.json"
-    path.write_text(dumps(cospan))
-    src = pathlib.Path(spancat.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "spancat.cli", "fake-pullback", "--instance", "finab", str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_fake_pullback_file(tmp_path, "finab", cospan)
     assert proc.returncode == EXIT_ERROR
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("instance,leg,field,value", [
+    ("finab", "d", "dom", [2.9]),
+    ("finab", "d", "matrix", [[True]]),
+    ("pinj", "m", "map", [0, 1.0]),
+    ("pinj", "m", "dom", True),
+])
+def test_fake_pullback_non_integer_exits_two(tmp_path, instance, leg, field, value):
+    # a float or a bool where an integer belongs used to be truncated by
+    # int() (2.9 read as 2, true as 1), and the cospan was certified
+    inst = FA if instance == "finab" else PI
+    ob = FA.group(2) if instance == "finab" else PI.fset(2)
+    cospan = {"f": span_dict(inst, id_span(inst, ob)), "g": span_dict(inst, id_span(inst, ob))}
+    cospan["f"][leg][field] = value
+    proc = run_fake_pullback_file(tmp_path, instance, cospan)
+    assert proc.returncode == EXIT_ERROR
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "must be a JSON integer" in proc.stderr
+
+
+@pytest.mark.parametrize("data", [{"star": 1}, {"star": "*"}, {"star": True, "x": 0}, {}])
+def test_groupoid_object_must_be_star_true(data):
+    s3 = groupoid_instance(symmetric_group_table(3), name="groupoid:s3")
+    assert parse_obj(s3, {"star": True}) == s3.star
+    with pytest.raises(ValidationFailure):
+        parse_obj(s3, data)
+
+
+@pytest.mark.parametrize("data", [
+    {"dom": [2], "cod": [2], "matrix": [[1], [1]]},
+    {"dom": [2], "cod": [2], "matrix": [1]},
+    {"dom": 2, "cod": [2], "matrix": [[1]]},
+    {"dom": [2], "cod": [2], "matrix": None},
+])
+def test_finab_morphism_shapes_are_bad_input(data):
+    with pytest.raises(ValidationFailure):
+        parse_mor(FA, data)
 
 
 @pytest.mark.parametrize("seed", [7, 9])
@@ -349,9 +392,9 @@ def test_counterexample_dumps_parse_back(tmp_path, capsys):
     rep = check_rrr(FA, rel_identity(FA, FA.group(2)), bound=4)
     assert rep.ok
     # failure dicts carry the relation under "r"; simulate and parse
-    from spancat.relations import _rel_report
+    from spancat.axioms import one_sample_report
 
-    failing = _rel_report(
+    failing = one_sample_report(
         FA, "demo", False, "synthetic",
         {"r": relation_dict(FA, rel_identity(FA, FA.group(2)))}, 4,
     )

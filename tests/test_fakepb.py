@@ -569,3 +569,71 @@ def test_v_conditions_suite(inst, bound, span_bound):
     )
     assert rep.passes == rep.samples
     assert not rep.failures
+
+
+# ---------------------------------------------------------------------------
+# memoization
+# ---------------------------------------------------------------------------
+
+
+class CountingPInj(PInjInstance):
+    """Partial injections that count the pullbacks they compute."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pullbacks = 0
+
+    def pullback_along_M(self, f, m):
+        self.pullbacks += 1
+        return super().pullback_along_M(f, m)
+
+
+def phantom_cospan(inst):
+    r3, w3 = inst.fset(3), inst.fset(3)
+    u2, s2, v2 = inst.fset(2), inst.fset(2), inst.fset(2)
+    f = em_span(inst, inst.pinj(r3, u2, (1, 0, None)), inst.pinj(r3, w3, (0, 1, 2)))
+    g = em_span(inst, inst.pinj(s2, v2, (0, 1)), inst.pinj(s2, w3, (2, 0)))
+    return f, g
+
+
+def test_memoized_fake_pullback_equals_fresh_result():
+    warm = PInjInstance()
+    f, g = phantom_cospan(warm)
+    first = fake_pullback(warm, f, g)
+    assert fake_pullback(warm, f, g) is first
+    assert fake_pullback(PInjInstance(), *phantom_cospan(PInjInstance())) == first
+
+
+def test_failed_fake_pullbacks_are_not_memoized():
+    inst = PInjInstance()
+    f, g = phantom_cospan(inst)
+    other = id_span(inst, inst.fset(2))
+    for _ in range(2):
+        with pytest.raises(EndpointMismatch):
+            fake_pullback(inst, f, other)
+    # a left leg that misses a point of its target is outside E
+    r3 = inst.fset(3)
+    bad = EMSpan(
+        src=inst.fset(2), tgt=f.tgt, apex=r3,
+        d=inst.pinj(r3, inst.fset(2), (0, None, None)), m=f.m,
+    )
+    for _ in range(2):
+        with pytest.raises(ClassViolation):
+            fake_pullback(inst, bad, g)
+    assert inst.memo.fake_pullbacks == {}
+
+
+def test_instances_share_no_fake_pullbacks():
+    one, two = PInjInstance(), PInjInstance()
+    fake_pullback(one, *phantom_cospan(one))
+    assert len(one.memo.fake_pullbacks) == 1
+    assert one.memo is not two.memo
+    assert two.memo.fake_pullbacks == {}
+
+
+def test_repeated_fake_pullback_pulls_back_once():
+    inst = CountingPInj()
+    f, g = phantom_cospan(inst)
+    results = {id(fake_pullback(inst, f, g)) for _ in range(10)}
+    assert len(results) == 1
+    assert inst.pullbacks == 1

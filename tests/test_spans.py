@@ -461,3 +461,68 @@ def test_span_cell_repr_mentions_legs():
     cell = cell_between(FA, f, f)
     assert isinstance(cell, SpanCell)
     assert "SpanCell" in repr(cell)
+
+
+# ---------------------------------------------------------------------------
+# memoization
+# ---------------------------------------------------------------------------
+
+
+class CountingPInj(PInjInstance):
+    """Partial injections that count the pullbacks they compute."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pullbacks = 0
+
+    def pullback_along_M(self, f, m):
+        self.pullbacks += 1
+        return super().pullback_along_M(f, m)
+
+
+def composable_pair(inst):
+    """f: [1] -> [2] with a phantom apex point, and g: [2] -> [3]."""
+    u1, w2, v3, r2 = inst.fset(1), inst.fset(2), inst.fset(3), inst.fset(2)
+    f = em_span(inst, inst.pinj(r2, u1, (0, None)), inst.pinj(r2, w2, (1, 0)))
+    g = em_span(inst, inst.pinj(r2, w2, (1, 0)), inst.pinj(r2, v3, (2, 0)))
+    return f, g
+
+
+def test_memoized_span_compose_equals_fresh_result():
+    warm = PInjInstance()
+    f, g = composable_pair(warm)
+    first = span_compose(warm, g, f)
+    assert span_compose(warm, g, f) is first
+    fresh = PInjInstance()
+    assert span_compose(fresh, *reversed(composable_pair(fresh))) == first
+
+
+def test_failed_span_composites_are_not_memoized():
+    inst = PInjInstance()
+    f, g = composable_pair(inst)
+    for _ in range(2):
+        with pytest.raises(EndpointMismatch):
+            span_compose(inst, id_span(inst, inst.fset(3)), f)
+    # a right leg that leaves a point undefined is outside M
+    bad = EMSpan(src=f.src, tgt=f.tgt, apex=f.apex, d=f.d,
+                 m=inst.pinj(f.apex, f.tgt, (1, None)))
+    for _ in range(2):
+        with pytest.raises(ClassViolation):
+            span_compose(inst, g, bad)
+    assert inst.memo.span_composites == {}
+
+
+def test_instances_share_no_span_composites():
+    one, two = PInjInstance(), PInjInstance()
+    f, g = composable_pair(one)
+    span_compose(one, g, f)
+    assert len(one.memo.span_composites) == 1
+    assert two.memo.span_composites == {}
+
+
+def test_repeated_span_compose_pulls_back_once():
+    inst = CountingPInj()
+    f, g = composable_pair(inst)
+    results = {id(span_compose(inst, g, f)) for _ in range(10)}
+    assert len(results) == 1
+    assert inst.pullbacks == 1

@@ -15,18 +15,8 @@ import json
 import pathlib
 import sys
 
-from spancat.cli import EXIT_OK, main as cli_main
+from spancat.cli import EXIT_OK, SUITES, main as cli_main
 from spancat.core import symmetric_group_table
-
-SUITES = (
-    "associativity",
-    "stacking",
-    "symmetry",
-    "goursat",
-    "rrr",
-    "v-conditions",
-    "bipullback",
-)
 
 
 def run(argv=None) -> int:

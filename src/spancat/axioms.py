@@ -60,14 +60,13 @@ class CheckReport:
         }
 
 
-def one_sample_report(inst: Instance, name: str, ok: bool, detail: str,
-                      dump: dict, bound: int) -> CheckReport:
-    """The report of one check on one input; a failure carries the input
-    dump with the detail added."""
-    failures = [] if ok else [dict(dump, detail=detail)]
+def one_sample_report(inst: Instance, name: str, failures: list, bound: int,
+                      seed: int = 0) -> CheckReport:
+    """The report of one check on one input, given the input's failure
+    dumps: the input fails, once, when there are any."""
     return CheckReport(
         check_name=name, instance=inst.name, samples=1,
-        passes=1 if ok else 0, failures=failures, seed=0, bound=bound,
+        passes=0 if failures else 1, failures=failures, seed=seed, bound=bound,
     )
 
 
@@ -183,20 +182,7 @@ def is_pushout(inst: Instance, sq: Square, bound: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _report(name: str, inst: Instance, samples: int, failures: list,
-            seed: int, bound: int) -> CheckReport:
-    return CheckReport(
-        check_name=name,
-        instance=inst.name,
-        samples=samples,
-        passes=samples - len(failures),
-        failures=failures[:MAX_FAILURE_DUMPS],
-        seed=seed,
-        bound=bound,
-    )
-
-
-def _sfs5_failure(inst: Instance, sq: Square, bound: int) -> Optional[dict]:
+def _sfs5_failures(inst: Instance, sq: Square, bound: int) -> list[dict]:
     cls = (
         inst.classify(sq.top).in_M,
         inst.classify(sq.left).in_E,
@@ -210,18 +196,17 @@ def _sfs5_failure(inst: Instance, sq: Square, bound: int) -> Optional[dict]:
     pb = is_pullback(inst, sq, bound)
     po = is_pushout(inst, sq, bound)
     if pb == po:
-        return None
-    return {
+        return []
+    return [{
         "square": square_dict(inst, sq),
         "detail": f"is_pullback={pb} but is_pushout={po}",
-    }
+    }]
 
 
 def check_sfs5(inst: Instance, sq: Square, bound: int, seed: int = 0) -> CheckReport:
     """For one mixed square (top in M, left in E, right in E, bottom in M):
     pullback and pushout must coincide."""
-    fail = _sfs5_failure(inst, sq, bound)
-    return _report("sfs5", inst, 1, [fail] if fail else [], seed, bound)
+    return one_sample_report(inst, "sfs5", _sfs5_failures(inst, sq, bound), bound, seed)
 
 
 def _pasteable(inst: Instance, left: Square, right: Square) -> None:
@@ -241,54 +226,54 @@ def paste_squares(inst: Instance, left: Square, right: Square) -> Square:
     )
 
 
-def _pasting_failure(inst: Instance, left: Square, right: Square,
-                     bound: int) -> Optional[dict]:
+def _pasting_failures(inst: Instance, left: Square, right: Square,
+                      bound: int) -> list[dict]:
     rect = paste_squares(inst, left, right)
     lp = is_pullback(inst, left, bound)
     rp = is_pullback(inst, right, bound)
     pp = is_pullback(inst, rect, bound)
     if pp == (lp and rp):
-        return None
-    return {
+        return []
+    return [{
         "left": square_dict(inst, left),
         "right": square_dict(inst, right),
         "detail": f"pasted is_pullback={pp}, left={lp}, right={rp}",
-    }
+    }]
 
 
 def check_pasting_lemma(inst: Instance, left: Square, right: Square,
                         bound: int, seed: int = 0) -> CheckReport:
     """For a ladder between two E-then-M factorizations with verticals in M:
     the pasted square is a pullback iff both component squares are."""
-    fail = _pasting_failure(inst, left, right, bound)
-    return _report("pasting", inst, 1, [fail] if fail else [], seed, bound)
+    fails = _pasting_failures(inst, left, right, bound)
+    return one_sample_report(inst, "pasting", fails, bound, seed)
 
 
-def _pasting_dual_failure(inst: Instance, left: Square, right: Square,
-                          bound: int) -> Optional[dict]:
+def _pasting_dual_failures(inst: Instance, left: Square, right: Square,
+                           bound: int) -> list[dict]:
     rect = paste_squares(inst, left, right)
     lp = is_pushout(inst, left, bound)
     rp = is_pushout(inst, right, bound)
     pp = is_pushout(inst, rect, bound)
     if pp == (lp and rp):
-        return None
-    return {
+        return []
+    return [{
         "left": square_dict(inst, left),
         "right": square_dict(inst, right),
         "detail": f"pasted is_pushout={pp}, left={lp}, right={rp}",
-    }
+    }]
 
 
 def check_pasting_lemma_dual(inst: Instance, left: Square, right: Square,
                              bound: int, seed: int = 0) -> CheckReport:
     """For a ladder between two E-then-M factorizations with verticals in E:
     the pasted square is a pushout iff both component squares are."""
-    fail = _pasting_dual_failure(inst, left, right, bound)
-    return _report("pasting_dual", inst, 1, [fail] if fail else [], seed, bound)
+    fails = _pasting_dual_failures(inst, left, right, bound)
+    return one_sample_report(inst, "pasting_dual", fails, bound, seed)
 
 
-def _jointly_monic_failure(inst: Instance, d: Mor, m: Mor,
-                           bound: int) -> Optional[dict]:
+def _jointly_monic_failures(inst: Instance, d: Mor, m: Mor,
+                            bound: int) -> list[dict]:
     if d.dom != m.dom:
         raise ShapeViolation("span legs must share their domain")
     if not inst.classify(d).in_E or not inst.classify(m).in_M:
@@ -298,17 +283,17 @@ def _jointly_monic_failure(inst: Instance, d: Mor, m: Mor,
         for w in inst.enumerate_homs(t, d.dom):
             key = (inst.compose(d, w).payload, inst.compose(m, w).payload)
             if key in seen:
-                return {
+                return [{
                     "d": mor_dict(inst, d),
                     "m": mor_dict(inst, m),
                     "detail": f"not jointly monic at {t.descriptor}",
-                }
+                }]
             seen.add(key)
-    return None
+    return []
 
 
-def _jointly_epic_failure(inst: Instance, m: Mor, e: Mor,
-                          bound: int) -> Optional[dict]:
+def _jointly_epic_failures(inst: Instance, m: Mor, e: Mor,
+                           bound: int) -> list[dict]:
     if m.cod != e.cod:
         raise ShapeViolation("cospan legs must share their codomain")
     if not inst.classify(m).in_M or not inst.classify(e).in_E:
@@ -318,13 +303,13 @@ def _jointly_epic_failure(inst: Instance, m: Mor, e: Mor,
         for w in inst.enumerate_homs(m.cod, t):
             key = (inst.compose(w, m).payload, inst.compose(w, e).payload)
             if key in seen:
-                return {
+                return [{
                     "m": mor_dict(inst, m),
                     "e": mor_dict(inst, e),
                     "detail": f"not jointly epic at {t.descriptor}",
-                }
+                }]
             seen.add(key)
-    return None
+    return []
 
 
 def check_jointly(inst: Instance, first: Mor, second: Mor, bound: int,
@@ -332,16 +317,16 @@ def check_jointly(inst: Instance, first: Mor, second: Mor, bound: int,
     """Joint monicity of an (E, M) span, or joint epicity of an (M, E)
     cospan; the shape is inferred from the shared endpoint."""
     if first.dom == second.dom and first.cod != second.cod:
-        fail = _jointly_monic_failure(inst, first, second, bound)
+        fails = _jointly_monic_failures(inst, first, second, bound)
     elif first.cod == second.cod and first.dom != second.dom:
-        fail = _jointly_epic_failure(inst, first, second, bound)
+        fails = _jointly_epic_failures(inst, first, second, bound)
     elif first.dom == second.dom and inst.classify(first).in_E:
-        fail = _jointly_monic_failure(inst, first, second, bound)
+        fails = _jointly_monic_failures(inst, first, second, bound)
     elif first.cod == second.cod:
-        fail = _jointly_epic_failure(inst, first, second, bound)
+        fails = _jointly_epic_failures(inst, first, second, bound)
     else:
         raise ShapeViolation("legs form neither a span nor a cospan")
-    return _report("jointly", inst, 1, [fail] if fail else [], seed, bound)
+    return one_sample_report(inst, "jointly", fails, bound, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +334,30 @@ def check_jointly(inst: Instance, first: Mor, second: Mor, bound: int,
 # ---------------------------------------------------------------------------
 
 
-def _batch(name: str, inst: Instance, seed: int, samples: int, bound: int,
-           body: Callable[[Sampler], Optional[dict]]) -> CheckReport:
+def run_sampled(name: str, inst: Instance, seed: int, samples: int, bound: int,
+                body: Callable[[Sampler], list[dict]]) -> CheckReport:
+    """Run one check on samples seeded inputs.
+
+    All inputs come from one Sampler seeded by seed and name.  body draws
+    one input and returns its failure dumps (empty means pass); an input
+    counts as failed once, however many dumps it has."""
     smp = Sampler(inst, f"{seed}:{name}", bound)
-    failures = []
+    passes, failures = 0, []
     for _ in range(samples):
-        fail = body(smp)
-        if fail is not None:
-            failures.append(fail)
-    return _report(name, inst, samples, failures, seed, bound)
+        fails = body(smp)
+        passes += not fails
+        failures += fails
+    return CheckReport(
+        check_name=name, instance=inst.name, samples=samples, passes=passes,
+        failures=failures[:MAX_FAILURE_DUMPS], seed=seed, bound=bound,
+    )
 
 
 def _check_fs1(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
     """Unique diagonal fill: for e in E and m in M, every commuting square
     (e on top, m on the bottom) admits exactly one diagonal."""
 
-    def body(smp: Sampler) -> Optional[dict]:
+    def body(smp: Sampler) -> list[dict]:
         e = smp.mor_in_E()
         m = smp.mor_in_M()
         groups: dict = {}
@@ -381,38 +374,38 @@ def _check_fs1(inst: Instance, seed: int, samples: int, bound: int) -> CheckRepo
         for w in smp.pool(e.cod, m.dom):
             key = (inst.compose(w, e).payload, inst.compose(m, w).payload)
             if key in diag:
-                return {
+                return [{
                     "e": mor_dict(inst, e),
                     "m": mor_dict(inst, m),
                     "detail": "two diagonals share one boundary",
-                }
+                }]
             diag[key] = w
         if pairs != len(diag):
-            return {
+            return [{
                 "e": mor_dict(inst, e),
                 "m": mor_dict(inst, m),
                 "detail": f"{pairs} squares but {len(diag)} diagonals",
-            }
+            }]
         if sample_pair is not None:
             u, v = sample_pair
             sq = Square(top=e, left=u, right=v, bottom=m)
             w = inst.fill_diagonal(sq)
             expect = diag[(u.payload, v.payload)]
             if not inst.mor_eq(w, expect):
-                return {
+                return [{
                     "e": mor_dict(inst, e),
                     "m": mor_dict(inst, m),
                     "detail": "fill_diagonal disagrees with enumeration",
-                }
-        return None
+                }]
+        return []
 
-    return _batch("fs1", inst, seed, samples, bound, body)
+    return run_sampled("fs1", inst, seed, samples, bound, body)
 
 
 def _check_fs2(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
     """Every morphism factors as M . E, and E meets M exactly in the isos."""
 
-    def body(smp: Sampler) -> Optional[dict]:
+    def body(smp: Sampler) -> list[dict]:
         f = smp.hom()
         fac = inst.factorize(f)
         problems = []
@@ -433,129 +426,122 @@ def _check_fs2(inst: Instance, seed: int, samples: int, bound: int) -> CheckRepo
                 f"classify says E&M={cls.in_E and cls.in_M} but invertible={two_sided}"
             )
         if problems:
-            return {"f": mor_dict(inst, f), "detail": "; ".join(problems)}
-        return None
+            return [{"f": mor_dict(inst, f), "detail": "; ".join(problems)}]
+        return []
 
-    return _batch("fs2", inst, seed, samples, bound, body)
+    return run_sampled("fs2", inst, seed, samples, bound, body)
 
 
 def _check_sfs1(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
     """Pullbacks along M exist: the computed cone is a pullback and the leg
     opposite m is again in M."""
 
-    def body(smp: Sampler) -> Optional[dict]:
+    def body(smp: Sampler) -> list[dict]:
         f, m = smp.cospan_with_M()
         cone = inst.pullback_along_M(f, m)
         sq = Square(top=cone.leg2, left=cone.leg1, right=m, bottom=f)
         if not inst.classify(cone.leg1).in_M:
-            return {"square": square_dict(inst, sq), "detail": "pulled-back leg not in M"}
+            return [{"square": square_dict(inst, sq), "detail": "pulled-back leg not in M"}]
         if not is_pullback(inst, sq, bound):
-            return {"square": square_dict(inst, sq), "detail": "cone is not a pullback"}
-        return None
+            return [{"square": square_dict(inst, sq), "detail": "cone is not a pullback"}]
+        return []
 
-    return _batch("sfs1", inst, seed, samples, bound, body)
+    return run_sampled("sfs1", inst, seed, samples, bound, body)
 
 
 def _check_sfs2(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
     """Pushouts along E exist: the computed cocone is a pushout and the leg
     opposite e is again in E."""
 
-    def body(smp: Sampler) -> Optional[dict]:
+    def body(smp: Sampler) -> list[dict]:
         f, e = smp.span_with_E()
         cone = inst.pushout_along_E(f, e)
         sq = Square(top=f, left=e, right=cone.leg1, bottom=cone.leg2)
         if not inst.classify(cone.leg1).in_E:
-            return {"square": square_dict(inst, sq), "detail": "pushed-out leg not in E"}
+            return [{"square": square_dict(inst, sq), "detail": "pushed-out leg not in E"}]
         if not is_pushout(inst, sq, bound):
-            return {"square": square_dict(inst, sq), "detail": "cocone is not a pushout"}
-        return None
+            return [{"square": square_dict(inst, sq), "detail": "cocone is not a pushout"}]
+        return []
 
-    return _batch("sfs2", inst, seed, samples, bound, body)
+    return run_sampled("sfs2", inst, seed, samples, bound, body)
 
 
 def _check_sfs3(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
     """Pulling an E-morphism back along M lands in E again."""
 
-    def body(smp: Sampler) -> Optional[dict]:
+    def body(smp: Sampler) -> list[dict]:
         e, m = smp.cospan_E_M()
         cone = inst.pullback_along_M(e, m)
         sq = Square(top=cone.leg2, left=cone.leg1, right=m, bottom=e)
         if not inst.classify(cone.leg2).in_E:
-            return {"square": square_dict(inst, sq), "detail": "pullback of E not in E"}
+            return [{"square": square_dict(inst, sq), "detail": "pullback of E not in E"}]
         if not is_pullback(inst, sq, bound):
-            return {"square": square_dict(inst, sq), "detail": "cone is not a pullback"}
-        return None
+            return [{"square": square_dict(inst, sq), "detail": "cone is not a pullback"}]
+        return []
 
-    return _batch("sfs3", inst, seed, samples, bound, body)
+    return run_sampled("sfs3", inst, seed, samples, bound, body)
 
 
 def _check_sfs4(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
     """Pushing an M-morphism out along E lands in M again."""
 
-    def body(smp: Sampler) -> Optional[dict]:
+    def body(smp: Sampler) -> list[dict]:
         m, e = smp.span_M_E()
         cone = inst.pushout_along_E(m, e)
         sq = Square(top=m, left=e, right=cone.leg1, bottom=cone.leg2)
         if not inst.classify(cone.leg2).in_M:
-            return {"square": square_dict(inst, sq), "detail": "pushout of M not in M"}
+            return [{"square": square_dict(inst, sq), "detail": "pushout of M not in M"}]
         if not is_pushout(inst, sq, bound):
-            return {"square": square_dict(inst, sq), "detail": "cocone is not a pushout"}
-        return None
+            return [{"square": square_dict(inst, sq), "detail": "cocone is not a pushout"}]
+        return []
 
-    return _batch("sfs4", inst, seed, samples, bound, body)
+    return run_sampled("sfs4", inst, seed, samples, bound, body)
 
 
 def _check_sfs5(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
     """Mixed squares (top in M, left in E, right in E, bottom in M) are
     pullbacks exactly when they are pushouts."""
-
-    def body(smp: Sampler) -> Optional[dict]:
-        return _sfs5_failure(inst, smp.mixed_square(), bound)
-
-    return _batch("sfs5", inst, seed, samples, bound, body)
+    return run_sampled("sfs5", inst, seed, samples, bound,
+                       lambda smp: _sfs5_failures(inst, smp.mixed_square(), bound))
 
 
 def _check_pasting(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
-    def body(smp: Sampler) -> Optional[dict]:
-        left, right = smp.factorization_ladder()
-        return _pasting_failure(inst, left, right, bound)
-
-    return _batch("pasting", inst, seed, samples, bound, body)
+    return run_sampled("pasting", inst, seed, samples, bound,
+                       lambda smp: _pasting_failures(inst, *smp.factorization_ladder(), bound))
 
 
 def _check_pasting_dual(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
-    def body(smp: Sampler) -> Optional[dict]:
-        left, right = smp.factorization_ladder_dual()
-        return _pasting_dual_failure(inst, left, right, bound)
-
-    return _batch("pasting_dual", inst, seed, samples, bound, body)
+    return run_sampled(
+        "pasting_dual", inst, seed, samples, bound,
+        lambda smp: _pasting_dual_failures(inst, *smp.factorization_ladder_dual(), bound),
+    )
 
 
 def _check_jointly(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
     """EM-span legs are jointly monic; dually the legs of an (M, E) cospan
     are jointly epic."""
 
-    def body(smp: Sampler) -> Optional[dict]:
+    def body(smp: Sampler) -> list[dict]:
         if smp.rng.randrange(2) == 0:
             d, m = smp.em_span_legs()
-            return _jointly_monic_failure(inst, d, m, bound)
+            return _jointly_monic_failures(inst, d, m, bound)
         e, m = smp.cospan_E_M()
-        return _jointly_epic_failure(inst, m, e, bound)
+        return _jointly_epic_failures(inst, m, e, bound)
 
-    return _batch("jointly", inst, seed, samples, bound, body)
+    return run_sampled("jointly", inst, seed, samples, bound, body)
 
 
 def _check_properness(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
     """E-morphisms are epic and M-morphisms are monic (bounded)."""
 
-    def body(smp: Sampler) -> Optional[dict]:
+    def body(smp: Sampler) -> list[dict]:
         e = smp.mor_in_E()
         for t in smp.objects:
             seen = set()
             for g in smp.pool(e.cod, t):
                 key = inst.compose(g, e).payload
                 if key in seen:
-                    return {"e": mor_dict(inst, e), "detail": f"not epic at {t.descriptor}"}
+                    return [{"e": mor_dict(inst, e), "detail": f"not epic at {t.descriptor}"}]
                 seen.add(key)
         m = smp.mor_in_M()
         for t in smp.objects:
@@ -563,11 +549,11 @@ def _check_properness(inst: Instance, seed: int, samples: int, bound: int) -> Ch
             for g in smp.pool(t, m.dom):
                 key = inst.compose(m, g).payload
                 if key in seen:
-                    return {"m": mor_dict(inst, m), "detail": f"not monic at {t.descriptor}"}
+                    return [{"m": mor_dict(inst, m), "detail": f"not monic at {t.descriptor}"}]
                 seen.add(key)
-        return None
+        return []
 
-    return _batch("properness", inst, seed, samples, bound, body)
+    return run_sampled("properness", inst, seed, samples, bound, body)
 
 
 AXIOM_CHECKS: dict[str, Callable[[Instance, int, int, int], CheckReport]] = {

@@ -27,7 +27,7 @@ from .fakepb import (
     run_symmetry_suite,
     run_v_conditions_suite,
 )
-from .finab import FinAbInstance, group_size
+from .finab import FinAbInstance
 from .jsonio import (
     dumps,
     mor_dict,
@@ -219,51 +219,15 @@ def cmd_compose_relations(cfg: RunConfig, path: str) -> int:
     return EXIT_OK
 
 
-def _run_goursat(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
-    if not isinstance(inst, FinAbInstance):
-        raise ConfigError("the goursat suite needs --instance finab")
-    return run_goursat_suite(inst, seed=seed, samples=samples, bound=bound)
-
-
 # suite name -> (runner(inst, seed, samples, bound), default samples)
 SUITES: dict[str, tuple[Callable[[Instance, int, int, int], CheckReport], int]] = {
-    "associativity": (
-        lambda inst, seed, samples, bound: run_associativity_suite(
-            inst, seed=seed, samples=samples, bound=bound
-        ),
-        500,
-    ),
-    "stacking": (
-        lambda inst, seed, samples, bound: run_stacking_suite(
-            inst, seed=seed, samples=samples, bound=bound
-        ),
-        200,
-    ),
-    "symmetry": (
-        lambda inst, seed, samples, bound: run_symmetry_suite(
-            inst, seed=seed, samples=samples, bound=bound
-        ),
-        200,
-    ),
-    "goursat": (_run_goursat, 60),
-    "rrr": (
-        lambda inst, seed, samples, bound: run_rrr_suite(
-            inst, seed=seed, samples=samples, bound=bound
-        ),
-        200,
-    ),
-    "v-conditions": (
-        lambda inst, seed, samples, bound: run_v_conditions_suite(
-            inst, seed=seed, samples=samples, bound=bound
-        ),
-        60,
-    ),
-    "bipullback": (
-        lambda inst, seed, samples, bound: check_v1(
-            inst, seed=seed, samples=samples, bound=bound
-        ),
-        200,
-    ),
+    "associativity": (run_associativity_suite, 500),
+    "stacking": (run_stacking_suite, 200),
+    "symmetry": (run_symmetry_suite, 200),
+    "goursat": (run_goursat_suite, 60),
+    "rrr": (run_rrr_suite, 200),
+    "v-conditions": (run_v_conditions_suite, 60),
+    "bipullback": (check_v1, 200),
 }
 
 

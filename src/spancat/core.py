@@ -16,7 +16,7 @@ import functools
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 
 class SpanCatError(Exception):
@@ -256,13 +256,13 @@ class Instance(ABC):
         return c.in_E and c.in_M
 
     def inverse(self, f: Mor) -> Mor:
+        """Two-sided inverse of an isomorphism (a member of E and M)."""
         if not self.is_iso(f):
             raise ClassViolation("inverse requested for a non-isomorphism")
-        ida, idb = self.identity(f.dom), self.identity(f.cod)
-        for g in self.enumerate_homs(f.cod, f.dom):
-            if self.mor_eq(self.compose(g, f), ida) and self.mor_eq(self.compose(f, g), idb):
-                return g
-        raise SpanCatError("no inverse found for a morphism classified as iso")
+        w, _ = self.solve_post_system(f.cod, f.dom, [(f, self.identity(f.cod))])
+        if w is None or not self.mor_eq(self.compose(w, f), self.identity(f.dom)):
+            raise SpanCatError("no two-sided inverse found; E and M do not meet in isos")
+        return w
 
     def fill_diagonal(self, sq: Square) -> Mor:
         """The unique w with w . top == left and bottom . w == right, for a
@@ -324,17 +324,6 @@ class Instance(ABC):
         (d1, m1) and (d2, m2) with a shared middle Q = cod(d1) = cod(d2).
         None to force a bounded iso search."""
         return None
-
-
-def iso_inverse(inst: Instance, f: Mor) -> Mor:
-    """Two-sided inverse of an isomorphism (a member of E and M)."""
-    c = inst.classify(f)
-    if not (c.in_E and c.in_M):
-        raise ClassViolation("only members of both classes are invertible")
-    w, _ = inst.solve_post_system(f.cod, f.dom, [(f, inst.identity(f.cod))])
-    if w is None or not inst.mor_eq(inst.compose(w, f), inst.identity(f.dom)):
-        raise SpanCatError("no two-sided inverse found; E and M do not meet in isos")
-    return w
 
 
 def validate_square(inst: Instance, sq: Square) -> None:

@@ -22,6 +22,8 @@ with an equal cospan return the stored result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
+from typing import Optional
 
 from .axioms import (
     CheckReport,
@@ -30,6 +32,7 @@ from .axioms import (
     merge_reports,
     one_sample_report,
     run_axiom_suite,
+    run_sampled,
 )
 from .core import (
     ClassViolation,
@@ -40,7 +43,6 @@ from .core import (
     ShapeViolation,
     SpanCatError,
     Square,
-    iso_inverse,
     validate_square,
 )
 from .gen import Sampler
@@ -255,10 +257,10 @@ def check_symmetry(inst: Instance, f: EMSpan, g: EMSpan, bound: int) -> CheckRep
     ok = span_pair_iso_eq(
         inst, (fp.left_leg, fp.right_leg), (pf.right_leg, pf.left_leg)
     )
-    return one_sample_report(
-        inst, "symmetry", ok, "swapped fake pullback is not isomorphic",
-        {"f": span_dict(inst, f), "g": span_dict(inst, g)}, bound,
-    )
+    return one_sample_report(inst, "symmetry", [] if ok else [{
+        "f": span_dict(inst, f), "g": span_dict(inst, g),
+        "detail": "swapped fake pullback is not isomorphic",
+    }], bound)
 
 
 def check_identity_law(inst: Instance, f: EMSpan, bound: int) -> CheckReport:
@@ -267,10 +269,9 @@ def check_identity_law(inst: Instance, f: EMSpan, bound: int) -> CheckReport:
     ok = span_pair_iso_eq(
         inst, (fp.left_leg, fp.right_leg), (id_span(inst, f.src), f)
     )
-    return one_sample_report(
-        inst, "identity", ok, "identity cospan leg did not absorb",
-        {"f": span_dict(inst, f)}, bound,
-    )
+    return one_sample_report(inst, "identity", [] if ok else [{
+        "f": span_dict(inst, f), "detail": "identity cospan leg did not absorb",
+    }], bound)
 
 
 def check_stacking(inst: Instance, t: EMSpan, r: EMSpan, s: EMSpan,
@@ -287,14 +288,12 @@ def check_stacking(inst: Instance, t: EMSpan, r: EMSpan, s: EMSpan,
     pasted = (fp2.left_leg, span_compose(inst, fp1.right_leg, fp2.right_leg))
     direct = fake_pullback(inst, span_compose(inst, r, t), s)
     ok = span_pair_iso_eq(inst, pasted, (direct.left_leg, direct.right_leg))
-    return one_sample_report(
-        inst, "stacking", ok, "pasted fake pullback differs from direct one",
-        {
-            "t": span_dict(inst, t),
-            "r": span_dict(inst, r),
-            "s": span_dict(inst, s),
-        }, bound,
-    )
+    return one_sample_report(inst, "stacking", [] if ok else [{
+        "t": span_dict(inst, t),
+        "r": span_dict(inst, r),
+        "s": span_dict(inst, s),
+        "detail": "pasted fake pullback differs from direct one",
+    }], bound)
 
 
 def properness_holds(inst: Instance, bound: int, seed: int = 0) -> bool:
@@ -317,18 +316,16 @@ def check_fake_mono(inst: Instance, f: EMSpan, bound: int) -> CheckReport:
     Requires properness (E inside the epis, M inside the monos); when the
     spot check refutes that, the report carries the skip as its failure."""
     if not properness_holds(inst, bound):
-        return one_sample_report(
-            inst, "fake_mono", False,
-            "properness precheck failed; fake-mono law not evaluated",
-            {"f": span_dict(inst, f)}, bound,
-        )
+        return one_sample_report(inst, "fake_mono", [{
+            "f": span_dict(inst, f),
+            "detail": "properness precheck failed; fake-mono law not evaluated",
+        }], bound)
     fp = fake_pullback(inst, f, f)
     one = id_span(inst, f.src)
     ok = span_pair_iso_eq(inst, (fp.left_leg, fp.right_leg), (one, one))
-    return one_sample_report(
-        inst, "fake_mono", ok, "self fake pullback is not the identity span",
-        {"f": span_dict(inst, f)}, bound,
-    )
+    return one_sample_report(inst, "fake_mono", [] if ok else [{
+        "f": span_dict(inst, f), "detail": "self fake pullback is not the identity span",
+    }], bound)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +362,8 @@ def v2_square(inst: Instance, a: EMSpan, x: EMSpan) -> V2Square:
         raise ClassViolation("a must be a reversed-E span (invertible m-leg)")
     if not inst.is_iso(x.d):
         raise ClassViolation("x must be a lifted-M span (invertible d-leg)")
-    e_base = inst.compose(a.d, iso_inverse(inst, a.m))
-    m_base = inst.compose(x.m, iso_inverse(inst, x.d))
+    e_base = inst.compose(a.d, inst.inverse(a.m))
+    m_base = inst.compose(x.m, inst.inverse(x.d))
     ex = exchange_square(inst, m_base, e_base)
     b = lift_e(inst, ex.e_bar)
     y = lift_m(inst, ex.m_bar)
@@ -530,15 +527,11 @@ def check_v1(inst: Instance, seed: int = 0, samples: int = 20, bound: int = 6,
             cone = inst.pushout_along_E(e1, e2)
             sq = Square(top=e1, left=e2, right=cone.leg1, bottom=cone.leg2)
             legs_ok = inst.classify(cone.leg1).in_E and inst.classify(cone.leg2).in_E
-        rep = check_star_bipullback(inst, sq, bound=bound, span_bound=span_bound)
+        reports.append(check_star_bipullback(inst, sq, bound=bound, span_bound=span_bound))
         if not legs_ok:
-            rep = CheckReport(
-                check_name=rep.check_name, instance=rep.instance,
-                samples=rep.samples + 1, passes=rep.passes,
-                failures=rep.failures + [{"detail": "constructed leg left its class"}],
-                seed=rep.seed, bound=rep.bound,
-            )
-        reports.append(rep)
+            reports.append(one_sample_report(
+                inst, "v1", [{"detail": "constructed leg left its class"}], bound,
+            ))
     return merge_reports("v1", reports, seed=seed, bound=bound)
 
 
@@ -547,104 +540,87 @@ def check_v1(inst: Instance, seed: int = 0, samples: int = 20, bound: int = 6,
 # ---------------------------------------------------------------------------
 
 
+def sample_span(inst: Instance, smp: Sampler, src: Optional[ObjHandle] = None,
+                tgt: Optional[ObjHandle] = None) -> EMSpan:
+    """A random EM-span, optionally with one end fixed."""
+    return em_span(inst, *smp.em_span_legs(src=src, tgt=tgt))
+
+
 def _sample_cospan(inst: Instance, smp: Sampler) -> tuple[EMSpan, EMSpan]:
-    d1, m1 = smp.em_span_legs()
-    f = em_span(inst, d1, m1)
-    d2, m2 = smp.em_span_legs(tgt=f.tgt)
-    return f, em_span(inst, d2, m2)
+    f = sample_span(inst, smp)
+    return f, sample_span(inst, smp, tgt=f.tgt)
 
 
 def run_symmetry_suite(inst: Instance, seed: int = 0, samples: int = 200,
                        bound: int = 6) -> CheckReport:
-    smp = Sampler(inst, f"{seed}:symmetry", bound)
-    reports = []
-    for _ in range(samples):
-        f, g = _sample_cospan(inst, smp)
-        reports.append(check_symmetry(inst, f, g, bound))
-    return merge_reports("symmetry", reports, seed=seed, bound=bound)
+    return run_sampled(
+        "symmetry", inst, seed, samples, bound,
+        lambda smp: check_symmetry(inst, *_sample_cospan(inst, smp), bound).failures,
+    )
 
 
 def run_identity_suite(inst: Instance, seed: int = 0, samples: int = 200,
                        bound: int = 6) -> CheckReport:
-    smp = Sampler(inst, f"{seed}:identity", bound)
-    reports = []
-    for _ in range(samples):
-        d, m = smp.em_span_legs()
-        reports.append(check_identity_law(inst, em_span(inst, d, m), bound))
-    return merge_reports("identity", reports, seed=seed, bound=bound)
+    return run_sampled(
+        "identity", inst, seed, samples, bound,
+        lambda smp: check_identity_law(inst, sample_span(inst, smp), bound).failures,
+    )
 
 
 def run_stacking_suite(inst: Instance, seed: int = 0, samples: int = 200,
                        bound: int = 6) -> CheckReport:
-    smp = Sampler(inst, f"{seed}:stacking", bound)
-    reports = []
-    for _ in range(samples):
-        d1, m1 = smp.em_span_legs()
-        t = em_span(inst, d1, m1)
-        d2, m2 = smp.em_span_legs(src=t.tgt)
-        r = em_span(inst, d2, m2)
-        d3, m3 = smp.em_span_legs(tgt=r.tgt)
-        s = em_span(inst, d3, m3)
-        reports.append(check_stacking(inst, t, r, s, bound))
-    return merge_reports("stacking", reports, seed=seed, bound=bound)
+    def body(smp: Sampler) -> list[dict]:
+        t = sample_span(inst, smp)
+        r = sample_span(inst, smp, src=t.tgt)
+        s = sample_span(inst, smp, tgt=r.tgt)
+        return check_stacking(inst, t, r, s, bound).failures
+
+    return run_sampled("stacking", inst, seed, samples, bound, body)
 
 
 def run_fake_mono_suite(inst: Instance, seed: int = 0, samples: int = 200,
                         bound: int = 6) -> CheckReport:
-    smp = Sampler(inst, f"{seed}:fake_mono", bound)
-    reports = []
-    for _ in range(samples):
-        d, m = smp.em_span_legs()
-        reports.append(check_fake_mono(inst, em_span(inst, d, m), bound))
-    return merge_reports("fake_mono", reports, seed=seed, bound=bound)
+    return run_sampled(
+        "fake_mono", inst, seed, samples, bound,
+        lambda smp: check_fake_mono(inst, sample_span(inst, smp), bound).failures,
+    )
 
 
 def run_grid_suite(inst: Instance, seed: int = 0, samples: int = 200,
                    bound: int = 6) -> CheckReport:
     """Certify the grids of sampled cospans at catalog scope."""
-    smp = Sampler(inst, f"{seed}:grid", bound)
-    reports = []
-    for _ in range(samples):
+
+    def body(smp: Sampler) -> list[dict]:
         f, g = _sample_cospan(inst, smp)
         fails = certify_grid(inst, fake_pullback(inst, f, g).grid, bound)
-        dump = {"f": span_dict(inst, f), "g": span_dict(inst, g)}
-        rep = CheckReport(
-            check_name="grid", instance=inst.name, samples=1,
-            passes=0 if fails else 1,
-            failures=[dict(fl, **dump) for fl in fails],
-            seed=0, bound=bound,
-        )
-        reports.append(rep)
-    return merge_reports("grid", reports, seed=seed, bound=bound)
+        return [dict(fl, f=span_dict(inst, f), g=span_dict(inst, g)) for fl in fails]
+
+    return run_sampled("grid", inst, seed, samples, bound, body)
 
 
 def run_v_conditions_suite(inst: Instance, seed: int = 0, samples: int = 60,
                            bound: int = 6, span_bound: int = 3) -> CheckReport:
     """V1 by sampling, V2/V3/V4 by constructive completion on sampled data."""
-    reports = [check_v1(inst, seed=seed, samples=max(4, samples // 10),
-                        bound=bound, span_bound=span_bound)]
-    smp = Sampler(inst, f"{seed}:vcond", bound)
-    v_fail: list[dict] = []
-    v_total = 0
-    for k in range(samples):
-        v_total += 1
+    completions = cycle((_sample_v2, _sample_v3, _sample_v4))
+
+    def body(smp: Sampler) -> list[dict]:
         try:
-            which = k % 3
-            if which == 0:
-                e = smp.mor_in_E()
-                m = smp.hom(b=e.dom, cls="M")
-                v2_square(inst, lift_e(inst, e), lift_m(inst, m))
-            elif which == 1:
-                _sample_v3(inst, smp, bound)
-            else:
-                _sample_v4(inst, smp, bound)
+            next(completions)(inst, smp, bound)
         except SpanCatError as exc:
-            v_fail.append({"detail": f"v-condition completion failed: {exc}"})
-    rep = CheckReport(
-        check_name="v2_v3_v4", instance=inst.name, samples=v_total,
-        passes=v_total - len(v_fail), failures=v_fail, seed=seed, bound=bound,
-    )
-    return merge_reports("v_conditions", reports + [rep], seed=seed, bound=bound)
+            return [{"detail": f"v-condition completion failed: {exc}"}]
+        return []
+
+    return merge_reports("v_conditions", [
+        check_v1(inst, seed=seed, samples=max(4, samples // 10),
+                 bound=bound, span_bound=span_bound),
+        run_sampled("vcond", inst, seed, samples, bound, body),
+    ], seed=seed, bound=bound)
+
+
+def _sample_v2(inst: Instance, smp: Sampler, bound: int) -> V2Square:
+    e = smp.mor_in_E()
+    m = smp.hom(b=e.dom, cls="M")
+    return v2_square(inst, lift_e(inst, e), lift_m(inst, m))
 
 
 def _sample_v3(inst: Instance, smp: Sampler, bound: int) -> V3Result:

@@ -76,7 +76,6 @@ class SNF:
     D: Matrix
     V: Matrix
     Uinv: Matrix
-    Vinv: Matrix
 
     @property
     def diag(self) -> tuple[int, ...]:
@@ -86,7 +85,7 @@ class SNF:
 
 
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNF:
-    """Smith normal form with transforms and their inverses.
+    """Smith normal form with both transforms and the inverse of U.
 
     >>> s = smith_normal_form([[2, 0], [0, 3]])
     >>> s.diag
@@ -100,7 +99,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNF:
     U = identity_matrix(m)
     Ui = identity_matrix(m)
     V = identity_matrix(n)
-    Vi = identity_matrix(n)
 
     def row_add(i: int, j: int, c: int) -> None:
         # row i += c * row j ; Uinv column j -= c * column i
@@ -124,27 +122,23 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNF:
             Ui[k][i] = -Ui[k][i]
 
     def col_add(j: int, i: int, c: int) -> None:
-        # col j += c * col i ; Vinv row i -= c * row j
+        # col j += c * col i
         for k in range(m):
             A[k][j] += c * A[k][i]
         for k in range(n):
             V[k][j] += c * V[k][i]
-        for k in range(n):
-            Vi[i][k] -= c * Vi[j][k]
 
     def col_swap(i: int, j: int) -> None:
         for k in range(m):
             A[k][i], A[k][j] = A[k][j], A[k][i]
         for k in range(n):
             V[k][i], V[k][j] = V[k][j], V[k][i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def col_neg(j: int) -> None:
         for k in range(m):
             A[k][j] = -A[k][j]
         for k in range(n):
             V[k][j] = -V[k][j]
-        Vi[j] = [-x for x in Vi[j]]
 
     def find_pivot(t: int) -> Optional[tuple[int, int]]:
         best = None
@@ -201,7 +195,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNF:
             row_add(t, offender, 1)
             continue
         t += 1
-    return SNF(freeze(U), freeze(A), freeze(V), freeze(Ui), freeze(Vi))
+    return SNF(freeze(U), freeze(A), freeze(V), freeze(Ui))
 
 
 def hermite_form(mat: Sequence[Sequence[int]]) -> Matrix:
@@ -872,21 +866,6 @@ class FinAbInstance(Instance):
         mat = reduce_matrix(mat_mul(fb, ta), b.obj_key) if ca else \
             tuple(tuple(0 for _ in a.obj_key) for _ in b.obj_key)
         return Mor(a, b, validate_hom(a.obj_key, b.obj_key, mat))
-
-    def inverse(self, f: Mor) -> Mor:
-        if not self.is_iso(f):
-            raise ClassViolation("inverse requested for a non-isomorphism")
-        dom, cod = f.dom.obj_key, f.cod.obj_key
-        w, count = solve_hom_equations(
-            cod, dom,
-            [
-                (None, (dom, cod, f.payload), (dom, dom, hom_identity(dom))),
-                ((dom, cod, f.payload), None, (cod, cod, hom_identity(cod))),
-            ],
-        )
-        if w is None or count != 1:
-            raise SpanCatError("inverse: solver failed on an isomorphism")
-        return Mor(f.cod, f.dom, w)
 
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
         return [self.obj(o) for o in invariant_factor_groups(bound)]

@@ -8,7 +8,7 @@ stable across platforms.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import Instance, Mor, ObjHandle, SpanCatError, Square
 

@@ -66,10 +66,6 @@ def reverse_assign(assign: Assign, n_cod: int) -> Assign:
     return tuple(out)
 
 
-def defined_of(assign: Assign) -> list[int]:
-    return [i for i, v in enumerate(assign) if v is not None]
-
-
 def image_of(assign: Assign) -> set[int]:
     return {v for v in assign if v is not None}
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
-from .axioms import CheckReport, merge_reports, one_sample_report
+from .axioms import CheckReport, merge_reports, one_sample_report, run_sampled
 from .core import (
     EndpointMismatch,
     Instance,
@@ -31,15 +31,11 @@ from .core import (
     ObjHandle,
     ValidationFailure,
 )
-from .fakepb import fake_pullback, properness_holds, span_pair_iso_eq
+from .fakepb import fake_pullback, properness_holds, sample_span, span_pair_iso_eq
 from .finab import (
     FinAbInstance,
-    ab_pullback,
-    all_subgroups,
     close_elements,
     group_size,
-    hom_compose,
-    image_subgroup,
     reduce_matrix,
     subgroup_compose,
     subgroup_from_gens,
@@ -166,7 +162,7 @@ def rel_class(inst: Instance, r: Relation) -> RelClass:
 def _require_finab(inst: Instance) -> FinAbInstance:
     if not isinstance(inst, FinAbInstance):
         raise ValidationFailure(
-            "the Goursat translation needs the finite abelian instance"
+            "the Goursat translation needs the finite abelian instance, finab"
         )
     return inst
 
@@ -176,16 +172,7 @@ def goursat_to_subgroup(inst: Instance, r: Relation) -> frozenset:
     back over the source, then image the paired M-legs."""
     _require_finab(inst)
     validate_relation(inst, r)
-    x_ord, z_ord = r.X.obj_key, r.Z.obj_key
-    p_ord, leg1, leg2 = ab_pullback(
-        r.left.apex.obj_key, r.right.apex.obj_key, r.Y.obj_key,
-        r.left.d.payload, r.right.d.payload,
-    )
-    comp1 = hom_compose(r.left.m.payload, leg1, x_ord, ncols=len(p_ord))
-    comp2 = hom_compose(r.right.m.payload, leg2, z_ord, ncols=len(p_ord))
-    ambient = x_ord + z_ord
-    stacked = reduce_matrix(tuple(comp1) + tuple(comp2), ambient)
-    return image_subgroup(p_ord, ambient, stacked).elements
+    return rel_key(inst, r)[2]
 
 
 def subgroup_to_zigzag(
@@ -327,10 +314,9 @@ def check_units(inst: Instance, r: Relation, bound: int) -> CheckReport:
     ) and rel_iso_eq(
         inst, rel_compose(inst, r, rel_identity(inst, r.X)), r
     )
-    return one_sample_report(
-        inst, "rel_units", ok, "identity relation did not absorb",
-        {"r": relation_dict(inst, r)}, bound,
-    )
+    return one_sample_report(inst, "rel_units", [] if ok else [{
+        "r": relation_dict(inst, r), "detail": "identity relation did not absorb",
+    }], bound)
 
 
 def check_associativity(inst: Instance, r3: Relation, r2: Relation,
@@ -344,14 +330,9 @@ def check_associativity(inst: Instance, r3: Relation, r2: Relation,
         raise EndpointMismatch("check_associativity needs composable relations")
     lhs = rel_compose(inst, rel_compose(inst, r3, r2), r1)
     rhs = rel_compose(inst, r3, rel_compose(inst, r2, r1))
-    dump = {
-        "r1": relation_dict(inst, r1),
-        "r2": relation_dict(inst, r2),
-        "r3": relation_dict(inst, r3),
-    }
-    failures = []
+    details = []
     if not rel_iso_eq(inst, lhs, rhs):
-        failures.append(dict(dump, detail="the two bracketings differ"))
+        details.append("the two bracketings differ")
     if isinstance(inst, FinAbInstance):
         x, z = r1.X.obj_key, r1.Z.obj_key
         t, w = r2.Z.obj_key, r3.Z.obj_key
@@ -361,14 +342,13 @@ def check_associativity(inst: Instance, r3: Relation, r2: Relation,
         oracle = subgroup_compose(x, t, w, s12, goursat_to_subgroup(inst, r3))
         for tag, side in (("left", lhs), ("right", rhs)):
             if goursat_to_subgroup(inst, side) != oracle:
-                failures.append(dict(
-                    dump,
-                    detail=f"{tag} bracketing disagrees with the subgroup oracle",
-                ))
-    return CheckReport(
-        check_name="associativity", instance=inst.name, samples=1,
-        passes=0 if failures else 1, failures=failures, seed=0, bound=bound,
-    )
+                details.append(f"{tag} bracketing disagrees with the subgroup oracle")
+    return one_sample_report(inst, "associativity", [{
+        "r1": relation_dict(inst, r1),
+        "r2": relation_dict(inst, r2),
+        "r3": relation_dict(inst, r3),
+        "detail": detail,
+    } for detail in details], bound)
 
 
 def check_rrr(inst: Instance, r: Relation, bound: int) -> CheckReport:
@@ -377,39 +357,34 @@ def check_rrr(inst: Instance, r: Relation, bound: int) -> CheckReport:
     Holds in proper instances; when the properness spot check fails the
     report carries the skip as its failure."""
     if not properness_holds(inst, bound):
-        return one_sample_report(
-            inst, "rrr", False,
-            "properness precheck failed; rrr law not evaluated",
-            {"r": relation_dict(inst, r)}, bound,
-        )
+        return one_sample_report(inst, "rrr", [{
+            "r": relation_dict(inst, r),
+            "detail": "properness precheck failed; rrr law not evaluated",
+        }], bound)
     back = rel_compose(inst, rel_compose(inst, r, rel_reverse(r)), r)
     ok = rel_iso_eq(inst, back, r)
-    return one_sample_report(
-        inst, "rrr", ok, "composite with the reverse moved the relation",
-        {"r": relation_dict(inst, r)}, bound,
-    )
+    return one_sample_report(inst, "rrr", [] if ok else [{
+        "r": relation_dict(inst, r),
+        "detail": "composite with the reverse moved the relation",
+    }], bound)
 
 
 def check_goursat_roundtrip_exact(inst: Instance, x: ObjHandle, z: ObjHandle,
                                   bound: int) -> CheckReport:
     """Every subgroup of X + Z returns unchanged from the zig-zag trip."""
     fa = _require_finab(inst)
-    ambient = x.obj_key + z.obj_key
-    subs = fa.subgroups(ambient)
-    failures = []
-    for s in subs:
+
+    def roundtrip(s: frozenset) -> CheckReport:
         back = goursat_to_subgroup(fa, subgroup_to_zigzag(fa, x, z, s))
-        if back != s:
-            failures.append({
-                "X": list(x.obj_key), "Z": list(z.obj_key),
-                "subgroup": sorted(list(v) for v in s),
-                "returned": sorted(list(v) for v in back),
-                "detail": "roundtrip moved the subgroup",
-            })
-    return CheckReport(
-        check_name="goursat_roundtrip", instance=fa.name, samples=len(subs),
-        passes=len(subs) - len(failures), failures=failures, seed=0, bound=bound,
-    )
+        return one_sample_report(fa, "goursat_roundtrip", [] if back == s else [{
+            "X": list(x.obj_key), "Z": list(z.obj_key),
+            "subgroup": sorted(list(v) for v in s),
+            "returned": sorted(list(v) for v in back),
+            "detail": "roundtrip moved the subgroup",
+        }], bound)
+
+    subs = fa.subgroups(x.obj_key + z.obj_key)
+    return merge_reports("goursat_roundtrip", [roundtrip(s) for s in subs], bound=bound)
 
 
 def check_goursat_zigzag_return(inst: Instance, r: Relation,
@@ -418,10 +393,9 @@ def check_goursat_zigzag_return(inst: Instance, r: Relation,
     fa = _require_finab(inst)
     back = subgroup_to_zigzag(fa, r.X, r.Z, goursat_to_subgroup(fa, r))
     ok = rel_iso_eq(fa, back, r)
-    return one_sample_report(
-        fa, "goursat_return", ok, "zig-zag left its end-fixed iso class",
-        {"r": relation_dict(fa, r)}, bound,
-    )
+    return one_sample_report(fa, "goursat_return", [] if ok else [{
+        "r": relation_dict(fa, r), "detail": "zig-zag left its end-fixed iso class",
+    }], bound)
 
 
 # ---------------------------------------------------------------------------
@@ -432,34 +406,25 @@ def check_goursat_zigzag_return(inst: Instance, r: Relation,
 def sample_relation(inst: Instance, smp: Sampler,
                     x: Optional[ObjHandle] = None) -> Relation:
     """A random zig-zag, optionally with a fixed X end."""
-    if x is None:
-        d1, m1 = smp.em_span_legs()
-    else:
-        d1, m1 = smp.em_span_legs(tgt=x)
-    left = em_span(inst, d1, m1)
-    d2, m2 = smp.em_span_legs(src=left.src)
-    return relation(inst, left, em_span(inst, d2, m2))
+    left = sample_span(inst, smp, tgt=x)
+    return relation(inst, left, sample_span(inst, smp, src=left.src))
 
 
 def run_associativity_suite(inst: Instance, seed: int = 0, samples: int = 200,
                             bound: int = 6) -> CheckReport:
-    smp = Sampler(inst, f"{seed}:associativity", bound)
-    reports = []
-    for _ in range(samples):
+    def body(smp: Sampler) -> list[dict]:
         r1 = sample_relation(inst, smp)
         r2 = sample_relation(inst, smp, x=r1.Z)
         r3 = sample_relation(inst, smp, x=r2.Z)
-        reports.append(check_associativity(inst, r3, r2, r1, bound))
-    return merge_reports("associativity", reports, seed, bound)
+        return check_associativity(inst, r3, r2, r1, bound).failures
+
+    return run_sampled("associativity", inst, seed, samples, bound, body)
 
 
 def run_rrr_suite(inst: Instance, seed: int = 0, samples: int = 200,
                   bound: int = 6) -> CheckReport:
-    smp = Sampler(inst, f"{seed}:rrr", bound)
-    reports = [
-        check_rrr(inst, sample_relation(inst, smp), bound) for _ in range(samples)
-    ]
-    return merge_reports("rrr", reports, seed, bound)
+    return run_sampled("rrr", inst, seed, samples, bound,
+                       lambda smp: check_rrr(inst, sample_relation(inst, smp), bound).failures)
 
 
 def run_goursat_suite(inst: Instance, seed: int = 0, samples: int = 60,
@@ -467,13 +432,14 @@ def run_goursat_suite(inst: Instance, seed: int = 0, samples: int = 60,
     """Exact subgroup roundtrips over every catalog pair with
     |X + Z| <= max_order, then sampled zig-zag returns."""
     fa = _require_finab(inst)
-    smp = Sampler(fa, f"{seed}:goursat", bound)
-    reports = []
-    for x in smp.objects:
-        for z in smp.objects:
-            if group_size(x.obj_key) * group_size(z.obj_key) > max_order:
-                continue
-            reports.append(check_goursat_roundtrip_exact(fa, x, z, bound))
-    for _ in range(samples):
-        reports.append(check_goursat_zigzag_return(fa, sample_relation(fa, smp), bound))
+    objects = fa.enumerate_objects_up_to(bound)
+    reports = [
+        check_goursat_roundtrip_exact(fa, x, z, bound)
+        for x in objects for z in objects
+        if group_size(x.obj_key) * group_size(z.obj_key) <= max_order
+    ]
+    reports.append(run_sampled(
+        "goursat", fa, seed, samples, bound,
+        lambda smp: check_goursat_zigzag_return(fa, sample_relation(fa, smp), bound).failures,
+    ))
     return merge_reports("goursat", reports, seed, bound)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .axioms import CheckReport, is_pullback, is_pushout
+from .axioms import MAX_FAILURE_DUMPS, CheckReport, is_pullback, is_pushout
 from .core import (
     ClassViolation,
     EndpointMismatch,
@@ -305,14 +305,12 @@ def check_star_bipullback(inst: Instance, sq: Square, bound: int,
     else:
         raise ShapeViolation("square must be all-M or all-E")
     samples, failures = _bipullback_failures(inst, proj1, proj2, side1, side2, span_bound)
-    if failures:
-        failures = [dict(f, square=square_dict(inst, sq)) for f in failures]
     return CheckReport(
         check_name="star_bipullback",
         instance=inst.name,
         samples=samples,
         passes=samples - len(failures),
-        failures=failures[:25],
+        failures=[dict(f, square=square_dict(inst, sq)) for f in failures[:MAX_FAILURE_DUMPS]],
         seed=seed,
         bound=span_bound,
     )

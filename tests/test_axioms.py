@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spancat.axioms import (
+    MAX_FAILURE_DUMPS,
     CheckReport,
     check_jointly,
     check_pasting_lemma,
@@ -20,6 +21,7 @@ from spancat.axioms import (
     pullback_competitors,
     pushout_competitors,
     run_axiom_suite,
+    run_sampled,
 )
 from spancat.core import (
     Mor,
@@ -303,3 +305,35 @@ def test_report_dict_shape():
 def test_unknown_check_rejected():
     with pytest.raises(ValueError):
         run_axiom_suite(PI, seed=0, samples=5, bound=2, checks=["nope"])
+
+
+def _draw_failures(drawn):
+    """A run_sampled body that gives each input 0, 1 or 2 failure dumps,
+    drawn from the sampler, and records the count in drawn."""
+
+    def body(smp):
+        n = smp.rng.randrange(3)
+        drawn.append(n)
+        return [{"input": len(drawn), "detail": f"failure {i}"} for i in range(n)]
+
+    return body
+
+
+def test_run_sampled_counts_failed_inputs_and_caps_dumps():
+    two = run_sampled("demo", PI, 0, 1, 2, lambda smp: [{"detail": "a"}, {"detail": "b"}])
+    assert (two.samples, two.passes, len(two.failures)) == (1, 0, 2)
+
+    drawn: list = []
+    rep = run_sampled("demo", PI, 3, 60, 2, _draw_failures(drawn))
+    assert rep.samples == len(drawn) == 60
+    assert rep.passes == drawn.count(0)
+    assert drawn.count(2) > 0 and sum(drawn) > MAX_FAILURE_DUMPS
+    every_dump = [
+        {"input": k + 1, "detail": f"failure {i}"}
+        for k, n in enumerate(drawn) for i in range(n)
+    ]
+    assert rep.failures == every_dump[:MAX_FAILURE_DUMPS]
+    assert (rep.check_name, rep.instance, rep.seed, rep.bound) == ("demo", PI.name, 3, 2)
+
+    again = run_sampled("demo", PI, 3, 60, 2, _draw_failures([]))
+    assert again.as_dict() == rep.as_dict()

@@ -394,10 +394,9 @@ def test_counterexample_dumps_parse_back(tmp_path, capsys):
     # failure dicts carry the relation under "r"; simulate and parse
     from spancat.axioms import one_sample_report
 
-    failing = one_sample_report(
-        FA, "demo", False, "synthetic",
-        {"r": relation_dict(FA, rel_identity(FA, FA.group(2)))}, 4,
-    )
+    failing = one_sample_report(FA, "demo", [{
+        "r": relation_dict(FA, rel_identity(FA, FA.group(2))), "detail": "synthetic",
+    }], 4)
     dumped = failing.failures[0]["r"]
     again = parse_relation(FA, json.loads(json.dumps(dumped)))
     assert again == rel_identity(FA, FA.group(2))

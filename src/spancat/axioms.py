@@ -11,10 +11,18 @@ The competitor set always contains the square's own apex and, when one
 cospan leg is in M, the canonically computed pullback apex; mediators
 between those two then compose to identities by uniqueness at both, which
 makes the bounded answer exact rather than an approximation over the
-catalog.  The dual holds for pushouts.
+catalog.
+
+A pushout in C is a pullback in C^op, where E and M swap, so each check is
+written once, for pullbacks, and its pushout form runs the same code read in
+C^op: composites and hom sets are taken with their arguments flipped
+(core.flipped), pushout_along_E stands for pullback_along_M, and the square
+is read with its edges exchanged.  Morphisms are never rebuilt; they keep
+their endpoints in C, so failure dumps replay as they are.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -24,6 +32,8 @@ from .core import (
     ObjHandle,
     ShapeViolation,
     Square,
+    drawn_square,
+    flipped,
     validate_square,
 )
 from .gen import Sampler
@@ -101,80 +111,84 @@ def _dedupe(objs: list[ObjHandle]) -> list[ObjHandle]:
     return out
 
 
-def pullback_competitors(inst: Instance, sq: Square, bound: int) -> list[ObjHandle]:
+def pullback_competitors(inst: Instance, sq: Square, bound: int,
+                         op: bool = False) -> list[ObjHandle]:
+    """The test objects of the pullback decision: the bounded catalog, the
+    square's apex and, when a cospan leg lies in M, the canonical pullback
+    apex.  With op the square is read in C^op, transposed as in
+    _pullback_bijection_at: the apex is the bottom-right corner, E plays M
+    and pushout_along_E plays pullback_along_M."""
     cands = list(inst.enumerate_objects_up_to(bound))
-    cands.append(sq.apex)
-    if inst.classify(sq.bottom).in_M:
-        cands.append(inst.pullback_along_M(sq.right, sq.bottom).apex)
-    elif inst.classify(sq.right).in_M:
-        cands.append(inst.pullback_along_M(sq.bottom, sq.right).apex)
+    if op:
+        cands.append(sq.bottom_right)
+        right, bottom, in_M, cone = sq.top, sq.left, "in_E", inst.pushout_along_E
+    else:
+        cands.append(sq.apex)
+        right, bottom, in_M, cone = sq.right, sq.bottom, "in_M", inst.pullback_along_M
+    if getattr(inst.classify(bottom), in_M):
+        cands.append(cone(right, bottom).apex)
+    elif getattr(inst.classify(right), in_M):
+        cands.append(cone(bottom, right).apex)
     return _dedupe(cands)
 
 
 def pushout_competitors(inst: Instance, sq: Square, bound: int) -> list[ObjHandle]:
-    cands = list(inst.enumerate_objects_up_to(bound))
-    cands.append(sq.bottom_right)
-    if inst.classify(sq.left).in_E:
-        cands.append(inst.pushout_along_E(sq.top, sq.left).apex)
-    elif inst.classify(sq.top).in_E:
-        cands.append(inst.pushout_along_E(sq.left, sq.top).apex)
-    return _dedupe(cands)
+    """The test objects of the pushout decision: pullback_competitors read
+    in C^op."""
+    return pullback_competitors(inst, sq, bound, op=True)
 
 
-def _pullback_bijection_at(inst: Instance, sq: Square, t: ObjHandle) -> bool:
+def _pullback_bijection_at(inst: Instance, sq: Square, t: ObjHandle, op: bool) -> bool:
+    """Whether w |-> (top . w, left . w) is a bijection from hom(t, apex)
+    onto the cones at t over the cospan (right, bottom).
+
+    With op this is the pushout property of sq: the same count read in
+    C^op, where the square is transposed (top<->right, left<->bottom),
+    composites and hom sets run the other way, and the apex is the
+    bottom-right corner.  The cospan's ends, cod(top) and cod(left) of the
+    drawn square, are the same objects in both readings."""
+    compose, homs = inst.compose, inst.enumerate_homs
+    top, left, right, bottom, apex = sq.top, sq.left, sq.right, sq.bottom, sq.apex
+    if op:
+        compose, homs = flipped(compose), flipped(homs)
+        top, left, right, bottom, apex = right, bottom, top, left, sq.bottom_right
     groups: dict = {}
-    for u in inst.enumerate_homs(t, sq.top.cod):
-        k = inst.compose(sq.right, u).payload
+    for u in homs(t, sq.top.cod):
+        k = compose(right, u).payload
         groups[k] = groups.get(k, 0) + 1
     cones = 0
-    for v in inst.enumerate_homs(t, sq.left.cod):
-        cones += groups.get(inst.compose(sq.bottom, v).payload, 0)
-    mediators = inst.enumerate_homs(t, sq.apex)
+    for v in homs(t, sq.left.cod):
+        cones += groups.get(compose(bottom, v).payload, 0)
+    mediators = homs(t, apex)
     keys = set()
     for w in mediators:
-        key = (inst.compose(sq.top, w).payload, inst.compose(sq.left, w).payload)
+        key = (compose(top, w).payload, compose(left, w).payload)
         if key in keys:
             return False
         keys.add(key)
     return cones == len(mediators)
 
 
-def _pushout_bijection_at(inst: Instance, sq: Square, t: ObjHandle) -> bool:
-    groups: dict = {}
-    for u in inst.enumerate_homs(sq.top.cod, t):
-        k = inst.compose(u, sq.top).payload
-        groups[k] = groups.get(k, 0) + 1
-    cocones = 0
-    for v in inst.enumerate_homs(sq.left.cod, t):
-        cocones += groups.get(inst.compose(v, sq.left).payload, 0)
-    mediators = inst.enumerate_homs(sq.bottom_right, t)
-    keys = set()
-    for w in mediators:
-        key = (inst.compose(w, sq.right).payload, inst.compose(w, sq.bottom).payload)
-        if key in keys:
-            return False
-        keys.add(key)
-    return cocones == len(mediators)
+def _decide(inst: Instance, sq: Square, bound: int, op: bool) -> bool:
+    """Whether sq is a pullback in C, or with op in C^op (a pushout in C)."""
+    validate_square(inst, sq)
+    return all(
+        _pullback_bijection_at(inst, sq, t, op)
+        for t in pullback_competitors(inst, sq, bound, op)
+    )
 
 
 def is_pullback(inst: Instance, sq: Square, bound: int) -> bool:
     """Whether the commuting square is a pullback, decided over the bounded
     competitor catalog (exact whenever a cospan leg lies in M)."""
-    validate_square(inst, sq)
-    return all(
-        _pullback_bijection_at(inst, sq, t)
-        for t in pullback_competitors(inst, sq, bound)
-    )
+    return _decide(inst, sq, bound, op=False)
 
 
 def is_pushout(inst: Instance, sq: Square, bound: int) -> bool:
-    """Whether the commuting square is a pushout, decided over the bounded
-    competitor catalog (exact whenever a span leg lies in E)."""
-    validate_square(inst, sq)
-    return all(
-        _pushout_bijection_at(inst, sq, t)
-        for t in pushout_competitors(inst, sq, bound)
-    )
+    """Whether the commuting square is a pushout, that is a pullback in
+    C^op, decided over the bounded competitor catalog (exact whenever a
+    span leg lies in E)."""
+    return _decide(inst, sq, bound, op=True)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +241,18 @@ def paste_squares(inst: Instance, left: Square, right: Square) -> Square:
 
 
 def _pasting_failures(inst: Instance, left: Square, right: Square,
-                      bound: int) -> list[dict]:
+                      bound: int, op: bool = False) -> list[dict]:
+    decide, label = (is_pushout, "is_pushout") if op else (is_pullback, "is_pullback")
     rect = paste_squares(inst, left, right)
-    lp = is_pullback(inst, left, bound)
-    rp = is_pullback(inst, right, bound)
-    pp = is_pullback(inst, rect, bound)
+    lp = decide(inst, left, bound)
+    rp = decide(inst, right, bound)
+    pp = decide(inst, rect, bound)
     if pp == (lp and rp):
         return []
     return [{
         "left": square_dict(inst, left),
         "right": square_dict(inst, right),
-        "detail": f"pasted is_pullback={pp}, left={lp}, right={rp}",
+        "detail": f"pasted {label}={pp}, left={lp}, right={rp}",
     }]
 
 
@@ -249,64 +264,46 @@ def check_pasting_lemma(inst: Instance, left: Square, right: Square,
     return one_sample_report(inst, "pasting", fails, bound, seed)
 
 
-def _pasting_dual_failures(inst: Instance, left: Square, right: Square,
-                           bound: int) -> list[dict]:
-    rect = paste_squares(inst, left, right)
-    lp = is_pushout(inst, left, bound)
-    rp = is_pushout(inst, right, bound)
-    pp = is_pushout(inst, rect, bound)
-    if pp == (lp and rp):
-        return []
-    return [{
-        "left": square_dict(inst, left),
-        "right": square_dict(inst, right),
-        "detail": f"pasted is_pushout={pp}, left={lp}, right={rp}",
-    }]
-
-
 def check_pasting_lemma_dual(inst: Instance, left: Square, right: Square,
                              bound: int, seed: int = 0) -> CheckReport:
     """For a ladder between two E-then-M factorizations with verticals in E:
     the pasted square is a pushout iff both component squares are."""
-    fails = _pasting_dual_failures(inst, left, right, bound)
+    fails = _pasting_failures(inst, left, right, bound, op=True)
     return one_sample_report(inst, "pasting_dual", fails, bound, seed)
 
 
-def _jointly_monic_failures(inst: Instance, d: Mor, m: Mor,
-                            bound: int) -> list[dict]:
-    if d.dom != m.dom:
-        raise ShapeViolation("span legs must share their domain")
-    if not inst.classify(d).in_E or not inst.classify(m).in_M:
-        raise ShapeViolation("span legs must be (E, M)")
-    for t in inst.enumerate_objects_up_to(bound):
-        seen = set()
-        for w in inst.enumerate_homs(t, d.dom):
-            key = (inst.compose(d, w).payload, inst.compose(m, w).payload)
-            if key in seen:
-                return [{
-                    "d": mor_dict(inst, d),
-                    "m": mor_dict(inst, m),
-                    "detail": f"not jointly monic at {t.descriptor}",
-                }]
-            seen.add(key)
-    return []
+# op -> (shape, shared end, leg classes, dump names, property) of the legs
+# whose joint monicity, read in C^op when op, is checked
+_JOINT_LEGS = {
+    False: ("span", "domain", "(E, M)", ("d", "m"), "monic"),
+    True: ("cospan", "codomain", "(M, E)", ("m", "e"), "epic"),
+}
 
 
-def _jointly_epic_failures(inst: Instance, m: Mor, e: Mor,
-                           bound: int) -> list[dict]:
-    if m.cod != e.cod:
-        raise ShapeViolation("cospan legs must share their codomain")
-    if not inst.classify(m).in_M or not inst.classify(e).in_E:
-        raise ShapeViolation("cospan legs must be (M, E)")
+def _jointly_failures(inst: Instance, first: Mor, second: Mor, bound: int,
+                      op: bool = False) -> list[dict]:
+    """Joint monicity of the span (first in E, second in M); with op, joint
+    epicity of the cospan (first in M, second in E), which is joint
+    monicity in C^op."""
+    shape, end, classes, names, prop = _JOINT_LEGS[op]
+    compose, homs = inst.compose, inst.enumerate_homs
+    apex, other, in_E, in_M = first.dom, second.dom, "in_E", "in_M"
+    if op:
+        compose, homs = flipped(compose), flipped(homs)
+        apex, other, in_E, in_M = first.cod, second.cod, "in_M", "in_E"
+    if apex != other:
+        raise ShapeViolation(f"{shape} legs must share their {end}")
+    if not getattr(inst.classify(first), in_E) or not getattr(inst.classify(second), in_M):
+        raise ShapeViolation(f"{shape} legs must be {classes}")
     for t in inst.enumerate_objects_up_to(bound):
         seen = set()
-        for w in inst.enumerate_homs(m.cod, t):
-            key = (inst.compose(w, m).payload, inst.compose(w, e).payload)
+        for w in homs(t, apex):
+            key = (compose(first, w).payload, compose(second, w).payload)
             if key in seen:
                 return [{
-                    "m": mor_dict(inst, m),
-                    "e": mor_dict(inst, e),
-                    "detail": f"not jointly epic at {t.descriptor}",
+                    names[0]: mor_dict(inst, first),
+                    names[1]: mor_dict(inst, second),
+                    "detail": f"not jointly {prop} at {t.descriptor}",
                 }]
             seen.add(key)
     return []
@@ -316,16 +313,13 @@ def check_jointly(inst: Instance, first: Mor, second: Mor, bound: int,
                   seed: int = 0) -> CheckReport:
     """Joint monicity of an (E, M) span, or joint epicity of an (M, E)
     cospan; the shape is inferred from the shared endpoint."""
-    if first.dom == second.dom and first.cod != second.cod:
-        fails = _jointly_monic_failures(inst, first, second, bound)
-    elif first.cod == second.cod and first.dom != second.dom:
-        fails = _jointly_epic_failures(inst, first, second, bound)
-    elif first.dom == second.dom and inst.classify(first).in_E:
-        fails = _jointly_monic_failures(inst, first, second, bound)
+    if first.dom == second.dom and (first.cod != second.cod or inst.classify(first).in_E):
+        op = False
     elif first.cod == second.cod:
-        fails = _jointly_epic_failures(inst, first, second, bound)
+        op = True
     else:
         raise ShapeViolation("legs form neither a span nor a cospan")
+    fails = _jointly_failures(inst, first, second, bound, op)
     return one_sample_report(inst, "jointly", fails, bound, seed)
 
 
@@ -432,70 +426,37 @@ def _check_fs2(inst: Instance, seed: int, samples: int, bound: int) -> CheckRepo
     return run_sampled("fs2", inst, seed, samples, bound, body)
 
 
-def _check_sfs1(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
-    """Pullbacks along M exist: the computed cone is a pullback and the leg
-    opposite m is again in M."""
+# SFS1-SFS4: name -> (shaped draw, read in C^op, the cone leg that must stay
+# in its class, that class, the failure detail when it does not)
+_STABILITY = {
+    "sfs1": ("cospan_with_M", False, "leg1", "in_M", "pulled-back leg not in M"),
+    "sfs2": ("span_with_E", True, "leg1", "in_E", "pushed-out leg not in E"),
+    "sfs3": ("cospan_E_M", False, "leg2", "in_E", "pullback of E not in E"),
+    "sfs4": ("span_M_E", True, "leg2", "in_M", "pushout of M not in M"),
+}
+
+
+def _check_stability(name: str, inst: Instance, seed: int, samples: int,
+                     bound: int) -> CheckReport:
+    """SFS1: pullbacks along M exist, so the computed cone is a pullback and
+    the leg opposite m is again in M.  SFS3: pulling an E-morphism back
+    along M lands in E again.  SFS2 and SFS4 are the same checks read in
+    C^op, on pushouts along E."""
+    draw, op, leg, cls, detail = _STABILITY[name]
+    cone_of = inst.pushout_along_E if op else inst.pullback_along_M
+    not_universal = "cocone is not a pushout" if op else "cone is not a pullback"
 
     def body(smp: Sampler) -> list[dict]:
-        f, m = smp.cospan_with_M()
-        cone = inst.pullback_along_M(f, m)
-        sq = Square(top=cone.leg2, left=cone.leg1, right=m, bottom=f)
-        if not inst.classify(cone.leg1).in_M:
-            return [{"square": square_dict(inst, sq), "detail": "pulled-back leg not in M"}]
-        if not is_pullback(inst, sq, bound):
-            return [{"square": square_dict(inst, sq), "detail": "cone is not a pullback"}]
+        f, g = getattr(smp, draw)()
+        cone = cone_of(f, g)
+        sq = drawn_square(op, cone.leg2, cone.leg1, g, f)
+        if not getattr(inst.classify(getattr(cone, leg)), cls):
+            return [{"square": square_dict(inst, sq), "detail": detail}]
+        if not (is_pushout if op else is_pullback)(inst, sq, bound):
+            return [{"square": square_dict(inst, sq), "detail": not_universal}]
         return []
 
-    return run_sampled("sfs1", inst, seed, samples, bound, body)
-
-
-def _check_sfs2(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
-    """Pushouts along E exist: the computed cocone is a pushout and the leg
-    opposite e is again in E."""
-
-    def body(smp: Sampler) -> list[dict]:
-        f, e = smp.span_with_E()
-        cone = inst.pushout_along_E(f, e)
-        sq = Square(top=f, left=e, right=cone.leg1, bottom=cone.leg2)
-        if not inst.classify(cone.leg1).in_E:
-            return [{"square": square_dict(inst, sq), "detail": "pushed-out leg not in E"}]
-        if not is_pushout(inst, sq, bound):
-            return [{"square": square_dict(inst, sq), "detail": "cocone is not a pushout"}]
-        return []
-
-    return run_sampled("sfs2", inst, seed, samples, bound, body)
-
-
-def _check_sfs3(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
-    """Pulling an E-morphism back along M lands in E again."""
-
-    def body(smp: Sampler) -> list[dict]:
-        e, m = smp.cospan_E_M()
-        cone = inst.pullback_along_M(e, m)
-        sq = Square(top=cone.leg2, left=cone.leg1, right=m, bottom=e)
-        if not inst.classify(cone.leg2).in_E:
-            return [{"square": square_dict(inst, sq), "detail": "pullback of E not in E"}]
-        if not is_pullback(inst, sq, bound):
-            return [{"square": square_dict(inst, sq), "detail": "cone is not a pullback"}]
-        return []
-
-    return run_sampled("sfs3", inst, seed, samples, bound, body)
-
-
-def _check_sfs4(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
-    """Pushing an M-morphism out along E lands in M again."""
-
-    def body(smp: Sampler) -> list[dict]:
-        m, e = smp.span_M_E()
-        cone = inst.pushout_along_E(m, e)
-        sq = Square(top=m, left=e, right=cone.leg1, bottom=cone.leg2)
-        if not inst.classify(cone.leg2).in_M:
-            return [{"square": square_dict(inst, sq), "detail": "pushout of M not in M"}]
-        if not is_pushout(inst, sq, bound):
-            return [{"square": square_dict(inst, sq), "detail": "cocone is not a pushout"}]
-        return []
-
-    return run_sampled("sfs4", inst, seed, samples, bound, body)
+    return run_sampled(name, inst, seed, samples, bound, body)
 
 
 def _check_sfs5(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
@@ -505,15 +466,11 @@ def _check_sfs5(inst: Instance, seed: int, samples: int, bound: int) -> CheckRep
                        lambda smp: _sfs5_failures(inst, smp.mixed_square(), bound))
 
 
-def _check_pasting(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
-    return run_sampled("pasting", inst, seed, samples, bound,
-                       lambda smp: _pasting_failures(inst, *smp.factorization_ladder(), bound))
-
-
-def _check_pasting_dual(inst: Instance, seed: int, samples: int, bound: int) -> CheckReport:
+def _check_pasting(inst: Instance, seed: int, samples: int, bound: int,
+                   op: bool = False) -> CheckReport:
     return run_sampled(
-        "pasting_dual", inst, seed, samples, bound,
-        lambda smp: _pasting_dual_failures(inst, *smp.factorization_ladder_dual(), bound),
+        "pasting_dual" if op else "pasting", inst, seed, samples, bound,
+        lambda smp: _pasting_failures(inst, *smp.factorization_ladder(op), bound, op),
     )
 
 
@@ -524,9 +481,9 @@ def _check_jointly(inst: Instance, seed: int, samples: int, bound: int) -> Check
     def body(smp: Sampler) -> list[dict]:
         if smp.rng.randrange(2) == 0:
             d, m = smp.em_span_legs()
-            return _jointly_monic_failures(inst, d, m, bound)
+            return _jointly_failures(inst, d, m, bound)
         e, m = smp.cospan_E_M()
-        return _jointly_epic_failures(inst, m, e, bound)
+        return _jointly_failures(inst, m, e, bound, op=True)
 
     return run_sampled("jointly", inst, seed, samples, bound, body)
 
@@ -535,22 +492,20 @@ def _check_properness(inst: Instance, seed: int, samples: int, bound: int) -> Ch
     """E-morphisms are epic and M-morphisms are monic (bounded)."""
 
     def body(smp: Sampler) -> list[dict]:
-        e = smp.mor_in_E()
-        for t in smp.objects:
-            seen = set()
-            for g in smp.pool(e.cod, t):
-                key = inst.compose(g, e).payload
-                if key in seen:
-                    return [{"e": mor_dict(inst, e), "detail": f"not epic at {t.descriptor}"}]
-                seen.add(key)
-        m = smp.mor_in_M()
-        for t in smp.objects:
-            seen = set()
-            for g in smp.pool(t, m.dom):
-                key = inst.compose(m, g).payload
-                if key in seen:
-                    return [{"m": mor_dict(inst, m), "detail": f"not monic at {t.descriptor}"}]
-                seen.add(key)
+        # an E-morphism is epic when it is monic in C^op
+        for op, cls, name, prop in ((True, "E", "e", "epic"), (False, "M", "m", "monic")):
+            f = smp.hom(cls=cls)
+            compose, pool, end = inst.compose, smp.pool, f.dom
+            if op:
+                compose, pool, end = flipped(compose), flipped(pool), f.cod
+            for t in smp.objects:
+                seen = set()
+                for g in pool(t, end):
+                    key = compose(f, g).payload
+                    if key in seen:
+                        detail = f"not {prop} at {t.descriptor}"
+                        return [{name: mor_dict(inst, f), "detail": detail}]
+                    seen.add(key)
         return []
 
     return run_sampled("properness", inst, seed, samples, bound, body)
@@ -559,13 +514,10 @@ def _check_properness(inst: Instance, seed: int, samples: int, bound: int) -> Ch
 AXIOM_CHECKS: dict[str, Callable[[Instance, int, int, int], CheckReport]] = {
     "fs1": _check_fs1,
     "fs2": _check_fs2,
-    "sfs1": _check_sfs1,
-    "sfs2": _check_sfs2,
-    "sfs3": _check_sfs3,
-    "sfs4": _check_sfs4,
+    **{name: functools.partial(_check_stability, name) for name in _STABILITY},
     "sfs5": _check_sfs5,
     "pasting": _check_pasting,
-    "pasting_dual": _check_pasting_dual,
+    "pasting_dual": functools.partial(_check_pasting, op=True),
     "jointly": _check_jointly,
     "properness": _check_properness,
 }

@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .axioms import CheckReport, run_axiom_suite
-from .config import ConfigError, RunConfig, env_seed, instance_bound, load_instance
+from .config import (
+    ConfigError,
+    RunConfig,
+    env_seed,
+    instance_bound,
+    load_instance,
+    read_json_file,
+)
 from .core import Instance, SpanCatError
 from .dot import grid_dot, relation_dot
 from .fakepb import (
@@ -108,26 +115,17 @@ class SuiteReport:
 def _write_output(cfg: RunConfig, text: str) -> None:
     if cfg.out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {cfg.out!r}: {exc}") from exc
 
 
 def _emit_suite(cfg: RunConfig, sr: SuiteReport) -> int:
-    if cfg.format == "dot":
-        raise ConfigError("dot output needs a diagram command: fake-pullback or compose-relations")
     _write_output(cfg, dumps(sr.as_dict()) if cfg.format == "json" else sr.as_text())
     return EXIT_OK if sr.ok else EXIT_FAIL
-
-
-def _read_json_file(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
 
 
 def cmd_check_axioms(cfg: RunConfig) -> int:
@@ -143,7 +141,7 @@ def cmd_check_axioms(cfg: RunConfig) -> int:
 
 def cmd_fake_pullback(cfg: RunConfig, path: str) -> int:
     inst = load_instance(cfg)
-    data = _read_json_file(path)
+    data = read_json_file(path)
     if not isinstance(data, dict) or "f" not in data or "g" not in data:
         raise ConfigError(f"{path}: cospan file needs 'f' and 'g' span fields")
     f = parse_span(inst, data["f"])
@@ -185,7 +183,7 @@ def cmd_fake_pullback(cfg: RunConfig, path: str) -> int:
 
 def cmd_compose_relations(cfg: RunConfig, path: str) -> int:
     inst = load_instance(cfg)
-    data = _read_json_file(path)
+    data = read_json_file(path)
     if not isinstance(data, list) or not data:
         raise ConfigError(f"{path}: relations file must be a non-empty JSON list")
     rels = [parse_relation(inst, item) for item in data]
@@ -313,6 +311,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             out=args.out,
             format=args.format,
         )
+        if cfg.format == "dot" and args.command in ("check-axioms", "suite"):
+            raise ConfigError(
+                "dot output needs a diagram command: fake-pullback or compose-relations"
+            )
         if args.command == "check-axioms":
             return cmd_check_axioms(cfg)
         if args.command == "fake-pullback":

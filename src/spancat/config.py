@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from .core import Instance, SpanCatError, groupoid_instance
 from .finab import FinAbInstance
@@ -67,21 +67,25 @@ def env_seed(environ: Mapping[str, str] = os.environ) -> Optional[int]:
     return value
 
 
+def read_json_file(path: str) -> Any:
+    """The JSON value in the file at path; ConfigError when it cannot be read
+    or is not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+
+
 def load_instance(cfg: RunConfig) -> Instance:
     if cfg.instance == "finab":
         return FinAbInstance()
     if cfg.instance == "pinj":
         return PInjInstance()
     path = cfg.instance[len("groupoid:"):]
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read groupoid table {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-        ) from exc
+    data = read_json_file(path)
     if not isinstance(data, dict) or "table" not in data:
         raise ConfigError(f"groupoid table {path!r} needs a 'table' field")
     label = data.get("name", os.path.splitext(os.path.basename(path))[0])

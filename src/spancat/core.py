@@ -16,7 +16,7 @@ import functools
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 
 class SpanCatError(Exception):
@@ -233,10 +233,6 @@ class Instance(ABC):
         """
 
     @abstractmethod
-    def find_iso(self, a: ObjHandle, b: ObjHandle) -> Optional[Mor]:
-        ...
-
-    @abstractmethod
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
         """The object catalog used by bounded checks (bound is instance-specific:
         group order for finab, set size for pinj, ignored by groupoids)."""
@@ -315,15 +311,32 @@ class Instance(ABC):
         common apex, if the instance has a cheap one; None to force search."""
         return None
 
-    def element_count(self, a: ObjHandle) -> Optional[int]:
-        return None
-
     def rel_pair_key(self, d1: Mor, m1: Mor, d2: Mor, m2: Mor) -> Any:
         """A complete invariant for the end-fixed iso class of the zig-zag
         cod(m1) <- apex1 -> Q <- apex2 -> cod(m2) given by two EM-span legs
         (d1, m1) and (d2, m2) with a shared middle Q = cod(d1) = cod(d2).
         None to force a bounded iso search."""
         return None
+
+
+def drawn_square(op: bool, top: Mor, left: Mor, right: Mor, bottom: Mor) -> Square:
+    """The square with these edges in C or, with op, in C^op, drawn in C.
+
+    Reversing the arrows of a C^op square and turning it half a turn puts
+    its apex at the bottom-right corner and keeps its rows as rows, so the
+    squares of a ladder drawn in C^op still paste side by side."""
+    if op:
+        return Square(top=bottom, left=right, right=left, bottom=top)
+    return Square(top=top, left=left, right=right, bottom=bottom)
+
+
+def flipped(fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    """fn with its two arguments swapped.
+
+    Read in C^op, compose(g, f) is compose(f, g) of C and hom(a, b) is
+    hom(b, a); every morphism keeps its C endpoints and payload.  This is
+    how the pushout-side checks run the pullback-side code."""
+    return lambda x, y: fn(y, x)
 
 
 def validate_square(inst: Instance, sq: Square) -> None:
@@ -445,17 +458,11 @@ class GroupoidInstance(Instance):
         leg2 = self.compose(f, self.inverse(e))
         return ConeResult(f.cod, leg1, leg2)
 
-    def find_iso(self, a: ObjHandle, b: ObjHandle) -> Optional[Mor]:
-        return self.identity(a)
-
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
         return [self.star]
 
     def enumerate_homs(self, a: ObjHandle, b: ObjHandle) -> Sequence[Mor]:
         return tuple(Mor(a, b, i) for i in range(self.size))
-
-    def element_count(self, a: ObjHandle) -> Optional[int]:
-        return 1
 
     def span_iso_key(self, d: Mor, m: Mor) -> Any:
         # the composite d . m^{-1} is invariant under re-choosing the apex iso

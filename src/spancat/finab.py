@@ -584,22 +584,6 @@ def canonical_orders(orders: Orders) -> Orders:
     return tuple(d for d in s.diag if d > 1)
 
 
-def canonical_iso(orders: Orders) -> tuple[Orders, Matrix, Matrix]:
-    """(canonical orders, to_can matrix, from_can matrix)."""
-    n = len(orders)
-    if n == 0:
-        return (), (), ()
-    s = smith_normal_form([[orders[i] if i == j else 0 for j in range(n)] for i in range(n)])
-    diag = s.diag
-    kept = [i for i in range(n) if diag[i] > 1]
-    can = tuple(diag[i] for i in kept)
-    to_can = tuple(tuple(s.U[i][j] % diag[i] for j in range(n)) for i in kept)
-    from_can = tuple(
-        tuple(s.Uinv[i][kept[j]] % orders[i] for j in range(len(kept))) for i in range(n)
-    )
-    return can, to_can, from_can
-
-
 def all_subgroups(ambient: Orders) -> list[frozenset[Vector]]:
     """Every subgroup of the ambient group, as element sets, smallest first."""
     trivial = close_elements(ambient, [])
@@ -858,15 +842,6 @@ class FinAbInstance(Instance):
         apex_h = self.obj(apex)
         return ConeResult(apex_h, Mor(f.cod, apex_h, leg1), Mor(e.cod, apex_h, leg2))
 
-    def find_iso(self, a: ObjHandle, b: ObjHandle) -> Optional[Mor]:
-        ca, ta, _ = canonical_iso(a.obj_key)
-        cb, _, fb = canonical_iso(b.obj_key)
-        if ca != cb:
-            return None
-        mat = reduce_matrix(mat_mul(fb, ta), b.obj_key) if ca else \
-            tuple(tuple(0 for _ in a.obj_key) for _ in b.obj_key)
-        return Mor(a, b, validate_hom(a.obj_key, b.obj_key, mat))
-
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
         return [self.obj(o) for o in invariant_factor_groups(bound)]
 
@@ -878,9 +853,6 @@ class FinAbInstance(Instance):
             hit = tuple(Mor(a, b, m) for m in hg.all_matrices())
             self._hom_cache[key] = hit
         return hit
-
-    def element_count(self, a: ObjHandle) -> int:
-        return group_size(a.obj_key)
 
     def span_iso_key(self, d: Mor, m: Mor) -> Any:
         # joint image of (d, m): apex -> cod(d) + cod(m); spans with jointly

@@ -8,9 +8,9 @@ stable across platforms.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Callable, Optional
 
-from .core import Instance, Mor, ObjHandle, SpanCatError, Square
+from .core import Instance, Mor, ObjHandle, SpanCatError, Square, drawn_square, flipped
 
 
 class Sampler:
@@ -114,31 +114,35 @@ class Sampler:
         m = self.hom(a=e.dom, cls="M")
         return m, e
 
-    def commuting_pairs(self, post1: Mor, post2: Mor, a: ObjHandle,
-                        cls1: str = "any", cls2: str = "any") -> list[tuple[Mor, Mor]]:
-        """All (u: a->dom(post1), v: a->dom(post2)) with post1.u == post2.v."""
+    def commuting_pairs(self, g1: Mor, g2: Mor, a: ObjHandle, cls1: str = "any",
+                        cls2: str = "any", op: bool = False) -> list[tuple[Mor, Mor]]:
+        """All (u: a->dom(g1), v: a->dom(g2)) with g1.u == g2.v.  With op, the
+        same read in C^op: all (u: cod(g1)->a, v: cod(g2)->a) with
+        u.g1 == v.g2.  The classes filter u and v as morphisms of C."""
+        compose = self.inst.compose
+        if op:
+            compose = flipped(compose)
+            us, vs = self.pool(g1.cod, a, cls1), self.pool(g2.cod, a, cls2)
+        else:
+            us, vs = self.pool(a, g1.dom, cls1), self.pool(a, g2.dom, cls2)
         groups: dict = {}
-        for u in self.pool(a, post1.dom, cls1):
-            groups.setdefault(self.inst.compose(post1, u).payload, []).append(u)
+        for u in us:
+            groups.setdefault(compose(g1, u).payload, []).append(u)
         out = []
-        for v in self.pool(a, post2.dom, cls2):
-            k = self.inst.compose(post2, v).payload
+        for v in vs:
+            k = compose(g2, v).payload
             for u in groups.get(k, ()):
                 out.append((u, v))
         return out
 
-    def co_commuting_pairs(self, pre1: Mor, pre2: Mor, t: ObjHandle,
-                           cls1: str = "any", cls2: str = "any") -> list[tuple[Mor, Mor]]:
-        """All (u: cod(pre1)->t, v: cod(pre2)->t) with u.pre1 == v.pre2."""
-        groups: dict = {}
-        for u in self.pool(pre1.cod, t, cls1):
-            groups.setdefault(self.inst.compose(u, pre1).payload, []).append(u)
-        out = []
-        for v in self.pool(pre2.cod, t, cls2):
-            k = self.inst.compose(v, pre2).payload
-            for u in groups.get(k, ()):
-                out.append((u, v))
-        return out
+    def _fill_or(self, fill: Callable[[], Optional[Square]],
+                 canonical: Callable[[], Square]) -> Square:
+        """The first square that fill draws in 32 tries, else canonical()."""
+        for _ in range(32):
+            sq = fill()
+            if sq is not None:
+                return sq
+        return canonical()
 
     def mixed_square(self) -> Square:
         """A commuting square with top in M, left in E, right in E, bottom in M.
@@ -147,121 +151,99 @@ class Sampler:
         cospan, canonical pushouts of an (M, E) span, and random commuting
         fills, so both outcomes of the pullback/pushout decision appear.
         """
-        mode = self.rng.randrange(3)
-        if mode == 0:
+
+        def canonical_pullback() -> Square:
             e, m = self.cospan_E_M()
             cone = self.inst.pullback_along_M(e, m)
             return Square(top=cone.leg1, left=cone.leg2, right=e, bottom=m)
-        if mode == 1:
-            m, e = self.span_M_E()
-            cone = self.inst.pushout_along_E(m, e)
-            return Square(top=m, left=e, right=cone.leg1, bottom=cone.leg2)
-        for _ in range(32):
+
+        def fill() -> Optional[Square]:
             n = self.mor_in_M()
             e_pool_objs = self.reachable(n.dom, "E", "out")
             z = self.rng.choice(e_pool_objs)
             e = self.rng.choice(self.pool(n.dom, z, "E"))
             w = self.rng.choice(self.objects)
-            pairs = self.co_commuting_pairs(n, e, w, cls1="E", cls2="M")
-            if pairs:
-                right, bottom = self.rng.choice(pairs)
-                return Square(top=n, left=e, right=right, bottom=bottom)
-        # random fill not found for these draws; fall back to a canonical one
-        e, m = self.cospan_E_M()
-        cone = self.inst.pullback_along_M(e, m)
-        return Square(top=cone.leg1, left=cone.leg2, right=e, bottom=m)
+            pairs = self.commuting_pairs(n, e, w, cls1="E", cls2="M", op=True)
+            if not pairs:
+                return None
+            right, bottom = self.rng.choice(pairs)
+            return Square(top=n, left=e, right=right, bottom=bottom)
 
-    def factorization_ladder(self) -> tuple[Square, Square]:
+        mode = self.rng.randrange(3)
+        if mode == 0:
+            return canonical_pullback()
+        if mode == 1:
+            m, e = self.span_M_E()
+            cone = self.inst.pushout_along_E(m, e)
+            return Square(top=m, left=e, right=cone.leg1, bottom=cone.leg2)
+        return self._fill_or(fill, canonical_pullback)
+
+    def factorization_ladder(self, op: bool = False) -> tuple[Square, Square]:
         """Two squares sharing their middle edge: top and bottom rows are
         E-then-M factorizations and all three verticals are in M.
 
         Each square is independently either a canonical pullback or a random
         commuting fill, so all four truth combinations of (left is a
-        pullback, right is a pullback) can occur.
+        pullback, right is a pullback) can occur.  With op the ladder is
+        drawn in C^op: its verticals are in E and each square is either a
+        canonical pushout or a random commuting fill.
         """
+        inst = self.inst
+        E, M = ("M", "E") if op else ("E", "M")  # C's names of the classes read as E, M
+        cone_of = inst.pushout_along_E if op else inst.pullback_along_M
         f = self.hom()
-        fac_bottom = self.inst.factorize(f)
-        d_, i_ = fac_bottom.e, fac_bottom.m
-        right = None
+        fac = inst.factorize(f)
+        d_, i_ = (fac.m, fac.e) if op else (fac.e, fac.m)  # the bottom row, as read
+
+        def canonical(bottom: Mor, right: Mor) -> Square:
+            cone = cone_of(bottom, right)
+            return drawn_square(op, cone.leg2, cone.leg1, right, bottom)
+
+        def vertical_onto_i_() -> Mor:
+            return self.hom(a=i_.dom, cls=M) if op else self.hom(b=i_.cod, cls=M)
+
+        def canonical_right() -> Square:
+            return canonical(i_, vertical_onto_i_())
+
+        def fill_right() -> Optional[Square]:
+            c = vertical_onto_i_()
+            b_obj = self.rng.choice(self.objects)
+            pairs = self.commuting_pairs(i_, c, b_obj, cls1=M, cls2=M, op=op)
+            if not pairs:
+                return None
+            b, i = self.rng.choice(pairs)
+            return drawn_square(op, i, b, c, i_)
+
         if self.rng.randrange(2) == 0:
-            c = self.mor_in_M(b=i_.cod)
-            cone_r = self.inst.pullback_along_M(i_, c)
-            right = Square(top=cone_r.leg2, left=cone_r.leg1, right=c, bottom=i_)
+            right = canonical_right()
         else:
-            for _ in range(32):
-                c = self.mor_in_M(b=i_.cod)
-                b_obj = self.rng.choice(self.objects)
-                pairs = self.commuting_pairs(i_, c, b_obj, cls1="M", cls2="M")
-                if pairs:
-                    b, i = self.rng.choice(pairs)
-                    right = Square(top=i, left=b, right=c, bottom=i_)
-                    break
-        if right is None:
-            c = self.mor_in_M(b=i_.cod)
-            cone_r = self.inst.pullback_along_M(i_, c)
-            right = Square(top=cone_r.leg2, left=cone_r.leg1, right=c, bottom=i_)
-        b = right.left
-        left = None
+            right = self._fill_or(fill_right, canonical_right)
+        b = right.right if op else right.left  # the middle vertical, as read
+
+        def canonical_left() -> Square:
+            return canonical(d_, b)
+
+        def fill_left() -> Optional[Square]:
+            a_obj = self.rng.choice(self.objects)
+            pairs = self.commuting_pairs(b, d_, a_obj, cls1=E, cls2=M, op=op)
+            if not pairs:
+                return None
+            d, a = self.rng.choice(pairs)
+            return drawn_square(op, d, a, b, d_)
+
         if self.rng.randrange(2) == 0:
-            cone_l = self.inst.pullback_along_M(d_, b)
-            left = Square(top=cone_l.leg2, left=cone_l.leg1, right=b, bottom=d_)
+            left = canonical_left()
         else:
-            for _ in range(32):
-                a_obj = self.rng.choice(self.objects)
-                pairs = self.commuting_pairs(b, d_, a_obj, cls1="E", cls2="M")
-                if pairs:
-                    d, a = self.rng.choice(pairs)
-                    left = Square(top=d, left=a, right=b, bottom=d_)
-                    break
-            if left is None:
-                cone_l = self.inst.pullback_along_M(d_, b)
-                left = Square(top=cone_l.leg2, left=cone_l.leg1, right=b, bottom=d_)
-        return left, right
+            left = self._fill_or(fill_left, canonical_left)
+        # drawn in C, a ladder of C^op is turned half a turn: its squares swap
+        return (right, left) if op else (left, right)
 
     def factorization_ladder_dual(self) -> tuple[Square, Square]:
         """Two squares sharing their middle edge: rows are E-then-M
-        factorizations and all three verticals are in E.
-
-        Each square is independently either a canonical pushout or a random
-        commuting fill."""
-        f = self.hom()
-        fac_top = self.inst.factorize(f)
-        d, i = fac_top.e, fac_top.m
-        left = None
-        if self.rng.randrange(2) == 0:
-            e1 = self.mor_in_E(a=d.dom)
-            cone_l = self.inst.pushout_along_E(d, e1)
-            left = Square(top=d, left=e1, right=cone_l.leg1, bottom=cone_l.leg2)
-        else:
-            for _ in range(32):
-                e1 = self.mor_in_E(a=d.dom)
-                q_obj = self.rng.choice(self.objects)
-                pairs = self.co_commuting_pairs(d, e1, q_obj, cls1="E", cls2="E")
-                if pairs:
-                    e2, d_ = self.rng.choice(pairs)
-                    left = Square(top=d, left=e1, right=e2, bottom=d_)
-                    break
-        if left is None:
-            e1 = self.mor_in_E(a=d.dom)
-            cone_l = self.inst.pushout_along_E(d, e1)
-            left = Square(top=d, left=e1, right=cone_l.leg1, bottom=cone_l.leg2)
-        e2 = left.right
-        right = None
-        if self.rng.randrange(2) == 0:
-            cone_r = self.inst.pushout_along_E(i, e2)
-            right = Square(top=i, left=e2, right=cone_r.leg1, bottom=cone_r.leg2)
-        else:
-            for _ in range(32):
-                c_obj = self.rng.choice(self.objects)
-                pairs = self.co_commuting_pairs(i, e2, c_obj, cls1="E", cls2="M")
-                if pairs:
-                    e3, i_ = self.rng.choice(pairs)
-                    right = Square(top=i, left=e2, right=e3, bottom=i_)
-                    break
-            if right is None:
-                cone_r = self.inst.pushout_along_E(i, e2)
-                right = Square(top=i, left=e2, right=cone_r.leg1, bottom=cone_r.leg2)
-        return left, right
+        factorizations and all three verticals are in E; each square is a
+        canonical pushout or a random commuting fill.  This is
+        factorization_ladder drawn in C^op."""
+        return self.factorization_ladder(op=True)
 
     # -- spans of spans ---------------------------------------------------------
 

@@ -145,18 +145,6 @@ def parse_span(inst: Instance, data: Any):
     return s
 
 
-def parse_square(inst: Instance, data: Any) -> Square:
-    _require(isinstance(data, dict), "square must be a JSON object")
-    for field in ("top", "left", "right", "bottom"):
-        _require(field in data, f"square needs a {field!r} field")
-    return Square(
-        top=parse_mor(inst, data["top"]),
-        left=parse_mor(inst, data["left"]),
-        right=parse_mor(inst, data["right"]),
-        bottom=parse_mor(inst, data["bottom"]),
-    )
-
-
 def relation_dict(inst: Instance, r: Any) -> dict:
     return {
         "X": obj_dict(inst, r.X),

@@ -200,11 +200,6 @@ class PInjInstance(Instance):
         out2 = Mor(e.cod, apex, reverse_assign(leg2, e.cod.obj_key))
         return ConeResult(apex, out1, out2)
 
-    def find_iso(self, a: ObjHandle, b: ObjHandle) -> Optional[Mor]:
-        if a.obj_key != b.obj_key:
-            return None
-        return Mor(a, b, identity_assign(a.obj_key))
-
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
         return [self.obj(n) for n in range(bound + 1)]
 
@@ -222,9 +217,6 @@ class PInjInstance(Instance):
             hit = tuple(out)
             self._hom_cache[key] = hit
         return hit
-
-    def element_count(self, a: ObjHandle) -> int:
-        return a.obj_key
 
     def span_iso_key(self, d: Mor, m: Mor) -> Any:
         # an EM-span (d, m) out of one apex is determined up to iso by the

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import spancat
+from spancat import cli
 from spancat.cli import EXIT_ERROR, EXIT_FAIL, EXIT_OK, SuiteReport, main
 from spancat.axioms import CheckReport
 from spancat.config import ConfigError, RunConfig, env_seed, instance_bound, load_instance
@@ -194,15 +195,19 @@ def test_fake_pullback_malformed_file(tmp_path, capsys):
     assert "bad.json:2:1" in err
 
 
-def run_fake_pullback_file(tmp_path, instance: str, cospan: dict):
-    path = tmp_path / "cospan.json"
-    path.write_text(dumps(cospan))
+def run_cli(*args: str) -> subprocess.CompletedProcess:
     src = pathlib.Path(spancat.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     return subprocess.run(
-        [sys.executable, "-m", "spancat.cli", "fake-pullback", "--instance", instance, str(path)],
+        [sys.executable, "-m", "spancat.cli", *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def run_fake_pullback_file(tmp_path, instance: str, cospan: dict):
+    path = tmp_path / "cospan.json"
+    path.write_text(dumps(cospan))
+    return run_cli("fake-pullback", "--instance", instance, str(path))
 
 
 def test_fake_pullback_bad_number_exits_two(tmp_path):
@@ -343,10 +348,29 @@ def test_goursat_suite_needs_finab(capsys):
     assert "finab" in capsys.readouterr().err
 
 
-def test_suite_rejects_dot_format(capsys):
+def test_suite_rejects_dot_format(monkeypatch, capsys):
+    # a suite report has no diagram to draw; the run is refused before any
+    # check starts
+    started = []
+    monkeypatch.setattr(cli, "run_axiom_suite", lambda *args, **kw: started.append(args))
+    monkeypatch.setitem(cli.SUITES, "rrr", (lambda *args: started.append(args), 200))
     rc = main(["suite", "--suite", "rrr", "--instance", "pinj", "--format", "dot",
                "--samples", "2"])
     assert rc == EXIT_ERROR
+    assert main(["check-axioms", "--format", "dot"]) == EXIT_ERROR
+    assert started == []
+    assert capsys.readouterr().err.count("error: dot output needs a diagram command") == 2
+
+
+def test_unwritable_out_exits_two(tmp_path):
+    # the suite passes but its report cannot be written: bad configuration
+    # (exit 2) in one line, not a failed law (exit 1) with a traceback
+    out = tmp_path / "missing" / "report.json"
+    proc = run_cli("check-axioms", "--instance", "pinj", "--max-size", "1",
+                   "--samples", "1", "--out", str(out))
+    assert proc.returncode == EXIT_ERROR
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write") and proc.stderr.count("\n") == 1
 
 
 def test_bad_config_exits_two(capsys):

@@ -25,7 +25,6 @@ from spancat.finab import (
     ab_pushout,
     all_subgroups,
     apply_hom,
-    canonical_iso,
     canonical_orders,
     close_elements,
     cokernel_data,
@@ -38,7 +37,6 @@ from spancat.finab import (
     hom_classify,
     hom_compose,
     hom_group,
-    hom_identity,
     image_subgroup,
     integer_kernel_basis,
     invariant_factor_groups,
@@ -235,17 +233,6 @@ def test_instance_compose_endpoint_mismatch():
         INST.compose(f, f)
 
 
-def test_instance_find_iso_roundtrip():
-    a = INST.group(4, 2)
-    b = INST.group(2, 4)
-    f = INST.find_iso(a, b)
-    g = INST.find_iso(b, a)
-    assert f is not None and g is not None
-    assert INST.mor_eq(INST.compose(g, f), INST.identity(a))
-    assert INST.mor_eq(INST.compose(f, g), INST.identity(b))
-    assert INST.find_iso(INST.group(4), INST.group(2, 2)) is None
-
-
 def test_instance_inverse():
     a = INST.group(2, 4)
     f = INST.hom(a, a, [[1, 0], [2, 1]])
@@ -283,8 +270,7 @@ def test_enumerate_homs_counts():
     assert len({h.payload for h in homs}) == 8
 
 
-def test_element_count_and_describe():
-    assert INST.element_count(INST.group(2, 4)) == 8
+def test_describe_obj():
     assert INST.describe_obj(()) == "0"
     assert INST.describe_obj((2, 4)) == "Z/2+Z/4"
 
@@ -451,17 +437,6 @@ def test_subgroup_presentation_matches_elements(data):
     width = len(sub.gens[0]) if sub.gens else 0
     cols = [tuple(sub.gens[i][j] for i in range(len(ambient))) for j in range(width)]
     assert close_elements(ambient, cols) == sub.elements
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_orders)
-def test_canonical_iso_roundtrip(orders):
-    can, to_can, from_can = canonical_iso(orders)
-    assert can == canonical_orders(orders)
-    there = validate_hom(orders, can, to_can)
-    back = validate_hom(can, orders, from_can)
-    assert hom_compose(there, back, can, len(can)) == hom_identity(can)
-    assert hom_compose(back, there, orders, len(orders)) == hom_identity(orders)
 
 
 @st.composite

@@ -127,12 +127,6 @@ def test_pullback_requires_M():
         INST.pullback_along_M(f, f)
 
 
-def test_find_iso():
-    assert INST.find_iso(INST.obj(2), INST.obj(3)) is None
-    f = INST.find_iso(INST.obj(2), INST.obj(2))
-    assert f is not None and INST.is_iso(f)
-
-
 # ---------------------------------------------------------------------------
 # reversal laws and diagonal fills
 # ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ properness).
 The universal-property decisions use a counting argument instead of an
 explicit mediator search.  A commuting square is a pullback at a test object
 T exactly when w |-> (top . w, left . w) is a bijection from hom(T, apex)
-onto the set of cones over the cospan, so it suffices to count cones via a
-hash join and check the mediator map is injective with matching cardinality.
+onto the set of cones over the cospan.  Each leg is composed with the whole
+hom set at T in one call, Instance.compose_all, which finab answers by
+additions in the hom group.  The cones are counted by grouping one cospan
+leg's composites by payload and probing with the other's, and the mediator
+map must be injective with as many mediators as cones.
+
 The competitor set always contains the square's own apex and, when one
 cospan leg is in M, the canonically computed pullback apex; mediators
 between those two then compose to identities by uniqueness at both, which
@@ -16,9 +20,10 @@ catalog.
 A pushout in C is a pullback in C^op, where E and M swap, so each check is
 written once, for pullbacks, and its pushout form runs the same code read in
 C^op: composites and hom sets are taken with their arguments flipped
-(core.flipped), pushout_along_E stands for pullback_along_M, and the square
-is read with its edges exchanged.  Morphisms are never rebuilt; they keep
-their endpoints in C, so failure dumps replay as they are.
+(core.flipped, or compose_all with op), pushout_along_E stands for
+pullback_along_M, and the square is read with its edges exchanged.
+Morphisms are never rebuilt; they keep their endpoints in C, so failure
+dumps replay as they are.
 """
 from __future__ import annotations
 
@@ -33,7 +38,6 @@ from .core import (
     ShapeViolation,
     Square,
     drawn_square,
-    flipped,
     validate_square,
 )
 from .gen import Sampler
@@ -144,29 +148,22 @@ def _pullback_bijection_at(inst: Instance, sq: Square, t: ObjHandle, op: bool) -
 
     With op this is the pushout property of sq: the same count read in
     C^op, where the square is transposed (top<->right, left<->bottom),
-    composites and hom sets run the other way, and the apex is the
-    bottom-right corner.  The cospan's ends, cod(top) and cod(left) of the
-    drawn square, are the same objects in both readings."""
-    compose, homs = inst.compose, inst.enumerate_homs
-    top, left, right, bottom, apex = sq.top, sq.left, sq.right, sq.bottom, sq.apex
+    composites run the other way (compose_all with op), and the apex is the
+    bottom-right corner.  Each leg is composed with the whole hom set at t
+    on its free side, so the two mediator legs' sequences zip."""
+    top, left, right, bottom = sq.top, sq.left, sq.right, sq.bottom
     if op:
-        compose, homs = flipped(compose), flipped(homs)
-        top, left, right, bottom, apex = right, bottom, top, left, sq.bottom_right
+        top, left, right, bottom = right, bottom, top, left
     groups: dict = {}
-    for u in homs(t, sq.top.cod):
-        k = compose(right, u).payload
+    for k in inst.compose_all(right, t, op):
         groups[k] = groups.get(k, 0) + 1
     cones = 0
-    for v in homs(t, sq.left.cod):
-        cones += groups.get(compose(bottom, v).payload, 0)
-    mediators = homs(t, apex)
-    keys = set()
-    for w in mediators:
-        key = (compose(top, w).payload, compose(left, w).payload)
-        if key in keys:
-            return False
-        keys.add(key)
-    return cones == len(mediators)
+    for k in inst.compose_all(bottom, t, op):
+        cones += groups.get(k, 0)
+    tops = inst.compose_all(top, t, op)
+    if cones != len(tops):
+        return False
+    return len(set(zip(tops, inst.compose_all(left, t, op)))) == len(tops)
 
 
 def _decide(inst: Instance, sq: Square, bound: int, op: bool) -> bool:
@@ -286,26 +283,21 @@ def _jointly_failures(inst: Instance, first: Mor, second: Mor, bound: int,
     epicity of the cospan (first in M, second in E), which is joint
     monicity in C^op."""
     shape, end, classes, names, prop = _JOINT_LEGS[op]
-    compose, homs = inst.compose, inst.enumerate_homs
     apex, other, in_E, in_M = first.dom, second.dom, "in_E", "in_M"
     if op:
-        compose, homs = flipped(compose), flipped(homs)
         apex, other, in_E, in_M = first.cod, second.cod, "in_M", "in_E"
     if apex != other:
         raise ShapeViolation(f"{shape} legs must share their {end}")
     if not getattr(inst.classify(first), in_E) or not getattr(inst.classify(second), in_M):
         raise ShapeViolation(f"{shape} legs must be {classes}")
     for t in inst.enumerate_objects_up_to(bound):
-        seen = set()
-        for w in homs(t, apex):
-            key = (compose(first, w).payload, compose(second, w).payload)
-            if key in seen:
-                return [{
-                    names[0]: mor_dict(inst, first),
-                    names[1]: mor_dict(inst, second),
-                    "detail": f"not jointly {prop} at {t.descriptor}",
-                }]
-            seen.add(key)
+        firsts = inst.compose_all(first, t, op)
+        if len(set(zip(firsts, inst.compose_all(second, t, op)))) < len(firsts):
+            return [{
+                names[0]: mor_dict(inst, first),
+                names[1]: mor_dict(inst, second),
+                "detail": f"not jointly {prop} at {t.descriptor}",
+            }]
     return []
 
 
@@ -495,17 +487,11 @@ def _check_properness(inst: Instance, seed: int, samples: int, bound: int) -> Ch
         # an E-morphism is epic when it is monic in C^op
         for op, cls, name, prop in ((True, "E", "e", "epic"), (False, "M", "m", "monic")):
             f = smp.hom(cls=cls)
-            compose, pool, end = inst.compose, smp.pool, f.dom
-            if op:
-                compose, pool, end = flipped(compose), flipped(pool), f.cod
             for t in smp.objects:
-                seen = set()
-                for g in pool(t, end):
-                    key = compose(f, g).payload
-                    if key in seen:
-                        detail = f"not {prop} at {t.descriptor}"
-                        return [{name: mor_dict(inst, f), "detail": detail}]
-                    seen.add(key)
+                composites = inst.compose_all(f, t, op)
+                if len(set(composites)) < len(composites):
+                    detail = f"not {prop} at {t.descriptor}"
+                    return [{name: mor_dict(inst, f), "detail": detail}]
         return []
 
     return run_sampled("properness", inst, seed, samples, bound, body)

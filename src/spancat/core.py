@@ -169,6 +169,13 @@ class Instance(ABC):
     deterministic function of the ``obj_key`` and payload of its arguments.
     Together with immutable, hashable payloads this lets ``memo`` key derived
     constructions (fake pullbacks, span composites) on their inputs.
+
+    The bounded decisions and the jointly and properness checks compose one
+    fixed morphism with a whole hom set through ``compose_all``.  Its
+    default is the ``compose`` loop; an instance whose hom sets are groups
+    may override it.  In finab, u |-> g . u and u |-> u . g are group
+    homomorphisms, so the whole sequence follows from the images of the hom
+    group's generators by addition alone.
     """
 
     name: str = "abstract"
@@ -280,6 +287,14 @@ class Instance(ABC):
             raise SpanCatError("fill_diagonal: no diagonal exists")
         return found
 
+    def compose_all(self, g: Mor, t: ObjHandle, op: bool = False) -> list:
+        """The payloads of g . u for u in enumerate_homs(t, dom g), in that
+        order; with op, of u . g for u in enumerate_homs(cod g, t), which is
+        the same walk read in C^op."""
+        if op:
+            return [self.compose(u, g).payload for u in self.enumerate_homs(g.cod, t)]
+        return [self.compose(g, u).payload for u in self.enumerate_homs(t, g.dom)]
+
     def compose_many(self, *fs: Mor) -> Mor:
         """Compose a chain given outermost-first: compose_many(h, g, f) = h.g.f."""
         out = fs[0]
@@ -335,7 +350,8 @@ def flipped(fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
 
     Read in C^op, compose(g, f) is compose(f, g) of C and hom(a, b) is
     hom(b, a); every morphism keeps its C endpoints and payload.  This is
-    how the pushout-side checks run the pullback-side code."""
+    how the sampler's pushout-side draws run the pullback-side code; the
+    decisions read C^op through compose_all with op instead."""
     return lambda x, y: fn(y, x)
 
 

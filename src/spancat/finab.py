@@ -577,13 +577,6 @@ def ab_pushout(
     return q_orders, leg1, leg2
 
 
-def canonical_orders(orders: Orders) -> Orders:
-    if not orders:
-        return ()
-    s = smith_normal_form([[orders[i] if i == j else 0 for j in range(len(orders))] for i in range(len(orders))])
-    return tuple(d for d in s.diag if d > 1)
-
-
 def all_subgroups(ambient: Orders) -> list[frozenset[Vector]]:
     """Every subgroup of the ambient group, as element sets, smallest first."""
     trivial = close_elements(ambient, [])
@@ -667,6 +660,14 @@ class HomGroup:
             yield self.from_coords(coords)
 
 
+def _repeat_each(values: list[int], times: int) -> list[int]:
+    if times == 1:
+        return values
+    if len(values) == 1:
+        return values * times
+    return [x for x in values for _ in range(times)]
+
+
 def hom_group(dom: Orders, cod: Orders) -> HomGroup:
     positions = []
     orders = []
@@ -736,6 +737,7 @@ class FinAbInstance(Instance):
         self._hom_cache: dict[tuple[Orders, Orders], tuple[Mor, ...]] = {}
         self._classify_cache: dict[tuple[Orders, Orders, Matrix], OrthClass] = {}
         self._subgroup_cache: dict[Orders, list[frozenset[Vector]]] = {}
+        self._hom_group_cache: dict[tuple[Orders, Orders], HomGroup] = {}
 
     # objects
     def validate_obj(self, key: Any) -> Orders:
@@ -767,6 +769,43 @@ class FinAbInstance(Instance):
 
     def identity(self, a: ObjHandle) -> Mor:
         return Mor(a, a, hom_identity(a.obj_key))
+
+    def compose_all(self, g: Mor, t: ObjHandle, op: bool = False) -> list:
+        # u |-> g . u (u . g with op) is additive, and the hom group generator
+        # at position (i, j, step) is step in entry (i, j) and zero elsewhere,
+        # so its image is step times column i (row j with op) of g.  Each
+        # entry of the composite then runs through the coordinates in
+        # all_matrices order by additions alone; a run of coordinates that
+        # leaves the entry alone only repeats each value found so far.
+        mat = g.payload
+        if op:
+            key = (g.cod.obj_key, t.obj_key)
+            mods, width = t.obj_key, len(g.dom.obj_key)
+        else:
+            key = (t.obj_key, g.dom.obj_key)
+            mods, width = g.cod.obj_key, len(t.obj_key)
+        hg = self._hom_group_cache.get(key)
+        if hg is None:
+            hg = self._hom_group_cache[key] = hom_group(*key)
+        rows = []
+        for r, m in enumerate(mods):
+            entries = []
+            for c in range(width):
+                col, run = [0], 1
+                for i, j, step, order in hg.positions:
+                    if op:
+                        v = step * mat[j][c] % m if i == r else 0
+                    else:
+                        v = step * mat[r][i] % m if j == c else 0
+                    if v:
+                        steps = [k * v % m for k in range(order)]
+                        col = [(x + s) % m for x in _repeat_each(col, run) for s in steps]
+                        run = 1
+                    else:
+                        run *= order
+                entries.append(_repeat_each(col, run))
+            rows.append(list(zip(*entries)) if entries else [()] * hg.size)
+        return list(zip(*rows)) if rows else [()] * hg.size
 
     def classify(self, f: Mor) -> OrthClass:
         key = (f.dom.obj_key, f.cod.obj_key, f.payload)

@@ -5,12 +5,13 @@ enumerates every cone and searches mediators explicitly.
 """
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spancat.axioms import (
     MAX_FAILURE_DUMPS,
-    CheckReport,
     check_jointly,
     check_pasting_lemma,
     check_pasting_lemma_dual,
@@ -24,7 +25,6 @@ from spancat.axioms import (
     run_sampled,
 )
 from spancat.core import (
-    Mor,
     ShapeViolation,
     Square,
     groupoid_instance,
@@ -216,28 +216,22 @@ def test_check_pasting_on_canonical_ladders():
 # ---------------------------------------------------------------------------
 
 
-def _pinj_commuting_squares():
-    """A deterministic pool of small commuting pinj squares, pullbacks and
-    non-pullbacks alike."""
+def _commuting_squares(inst, objs):
+    """Every commuting square over objs, pullbacks and non-pullbacks alike,
+    in itertools.product order of its corners (bottom-right, top-right,
+    bottom-left, apex), then of its edges (right, bottom, top, left)."""
+    homs = inst.enumerate_homs
     out = []
-    sizes = [0, 1, 2]
-    objs = [PI.fset(n) for n in sizes]
-    import itertools
-
-    for w_ob, y_ob, z_ob in itertools.product(objs, repeat=3):
-        for right in PI.enumerate_homs(y_ob, w_ob):
-            for bottom in PI.enumerate_homs(z_ob, w_ob):
-                for x_ob in objs:
-                    for top in PI.enumerate_homs(x_ob, y_ob):
-                        for left in PI.enumerate_homs(x_ob, z_ob):
-                            if PI.mor_eq(
-                                PI.compose(right, top), PI.compose(bottom, left)
-                            ):
-                                out.append(Square(top, left, right, bottom))
+    for w, y, z, x in itertools.product(objs, repeat=4):
+        for right, bottom, top, left in itertools.product(
+            homs(y, w), homs(z, w), homs(x, y), homs(x, z)
+        ):
+            if inst.mor_eq(inst.compose(right, top), inst.compose(bottom, left)):
+                out.append(Square(top, left, right, bottom))
     return out
 
 
-SQUARE_POOL = _pinj_commuting_squares()
+SQUARE_POOL = _commuting_squares(PI, [PI.fset(n) for n in (0, 1, 2)])
 
 
 def test_counting_matches_naive_pullback():
@@ -251,6 +245,31 @@ def test_counting_matches_naive_pushout():
     for sq in SQUARE_POOL:
         comps = pushout_competitors(PI, sq, 3)
         assert is_pushout(PI, sq, 3) == naive_is_pushout(PI, sq, comps), sq
+
+
+@pytest.fixture(scope="module")
+def finab_square_pool():
+    """Every 20th commuting finab square over the objects of order <= 4."""
+    return _commuting_squares(FA, FA.enumerate_objects_up_to(4))[::20]
+
+
+def test_finab_counting_matches_naive_pullback(finab_square_pool):
+    assert len(finab_square_pool) == 1344
+    outcomes = []
+    for sq in finab_square_pool:
+        outcome = is_pullback(FA, sq, 4)
+        assert outcome == naive_is_pullback(FA, sq, pullback_competitors(FA, sq, 4)), sq
+        outcomes.append(outcome)
+    assert outcomes.count(True) == 155
+
+
+def test_finab_counting_matches_naive_pushout(finab_square_pool):
+    outcomes = []
+    for sq in finab_square_pool:
+        outcome = is_pushout(FA, sq, 4)
+        assert outcome == naive_is_pushout(FA, sq, pushout_competitors(FA, sq, 4)), sq
+        outcomes.append(outcome)
+    assert outcomes.count(True) == 161
 
 
 @settings(max_examples=60, deadline=None)

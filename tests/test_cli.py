@@ -3,6 +3,7 @@ loading, the four subcommands, output formats, exit codes, and report
 determinism."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -13,7 +14,7 @@ import pytest
 
 import spancat
 from spancat import cli
-from spancat.cli import EXIT_ERROR, EXIT_FAIL, EXIT_OK, SuiteReport, main
+from spancat.cli import EXIT_ERROR, EXIT_OK, SuiteReport, main
 from spancat.axioms import CheckReport
 from spancat.config import ConfigError, RunConfig, env_seed, instance_bound, load_instance
 from spancat.core import ValidationFailure, groupoid_instance, symmetric_group_table
@@ -202,6 +203,17 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "spancat.cli", *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_check_axioms_report_pinned(tmp_path):
+    # the sha256 of this report as the compose-loop decisions wrote it; a
+    # faster decision must not move a verdict or a dump
+    out = tmp_path / "axioms.json"
+    proc = run_cli("check-axioms", "--instance", "finab", "--max-order", "6",
+                   "--samples", "100", "--seed", "0", "--out", str(out))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "eccfc76cd40d066b4ed985ff6bad24971f10beb2bf7a887a01c686c5b75cb4cd"
 
 
 def run_fake_pullback_file(tmp_path, instance: str, cospan: dict):

@@ -25,7 +25,6 @@ from spancat.finab import (
     ab_pushout,
     all_subgroups,
     apply_hom,
-    canonical_orders,
     close_elements,
     cokernel_data,
     cokernel_size,
@@ -59,6 +58,16 @@ def brute_kernel(dom, cod, mat):
 
 def brute_image(dom, cod, mat):
     return {apply_hom(mat, x, cod) for x in elements_of(dom)}
+
+
+def canonical_orders(orders):
+    """The invariant factors of Z/orders[0] + ... + Z/orders[n-1], read off
+    the Smith normal form of diag(orders)."""
+    if not orders:
+        return ()
+    n = len(orders)
+    s = smith_normal_form([[orders[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return tuple(d for d in s.diag if d > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +277,20 @@ def test_enumerate_homs_counts():
     homs = INST.enumerate_homs(a, b)
     assert len(homs) == 8
     assert len({h.payload for h in homs}) == 8
+
+
+@pytest.mark.parametrize("op", [False, True])
+def test_compose_all_matches_compose_loop_on_order_8_catalog(op):
+    objs = INST.enumerate_objects_up_to(8)
+    mors = [g for a in objs for b in objs for g in INST.enumerate_homs(a, b)]
+    assert len(mors) * len(objs) == 12408
+    for g in mors:
+        for t in objs:
+            if op:
+                loop = [INST.compose(u, g).payload for u in INST.enumerate_homs(g.cod, t)]
+            else:
+                loop = [INST.compose(g, u).payload for u in INST.enumerate_homs(t, g.dom)]
+            assert INST.compose_all(g, t, op) == loop, (g, t)
 
 
 def test_describe_obj():

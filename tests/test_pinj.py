@@ -16,7 +16,6 @@ from spancat.pinj import (
     compose_assign,
     count_pinjs,
     factor_assign,
-    identity_assign,
     image_of,
     pullback_assign,
     reverse_assign,

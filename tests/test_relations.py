@@ -35,8 +35,6 @@ from spancat.gen import Sampler
 from spancat.jsonio import dumps, parse_relation, relation_dict
 from spancat.pinj import PInjInstance
 from spancat.relations import (
-    RelClass,
-    Relation,
     all_matchings,
     check_associativity,
     check_goursat_roundtrip_exact,
@@ -61,7 +59,7 @@ from spancat.relations import (
     sample_relation,
     subgroup_to_zigzag,
 )
-from spancat.spans import em_span, id_span, lift_e, lift_m
+from spancat.spans import em_span, id_span, lift_e
 
 FA = FinAbInstance()
 PI = PInjInstance()

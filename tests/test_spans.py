@@ -13,7 +13,6 @@ from spancat.core import (
     ClassViolation,
     EndpointMismatch,
     ShapeViolation,
-    SpanCatError,
     Square,
     groupoid_instance,
     symmetric_group_table,

@@ -122,7 +122,7 @@ def pullback_competitors(inst: Instance, sq: Square, bound: int,
     apex.  With op the square is read in C^op, transposed as in
     _pullback_bijection_at: the apex is the bottom-right corner, E plays M
     and pushout_along_E plays pullback_along_M."""
-    cands = list(inst.enumerate_objects_up_to(bound))
+    cands = inst.enumerate_objects_up_to(bound)
     if op:
         cands.append(sq.bottom_right)
         right, bottom, in_M, cone = sq.top, sq.left, "in_E", inst.pushout_along_E

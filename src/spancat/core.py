@@ -176,6 +176,14 @@ class Instance(ABC):
     may override it.  In finab, u |-> g . u and u |-> u . g are group
     homomorphisms, so the whole sequence follows from the images of the hom
     group's generators by addition alone.
+
+    The samplers draw class-constrained morphisms through two hooks:
+    ``class_homs(a, b, cls)`` lists the morphisms a -> b of a class (any, E,
+    M or iso) in enumerate_homs order, and ``has_class_hom(a, b, cls)`` says
+    whether that list is nonempty.  Their defaults filter enumerate_homs by
+    classify.  finab answers both from structure: existence from invariant
+    factors, members from the ranks of the hom's matrices mod each prime,
+    with no hom classified one by one.
     """
 
     name: str = "abstract"
@@ -242,7 +250,8 @@ class Instance(ABC):
     @abstractmethod
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
         """The object catalog used by bounded checks (bound is instance-specific:
-        group order for finab, set size for pinj, ignored by groupoids)."""
+        group order for finab, set size for pinj, ignored by groupoids), as
+        a new list on each call, which the caller may change."""
 
     @abstractmethod
     def enumerate_homs(self, a: ObjHandle, b: ObjHandle) -> Sequence[Mor]:
@@ -294,6 +303,28 @@ class Instance(ABC):
         if op:
             return [self.compose(u, g).payload for u in self.enumerate_homs(g.cod, t)]
         return [self.compose(g, u).payload for u in self.enumerate_homs(t, g.dom)]
+
+    def class_homs(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> Sequence[Mor]:
+        """The morphisms a -> b of a class: any, E, M or iso, in
+        enumerate_homs order."""
+        member = self._class_test(cls)
+        return tuple(f for f in self.enumerate_homs(a, b) if member(f))
+
+    def has_class_hom(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> bool:
+        """Whether class_homs(a, b, cls) is nonempty."""
+        member = self._class_test(cls)
+        return any(member(f) for f in self.enumerate_homs(a, b))
+
+    def _class_test(self, cls: str) -> Callable[[Mor], bool]:
+        if cls == "any":
+            return lambda f: True
+        if cls == "E":
+            return lambda f: self.classify(f).in_E
+        if cls == "M":
+            return lambda f: self.classify(f).in_M
+        if cls == "iso":
+            return self.is_iso
+        raise ValueError(f"unknown class filter {cls!r}")
 
     def compose_many(self, *fs: Mor) -> Mor:
         """Compose a chain given outermost-first: compose_many(h, g, f) = h.g.f."""

@@ -234,9 +234,7 @@ def span_pair_iso_eq(inst: Instance, first: tuple[EMSpan, EMSpan],
     kp = inst.rel_pair_key(p1.d, p1.m, p2.d, p2.m)
     if kp is not None:
         return kp == inst.rel_pair_key(q1.d, q1.m, q2.d, q2.m)
-    for phi in inst.enumerate_homs(q1.src, p1.src):
-        if not inst.is_iso(phi):
-            continue
+    for phi in inst.class_homs(q1.src, p1.src, "iso"):
         phi_span = lift_m(inst, phi)
         if span_iso_eq(inst, span_compose(inst, p1, phi_span), q1) and span_iso_eq(
             inst, span_compose(inst, p2, phi_span), q2

@@ -11,8 +11,10 @@ pairing maps, and everything reduces to Smith normal form over Z.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
@@ -659,6 +661,65 @@ class HomGroup:
         for coords in itertools.product(*(range(g) for g in self.orders)):
             yield self.from_coords(coords)
 
+    @functools.cached_property
+    def runs(self) -> tuple[int, ...]:
+        """runs[k] is the number of coordinate tuples of positions < k."""
+        return tuple(itertools.accumulate(self.orders, operator.mul, initial=1))
+
+    @functools.cached_property
+    def lines(self) -> tuple[tuple[tuple[tuple[int, int, int, int], ...], ...], ...]:
+        """The positions (k, i, j, step, order) of each row, then of each
+        column, of the matrices."""
+        rows = tuple(tuple((k,) + pos for k, pos in enumerate(self.positions) if pos[0] == i)
+                     for i in range(len(self.cod)))
+        cols = tuple(tuple((k,) + pos for k, pos in enumerate(self.positions) if pos[1] == j)
+                     for j in range(len(self.dom)))
+        return rows, cols
+
+    def walk(self, live: Sequence[tuple[int, Sequence[int]]], mod: int = 0) -> list[int]:
+        """For each coordinate tuple c, in all_matrices order, the sum of
+        values[c[k]] over the pairs (k, values) of live, reduced mod `mod`
+        unless it is 0.  The positions k of live increase; the others add
+        nothing, so a run of them only repeats each sum found so far.
+
+        >>> hom_group((2, 2, 2), (2,)).walk([(0, [0, 1]), (2, [0, 5])])
+        [0, 5, 0, 5, 1, 6, 1, 6]
+        """
+        runs = self.runs
+        sums, done = [0], 0
+        for k, vals in live:
+            if k > done:
+                sums = _repeat_each(sums, runs[k] // runs[done])
+            done = k + 1
+            if mod:
+                sums = [(x + v) % mod for x in sums for v in vals]
+            else:
+                sums = [x + v for x in sums for v in vals]
+        return _repeat_each(sums, runs[-1] // runs[done]) if done < len(self.orders) else sums
+
+    def matrices_at(self, indices: Sequence[int]) -> list[Matrix]:
+        """The matrices at these indices of all_matrices, in that order.
+
+        Positions run row by row, so an index is a mixed-radix number whose
+        digits index the rows each row's positions can make; each such row
+        is built once and shared by the matrices that hold it."""
+        columns, weight = [], 1
+        for i in reversed(range(len(self.cod))):
+            cells = [(j, [c * step % self.cod[i] for c in range(g)])
+                     for _, _, j, step, g in self.lines[0][i]]
+            table = []
+            for entries in itertools.product(*(vals for _, vals in cells)):
+                row = [0] * len(self.dom)
+                for (j, _), x in zip(cells, entries):
+                    row[j] = x
+                table.append(tuple(row))
+            size = len(table)
+            columns.append([table[n // weight % size] for n in indices])
+            weight *= size
+        if not columns:
+            return [()] * len(indices)
+        return list(zip(*reversed(columns)))
+
 
 def _repeat_each(values: list[int], times: int) -> list[int]:
     if times == 1:
@@ -679,6 +740,126 @@ def hom_group(dom: Orders, cod: Orders) -> HomGroup:
             positions.append((i, j, b // g, g))
             orders.append(g)
     return HomGroup(dom, cod, tuple(orders), tuple(positions))
+
+
+# ---------------------------------------------------------------------------
+# which homs are onto or one-to-one, from the invariant factors and mod p
+# ---------------------------------------------------------------------------
+
+def _primes(n: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def invariant_factors(orders: Orders) -> Orders:
+    """The invariant factors of Z/orders[0] + ...: each > 1 and dividing the
+    next.  The k-th largest is the product of the k-th largest power of each
+    prime among the orders' prime-power parts.
+
+    >>> invariant_factors((6, 2, 1)), invariant_factors((2, 4))
+    ((2, 6), (2, 4))
+    """
+    powers: dict[int, list[int]] = {}
+    for o in orders:
+        for p in _primes(o):
+            q = p
+            while o % (q * p) == 0:
+                q *= p
+            powers.setdefault(p, []).append(q)
+    out = [1] * max(map(len, powers.values()), default=0)
+    for qs in powers.values():
+        for k, q in enumerate(sorted(qs, reverse=True)):
+            out[k] *= q
+    return tuple(reversed(out))
+
+
+def embeds(a: Orders, b: Orders) -> bool:
+    """Whether the group a is isomorphic to a subgroup of b, for invariant
+    factors: the k-th largest factor of a divides the k-th largest of b
+    (Butler, Subgroup Lattices and Symmetric Functions, 1994).  A finite
+    abelian group is a quotient of b exactly when it embeds in b.
+
+    >>> embeds((2, 2), (2, 4)), embeds((4,), (2, 2))
+    (True, False)
+    """
+    return len(a) <= len(b) and all(b[-k] % a[-k] == 0 for k in range(1, len(a) + 1))
+
+
+def _independent_keys(p: int, lines: list[list[tuple[int, int]]], width: int) -> list[int]:
+    """The keys of every way to give each line a vector in F_p^width, zero
+    off the line's cells, so that the vectors are linearly independent.
+
+    A cell (s, w) is coordinate s of its line's vector; its digit d adds
+    d * w to the key.  Each vector is drawn outside the span of those before
+    it, so only members are ever made, and the keys of the later lines are
+    made once per span."""
+    choices = []
+    for cells in lines:
+        opts = []
+        for digits in itertools.product(range(p), repeat=len(cells)):
+            vec = [0] * width
+            for (s, _), d in zip(cells, digits):
+                vec[s] = d
+            opts.append((tuple(vec), sum(d * w for (_, w), d in zip(cells, digits))))
+        choices.append(opts)
+
+    @functools.cache
+    def keys(k: int, span: frozenset) -> list[int]:
+        if k == len(choices):
+            return [0]
+        out = []
+        for vec, add in choices[k]:
+            if vec not in span:
+                grown = frozenset(tuple((x + t * y) % p for x, y in zip(u, vec))
+                                  for u in span for t in range(p))
+                out.extend(add + rest for rest in keys(k + 1, grown))
+        return out
+
+    return keys(0, frozenset([(0,) * width]))
+
+
+def class_members(hg: HomGroup, in_E: bool) -> list[int]:
+    """The all_matrices indices of the homs of hg that are onto (in_E) or
+    one-to-one.
+
+    f is onto iff, for each prime p dividing |cod|, the map dom/p.dom ->
+    cod/p.cod it induces is onto (Nakayama): f's entries mod p, on the rows
+    with p | cod[i] and the columns with p | dom[j], make a matrix of full
+    row rank.  f is one-to-one iff, for each prime p dividing |dom|, it is
+    one-to-one on the socles dom[p] -> cod[p]: on the same rows and columns,
+    the entry c * dom[j] / gcd mod p at coordinate c makes a matrix of full
+    column rank.  Each entry of these matrices depends on one coordinate of
+    f, so one walk packs every hom's matrices into a key, and f is a member
+    iff its key is among those of the full-rank matrices, which
+    _independent_keys makes directly."""
+    dom, cod = hg.dom, hg.cod
+    side, other = (cod, dom) if in_E else (dom, cod)
+    values = [[0] * g for g in hg.orders]
+    members, weight = {0}, 1
+    for p in _primes(group_size(side)):
+        line_at = {n: k for k, n in enumerate(i for i, o in enumerate(side) if o % p == 0)}
+        coord_at = {n: k for k, n in enumerate(j for j, o in enumerate(other) if o % p == 0)}
+        cells: list[list[tuple[int, int]]] = [[] for _ in line_at]
+        for k, (i, j, step, g) in enumerate(hg.positions):
+            line, s = (i, j) if in_E else (j, i)
+            mult = (step if in_E else dom[j] // g) % p
+            if line in line_at and s in coord_at and mult:
+                cells[line_at[line]].append((coord_at[s], weight))
+                for c in range(g):
+                    values[k][c] += c * mult % p * weight
+                weight *= p
+        keys = _independent_keys(p, cells, len(coord_at))
+        members = {x + y for x in members for y in keys}
+        if not members:
+            return []
+    sums = hg.walk([(k, vals) for k, vals in enumerate(values) if any(vals)])
+    return [n for n, x in enumerate(sums) if x in members]
 
 
 def solve_hom_equations(
@@ -738,6 +919,9 @@ class FinAbInstance(Instance):
         self._classify_cache: dict[tuple[Orders, Orders, Matrix], OrthClass] = {}
         self._subgroup_cache: dict[Orders, list[frozenset[Vector]]] = {}
         self._hom_group_cache: dict[tuple[Orders, Orders], HomGroup] = {}
+        self._catalogs: dict[int, list[ObjHandle]] = {}
+        self._exists_cache: dict[tuple[Orders, Orders, str], bool] = {}
+        self._class_cache: dict[tuple[Orders, Orders, bool], tuple[Mor, ...]] = {}
 
     # objects
     def validate_obj(self, key: Any) -> Orders:
@@ -774,38 +958,74 @@ class FinAbInstance(Instance):
         # u |-> g . u (u . g with op) is additive, and the hom group generator
         # at position (i, j, step) is step in entry (i, j) and zero elsewhere,
         # so its image is step times column i (row j with op) of g.  Each
-        # entry of the composite then runs through the coordinates in
-        # all_matrices order by additions alone; a run of coordinates that
-        # leaves the entry alone only repeats each value found so far.
+        # entry of the composite is then a walk of the hom group's
+        # coordinates by additions of those images alone.
         mat = g.payload
         if op:
-            key = (g.cod.obj_key, t.obj_key)
+            hg = self._hom_group(g.cod.obj_key, t.obj_key)
             mods, width = t.obj_key, len(g.dom.obj_key)
         else:
-            key = (t.obj_key, g.dom.obj_key)
+            hg = self._hom_group(t.obj_key, g.dom.obj_key)
             mods, width = g.cod.obj_key, len(t.obj_key)
-        hg = self._hom_group_cache.get(key)
-        if hg is None:
-            hg = self._hom_group_cache[key] = hom_group(*key)
+        lines = hg.lines[0 if op else 1]
         rows = []
         for r, m in enumerate(mods):
             entries = []
             for c in range(width):
-                col, run = [0], 1
-                for i, j, step, order in hg.positions:
-                    if op:
-                        v = step * mat[j][c] % m if i == r else 0
-                    else:
-                        v = step * mat[r][i] % m if j == c else 0
+                live = []
+                for k, i, j, step, order in lines[r if op else c]:
+                    v = step * (mat[j][c] if op else mat[r][i]) % m
                     if v:
-                        steps = [k * v % m for k in range(order)]
-                        col = [(x + s) % m for x in _repeat_each(col, run) for s in steps]
-                        run = 1
-                    else:
-                        run *= order
-                entries.append(_repeat_each(col, run))
+                        live.append((k, [x * v % m for x in range(order)]))
+                entries.append(hg.walk(live, m))
             rows.append(list(zip(*entries)) if entries else [()] * hg.size)
         return list(zip(*rows)) if rows else [()] * hg.size
+
+    def _hom_group(self, dom: Orders, cod: Orders) -> HomGroup:
+        hg = self._hom_group_cache.get((dom, cod))
+        if hg is None:
+            hg = self._hom_group_cache[dom, cod] = hom_group(dom, cod)
+        return hg
+
+    def has_class_hom(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> bool:
+        key = (a.obj_key, b.obj_key, cls)
+        hit = self._exists_cache.get(key)
+        if hit is None:
+            hit = self._exists_cache[key] = self._class_exists(a, b, cls)
+        return hit
+
+    def _class_exists(self, a: ObjHandle, b: ObjHandle, cls: str) -> bool:
+        # an onto a -> b exists iff b embeds in a, a one-to-one one iff a
+        # embeds in b; the invariant factors decide both
+        x, y = invariant_factors(a.obj_key), invariant_factors(b.obj_key)
+        if cls == "any":
+            return True  # the zero map
+        if cls == "iso":
+            return x == y
+        if cls == "E":
+            return embeds(y, x)
+        if cls == "M":
+            return embeds(x, y)
+        return super().has_class_hom(a, b, cls)
+
+    def class_homs(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> Sequence[Mor]:
+        x, y = a.obj_key, b.obj_key
+        same_size = group_size(x) == group_size(y)
+        if cls == "any":
+            return self.enumerate_homs(a, b)
+        if cls not in ("E", "M", "iso"):
+            return super().class_homs(a, b, cls)
+        if cls == "iso" and not same_size:
+            return ()
+        # between groups of one order E, M and the isos are all Aut: one
+        # test finds them, and one pool serves all three
+        key = (x, y, cls == "E" or same_size)
+        hit = self._class_cache.get(key)
+        if hit is None:
+            hg = self._hom_group(x, y)
+            members = hg.matrices_at(class_members(hg, key[2]))
+            hit = self._class_cache[key] = tuple(Mor(a, b, m) for m in members)
+        return hit
 
     def classify(self, f: Mor) -> OrthClass:
         key = (f.dom.obj_key, f.cod.obj_key, f.payload)
@@ -882,7 +1102,10 @@ class FinAbInstance(Instance):
         return ConeResult(apex_h, Mor(f.cod, apex_h, leg1), Mor(e.cod, apex_h, leg2))
 
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
-        return [self.obj(o) for o in invariant_factor_groups(bound)]
+        hit = self._catalogs.get(bound)
+        if hit is None:
+            hit = self._catalogs[bound] = [self.obj(o) for o in invariant_factor_groups(bound)]
+        return list(hit)
 
     def enumerate_homs(self, a: ObjHandle, b: ObjHandle) -> Sequence[Mor]:
         key = (a.obj_key, b.obj_key)

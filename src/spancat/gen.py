@@ -20,32 +20,23 @@ class Sampler:
         self.inst = inst
         self.rng = random.Random(str(seed))
         self.bound = bound
-        self.objects: list[ObjHandle] = list(inst.enumerate_objects_up_to(bound))
+        self.objects: list[ObjHandle] = inst.enumerate_objects_up_to(bound)
         if not self.objects:
             raise SpanCatError("instance catalog is empty")
         self._class_pool: dict[tuple, tuple[Mor, ...]] = {}
         self._reach: dict[tuple, list[ObjHandle]] = {}
+        self._em_apexes: dict[tuple, list[ObjHandle]] = {}
         self._em_ends: dict[tuple, list[ObjHandle]] = {}
 
     # -- pools ---------------------------------------------------------------
 
     def pool(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> tuple[Mor, ...]:
-        """Morphisms a -> b filtered by class: any, E, M, iso."""
+        """Morphisms a -> b of a class (any, E, M, iso), in enumerate_homs
+        order: the instance's class_homs, kept for this sampler."""
         key = (a.obj_key, b.obj_key, cls)
         hit = self._class_pool.get(key)
         if hit is None:
-            homs = self.inst.enumerate_homs(a, b)
-            if cls == "any":
-                hit = tuple(homs)
-            elif cls == "E":
-                hit = tuple(f for f in homs if self.inst.classify(f).in_E)
-            elif cls == "M":
-                hit = tuple(f for f in homs if self.inst.classify(f).in_M)
-            elif cls == "iso":
-                hit = tuple(f for f in homs if self.inst.is_iso(f))
-            else:
-                raise ValueError(f"unknown class filter {cls!r}")
-            self._class_pool[key] = hit
+            hit = self._class_pool[key] = tuple(self.inst.class_homs(a, b, cls))
         return hit
 
     def reachable(self, a: ObjHandle, cls: str, direction: str) -> list[ObjHandle]:
@@ -53,10 +44,11 @@ class Sampler:
         key = (a.obj_key, cls, direction)
         hit = self._reach.get(key)
         if hit is None:
+            has = self.inst.has_class_hom
             if direction == "out":
-                hit = [b for b in self.objects if self.pool(a, b, cls)]
+                hit = [b for b in self.objects if has(a, b, cls)]
             else:
-                hit = [b for b in self.objects if self.pool(b, a, cls)]
+                hit = [b for b in self.objects if has(b, a, cls)]
             self._reach[key] = hit
         return hit
 
@@ -248,10 +240,16 @@ class Sampler:
     # -- spans of spans ---------------------------------------------------------
 
     def em_apexes(self, src: ObjHandle, tgt: ObjHandle) -> list[ObjHandle]:
-        return [
-            r for r in self.objects
-            if self.pool(r, src, "E") and self.pool(r, tgt, "M")
-        ]
+        """Objects R with an E-leg R -> src and an M-leg R -> tgt.  The
+        instance's has_class_hom answers, so no pool is built here: only
+        the pools of the apex drawn are."""
+        key = (src.obj_key, tgt.obj_key)
+        hit = self._em_apexes.get(key)
+        if hit is None:
+            has = self.inst.has_class_hom
+            hit = self._em_apexes[key] = [
+                r for r in self.objects if has(r, src, "E") and has(r, tgt, "M")]
+        return hit
 
     def em_ends(self, fixed: ObjHandle, side: str) -> list[ObjHandle]:
         """Objects o with an EM-span fixed -> o (side 'tgt') or o -> fixed

@@ -200,8 +200,8 @@ def span_class_reps(inst: Instance, src: ObjHandle, tgt: ObjHandle,
     reps: list[EMSpan] = []
     seen_keys: set = set()
     for apex in inst.enumerate_objects_up_to(bound):
-        es = [h for h in inst.enumerate_homs(apex, src) if inst.classify(h).in_E]
-        ms = [h for h in inst.enumerate_homs(apex, tgt) if inst.classify(h).in_M]
+        es = inst.class_homs(apex, src, "E")
+        ms = inst.class_homs(apex, tgt, "M")
         for d in es:
             for m in ms:
                 s = EMSpan(src=src, tgt=tgt, apex=apex, d=d, m=m)

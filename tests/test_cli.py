@@ -216,6 +216,17 @@ def test_check_axioms_report_pinned(tmp_path):
     assert digest == "eccfc76cd40d066b4ed985ff6bad24971f10beb2bf7a887a01c686c5b75cb4cd"
 
 
+def test_finab_associativity_report_pinned(tmp_path):
+    # the sha256 of this report as pools filtered by classify drew it; pools
+    # made from structure must draw the same relations
+    out = tmp_path / "associativity.json"
+    proc = run_cli("suite", "--suite", "associativity", "--instance", "finab",
+                   "--max-order", "16", "--samples", "50", "--seed", "0", "--out", str(out))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "a080d5bd94025d60266f3a23f16aba37cd188aa18e2e19c450586054d5135610"
+
+
 def run_fake_pullback_file(tmp_path, instance: str, cospan: dict):
     path = tmp_path / "cospan.json"
     path.write_text(dumps(cospan))

@@ -293,6 +293,69 @@ def test_compose_all_matches_compose_loop_on_order_8_catalog(op):
             assert INST.compose_all(g, t, op) == loop, (g, t)
 
 
+CLASS_FLAGS = {"E": lambda c: c.in_E, "M": lambda c: c.in_M,
+               "iso": lambda c: c.in_E and c.in_M}
+
+
+def classify_scan(a, b):
+    """Each hom a -> b, in enumerate_homs order, with its class by
+    hom_classify: the cokernel-size oracle, which the class hooks must agree
+    with and never call.  A throwaway instance keeps the homs out of INST."""
+    return [(f, hom_classify(a.obj_key, b.obj_key, f.payload))
+            for f in FinAbInstance().enumerate_homs(a, b)]
+
+
+@pytest.mark.parametrize("cls", sorted(CLASS_FLAGS))
+def test_has_class_hom_matches_classify_scan_up_to_order_16(cls):
+    inst, objs, flag = FinAbInstance(), INST.enumerate_objects_up_to(16), CLASS_FLAGS[cls]
+    assert len(objs) == 25
+    for a in objs:
+        for b in objs:
+            scan = any(flag(hom_classify(a.obj_key, b.obj_key, f.payload))
+                       for f in FinAbInstance().enumerate_homs(a, b))
+            assert inst.has_class_hom(a, b, cls) == scan, (a, b)
+
+
+def test_class_homs_match_classify_filter_up_to_order_16():
+    # every E, M and iso pool of the order-16 catalog: the same Mors in the
+    # same order as the filtered hom set
+    inst, objs = FinAbInstance(), INST.enumerate_objects_up_to(16)
+    sizes = {}
+    for a in objs:
+        for b in objs:
+            scan = classify_scan(a, b)
+            for cls, flag in CLASS_FLAGS.items():
+                want = tuple(f for f, c in scan if flag(c))
+                assert inst.class_homs(a, b, cls) == want, (a, b, cls)
+                sizes[a.obj_key, b.obj_key, cls] = len(want)
+    assert len(sizes) == 3 * 625
+    assert sizes[(2, 2, 2, 2), (2, 2, 2, 2), "E"] == 20160  # |GL(4, 2)|
+    assert sizes[(2, 2, 2, 2), (2, 2, 2), "E"] == 2520
+
+
+def test_class_hooks_on_keys_not_in_invariant_form():
+    # Z/2 + Z/3 is Z/6 written otherwise, and a Z/1 summand is trivial: the
+    # invariant-factor test does not apply to such keys, the rank test does
+    inst = FinAbInstance()
+    for x, y in [((2, 3), (6,)), ((3, 2), (2, 3)), ((1, 4), (2, 2)), ((4, 2), (2, 4)),
+                 ((6,), (2, 3)), ((1,), ())]:
+        a, b = inst.obj(x), inst.obj(y)
+        scan = classify_scan(a, b)
+        for cls, flag in CLASS_FLAGS.items():
+            want = tuple(f for f, c in scan if flag(c))
+            assert inst.class_homs(a, b, cls) == want, (x, y, cls)
+            assert inst.has_class_hom(a, b, cls) == bool(want), (x, y, cls)
+
+
+def test_catalog_is_kept_per_bound_and_copied_per_call():
+    inst = FinAbInstance()
+    first = inst.enumerate_objects_up_to(8)
+    first.append(inst.group(3, 3))
+    again = inst.enumerate_objects_up_to(8)
+    assert again == first[:-1]
+    assert again[0] is first[0]
+
+
 def test_describe_obj():
     assert INST.describe_obj(()) == "0"
     assert INST.describe_obj((2, 4)) == "Z/2+Z/4"

@@ -11,7 +11,7 @@ import hashlib
 import pytest
 
 from spancat.core import Mor, Square
-from spancat.finab import FinAbInstance
+from spancat.finab import FinAbInstance, hom_classify
 from spancat.gen import Sampler
 from spancat.pinj import PInjInstance
 
@@ -61,3 +61,39 @@ PINNED = {
 @pytest.mark.parametrize("instance,draw", sorted(PINNED))
 def test_shaped_draw_streams_are_pinned(instance, draw):
     assert stream_fingerprint(instance, draw) == PINNED[(instance, draw)]
+
+
+def test_finab_sampler_lists_match_classify_scan_up_to_order_16():
+    # reachable and em_apexes ask has_class_hom; they must list what the
+    # classify-filtered pools listed, or every draw stream moves
+    inst = FinAbInstance()
+    smp = Sampler(inst, "lists", 16)
+    objs = smp.objects
+    exists = {}
+    for a in objs:
+        for b in objs:
+            homs = FinAbInstance().enumerate_homs(a, b)
+            for cls in ("E", "M"):
+                exists[a, b, cls] = any(
+                    getattr(hom_classify(a.obj_key, b.obj_key, f.payload), f"in_{cls}")
+                    for f in homs)
+    for a in objs:
+        for cls in ("E", "M"):
+            assert smp.reachable(a, cls, "out") == [b for b in objs if exists[a, b, cls]]
+            assert smp.reachable(a, cls, "in") == [b for b in objs if exists[b, a, cls]]
+    for src in objs:
+        for tgt in objs:
+            assert smp.em_apexes(src, tgt) == [
+                r for r in objs if exists[r, src, "E"] and exists[r, tgt, "M"]]
+
+
+def test_largest_finab_pool_is_drawn_without_enumerating_homs():
+    inst = FinAbInstance()
+    smp = Sampler(inst, "pool", 16)
+    z = inst.group(2, 2, 2, 2)
+    smp.hom(z, z, "E")
+    pool = smp.pool(z, z, "E")
+    assert len(pool) == 20160  # |GL(4, 2)| of the 65,536 homs
+    # between groups of one order E, M and the isos are one pool
+    assert smp.pool(z, z, "M") is pool and smp.pool(z, z, "iso") is pool
+    assert not inst._hom_cache and not inst._classify_cache

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 from .axioms import CheckReport, run_axiom_suite
 from .config import (
+    FORMATS,
     ConfigError,
     RunConfig,
     env_seed,
@@ -263,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", default=None, help="write output to this file")
     common.add_argument(
-        "--format", choices=("json", "dot", "text"), default="json",
+        "--format", choices=FORMATS, default="json",
         help="output format (default json)",
     )
     parser = argparse.ArgumentParser(
@@ -322,10 +323,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "compose-relations":
             return cmd_compose_relations(cfg, args.relations)
         return cmd_suite(cfg, args.suite)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except SpanCatError as exc:
+    except (ConfigError, SpanCatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -11,6 +11,9 @@ from .finab import FinAbInstance
 from .pinj import PInjInstance
 
 FORMATS = ("json", "dot", "text")
+# CLI name -> (instance class, the RunConfig field that bounds its catalog);
+# groupoid:<table file> instances come from a file and have bound 1
+INSTANCES = {"finab": (FinAbInstance, "max_order"), "pinj": (PInjInstance, "max_size")}
 
 
 class ConfigError(Exception):
@@ -45,9 +48,7 @@ class RunConfig:
             raise ConfigError(
                 f"unknown format {self.format!r}; known: {', '.join(FORMATS)}"
             )
-        if self.instance not in ("finab", "pinj") and not self.instance.startswith(
-            "groupoid:"
-        ):
+        if self.instance not in INSTANCES and not self.instance.startswith("groupoid:"):
             raise ConfigError(
                 "instance must be finab, pinj, or groupoid:<table file>"
             )
@@ -80,10 +81,8 @@ def read_json_file(path: str) -> Any:
 
 
 def load_instance(cfg: RunConfig) -> Instance:
-    if cfg.instance == "finab":
-        return FinAbInstance()
-    if cfg.instance == "pinj":
-        return PInjInstance()
+    if cfg.instance in INSTANCES:
+        return INSTANCES[cfg.instance][0]()
     path = cfg.instance[len("groupoid:"):]
     data = read_json_file(path)
     if not isinstance(data, dict) or "table" not in data:
@@ -97,8 +96,7 @@ def load_instance(cfg: RunConfig) -> Instance:
 
 def instance_bound(cfg: RunConfig, inst: Instance) -> int:
     """The catalog bound the sampler should run with for this instance."""
-    if isinstance(inst, PInjInstance):
-        return cfg.max_size
-    if isinstance(inst, FinAbInstance):
-        return cfg.max_order
+    for cls, bound in INSTANCES.values():
+        if isinstance(inst, cls):
+            return getattr(cfg, bound)
     return 1

@@ -200,48 +200,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNF:
     return SNF(freeze(U), freeze(A), freeze(V), freeze(Ui))
 
 
-def hermite_form(mat: Sequence[Sequence[int]]) -> Matrix:
-    """Column-style Hermite normal form: a canonical basis of the column
-    lattice.  Pivots are positive, entries right of a pivot are zero and
-    entries left of it (same row) are reduced to [0, pivot).  Zero columns
-    are dropped, so two matrices have equal output iff they span the same
-    lattice.
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if n == 0:
-        return tuple(() for _ in range(m))
-    A = [list(row) for row in mat]
-    c = 0
-    for r in range(m):
-        # gcd-fold all columns >= c into column c using column ops
-        j = c + 1
-        while j < n:
-            a, b = A[r][c], A[r][j]
-            if b != 0:
-                g, x, y = _xgcd(a, b)
-                p, q = a // g, b // g
-                for k in range(m):
-                    ak, aj = A[k][c], A[k][j]
-                    A[k][c] = x * ak + y * aj
-                    A[k][j] = -q * ak + p * aj
-            j += 1
-        if A[r][c] != 0:
-            if A[r][c] < 0:
-                for k in range(m):
-                    A[k][c] = -A[k][c]
-            for j in range(c):
-                q = A[r][j] // A[r][c]
-                if q:
-                    for k in range(m):
-                        A[k][j] -= q * A[k][c]
-            c += 1
-            if c == n:
-                break
-    cols = [tuple(A[k][j] for k in range(m)) for j in range(c)]
-    return tuple(tuple(col[k] for col in cols) for k in range(m)) if cols else tuple(() for _ in range(m))
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     old_r, r = a, b
     old_s, s = 1, 0
@@ -404,35 +362,6 @@ def solve_congruence(
 # subgroups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup of a finite abelian group.
-
-    ``orders`` presents the subgroup abstractly in invariant-factor form and
-    ``embedding`` is the matrix of the inclusion of that presentation into
-    the ambient group.  ``elements`` is the full element set, which is the
-    notion of equality.
-    """
-
-    ambient: Orders
-    gens: Matrix  # canonical generators, one per column (may have 0 columns)
-    orders: Orders
-    embedding: Matrix
-    elements: frozenset[Vector]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        return self.ambient == other.ambient and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.elements))
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-
 def close_elements(ambient: Orders, gens: Iterable[Vector]) -> frozenset[Vector]:
     zero = tuple(0 for _ in ambient)
     seen = {zero}
@@ -448,25 +377,26 @@ def close_elements(ambient: Orders, gens: Iterable[Vector]) -> frozenset[Vector]
     return frozenset(seen)
 
 
-def subgroup_from_gens(ambient: Orders, gens: Sequence[Vector]) -> Subgroup:
+def joint_image(
+    x: Orders, z: Orders, to_x: Matrix, to_z: Matrix
+) -> tuple[Orders, Orders, frozenset[Vector]]:
+    """(x, z, H) for the subgroup H of x + z traced out by the pair of homs
+    to_x, to_z out of one apex.  It keys spans and zig-zags: two with
+    jointly monic legs are isomorphic iff their keys agree."""
+    return x, z, close_elements(x + z, zip(*to_x, *to_z))
+
+
+def subgroup_from_gens(ambient: Orders, gens: Sequence[Vector]) -> tuple[Orders, Matrix]:
+    """The subgroup of ambient generated by gens, presented as (orders,
+    embedding): orders in invariant-factor form, and the matrix of an
+    injective hom from that group onto the subgroup."""
     n = len(ambient)
     if n == 0:
         gens = []
     k = len(gens)
-    gen_mat = [[gens[j][i] % ambient[i] for j in range(k)] for i in range(n)]
-    # canonical generators: HNF of the lattice spanned by gens and the relations
-    lattice = [gen_mat[i] + [ambient[i] if t == i else 0 for t in range(n)] for i in range(n)]
-    hnf = hermite_form(lattice) if n else tuple()
-    canon_cols = []
-    width = len(hnf[0]) if n and hnf else 0
-    for j in range(width):
-        col = tuple(hnf[i][j] % ambient[i] for i in range(n))
-        if any(col):
-            canon_cols.append(col)
-    canon = tuple(tuple(c[i] for c in canon_cols) for i in range(n))
     if k == 0:
-        return Subgroup(ambient, canon, (), tuple(() for _ in range(n)),
-                        close_elements(ambient, []))
+        return (), tuple(() for _ in range(n))
+    gen_mat = [[gens[j][i] % ambient[i] for j in range(k)] for i in range(n)]
     # relation lattice of the chosen generators
     rel_rows = [gen_mat[i] + [ambient[i] if t == i else 0 for t in range(n)] for i in range(n)]
     kernel = integer_kernel_basis(rel_rows)
@@ -483,8 +413,7 @@ def subgroup_from_gens(ambient: Orders, gens: Sequence[Vector]) -> Subgroup:
         col = mat_vec(gen_mat, combo)
         emb_cols.append(tuple(col[r] % ambient[r] for r in range(n)))
     embedding = tuple(tuple(c[r] for c in emb_cols) for r in range(n))
-    elements = close_elements(ambient, gens)
-    return Subgroup(ambient, canon, orders, embedding, elements)
+    return orders, embedding
 
 
 def kernel_gens(dom: Orders, cod: Orders, mat: Matrix) -> list[Vector]:
@@ -498,11 +427,11 @@ def kernel_gens(dom: Orders, cod: Orders, mat: Matrix) -> list[Vector]:
     return [tuple(v[i] % dom[i] for i in range(n)) for v in basis]
 
 
-def kernel_subgroup(dom: Orders, cod: Orders, mat: Matrix) -> Subgroup:
+def kernel_subgroup(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix]:
     return subgroup_from_gens(dom, kernel_gens(dom, cod, mat))
 
 
-def image_subgroup(dom: Orders, cod: Orders, mat: Matrix) -> Subgroup:
+def image_subgroup(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix]:
     cols = [tuple(mat[i][j] for i in range(len(cod))) for j in range(len(dom))]
     return subgroup_from_gens(cod, cols)
 
@@ -523,9 +452,7 @@ def cokernel_data(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix
 
 def ab_factorize(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix, Matrix]:
     """(image orders, e: dom -> image, m: image -> cod) with mat == m . e."""
-    img = image_subgroup(dom, cod, mat)
-    mid = img.orders
-    emb = img.embedding
+    mid, emb = image_subgroup(dom, cod, mat)
     e_cols = []
     for j in range(len(dom)):
         col = tuple(mat[i][j] for i in range(len(cod)))
@@ -550,12 +477,11 @@ def ab_pullback(
     diff = tuple(
         tuple(list(f[i]) + [-g[i][j] % c[i] for j in range(nb)]) for i in range(len(c))
     )
-    ker = kernel_subgroup(both, c, reduce_matrix(diff, c))
-    emb = ker.embedding
-    k = len(ker.orders)
+    apex, emb = kernel_subgroup(both, c, reduce_matrix(diff, c))
+    k = len(apex)
     leg1 = reduce_matrix([[emb[i][j] for j in range(k)] for i in range(na)], a)
     leg2 = reduce_matrix([[emb[na + i][j] for j in range(k)] for i in range(nb)], b)
-    return ker.orders, leg1, leg2
+    return apex, leg1, leg2
 
 
 def ab_pushout(
@@ -1117,28 +1043,18 @@ class FinAbInstance(Instance):
         return hit
 
     def span_iso_key(self, d: Mor, m: Mor) -> Any:
-        # joint image of (d, m): apex -> cod(d) + cod(m); spans with jointly
-        # monic legs are isomorphic iff these subgroups coincide
-        apex = d.dom.obj_key
-        stacked = tuple(d.payload[i] for i in range(len(d.cod.obj_key))) + tuple(
-            m.payload[i] for i in range(len(m.cod.obj_key))
-        )
-        ambient = d.cod.obj_key + m.cod.obj_key
-        cols = [tuple(stacked[i][j] for i in range(len(ambient))) for j in range(len(apex))]
-        return (d.cod.obj_key, m.cod.obj_key, close_elements(ambient, cols))
+        return joint_image(d.cod.obj_key, m.cod.obj_key, d.payload, m.payload)
 
     def rel_pair_key(self, d1: Mor, m1: Mor, d2: Mor, m2: Mor) -> Any:
-        # the subgroup of cod(m1) + cod(m2) traced out by the zig-zag: pull
-        # the two E-legs back over the middle, push the pairing forward
+        # pull the two E-legs back over the middle, then key the pairing of
+        # the M-legs composed with the pullback legs
         x_ord, z_ord = m1.cod.obj_key, m2.cod.obj_key
         p_ord, leg1, leg2 = ab_pullback(
             d1.dom.obj_key, d2.dom.obj_key, d1.cod.obj_key, d1.payload, d2.payload
         )
         comp1 = hom_compose(m1.payload, leg1, x_ord, ncols=len(p_ord))
         comp2 = hom_compose(m2.payload, leg2, z_ord, ncols=len(p_ord))
-        ambient = x_ord + z_ord
-        stacked = reduce_matrix(tuple(comp1) + tuple(comp2), ambient)
-        return (x_ord, z_ord, image_subgroup(p_ord, ambient, stacked).elements)
+        return joint_image(x_ord, z_ord, comp1, comp2)
 
     def subgroups(self, orders: Orders) -> list[frozenset[Vector]]:
         hit = self._subgroup_cache.get(orders)

@@ -188,12 +188,12 @@ def subgroup_to_zigzag(
     )
     if close_elements(ambient, elem_set) != elem_set:
         raise ValidationFailure("element set is not a subgroup of X + Z")
-    sub = subgroup_from_gens(ambient, sorted(elem_set))
-    s_grp = fa.group(*sub.orders)
+    orders, emb = subgroup_from_gens(ambient, sorted(elem_set))
+    s_grp = fa.group(*orders)
     nx = len(x.obj_key)
-    px = reduce_matrix(tuple(sub.embedding[i] for i in range(nx)), x.obj_key)
+    px = reduce_matrix(tuple(emb[i] for i in range(nx)), x.obj_key)
     pz = reduce_matrix(
-        tuple(sub.embedding[nx + i] for i in range(len(z.obj_key))), z.obj_key
+        tuple(emb[nx + i] for i in range(len(z.obj_key))), z.obj_key
     )
     fac_x = fa.factorize(fa.hom(s_grp, x, px))
     fac_z = fa.factorize(fa.hom(s_grp, z, pz))

@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from typing import Optional
 
 import pytest
 
@@ -18,10 +19,10 @@ from spancat.cli import EXIT_ERROR, EXIT_OK, SuiteReport, main
 from spancat.axioms import CheckReport
 from spancat.config import ConfigError, RunConfig, env_seed, instance_bound, load_instance
 from spancat.core import ValidationFailure, groupoid_instance, symmetric_group_table
-from spancat.finab import FinAbInstance
+from spancat.finab import FinAbInstance, close_elements
 from spancat.jsonio import dumps, parse_mor, parse_obj, relation_dict, span_dict
 from spancat.pinj import PInjInstance
-from spancat.relations import rel_identity
+from spancat.relations import rel_identity, subgroup_to_zigzag
 from spancat.spans import em_span, id_span, lift_m
 
 FA = FinAbInstance()
@@ -196,9 +197,11 @@ def test_fake_pullback_malformed_file(tmp_path, capsys):
     assert "bad.json:2:1" in err
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, hashseed: Optional[str] = None) -> subprocess.CompletedProcess:
     src = pathlib.Path(spancat.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = hashseed
     return subprocess.run(
         [sys.executable, "-m", "spancat.cli", *args],
         capture_output=True, text=True, env=env, timeout=60,
@@ -225,6 +228,66 @@ def test_finab_associativity_report_pinned(tmp_path):
     assert proc.returncode == EXIT_OK, proc.stderr
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "a080d5bd94025d60266f3a23f16aba37cd188aa18e2e19c450586054d5135610"
+
+
+@pytest.fixture()
+def order9_cospan_file(tmp_path):
+    # on Z/9 a presentation that picks another unit shows in the matrices;
+    # on the Z/2 quotients of cospan_file it does not
+    z3, z9 = FA.group(3), FA.group(9)
+    f = em_span(FA, FA.hom(z9, z3, [[1]]), FA.hom(z9, z9, [[1]]))
+    g = em_span(FA, FA.hom(z9, z3, [[2]]), FA.hom(z9, z9, [[2]]))
+    path = tmp_path / "cospan9.json"
+    path.write_text(dumps({"f": span_dict(FA, f), "g": span_dict(FA, g)}))
+    return path
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1", "777"])
+def test_fake_pullback_output_pinned(cospan_file, order9_cospan_file, tmp_path, hashseed):
+    # the sha256 of each grid as ab_pullback, ab_factorize and ab_pushout
+    # built it; a change to the subgroup presentation must not move a matrix
+    pinned = {
+        cospan_file: "678c1d7d018f9c155989ba48d815ee409b3939b714255f9715d4a82d9cee8c8f",
+        order9_cospan_file: "e814f13a0e89e2c37b91082c6659b559cc63d7e76a9b66f6abc52b06d38b5aa0",
+    }
+    for cospan, expected in pinned.items():
+        out = tmp_path / f"{cospan.stem}.grid.json"
+        proc = run_cli("fake-pullback", "--instance", "finab", str(cospan),
+                       "--out", str(out), hashseed=hashseed)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+@pytest.fixture()
+def relation_chain_file(tmp_path):
+    # Z4 -> Z2 -> Z2 + Z2 -> Z4; no subgroup of the chain or of its
+    # composite is trivial or the whole ambient group
+    z2, z4, v4 = FA.group(2), FA.group(4), FA.group(2, 2)
+
+    def rel(x, z, gens):
+        return subgroup_to_zigzag(FA, x, z, close_elements(x.obj_key + z.obj_key, gens))
+
+    chain = [
+        rel(z4, z2, [(1, 1)]),
+        rel(z2, v4, [(1, 1, 0), (0, 0, 1)]),
+        rel(v4, z4, [(1, 0, 1), (0, 1, 2)]),
+    ]
+    path = tmp_path / "chain.json"
+    path.write_text(dumps([relation_dict(FA, r) for r in chain]))
+    return path
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1", "777"])
+def test_compose_relations_output_pinned(relation_chain_file, tmp_path, hashseed):
+    # the sha256 of the composite and its Goursat generators as the
+    # element-set keys gave them
+    out = tmp_path / "composite.json"
+    proc = run_cli("compose-relations", "--instance", "finab", str(relation_chain_file),
+                   "--out", str(out), hashseed=hashseed)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(out.read_text())["goursat_subgroup"]["order"] == 8
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "b36bb257467472dc871fea824590a6c5e8a19dfdaee32d72d0cf18b488b592ce"
 
 
 def run_fake_pullback_file(tmp_path, instance: str, cospan: dict):

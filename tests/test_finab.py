@@ -32,7 +32,6 @@ from spancat.finab import (
     elements_of,
     freeze,
     group_size,
-    hermite_form,
     hom_classify,
     hom_compose,
     hom_group,
@@ -58,6 +57,12 @@ def brute_kernel(dom, cod, mat):
 
 def brute_image(dom, cod, mat):
     return {apply_hom(mat, x, cod) for x in elements_of(dom)}
+
+
+def presented(sub, ambient):
+    """The element set of a subgroup presented as (orders, embedding)."""
+    orders, emb = sub
+    return {apply_hom(emb, v, ambient) for v in elements_of(orders)}
 
 
 def canonical_orders(orders):
@@ -91,17 +96,6 @@ def test_snf_empty_and_zero():
     assert smith_normal_form([[0, 0]]).diag == (0,)
 
 
-def test_hermite_form_drops_zero_columns():
-    assert hermite_form([[2, 4], [0, 0]]) == ((2,), (0,))
-
-
-def test_hermite_form_canonical_for_lattice():
-    # the same column lattice presented two ways
-    a = hermite_form([[2, 1], [0, 3]])
-    b = hermite_form([[1, 2], [3, 0]])
-    assert a == b
-
-
 def test_integer_kernel_basis_members_annihilate():
     mat = [[2, 4]]
     for v in integer_kernel_basis(mat):
@@ -119,9 +113,9 @@ def test_double_twice_on_z4_is_zero():
 
 
 def test_kernel_of_double_on_z4():
-    ker = kernel_subgroup((4,), (4,), ((2,),))
-    assert ker.elements == frozenset({(0,), (2,)})
-    assert ker.orders == (2,)
+    orders, emb = kernel_subgroup((4,), (4,), ((2,),))
+    assert presented((orders, emb), (4,)) == {(0,), (2,)}
+    assert orders == (2,)
 
 
 def test_classify_examples():
@@ -413,21 +407,6 @@ def test_snf_properties(mat):
                 assert s.D[i][j] == 0
 
 
-@settings(max_examples=40, deadline=None)
-@given(int_matrix(), st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2)), max_size=4))
-def test_hermite_form_lattice_invariant(mat, ops):
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    before = hermite_form(mat)
-    work = [list(row) for row in mat]
-    for (i, j, c) in ops:
-        if i >= n or j >= n or i == j:
-            continue
-        for k in range(m):  # col j += c * col i keeps the lattice
-            work[k][j] += c * work[k][i]
-    assert hermite_form(work) == before
-
-
 @settings(max_examples=50, deadline=None)
 @given(group_pair_with_hom())
 def test_classify_matches_brute_force(data):
@@ -481,10 +460,8 @@ def test_factorize_properties(data):
 @given(group_pair_with_hom())
 def test_kernel_and_image_match_brute_force(data):
     dom, cod, mat = data
-    ker = kernel_subgroup(dom, cod, mat)
-    assert ker.elements == frozenset(brute_kernel(dom, cod, mat))
-    img = image_subgroup(dom, cod, mat)
-    assert img.elements == frozenset(brute_image(dom, cod, mat))
+    assert presented(kernel_subgroup(dom, cod, mat), dom) == brute_kernel(dom, cod, mat)
+    assert presented(image_subgroup(dom, cod, mat), cod) == brute_image(dom, cod, mat)
 
 
 @settings(max_examples=50, deadline=None)
@@ -499,30 +476,22 @@ def test_cokernel_properties(data):
     assert killed == img
 
 
-@st.composite
-def subgroup_gens(draw):
-    ambient = draw(small_orders)
-    k = draw(st.integers(0, 2))
-    gens = [tuple(draw(st.integers(0, max(o - 1, 0))) for o in ambient) for _ in range(k)]
-    return ambient, gens
-
-
-@settings(max_examples=50, deadline=None)
-@given(subgroup_gens())
-def test_subgroup_presentation_matches_elements(data):
-    ambient, gens = data
-    sub = subgroup_from_gens(ambient, gens)
-    assert sub.elements == close_elements(ambient, gens)
-    assert group_size(sub.orders) == len(sub.elements)
-    via_emb = {
-        apply_hom(sub.embedding, x, ambient) for x in elements_of(sub.orders)
-    }
-    assert via_emb == set(sub.elements)
-    assert sub.orders == canonical_orders(sub.orders)
-    # canonical generators rebuild the same subgroup
-    width = len(sub.gens[0]) if sub.gens else 0
-    cols = [tuple(sub.gens[i][j] for i in range(len(ambient))) for j in range(width)]
-    assert close_elements(ambient, cols) == sub.elements
+def test_subgroup_presentation_matches_elements():
+    # every subgroup H of every X + Z with |X|.|Z| <= 16, generated by its
+    # elements as subgroup_to_zigzag does
+    groups = invariant_factor_groups(16)
+    ambients = sorted({
+        x + z for x in groups for z in groups if group_size(x) * group_size(z) <= 16
+    })
+    subgroups = 0
+    for ambient in ambients:
+        for h in all_subgroups(ambient):
+            orders, emb = subgroup_from_gens(ambient, sorted(h))
+            assert orders == canonical_orders(orders)
+            assert group_size(orders) == len(h)
+            assert presented((orders, emb), ambient) == h
+            subgroups += 1
+    assert (len(ambients), subgroups) == (42, 362)
 
 
 @st.composite

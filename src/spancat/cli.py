@@ -22,6 +22,7 @@ from .config import (
     RunConfig,
     env_seed,
     instance_bound,
+    instance_choices,
     load_instance,
     read_json_file,
 )
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--instance", default="finab",
-        help="finab, pinj, or groupoid:<table file> (default finab)",
+        help=f"{instance_choices()} (default finab)",
     )
     common.add_argument(
         "--max-order", type=int, default=8,

@@ -24,9 +24,9 @@ class ConfigError(Exception):
 class RunConfig:
     """Everything one command run depends on.
 
-    instance is finab, pinj, or groupoid:<table file>.  The two bounds cap
-    the sampling catalogs: group order for finab, set size for pinj.  A
-    samples value of None means the command picks its own default.
+    instance is a name in INSTANCES or groupoid:<table file>.  The two
+    bounds cap the sampling catalogs: group order for finab, set size for
+    pinj.  A samples value of None means the command picks its own default.
     """
 
     instance: str = "finab"
@@ -49,9 +49,13 @@ class RunConfig:
                 f"unknown format {self.format!r}; known: {', '.join(FORMATS)}"
             )
         if self.instance not in INSTANCES and not self.instance.startswith("groupoid:"):
-            raise ConfigError(
-                "instance must be finab, pinj, or groupoid:<table file>"
-            )
+            raise ConfigError(f"instance must be {instance_choices()}")
+
+
+def instance_choices() -> str:
+    """The instances a run accepts, in words: the INSTANCES names, then
+    groupoid:<table file>."""
+    return ", ".join(INSTANCES) + ", or groupoid:<table file>"
 
 
 def env_seed(environ: Mapping[str, str] = os.environ) -> Optional[int]:

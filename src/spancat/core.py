@@ -147,22 +147,29 @@ class Memo:
 
     Each table maps an input to the result of a construction that returned
     normally; a construction that raises stores nothing, so bad input raises
-    on every call.  The tables live as long as their instance.
+    on every call.  The tables live as long as their instance.  ``handles``
+    holds the one ObjHandle per normalized object key that ``Instance.obj``
+    hands out; ``pair_keys`` holds each span pair's ``rel_pair_key``, None
+    included, but never the answer of an iso search.
     """
 
+    handles: dict = field(default_factory=dict)  # normalized obj_key -> ObjHandle
     fake_pullbacks: dict = field(default_factory=dict)  # (f, g) -> FakePullbackResult
     span_composites: dict = field(default_factory=dict)  # (g, f) -> EMSpan
     composite_keys: dict = field(default_factory=dict)  # (g, f) -> iso key of g . f
     span_reps: dict = field(default_factory=dict)  # (src, tgt, bound) keys -> reps
     properness: dict = field(default_factory=dict)  # (bound, seed) -> bool
+    pair_keys: dict = field(default_factory=dict)  # (span, span) -> rel_pair_key
 
 
 class Instance(ABC):
     """The contract every computable category with a suitable factorization
     system implements.
 
-    Objects are referred to by hashable keys; ``obj`` interns a key into an
-    ObjHandle.  All morphism payloads must be immutable and hashable so that
+    Objects are referred to by hashable keys; ``obj`` validates a key on
+    every call and interns it: equal keys give the one ObjHandle kept in
+    ``memo.handles``, so memo lookups on equal inputs compare by identity.
+    All morphism payloads must be immutable and hashable so that
     morphisms can be deduplicated in the brute-force checks.
 
     Every construction (compose, factorize, pullback_along_M, ...) must be a
@@ -205,7 +212,10 @@ class Instance(ABC):
 
     def obj(self, key: Any) -> ObjHandle:
         key = self.validate_obj(key)
-        return ObjHandle(self.name, key, self.describe_obj(key))
+        hit = self.memo.handles.get(key)
+        if hit is None:
+            hit = self.memo.handles[key] = ObjHandle(self.name, key, self.describe_obj(key))
+        return hit
 
     # -- morphisms ---------------------------------------------------------
 
@@ -444,7 +454,7 @@ class GroupoidInstance(Instance):
         self.size = n
         self.ident = ident
         self.inv = tuple(inv)
-        self.star = ObjHandle(self.name, STAR, STAR)
+        self.star = self.obj(STAR)
 
     # objects
     def validate_obj(self, key: Any) -> Any:

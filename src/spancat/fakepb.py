@@ -17,13 +17,15 @@ squares by the bounded universal-property decisions.
 
 Fake pullbacks are memoized per instance (``Instance.memo``): the input,
 grid and output validation runs once per distinct cospan, and later calls
-with an equal cospan return the stored result.
+with an equal cospan return the stored result.  So are the zig-zag keys
+that ``span_pair_iso_eq`` compares: each span pair's ``rel_pair_key`` is
+computed once.  The iso search behind a None key is never stored.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import cycle
-from typing import Optional
+from typing import Any, Optional
 
 from .axioms import (
     CheckReport,
@@ -218,22 +220,34 @@ def certify_grid(inst: Instance, grid: FakePullbackGrid, bound: int) -> list[dic
 # ---------------------------------------------------------------------------
 
 
+def span_pair_key(inst: Instance, pair: tuple[EMSpan, EMSpan]) -> Any:
+    """The instance's ``rel_pair_key`` of a span pair, kept in
+    ``inst.memo.pair_keys``."""
+    keys = inst.memo.pair_keys
+    try:
+        return keys[pair]
+    except KeyError:
+        out = keys[pair] = inst.rel_pair_key(pair[0].d, pair[0].m, pair[1].d, pair[1].m)
+        return out
+
+
 def span_pair_iso_eq(inst: Instance, first: tuple[EMSpan, EMSpan],
                      second: tuple[EMSpan, EMSpan]) -> bool:
     """Whether two span pairs out of one source agree up to a single source
     iso (legs compared up to their own apex isos).
 
-    Fast path: the instance's complete zig-zag invariant.  Fallback: search
-    the isos between the two sources."""
+    Fast path: the instance's complete zig-zag invariant, memoized per span
+    pair in ``inst.memo.pair_keys``.  Fallback: search the isos between the
+    two sources."""
     p1, p2 = first
     q1, q2 = second
     if p1.src != p2.src or q1.src != q2.src:
         raise EndpointMismatch("span pairs must share their source object")
     if p1.tgt != q1.tgt or p2.tgt != q2.tgt:
         return False
-    kp = inst.rel_pair_key(p1.d, p1.m, p2.d, p2.m)
+    kp = span_pair_key(inst, first)
     if kp is not None:
-        return kp == inst.rel_pair_key(q1.d, q1.m, q2.d, q2.m)
+        return kp == span_pair_key(inst, second)
     for phi in inst.class_homs(q1.src, p1.src, "iso"):
         phi_span = lift_m(inst, phi)
         if span_iso_eq(inst, span_compose(inst, p1, phi_span), q1) and span_iso_eq(

@@ -13,7 +13,7 @@ inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .axioms import MAX_FAILURE_DUMPS, CheckReport, is_pullback, is_pushout
@@ -33,13 +33,23 @@ from .jsonio import square_dict
 @dataclass(frozen=True, slots=True)
 class EMSpan:
     """A span src <-d- apex -m-> tgt with d in E and m in M, read as a
-    morphism src -> tgt."""
+    morphism src -> tgt.
+
+    Spans key the memo tables, so the hash is made once, at construction;
+    equality stays by value."""
 
     src: ObjHandle
     tgt: ObjHandle
     apex: ObjHandle
     d: Mor
     m: Mor
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.src, self.tgt, self.apex, self.d, self.m)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"<span {self.src.descriptor} <- {self.apex.descriptor} -> {self.tgt.descriptor}>"

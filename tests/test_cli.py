@@ -14,7 +14,7 @@ from typing import Optional
 import pytest
 
 import spancat
-from spancat import cli
+from spancat import cli, config
 from spancat.cli import EXIT_ERROR, EXIT_OK, SuiteReport, main
 from spancat.axioms import CheckReport
 from spancat.config import ConfigError, RunConfig, env_seed, instance_bound, load_instance
@@ -71,6 +71,27 @@ def test_instance_loading_and_bounds(tmp_path):
     inst = load_instance(cfg)
     assert inst.name == "groupoid:c2"
     assert instance_bound(cfg, inst) == 1
+
+
+def instance_messages(monkeypatch, capsys) -> tuple[str, str]:
+    """The RunConfig error for an unknown instance and the suite help text,
+    the latter on one line per option."""
+    with pytest.raises(ConfigError) as err:
+        RunConfig(instance="rings")
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main(["suite", "--help"])
+    return str(err.value), capsys.readouterr().out
+
+
+def test_instance_messages_name_the_table(monkeypatch, capsys):
+    error, usage = instance_messages(monkeypatch, capsys)
+    assert error == "instance must be finab, pinj, or groupoid:<table file>"
+    assert "finab, pinj, or groupoid:<table file> (default finab)" in usage
+    monkeypatch.setitem(config.INSTANCES, "dummy", (PInjInstance, "max_size"))
+    error, usage = instance_messages(monkeypatch, capsys)
+    assert error == "instance must be finab, pinj, dummy, or groupoid:<table file>"
+    assert "finab, pinj, dummy, or groupoid:<table file> (default finab)" in usage
 
 
 def test_groupoid_loading_failures(tmp_path):
@@ -288,6 +309,26 @@ def test_compose_relations_output_pinned(relation_chain_file, tmp_path, hashseed
     assert json.loads(out.read_text())["goursat_subgroup"]["order"] == 8
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "b36bb257467472dc871fea824590a6c5e8a19dfdaee32d72d0cf18b488b592ce"
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1", "777"])
+def test_associativity_reports_pinned(tmp_path, hashseed):
+    # the sha256 of each report as per-call zig-zag keys and fresh object
+    # handles gave it: pinj compares by matching keys, the S3 groupoid by
+    # its element-index keys
+    table = tmp_path / "s3.json"
+    table.write_text(json.dumps({"name": "s3", "table": symmetric_group_table(3)}))
+    pinned = {
+        "pinj": "f4f5821ba3e4eba55e55807ed518d89601cd591b94c4597977b1a794fc09d05e",
+        f"groupoid:{table}": "71c2c6b2cfb7c8efc4f295d0565279ad55cf5c583ba40549af904830f8c47bf1",
+    }
+    for instance, expected in pinned.items():
+        out = tmp_path / "associativity.json"
+        proc = run_cli("suite", "--suite", "associativity", "--instance", instance,
+                       "--max-size", "3", "--samples", "50", "--seed", "0",
+                       "--out", str(out), hashseed=hashseed)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
 def run_fake_pullback_file(tmp_path, instance: str, cospan: dict):

@@ -39,6 +39,39 @@ def test_descriptor_is_not_part_of_identity():
     assert hash(a) == hash(b)
 
 
+@pytest.mark.parametrize("inst,key", [(FinAbInstance(), (2, 4)), (PInjInstance(), 3)],
+                         ids=["finab", "pinj"])
+def test_obj_interns_one_handle_per_key(inst, key):
+    a = inst.obj(key)
+    assert inst.obj(key) is a
+    assert inst.obj(list(key) if isinstance(key, tuple) else key) is a
+    assert inst.memo.handles == {a.obj_key: a}
+
+
+def test_groupoid_star_is_the_interned_handle():
+    assert S3.obj("*") is S3.star
+
+
+def test_instances_share_no_handles():
+    one, two = PInjInstance(), PInjInstance()
+    a, b = one.fset(2), two.fset(2)
+    assert a == b and a is not b
+    assert one.memo.handles[2] is a and two.memo.handles[2] is b
+
+
+@pytest.mark.parametrize("inst,good,bad", [
+    (FinAbInstance(), (2,), (0, 2)),
+    (PInjInstance(), 1, -1),
+    (PInjInstance(), 1, True),  # equal to 1 and hashed alike, but not a size
+], ids=["finab", "pinj", "pinj-bool"])
+def test_bad_object_keys_raise_on_every_call(inst, good, bad):
+    a = inst.obj(good)
+    for _ in range(3):
+        with pytest.raises(ValidationFailure):
+            inst.obj(bad)
+    assert inst.memo.handles == {good: a}
+
+
 def test_factorization_mid_is_the_middle_object():
     f = FA.hom(FA.group(4), FA.group(8), [[2]])
     fac = FA.factorize(f)

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from spancat.core import (
     EndpointMismatch,
+    GroupoidInstance,
     ValidationFailure,
     groupoid_instance,
     symmetric_group_table,
@@ -31,6 +32,7 @@ from spancat.finab import (
     elements_of,
     subgroup_compose,
 )
+from spancat.fakepb import span_pair_iso_eq
 from spancat.gen import Sampler
 from spancat.jsonio import dumps, parse_relation, relation_dict
 from spancat.pinj import PInjInstance
@@ -522,6 +524,69 @@ def test_keyless_classes_agree_with_keyed_route():
             keyed = rel_class(FA, r) == rel_class(FA, s)
             searched = rel_class(plain, r) == rel_class(plain, s)
             assert keyed == searched
+
+
+class CountingPInj(PInjInstance):
+    """Partial injections that count the zig-zag keys they compute."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.keys = 0
+
+    def rel_pair_key(self, d1, m1, d2, m2):
+        self.keys += 1
+        return super().rel_pair_key(d1, m1, d2, m2)
+
+
+def test_repeated_rel_iso_eq_keys_each_side_once():
+    inst = CountingPInj()
+    x, z = inst.fset(1), inst.fset(2)
+    r = matching_to_relation(inst, x, z, [(0, 1)], (), [0])
+    t = matching_to_relation(inst, x, z, [(0, 1)])
+    # the same class as r through another zig-zag
+    s = rel_compose(inst, rel_identity(inst, z), r)
+    assert (s.left, s.right) != (r.left, r.right)
+    assert [rel_iso_eq(inst, r, s) for _ in range(10)] == [True] * 10
+    assert inst.keys == 2
+    assert [rel_iso_eq(inst, r, t) for _ in range(10)] == [False] * 10
+    assert inst.keys == 3
+    assert len(inst.memo.pair_keys) == 3
+
+
+def test_mismatched_pairs_raise_every_time_and_store_nothing():
+    inst = CountingPInj()
+    one1, one2 = id_span(inst, inst.fset(1)), id_span(inst, inst.fset(2))
+    for _ in range(3):
+        with pytest.raises(EndpointMismatch):
+            rel_iso_eq(inst, rel_identity(inst, inst.fset(1)), rel_identity(inst, inst.fset(2)))
+        with pytest.raises(EndpointMismatch):
+            span_pair_iso_eq(inst, (one1, one2), (one1, one1))
+    assert inst.keys == 0
+    assert inst.memo.pair_keys == {}
+
+
+class _NoKeyGroupoid(GroupoidInstance):
+    def rel_pair_key(self, d1, m1, d2, m2):
+        return None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: groupoid_instance(symmetric_group_table(3), name="groupoid:s3"),
+    lambda: _NoKeyGroupoid(symmetric_group_table(3), name="groupoid:s3"),
+], ids=["keyed", "keyless"])
+def test_warm_pair_comparisons_match_a_fresh_instance(make):
+    warm = make()
+    smp = Sampler(warm, "warm-pairs", 1)
+    rels = [sample_relation(warm, smp) for _ in range(6)]
+    for _ in range(2):
+        for r in rels:
+            for s in rels:
+                assert rel_iso_eq(warm, r, s) == rel_iso_eq(make(), r, s)
+    keyed = warm.rel_pair_key(rels[0].left.d, rels[0].left.m,
+                              rels[0].right.d, rels[0].right.m) is not None
+    # a None key sends every comparison to the iso search, whose answers
+    # are never stored
+    assert all((v is not None) == keyed for v in warm.memo.pair_keys.values())
 
 
 # ---------------------------------------------------------------------------

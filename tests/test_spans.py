@@ -7,11 +7,15 @@ pullback machinery involved.
 """
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from spancat.core import (
     ClassViolation,
     EndpointMismatch,
+    Mor,
+    ObjHandle,
     ShapeViolation,
     Square,
     groupoid_instance,
@@ -525,3 +529,36 @@ def test_repeated_span_compose_pulls_back_once():
     results = {id(span_compose(inst, g, f)) for _ in range(10)}
     assert len(results) == 1
     assert inst.pullbacks == 1
+
+
+def fresh_handles(s: EMSpan) -> EMSpan:
+    """An equal span whose handles are made by hand, so none is interned."""
+    def h(a):
+        return ObjHandle(a.instance_id, a.obj_key, a.descriptor)
+
+    def mor(f):
+        return Mor(h(f.dom), h(f.cod), f.payload)
+
+    return EMSpan(src=h(s.src), tgt=h(s.tgt), apex=h(s.apex), d=mor(s.d), m=mor(s.m))
+
+
+def test_span_with_hand_made_handles_hits_the_same_composite():
+    inst = PInjInstance()
+    f, g = composable_pair(inst)
+    f2, g2 = fresh_handles(f), fresh_handles(g)
+    assert f2 == f and f2.src is not f.src and f2.d.dom is not f.d.dom
+    assert hash(f2) == hash(f) and hash(g2) == hash(g)
+    first = span_compose(inst, g, f)
+    assert span_compose(inst, g2, f2) is first
+    assert len(inst.memo.span_composites) == 1
+
+
+def test_cached_hash_is_neither_shown_nor_compared():
+    f, _ = composable_pair(PInjInstance())
+    assert "_hash" not in repr(f)
+    for flag in ("compare", "repr"):
+        shown = [x.name for x in fields(EMSpan) if getattr(x, flag)]
+        assert shown == ["src", "tgt", "apex", "d", "m"]
+    forged = fresh_handles(f)
+    object.__setattr__(forged, "_hash", hash(f) + 1)
+    assert forged == f

@@ -17,6 +17,17 @@ between those two then compose to identities by uniqueness at both, which
 makes the bounded answer exact rather than an approximation over the
 catalog.
 
+Each competitor is tested through its summands (Instance.summands).  When
+t is the biproduct of t1, ..., tn, hom(t, X) is the product of the
+hom(ti, X), naturally in X, and dually hom(X, t) of the hom(X, ti); so the
+mediator map is a bijection at t exactly when it is one at every ti, and
+the same holds for the injectivity that the jointly and properness scans
+test.  finab splits each group into its primary cyclic summands, which
+leaves at most one test object per prime power; pinj and the groupoids keep
+every object whole.  A split object's summands come before it in the
+catalog, so the first object at which a scan fails is never split, and the
+failure detail names the object it always named.
+
 A pushout in C is a pullback in C^op, where E and M swap, so each check is
 written once, for pullbacks, and its pushout form runs the same code read in
 C^op: composites and hom sets are taken with their arguments flipped
@@ -115,13 +126,19 @@ def _dedupe(objs: list[ObjHandle]) -> list[ObjHandle]:
     return out
 
 
+def _summands_of(inst: Instance, objs: list[ObjHandle]) -> list[ObjHandle]:
+    """The summands of objs, each once, in order of first appearance."""
+    return _dedupe([s for t in objs for s in inst.summands(t)])
+
+
 def pullback_competitors(inst: Instance, sq: Square, bound: int,
                          op: bool = False) -> list[ObjHandle]:
-    """The test objects of the pullback decision: the bounded catalog, the
+    """The competitors of the pullback decision: the bounded catalog, the
     square's apex and, when a cospan leg lies in M, the canonical pullback
-    apex.  With op the square is read in C^op, transposed as in
-    _pullback_bijection_at: the apex is the bottom-right corner, E plays M
-    and pushout_along_E plays pullback_along_M."""
+    apex.  The decision's test objects are their summands.  With op the
+    square is read in C^op, transposed as in _pullback_bijection_at: the
+    apex is the bottom-right corner, E plays M and pushout_along_E plays
+    pullback_along_M."""
     cands = inst.enumerate_objects_up_to(bound)
     if op:
         cands.append(sq.bottom_right)
@@ -137,7 +154,7 @@ def pullback_competitors(inst: Instance, sq: Square, bound: int,
 
 
 def pushout_competitors(inst: Instance, sq: Square, bound: int) -> list[ObjHandle]:
-    """The test objects of the pushout decision: pullback_competitors read
+    """The competitors of the pushout decision: pullback_competitors read
     in C^op."""
     return pullback_competitors(inst, sq, bound, op=True)
 
@@ -171,7 +188,7 @@ def _decide(inst: Instance, sq: Square, bound: int, op: bool) -> bool:
     validate_square(inst, sq)
     return all(
         _pullback_bijection_at(inst, sq, t, op)
-        for t in pullback_competitors(inst, sq, bound, op)
+        for t in _summands_of(inst, pullback_competitors(inst, sq, bound, op))
     )
 
 
@@ -290,7 +307,7 @@ def _jointly_failures(inst: Instance, first: Mor, second: Mor, bound: int,
         raise ShapeViolation(f"{shape} legs must share their {end}")
     if not getattr(inst.classify(first), in_E) or not getattr(inst.classify(second), in_M):
         raise ShapeViolation(f"{shape} legs must be {classes}")
-    for t in inst.enumerate_objects_up_to(bound):
+    for t in _summands_of(inst, inst.enumerate_objects_up_to(bound)):
         firsts = inst.compose_all(first, t, op)
         if len(set(zip(firsts, inst.compose_all(second, t, op)))) < len(firsts):
             return [{
@@ -487,7 +504,7 @@ def _check_properness(inst: Instance, seed: int, samples: int, bound: int) -> Ch
         # an E-morphism is epic when it is monic in C^op
         for op, cls, name, prop in ((True, "E", "e", "epic"), (False, "M", "m", "monic")):
             f = smp.hom(cls=cls)
-            for t in smp.objects:
+            for t in _summands_of(inst, smp.objects):
                 composites = inst.compose_all(f, t, op)
                 if len(set(composites)) < len(composites):
                     detail = f"not {prop} at {t.descriptor}"

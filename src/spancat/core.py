@@ -184,6 +184,18 @@ class Instance(ABC):
     homomorphisms, so the whole sequence follows from the images of the hom
     group's generators by addition alone.
 
+    The bounded decisions and the jointly and properness scans test each
+    catalog object through its ``summands``.  When t is the biproduct of
+    t1, ..., tn, hom(t, X) is the product of the hom(ti, X) and hom(X, t) of
+    the hom(X, ti), naturally in X, so a map between such hom sets is
+    injective, or bijective, at t exactly when it is at every ti (a
+    category with biproducts has zero maps, so no hom set is empty).  The
+    default keeps t whole.  finab splits t into its primary cyclic summands.
+    pinj keeps the default: a disjoint union is no biproduct of partial
+    injections, since a partial injection out of A + B is a pair out of A
+    and B with disjoint images, not any pair.  A one-object groupoid has
+    nothing to split.
+
     The samplers draw class-constrained morphisms through two hooks:
     ``class_homs(a, b, cls)`` lists the morphisms a -> b of a class (any, E,
     M or iso) in enumerate_homs order, and ``has_class_hom(a, b, cls)`` says
@@ -266,6 +278,17 @@ class Instance(ABC):
     @abstractmethod
     def enumerate_homs(self, a: ObjHandle, b: ObjHandle) -> Sequence[Mor]:
         ...
+
+    def summands(self, t: ObjHandle) -> tuple[ObjHandle, ...]:
+        """Objects t1, ..., tn of which t is the biproduct, or (t,).
+
+        The decisions read hom(t, -) on the pullback side and hom(-, t) on
+        the pushout side, so an instance may split t only into summands of
+        which t is both the coproduct and the product (the empty tuple for
+        a zero object).  A split catalog object's summands must lie in its
+        catalog before it, so that a scan's first failure, which is then
+        never at a split object, stays where it was."""
+        return (t,)
 
     # -- generic implementations (instances may override with solvers) ------
 

@@ -683,21 +683,35 @@ def _primes(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
-def invariant_factors(orders: Orders) -> Orders:
-    """The invariant factors of Z/orders[0] + ...: each > 1 and dividing the
-    next.  The k-th largest is the product of the k-th largest power of each
-    prime among the orders' prime-power parts.
+def primary_factors(orders: Orders) -> Orders:
+    """The orders of the primary cyclic summands of Z/orders[0] + ...: the
+    prime-power parts of each order in turn, by increasing prime.  The
+    trivial group has none.
 
-    >>> invariant_factors((6, 2, 1)), invariant_factors((2, 4))
-    ((2, 6), (2, 4))
+    >>> primary_factors((12, 2)), primary_factors((1,)), primary_factors((8, 6))
+    ((4, 3, 2), (), (8, 2, 3))
     """
-    powers: dict[int, list[int]] = {}
+    out = []
     for o in orders:
         for p in _primes(o):
             q = p
             while o % (q * p) == 0:
                 q *= p
-            powers.setdefault(p, []).append(q)
+            out.append(q)
+    return tuple(out)
+
+
+def invariant_factors(orders: Orders) -> Orders:
+    """The invariant factors of Z/orders[0] + ...: each > 1 and dividing the
+    next.  The k-th largest is the product of the k-th largest power of each
+    prime among the orders' primary factors.
+
+    >>> invariant_factors((6, 2, 1)), invariant_factors((2, 4))
+    ((2, 6), (2, 4))
+    """
+    powers: dict[int, list[int]] = {}
+    for q in primary_factors(orders):
+        powers.setdefault(_primes(q)[0], []).append(q)
     out = [1] * max(map(len, powers.values()), default=0)
     for qs in powers.values():
         for k, q in enumerate(sorted(qs, reverse=True)):
@@ -848,6 +862,7 @@ class FinAbInstance(Instance):
         self._catalogs: dict[int, list[ObjHandle]] = {}
         self._exists_cache: dict[tuple[Orders, Orders, str], bool] = {}
         self._class_cache: dict[tuple[Orders, Orders, bool], tuple[Mor, ...]] = {}
+        self._summand_cache: dict[Orders, tuple[ObjHandle, ...]] = {}
 
     # objects
     def validate_obj(self, key: Any) -> Orders:
@@ -860,6 +875,15 @@ class FinAbInstance(Instance):
 
     def group(self, *orders: int) -> ObjHandle:
         return self.obj(tuple(orders))
+
+    def summands(self, t: ObjHandle) -> tuple[ObjHandle, ...]:
+        """The primary cyclic summands of t: a finite abelian group is the
+        biproduct of its cyclic groups of prime-power order."""
+        hit = self._summand_cache.get(t.obj_key)
+        if hit is None:
+            hit = self._summand_cache[t.obj_key] = tuple(
+                self.obj((q,)) for q in primary_factors(t.obj_key))
+        return hit
 
     # morphisms
     def hom(self, a: ObjHandle, b: ObjHandle, rows: Sequence[Sequence[int]]) -> Mor:

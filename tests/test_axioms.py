@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spancat.axioms import (
+    AXIOM_CHECKS,
     MAX_FAILURE_DUMPS,
+    _dedupe,
+    _jointly_failures,
+    _pullback_bijection_at,
+    _summands_of,
     check_jointly,
     check_pasting_lemma,
     check_pasting_lemma_dual,
@@ -25,6 +30,8 @@ from spancat.axioms import (
     run_sampled,
 )
 from spancat.core import (
+    GroupoidInstance,
+    OrthClass,
     ShapeViolation,
     Square,
     groupoid_instance,
@@ -281,6 +288,191 @@ def test_finab_counting_matches_naive_on_sampled_squares(seed):
     assert is_pullback(FA, sq, 4) == naive_is_pullback(FA, sq, comps)
     comps = pushout_competitors(FA, sq, 4)
     assert is_pushout(FA, sq, 4) == naive_is_pushout(FA, sq, comps)
+
+
+# ---------------------------------------------------------------------------
+# test objects split into summands
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("op", [False, True], ids=["pullback", "pushout"])
+def test_bijection_at_a_group_is_the_bijections_at_its_summands(finab_square_pool, op):
+    split_outcomes = set()
+    for t in FA.enumerate_objects_up_to(8):
+        parts = FA.summands(t)
+        for sq in finab_square_pool:
+            whole = _pullback_bijection_at(FA, sq, t, op)
+            assert whole == all(_pullback_bijection_at(FA, sq, s, op) for s in parts), (t, sq)
+            if parts != (t,):
+                split_outcomes.add(whole)
+    assert split_outcomes == {False, True}
+
+
+def _cyclic_prime_power(key):
+    if len(key) != 1 or key[0] < 2:
+        return False
+    q = key[0]
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+class _Seen:
+    """Records the test object of every compose_all call in seen."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = []
+
+    def compose_all(self, g, t, op=False):
+        self.seen.append(t)
+        return super().compose_all(g, t, op)
+
+
+class _SeenFinAb(_Seen, FinAbInstance):
+    pass
+
+
+class _SeenPInj(_Seen, PInjInstance):
+    pass
+
+
+class _SeenGroupoid(_Seen, GroupoidInstance):
+    pass
+
+
+FINAB_PRIMARY_UP_TO_8 = [(2,), (3,), (4,), (5,), (7,), (8,)]
+
+
+@pytest.mark.parametrize("decide", [is_pullback, is_pushout])
+def test_finab_decisions_visit_only_primary_cyclic_groups(finab_square_pool, decide):
+    inst = _SeenFinAb()
+    outcomes = {decide(inst, sq, 8) for sq in finab_square_pool[::4]}
+    assert outcomes == {False, True}
+    keys = {t.obj_key for t in inst.seen}
+    assert set(FINAB_PRIMARY_UP_TO_8) <= keys
+    assert all(_cyclic_prime_power(k) for k in keys), sorted(keys)
+
+
+def test_finab_jointly_and_properness_scan_the_split_catalog():
+    split = [FA.obj(k) for k in FINAB_PRIMARY_UP_TO_8]
+    assert _summands_of(FA, FA.enumerate_objects_up_to(8)) == split
+    inst = _SeenFinAb()
+    assert AXIOM_CHECKS["jointly"](inst, 0, 30, 8).ok
+    assert inst.seen == [t for t in split for _ in range(2)] * 30
+    inst.seen = []
+    assert AXIOM_CHECKS["properness"](inst, 0, 30, 8).ok
+    assert inst.seen == split * 2 * 30
+
+
+def _assert_scans_unsplit(inst, squares, bound):
+    """Each decision sees its whole competitor list, in order, four walks
+    per competitor, or a prefix of it when it fails; the jointly and
+    properness scans see the whole catalog."""
+    decided = set()
+    for sq in squares:
+        for op, decide in ((False, is_pullback), (True, is_pushout)):
+            inst.seen = []
+            outcome = decide(inst, sq, bound)
+            comps = pullback_competitors(inst, sq, bound, op)
+            assert comps == _dedupe(comps)
+            if outcome:
+                assert inst.seen == [t for t in comps for _ in range(4)], sq
+            else:
+                runs = [t for t, _ in itertools.groupby(inst.seen)]
+                assert runs == comps[:len(runs)], sq
+            decided.add(outcome)
+    catalog = inst.enumerate_objects_up_to(bound)
+    inst.seen = []
+    assert AXIOM_CHECKS["jointly"](inst, 0, 10, bound).ok
+    assert inst.seen == [t for t in catalog for _ in range(2)] * 10
+    inst.seen = []
+    assert AXIOM_CHECKS["properness"](inst, 0, 10, bound).ok
+    assert inst.seen == catalog * 2 * 10
+    return decided
+
+
+def test_pinj_scans_keep_every_object_whole():
+    inst = _SeenPInj()
+    assert _assert_scans_unsplit(inst, SQUARE_POOL[::40], 3) == {False, True}
+
+
+def test_groupoid_scans_keep_every_object_whole():
+    inst = _SeenGroupoid(symmetric_group_table(3), name="groupoid:s3")
+    squares = [Square(top=S3.mor(k), left=S3.mor(0), right=S3.mor(0), bottom=S3.mor(k))
+               for k in range(6)]
+    assert _assert_scans_unsplit(inst, squares, 1) == {True}
+
+
+class _AnyClassFinAb(FinAbInstance):
+    """finab with every hom in E and M, so that the jointly scan takes any
+    pair of homs."""
+
+    def classify(self, f):
+        return OrthClass(True, True)
+
+
+def _first_failure(objs, injective_at):
+    return next((t for t in objs if not injective_at(t)), None)
+
+
+def _hom_pairs(op, n_every):
+    """Every n_every-th pair of homs out of one group of order <= 8 into
+    groups of order <= 4, or with op into one group out of such groups."""
+    small = FA.enumerate_objects_up_to(4)
+
+    def homs(a, b):
+        return FA.enumerate_homs(b, a) if op else FA.enumerate_homs(a, b)
+
+    pairs = (
+        (f, g)
+        for a in FA.enumerate_objects_up_to(8)
+        for b, c in itertools.combinations_with_replacement(small, 2)
+        for f, g in itertools.product(homs(a, b), homs(a, c))
+    )
+    return list(itertools.islice(pairs, 0, None, n_every))
+
+
+@pytest.mark.parametrize("op", [False, True], ids=["monic", "epic"])
+def test_jointly_failure_details_name_the_first_catalog_failure(op):
+    # a pair fails first at some object of the unsplit catalog; the scan of
+    # the split catalog must name that object too
+    inst = _AnyClassFinAb()
+    catalog = FA.enumerate_objects_up_to(8)
+    prop = "epic" if op else "monic"
+    pool = _hom_pairs(op, 7)
+    assert len(pool) > 900
+    failed_at = set()
+    for f, g in pool:
+        def jointly_at(t):
+            firsts = FA.compose_all(f, t, op)
+            return len(set(zip(firsts, FA.compose_all(g, t, op)))) == len(firsts)
+
+        t0 = _first_failure(catalog, jointly_at)
+        want = [] if t0 is None else [f"not jointly {prop} at {t0.descriptor}"]
+        assert [d["detail"] for d in _jointly_failures(inst, f, g, 8, op)] == want, (f, g)
+        failed_at.add(t0)
+    assert None in failed_at and len(failed_at) > 3
+    assert all(_cyclic_prime_power(t.obj_key) for t in failed_at if t)
+
+
+@pytest.mark.parametrize("op", [False, True], ids=["monic", "epic"])
+def test_single_hom_failures_name_the_first_catalog_failure(op):
+    catalog = FA.enumerate_objects_up_to(8)
+    split = _summands_of(FA, catalog)
+    homs = [f for a in catalog for b in catalog for f in FA.enumerate_homs(a, b)]
+    failed_at = set()
+    for f in homs:
+        def injective_at(t):
+            composites = FA.compose_all(f, t, op)
+            return len(set(composites)) == len(composites)
+
+        t0 = _first_failure(catalog, injective_at)
+        assert _first_failure(split, injective_at) == t0, f
+        failed_at.add(t0)
+    assert None in failed_at and len(failed_at) > 3
+    assert all(_cyclic_prime_power(t.obj_key) for t in failed_at if t)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from spancat.finab import (
     image_subgroup,
     integer_kernel_basis,
     invariant_factor_groups,
+    invariant_factors,
     kernel_subgroup,
     mat_mul,
     smith_normal_form,
@@ -348,6 +349,27 @@ def test_catalog_is_kept_per_bound_and_copied_per_call():
     again = inst.enumerate_objects_up_to(8)
     assert again == first[:-1]
     assert again[0] is first[0]
+
+
+def test_summands_split_into_primary_cyclic_groups():
+    assert INST.summands(INST.group()) == ()
+    assert [t.obj_key for t in INST.summands(INST.group(12, 2))] == [(4,), (3,), (2,)]
+    assert INST.summands(INST.group(8)) == (INST.group(8),)
+
+
+def test_summands_sum_to_their_group_up_to_order_64():
+    # the summands' direct sum is the group again, by its Smith normal form,
+    # and each summand is cyclic of prime-power order
+    for orders in invariant_factor_groups(64):
+        t = INST.obj(orders)
+        parts = INST.summands(t)
+        qs = tuple(s.obj_key[0] for s in parts)
+        assert canonical_orders(qs) == orders
+        assert invariant_factors(qs) == invariant_factors(orders)
+        for s in parts:
+            (q,) = s.obj_key
+            primes = [p for p in range(2, q + 1) if q % p == 0 and all(p % r for r in range(2, p))]
+            assert len(primes) == 1, (orders, q)
 
 
 def test_describe_obj():

@@ -131,6 +131,32 @@ def _summands_of(inst: Instance, objs: list[ObjHandle]) -> list[ObjHandle]:
     return _dedupe([s for t in objs for s in inst.summands(t)])
 
 
+def _split_catalog(inst: Instance, bound: int) -> list[ObjHandle]:
+    """The summands of the bounded catalog, kept per bound in
+    ``inst.memo``; callers must not change the list."""
+    table = inst.memo.split_catalogs
+    hit = table.get(bound)
+    if hit is None:
+        hit = table[bound] = _summands_of(inst, inst.enumerate_objects_up_to(bound))
+    return hit
+
+
+def _square_competitors(inst: Instance, sq: Square, op: bool) -> list[ObjHandle]:
+    """The square's apex and, when a cospan leg lies in M, the canonical
+    pullback apex (read in C^op with op)."""
+    if op:
+        cands = [sq.bottom_right]
+        right, bottom, in_M, cone = sq.top, sq.left, "in_E", inst.pushout_along_E
+    else:
+        cands = [sq.apex]
+        right, bottom, in_M, cone = sq.right, sq.bottom, "in_M", inst.pullback_along_M
+    if getattr(inst.classify(bottom), in_M):
+        cands.append(cone(right, bottom).apex)
+    elif getattr(inst.classify(right), in_M):
+        cands.append(cone(bottom, right).apex)
+    return cands
+
+
 def pullback_competitors(inst: Instance, sq: Square, bound: int,
                          op: bool = False) -> list[ObjHandle]:
     """The competitors of the pullback decision: the bounded catalog, the
@@ -139,18 +165,7 @@ def pullback_competitors(inst: Instance, sq: Square, bound: int,
     square is read in C^op, transposed as in _pullback_bijection_at: the
     apex is the bottom-right corner, E plays M and pushout_along_E plays
     pullback_along_M."""
-    cands = inst.enumerate_objects_up_to(bound)
-    if op:
-        cands.append(sq.bottom_right)
-        right, bottom, in_M, cone = sq.top, sq.left, "in_E", inst.pushout_along_E
-    else:
-        cands.append(sq.apex)
-        right, bottom, in_M, cone = sq.right, sq.bottom, "in_M", inst.pullback_along_M
-    if getattr(inst.classify(bottom), in_M):
-        cands.append(cone(right, bottom).apex)
-    elif getattr(inst.classify(right), in_M):
-        cands.append(cone(bottom, right).apex)
-    return _dedupe(cands)
+    return _dedupe(inst.enumerate_objects_up_to(bound) + _square_competitors(inst, sq, op))
 
 
 def pushout_competitors(inst: Instance, sq: Square, bound: int) -> list[ObjHandle]:
@@ -184,12 +199,13 @@ def _pullback_bijection_at(inst: Instance, sq: Square, t: ObjHandle, op: bool) -
 
 
 def _decide(inst: Instance, sq: Square, bound: int, op: bool) -> bool:
-    """Whether sq is a pullback in C, or with op in C^op (a pushout in C)."""
+    """Whether sq is a pullback in C, or with op in C^op (a pushout in C).
+
+    The test objects are the summands of pullback_competitors: the split
+    catalog, kept per bound, then those of the square's own competitors."""
     validate_square(inst, sq)
-    return all(
-        _pullback_bijection_at(inst, sq, t, op)
-        for t in _summands_of(inst, pullback_competitors(inst, sq, bound, op))
-    )
+    tests = _split_catalog(inst, bound) + _summands_of(inst, _square_competitors(inst, sq, op))
+    return all(_pullback_bijection_at(inst, sq, t, op) for t in _dedupe(tests))
 
 
 def is_pullback(inst: Instance, sq: Square, bound: int) -> bool:
@@ -307,7 +323,7 @@ def _jointly_failures(inst: Instance, first: Mor, second: Mor, bound: int,
         raise ShapeViolation(f"{shape} legs must share their {end}")
     if not getattr(inst.classify(first), in_E) or not getattr(inst.classify(second), in_M):
         raise ShapeViolation(f"{shape} legs must be {classes}")
-    for t in _summands_of(inst, inst.enumerate_objects_up_to(bound)):
+    for t in _split_catalog(inst, bound):
         firsts = inst.compose_all(first, t, op)
         if len(set(zip(firsts, inst.compose_all(second, t, op)))) < len(firsts):
             return [{
@@ -504,7 +520,7 @@ def _check_properness(inst: Instance, seed: int, samples: int, bound: int) -> Ch
         # an E-morphism is epic when it is monic in C^op
         for op, cls, name, prop in ((True, "E", "e", "epic"), (False, "M", "m", "monic")):
             f = smp.hom(cls=cls)
-            for t in _summands_of(inst, smp.objects):
+            for t in _split_catalog(inst, bound):
                 composites = inst.compose_all(f, t, op)
                 if len(set(composites)) < len(composites):
                     detail = f"not {prop} at {t.descriptor}"

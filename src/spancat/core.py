@@ -43,17 +43,28 @@ class ValidationFailure(SpanCatError):
     """Raw data failed instance validation (bad matrix, bad assignment, ...)."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ObjHandle:
     """An object of some instance, identified by (instance_id, obj_key).
 
     The descriptor is a human-readable rendering and never participates in
-    equality or hashing.
+    equality or hashing.  ``Instance.obj`` interns handles, so equality
+    answers an identical pair at once and compares keys otherwise.
     """
 
     instance_id: str
     obj_key: Any
-    descriptor: str = field(default="", compare=False)
+    descriptor: str = ""
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not ObjHandle:
+            return NotImplemented
+        return self.instance_id == other.instance_id and self.obj_key == other.obj_key
+
+    def __hash__(self) -> int:
+        return hash((self.instance_id, self.obj_key))
 
     def __repr__(self) -> str:
         return f"<{self.instance_id}:{self.descriptor or self.obj_key}>"
@@ -149,17 +160,25 @@ class Memo:
     normally; a construction that raises stores nothing, so bad input raises
     on every call.  The tables live as long as their instance.  ``handles``
     holds the one ObjHandle per normalized object key that ``Instance.obj``
-    hands out; ``pair_keys`` holds each span pair's ``rel_pair_key``, None
-    included, but never the answer of an iso search.
+    hands out, and ``spans`` the one EMSpan per pair of legs (d, m) that the
+    span builders hand out; spans compare by identity, so every table keyed
+    on spans hits by identity.  ``rel_composites`` holds each relation
+    composite, keyed by the four legs of its two factors.  ``pair_keys``
+    holds each span pair's ``rel_pair_key``, None included, but never the
+    answer of an iso search.  ``split_catalogs`` holds, per bound, the
+    summands of the bounded catalog that the decisions and scans test.
     """
 
     handles: dict = field(default_factory=dict)  # normalized obj_key -> ObjHandle
+    spans: dict = field(default_factory=dict)  # (d, m) -> EMSpan
     fake_pullbacks: dict = field(default_factory=dict)  # (f, g) -> FakePullbackResult
     span_composites: dict = field(default_factory=dict)  # (g, f) -> EMSpan
+    rel_composites: dict = field(default_factory=dict)  # (r2 legs, r1 legs) -> Relation
     composite_keys: dict = field(default_factory=dict)  # (g, f) -> iso key of g . f
     span_reps: dict = field(default_factory=dict)  # (src, tgt, bound) keys -> reps
     properness: dict = field(default_factory=dict)  # (bound, seed) -> bool
     pair_keys: dict = field(default_factory=dict)  # (span, span) -> rel_pair_key
+    split_catalogs: dict = field(default_factory=dict)  # bound -> split catalog
 
 
 class Instance(ABC):
@@ -168,7 +187,10 @@ class Instance(ABC):
 
     Objects are referred to by hashable keys; ``obj`` validates a key on
     every call and interns it: equal keys give the one ObjHandle kept in
-    ``memo.handles``, so memo lookups on equal inputs compare by identity.
+    ``memo.handles``.  The span builders of ``spans`` intern EM-spans the
+    same way, one per pair of legs in ``memo.spans``, so memo lookups on
+    equal inputs compare by identity.  Handles and spans of two instances
+    are never shared.
     All morphism payloads must be immutable and hashable so that
     morphisms can be deduplicated in the brute-force checks.
 

@@ -11,6 +11,10 @@ relation has both legs the identity span; reversal swaps the legs.  Two
 relations with the same ends are identified when an iso of sources matches
 the legs up to their own apex isos (end-fixed isomorphism).
 
+Composites are memoized per instance on the legs of their two factors.
+The legs are interned spans, so a lookup compares them by identity, while
+relations themselves keep value equality: rel_reverse(rel_reverse(r)) == r.
+
 Over finite abelian groups a zig-zag is classified by a subgroup of X + Z:
 pull the two E-legs back over the source, then take the image of the paired
 M-legs.  The translation runs both ways (subgroup_to_zigzag) and the
@@ -109,13 +113,22 @@ def graph_relation(inst: Instance, f: Mor) -> Relation:
 
 
 def rel_compose(inst: Instance, r2: Relation, r1: Relation) -> Relation:
-    """Composite r2 . r1, the middle legs joined by fake pullback."""
+    """Composite r2 . r1, the middle legs joined by fake pullback.
+
+    Memoized in ``inst.memo`` on the four legs of r2 and r1; a pair that
+    raises is not stored."""
+    table = inst.memo.rel_composites
+    key = (r2.left, r2.right, r1.left, r1.right)
+    hit = table.get(key)
+    if hit is not None:
+        return hit
     if r1.Z != r2.X:
         raise EndpointMismatch("rel_compose needs r1.Z = r2.X")
     fp = fake_pullback(inst, r1.right, r2.left)
     left = span_compose(inst, r1.left, fp.left_leg)
     right = span_compose(inst, r2.right, fp.right_leg)
-    return Relation(X=r1.X, Y=left.src, Z=r2.Z, left=left, right=right)
+    out = table[key] = Relation(X=r1.X, Y=left.src, Z=r2.Z, left=left, right=right)
+    return out
 
 
 def rel_iso_eq(inst: Instance, r1: Relation, r2: Relation) -> bool:

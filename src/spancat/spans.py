@@ -7,13 +7,15 @@ result come from M-stability and the stability of E under pullback along M.
 at most one 2-cell between parallel spans, so hom-categories are preorders
 and all iso-class reasoning reduces to cells-in-both-directions.
 
-Composites are memoized per instance (``Instance.memo``): the endpoint
-check and the pullback behind a composite run once per distinct pair of
-inputs.
+Spans are hash-consed per instance (``Instance.memo``): every builder here
+hands out the one EMSpan of its instance with given legs (d, m), so equal
+spans are identical and compare by identity.  Composites are memoized on
+the pair of their factors: the endpoint check and the pullback behind a
+composite run once per distinct pair of inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .axioms import MAX_FAILURE_DUMPS, CheckReport, is_pullback, is_pushout
@@ -30,26 +32,21 @@ from .core import (
 from .jsonio import square_dict
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class EMSpan:
     """A span src <-d- apex -m-> tgt with d in E and m in M, read as a
     morphism src -> tgt.
 
-    Spans key the memo tables, so the hash is made once, at construction;
-    equality stays by value."""
+    Equal means identical: build spans through em_span, id_span, lift_m,
+    lift_e and span_compose, which hand out one span per instance and pair
+    of legs, so equality and hashing are by identity.  apex, src and tgt
+    are the legs' endpoints."""
 
     src: ObjHandle
     tgt: ObjHandle
     apex: ObjHandle
     d: Mor
     m: Mor
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.src, self.tgt, self.apex, self.d, self.m)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"<span {self.src.descriptor} <- {self.apex.descriptor} -> {self.tgt.descriptor}>"
@@ -78,22 +75,32 @@ def validate_em_span(inst: Instance, s: EMSpan) -> None:
         raise ClassViolation("right leg of an EM-span must be in M")
 
 
+def _span(inst: Instance, d: Mor, m: Mor) -> EMSpan:
+    """The one span of inst with legs d and m, kept in ``inst.memo``."""
+    spans = inst.memo.spans
+    hit = spans.get((d, m))
+    if hit is None:
+        hit = spans[d, m] = EMSpan(src=d.cod, tgt=m.cod, apex=d.dom, d=d, m=m)
+    return hit
+
+
 def em_span(inst: Instance, d: Mor, m: Mor) -> EMSpan:
-    s = EMSpan(src=d.cod, tgt=m.cod, apex=d.dom, d=d, m=m)
-    validate_em_span(inst, s)
-    return s
+    """The EM-span with legs d and m, validated on every call; a pair that
+    fails stores nothing."""
+    validate_em_span(inst, EMSpan(src=d.cod, tgt=m.cod, apex=d.dom, d=d, m=m))
+    return _span(inst, d, m)
 
 
 def id_span(inst: Instance, a: ObjHandle) -> EMSpan:
     i = inst.identity(a)
-    return EMSpan(src=a, tgt=a, apex=a, d=i, m=i)
+    return _span(inst, i, i)
 
 
 def lift_m(inst: Instance, m: Mor) -> EMSpan:
     """m_* : X -> Y for m: X -> Y in M, with identity left leg."""
     if not inst.classify(m).in_M:
         raise ClassViolation("lift_m needs a morphism in M")
-    return EMSpan(src=m.dom, tgt=m.cod, apex=m.dom, d=inst.identity(m.dom), m=m)
+    return _span(inst, inst.identity(m.dom), m)
 
 
 def lift_e(inst: Instance, e: Mor) -> EMSpan:
@@ -101,7 +108,7 @@ def lift_e(inst: Instance, e: Mor) -> EMSpan:
     direction reverses."""
     if not inst.classify(e).in_E:
         raise ClassViolation("lift_e needs a morphism in E")
-    return EMSpan(src=e.cod, tgt=e.dom, apex=e.dom, d=e, m=inst.identity(e.dom))
+    return _span(inst, e, inst.identity(e.dom))
 
 
 def span_compose(inst: Instance, g: EMSpan, f: EMSpan) -> EMSpan:
@@ -119,13 +126,8 @@ def span_compose(inst: Instance, g: EMSpan, f: EMSpan) -> EMSpan:
     cone = inst.pullback_along_M(g.d, f.m)
     d = inst.compose(f.d, cone.leg2)
     m = inst.compose(g.m, cone.leg1)
-    out = table[g, f] = EMSpan(src=f.src, tgt=g.tgt, apex=cone.apex, d=d, m=m)
+    out = table[g, f] = _span(inst, d, m)
     return out
-
-
-def em_factor_span(inst: Instance, f: EMSpan) -> tuple[EMSpan, EMSpan]:
-    """The canonical decomposition f = m_star . e_star through the apex."""
-    return lift_e(inst, f.d), lift_m(inst, f.m)
 
 
 def _require_parallel(f: EMSpan, g: EMSpan) -> None:
@@ -214,14 +216,14 @@ def span_class_reps(inst: Instance, src: ObjHandle, tgt: ObjHandle,
         ms = inst.class_homs(apex, tgt, "M")
         for d in es:
             for m in ms:
-                s = EMSpan(src=src, tgt=tgt, apex=apex, d=d, m=m)
-                k = span_key(inst, s)
-                if k is not None:
-                    if k not in seen_keys:
-                        seen_keys.add(k)
+                k = inst.span_iso_key(d, m)
+                if k is None:
+                    s = _span(inst, d, m)
+                    if not any(span_iso_eq(inst, s, r) for r in reps):
                         reps.append(s)
-                elif not any(span_iso_eq(inst, s, r) for r in reps):
-                    reps.append(s)
+                elif k not in seen_keys:
+                    seen_keys.add(k)
+                    reps.append(_span(inst, d, m))
     cache[ck] = reps
     return reps
 

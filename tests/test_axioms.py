@@ -366,6 +366,35 @@ def test_finab_jointly_and_properness_scan_the_split_catalog():
     assert inst.seen == split * 2 * 30
 
 
+class _SplitFinAb(FinAbInstance):
+    """finab that records the object of every summands call in split."""
+
+    def __init__(self):
+        super().__init__()
+        self.split = []
+
+    def summands(self, t):
+        self.split.append(t)
+        return super().summands(t)
+
+
+@pytest.mark.parametrize("decide", [is_pullback, is_pushout])
+def test_the_split_catalog_is_kept_per_bound(finab_square_pool, decide):
+    inst = _SplitFinAb()
+    catalog = inst.enumerate_objects_up_to(8)
+    decide(inst, finab_square_pool[0], 8)
+    assert inst.memo.split_catalogs == {8: _summands_of(FA, catalog)}
+    for sq in finab_square_pool[1:40]:
+        inst.split = []
+        decide(inst, sq, 8)
+        # only the square's apex and its canonical cone apex are split
+        assert 1 <= len(inst.split) <= 2
+    inst.split = []
+    assert AXIOM_CHECKS["jointly"](inst, 0, 5, 8).ok
+    assert AXIOM_CHECKS["properness"](inst, 0, 5, 8).ok
+    assert inst.split == []
+
+
 def _assert_scans_unsplit(inst, squares, bound):
     """Each decision sees its whole competitor list, in order, four walks
     per competitor, or a prefix of it when it fails; the jointly and

@@ -129,7 +129,7 @@ def all_pinj_spans(src, tgt, apex_bound):
                 continue
             for m in PI.enumerate_homs(apex, tgt):
                 if PI.classify(m).in_M:
-                    out.append(EMSpan(src, tgt, apex, d, m))
+                    out.append(em_span(PI, d, m))
     return out
 
 
@@ -601,7 +601,14 @@ def test_memoized_fake_pullback_equals_fresh_result():
     f, g = phantom_cospan(warm)
     first = fake_pullback(warm, f, g)
     assert fake_pullback(warm, f, g) is first
-    assert fake_pullback(PInjInstance(), *phantom_cospan(PInjInstance())) == first
+    fresh = PInjInstance()
+    again = fake_pullback(fresh, *phantom_cospan(fresh))
+    assert again is not first and again.grid == first.grid
+
+    def legs(fp):
+        return [(s.src, s.tgt, s.apex, s.d, s.m) for s in (fp.left_leg, fp.right_leg)]
+
+    assert legs(again) == legs(first)
 
 
 def test_failed_fake_pullbacks_are_not_memoized():

@@ -553,6 +553,46 @@ def test_repeated_rel_iso_eq_keys_each_side_once():
     assert len(inst.memo.pair_keys) == 3
 
 
+def test_repeated_rel_compose_is_one_relation_from_one_fake_pullback(monkeypatch):
+    import spancat.relations as relations
+
+    calls = []
+
+    def counted(inst, f, g):
+        calls.append((f, g))
+        return relations_fake_pullback(inst, f, g)
+
+    relations_fake_pullback = relations.fake_pullback
+    monkeypatch.setattr(relations, "fake_pullback", counted)
+    inst = CountingPInj()
+    x, y, z = inst.fset(1), inst.fset(2), inst.fset(2)
+    r1 = matching_to_relation(inst, x, y, [(0, 1)], (), [0])
+    r2 = matching_to_relation(inst, y, z, [(1, 0)], [0])
+    results = {id(rel_compose(inst, r2, r1)) for _ in range(10)}
+    assert len(results) == 1
+    assert len(calls) == 1 and len(inst.memo.fake_pullbacks) == 1
+    assert len(inst.memo.rel_composites) == 1
+    assert inst.keys == 0
+
+
+def test_reverse_is_an_involution_by_value():
+    r = matching_to_relation(PI, PI.fset(2), PI.fset(1), [(1, 0)], [0])
+    back = rel_reverse(rel_reverse(r))
+    assert back == r and back is not r
+
+
+def test_mismatched_rel_compose_raises_every_time_and_stores_nothing():
+    inst = PInjInstance()
+    r = matching_to_relation(inst, inst.fset(1), inst.fset(2), [(0, 1)])
+    for _ in range(3):
+        with pytest.raises(EndpointMismatch):
+            rel_compose(inst, r, r)
+        with pytest.raises(EndpointMismatch):
+            rel_compose(inst, rel_identity(inst, inst.fset(1)), r)
+    assert inst.memo.rel_composites == {}
+    assert inst.memo.fake_pullbacks == {}
+
+
 def test_mismatched_pairs_raise_every_time_and_store_nothing():
     inst = CountingPInj()
     one1, one2 = id_span(inst, inst.fset(1)), id_span(inst, inst.fset(2))
@@ -587,6 +627,37 @@ def test_warm_pair_comparisons_match_a_fresh_instance(make):
     # a None key sends every comparison to the iso search, whose answers
     # are never stored
     assert all((v is not None) == keyed for v in warm.memo.pair_keys.values())
+
+
+def test_every_finab_pair_up_to_order_4_composes_as_subgroups():
+    """Every composable pair of relations between groups of order <= 4
+    composes to the elementwise composite of the pair's subgroups.
+
+    The relations are built from the subgroups, and only subgroup_compose
+    is trusted: the check reads each composite back through
+    goursat_to_subgroup and never through the memo tables it guards.
+    Equal composites have equal subgroups, so each is read once."""
+    fa = FinAbInstance()
+    read: dict = {}
+    objs = fa.enumerate_objects_up_to(4)
+    rels = {
+        (x, z): [(s, subgroup_to_zigzag(fa, x, z, s))
+                 for s in all_subgroups(x.obj_key + z.obj_key)]
+        for x in objs for z in objs
+    }
+    assert sum(map(len, rels.values())) == 260
+    pairs = 0
+    for (x, z), firsts in rels.items():
+        for w in objs:
+            for s1, r1 in firsts:
+                for s2, r2 in rels[z, w]:
+                    want = subgroup_compose(x.obj_key, z.obj_key, w.obj_key, s1, s2)
+                    comp = rel_compose(fa, r2, r1)
+                    if comp not in read:
+                        read[comp] = goursat_to_subgroup(fa, comp)
+                    assert read[comp] == want
+                    pairs += 1
+    assert pairs == 21284
 
 
 # ---------------------------------------------------------------------------

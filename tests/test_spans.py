@@ -29,7 +29,6 @@ from spancat.spans import (
     SpanCell,
     cell_between,
     check_star_bipullback,
-    em_factor_span,
     em_span,
     exchange_square,
     id_span,
@@ -89,8 +88,13 @@ def all_em_spans(inst, src, tgt, apex_bound):
                 continue
             for m in inst.enumerate_homs(apex, tgt):
                 if inst.classify(m).in_M:
-                    out.append(EMSpan(src, tgt, apex, d, m))
+                    out.append(em_span(inst, d, m))
     return out
+
+
+def em_factor_span(inst, f: EMSpan) -> tuple[EMSpan, EMSpan]:
+    """The canonical decomposition f = m_* . e^* through the apex."""
+    return lift_e(inst, f.d), lift_m(inst, f.m)
 
 
 def _is_iso(inst, f) -> bool:
@@ -491,13 +495,19 @@ def composable_pair(inst):
     return f, g
 
 
+def span_fields(s: EMSpan) -> tuple:
+    """The value of a span, which its equality (by identity) ignores."""
+    return (s.src, s.tgt, s.apex, s.d, s.m)
+
+
 def test_memoized_span_compose_equals_fresh_result():
     warm = PInjInstance()
     f, g = composable_pair(warm)
     first = span_compose(warm, g, f)
     assert span_compose(warm, g, f) is first
     fresh = PInjInstance()
-    assert span_compose(fresh, *reversed(composable_pair(fresh))) == first
+    again = span_compose(fresh, *reversed(composable_pair(fresh)))
+    assert again is not first and span_fields(again) == span_fields(first)
 
 
 def test_failed_span_composites_are_not_memoized():
@@ -531,34 +541,90 @@ def test_repeated_span_compose_pulls_back_once():
     assert inst.pullbacks == 1
 
 
-def fresh_handles(s: EMSpan) -> EMSpan:
-    """An equal span whose handles are made by hand, so none is interned."""
+def test_em_span_is_interned():
+    inst = PInjInstance()
+    f, _ = composable_pair(inst)
+    assert em_span(inst, f.d, f.m) is em_span(inst, f.d, f.m) is f
+    assert inst.memo.spans[f.d, f.m] is f
+
+
+@pytest.mark.parametrize("make,obj", [
+    (FinAbInstance, lambda inst: inst.group(2, 4)),
+    (PInjInstance, lambda inst: inst.fset(3)),
+    (lambda: groupoid_instance(symmetric_group_table(3)), lambda inst: inst.star),
+], ids=["finab", "pinj", "groupoid"])
+def test_identity_lifts_are_the_identity_span(make, obj):
+    inst = make()
+    a = obj(inst)
+    one = id_span(inst, a)
+    assert lift_m(inst, inst.identity(a)) is one is lift_e(inst, inst.identity(a))
+    assert id_span(inst, a) is one
+
+
+def test_span_compose_returns_the_interned_span_for_its_legs():
+    inst = PInjInstance()
+    f, g = composable_pair(inst)
+    comp = span_compose(inst, g, f)
+    assert em_span(inst, comp.d, comp.m) is comp
+    # a unit composite with g's own legs is g itself
+    for unit in (span_compose(inst, id_span(inst, g.tgt), g),
+                 span_compose(inst, g, id_span(inst, g.src))):
+        assert (unit is g) == ((unit.d, unit.m) == (g.d, g.m))
+
+
+def test_bad_em_spans_raise_every_time_and_store_nothing():
+    inst = PInjInstance()
+    f, _ = composable_pair(inst)
+    before = dict(inst.memo.spans)
+    outside_m = inst.pinj(f.apex, f.tgt, (1, None))
+    for _ in range(3):
+        with pytest.raises(ClassViolation):
+            em_span(inst, f.d, outside_m)
+        with pytest.raises(EndpointMismatch):
+            em_span(inst, f.d, inst.identity(inst.fset(3)))
+    assert inst.memo.spans == before
+
+
+def test_instances_share_no_spans():
+    one, two = PInjInstance(), PInjInstance()
+    f1, g1 = composable_pair(one)
+    f2, g2 = composable_pair(two)
+    assert span_fields(f1) == span_fields(f2) and f1 is not f2
+    c1, c2 = span_compose(one, g1, f1), span_compose(two, g2, f2)
+    assert span_fields(c1) == span_fields(c2) and c1 is not c2
+    shared = {id(s) for s in one.memo.spans.values()} & {id(s) for s in two.memo.spans.values()}
+    assert not shared
+
+
+def fresh_legs(s: EMSpan) -> tuple[Mor, Mor]:
+    """Legs equal to s's whose handles are made by hand, so none is
+    interned."""
     def h(a):
         return ObjHandle(a.instance_id, a.obj_key, a.descriptor)
 
     def mor(f):
         return Mor(h(f.dom), h(f.cod), f.payload)
 
-    return EMSpan(src=h(s.src), tgt=h(s.tgt), apex=h(s.apex), d=mor(s.d), m=mor(s.m))
+    return mor(s.d), mor(s.m)
 
 
 def test_span_with_hand_made_handles_hits_the_same_composite():
     inst = PInjInstance()
     f, g = composable_pair(inst)
-    f2, g2 = fresh_handles(f), fresh_handles(g)
-    assert f2 == f and f2.src is not f.src and f2.d.dom is not f.d.dom
-    assert hash(f2) == hash(f) and hash(g2) == hash(g)
+    d, m = fresh_legs(f)
+    assert (d, m) == (f.d, f.m) and d.dom is not f.d.dom
+    f2, g2 = em_span(inst, d, m), em_span(inst, *fresh_legs(g))
+    assert f2 is f and g2 is g
     first = span_compose(inst, g, f)
     assert span_compose(inst, g2, f2) is first
     assert len(inst.memo.span_composites) == 1
 
 
-def test_cached_hash_is_neither_shown_nor_compared():
-    f, _ = composable_pair(PInjInstance())
-    assert "_hash" not in repr(f)
-    for flag in ("compare", "repr"):
-        shown = [x.name for x in fields(EMSpan) if getattr(x, flag)]
-        assert shown == ["src", "tgt", "apex", "d", "m"]
-    forged = fresh_handles(f)
-    object.__setattr__(forged, "_hash", hash(f) + 1)
-    assert forged == f
+def test_spans_show_their_fields_but_compare_by_identity():
+    inst = PInjInstance()
+    f, _ = composable_pair(inst)
+    assert [x.name for x in fields(EMSpan)] == ["src", "tgt", "apex", "d", "m"]
+    forged = EMSpan(*span_fields(f))
+    assert forged != f and hash(forged) != hash(f)
+    assert span_fields(forged) == span_fields(f)
+    assert em_span(inst, f.d, f.m) is f

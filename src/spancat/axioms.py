@@ -11,22 +11,39 @@ additions in the hom group.  The cones are counted by grouping one cospan
 leg's composites by payload and probing with the other's, and the mediator
 map must be injective with as many mediators as cones.
 
-The competitor set always contains the square's own apex and, when one
-cospan leg is in M, the canonically computed pullback apex; mediators
-between those two then compose to identities by uniqueness at both, which
-makes the bounded answer exact rather than an approximation over the
-catalog.
+Each instance names the test objects of a decision
+(Instance.decision_objects).  By default they are the bounded catalog, the
+square's own apex and, when one cospan leg is in M, the canonically
+computed pullback apex; mediators between those two then compose to
+identities by uniqueness at both, which makes the bounded answer exact
+rather than an approximation over the catalog.  Each of them is tested
+through its summands (Instance.summands).  When t is the biproduct of t1,
+..., tn, hom(t, X) is the product of the hom(ti, X), naturally in X, and
+dually hom(X, t) of the hom(X, ti); so the mediator map is a bijection at
+t exactly when it is one at every ti, and the same holds for the
+injectivity that the jointly and properness scans test.
 
-Each competitor is tested through its summands (Instance.summands).  When
-t is the biproduct of t1, ..., tn, hom(t, X) is the product of the
-hom(ti, X), naturally in X, and dually hom(X, t) of the hom(X, ti); so the
-mediator map is a bijection at t exactly when it is one at every ti, and
-the same holds for the injectivity that the jointly and properness scans
-test.  finab splits each group into its primary cyclic summands, which
-leaves at most one test object per prime power; pinj and the groupoids keep
-every object whole.  A split object's summands come before it in the
-catalog, so the first object at which a scan fails is never split, and the
-failure detail names the object it always named.
+finab needs no catalog and no canonical cone.  The mediator map at T is
+hom(T, c) for the comparison map c from the apex to the genuine pullback
+of the cospan, and hom(Z/n, A) is A[n], the n-torsion of A, naturally in
+A.  A homomorphism of finite abelian groups is an isomorphism when it is
+one on p-parts for every prime p, and the p-part of a group of p-exponent
+at most e is its p^e-torsion.  The genuine pullback is a subgroup of the
+direct sum of two corners, so the p-exponents of both ends of c are at
+most the largest, e(p), among the four corners.  So the square is a
+pullback exactly when the mediator map is a bijection at Z/p^e(p) for
+each prime p dividing the order of a corner: one test object per prime,
+exact at every bound.  Pushouts follow dually: hom(A, Z/n) is dual to
+A/nA, and the genuine pushout is a quotient of the direct sum of two
+corners.
+
+The jointly and properness scans walk the split catalog, the summands of
+the bounded catalog kept per bound (Instance.split_catalog).  finab splits
+each group into its primary cyclic summands, which leaves at most one test
+object per prime power; pinj and the groupoids keep every object whole.  A
+split object's summands come before it in the catalog, so the first object
+at which a scan fails is never split, and the failure detail names the
+object it always named.
 
 A pushout in C is a pullback in C^op, where E and M swap, so each check is
 written once, for pullbacks, and its pushout form runs the same code read in
@@ -117,63 +134,6 @@ def merge_reports(check_name: str, reports: Sequence[CheckReport],
 # ---------------------------------------------------------------------------
 
 
-def _dedupe(objs: list[ObjHandle]) -> list[ObjHandle]:
-    seen, out = set(), []
-    for t in objs:
-        if t.obj_key not in seen:
-            seen.add(t.obj_key)
-            out.append(t)
-    return out
-
-
-def _summands_of(inst: Instance, objs: list[ObjHandle]) -> list[ObjHandle]:
-    """The summands of objs, each once, in order of first appearance."""
-    return _dedupe([s for t in objs for s in inst.summands(t)])
-
-
-def _split_catalog(inst: Instance, bound: int) -> list[ObjHandle]:
-    """The summands of the bounded catalog, kept per bound in
-    ``inst.memo``; callers must not change the list."""
-    table = inst.memo.split_catalogs
-    hit = table.get(bound)
-    if hit is None:
-        hit = table[bound] = _summands_of(inst, inst.enumerate_objects_up_to(bound))
-    return hit
-
-
-def _square_competitors(inst: Instance, sq: Square, op: bool) -> list[ObjHandle]:
-    """The square's apex and, when a cospan leg lies in M, the canonical
-    pullback apex (read in C^op with op)."""
-    if op:
-        cands = [sq.bottom_right]
-        right, bottom, in_M, cone = sq.top, sq.left, "in_E", inst.pushout_along_E
-    else:
-        cands = [sq.apex]
-        right, bottom, in_M, cone = sq.right, sq.bottom, "in_M", inst.pullback_along_M
-    if getattr(inst.classify(bottom), in_M):
-        cands.append(cone(right, bottom).apex)
-    elif getattr(inst.classify(right), in_M):
-        cands.append(cone(bottom, right).apex)
-    return cands
-
-
-def pullback_competitors(inst: Instance, sq: Square, bound: int,
-                         op: bool = False) -> list[ObjHandle]:
-    """The competitors of the pullback decision: the bounded catalog, the
-    square's apex and, when a cospan leg lies in M, the canonical pullback
-    apex.  The decision's test objects are their summands.  With op the
-    square is read in C^op, transposed as in _pullback_bijection_at: the
-    apex is the bottom-right corner, E plays M and pushout_along_E plays
-    pullback_along_M."""
-    return _dedupe(inst.enumerate_objects_up_to(bound) + _square_competitors(inst, sq, op))
-
-
-def pushout_competitors(inst: Instance, sq: Square, bound: int) -> list[ObjHandle]:
-    """The competitors of the pushout decision: pullback_competitors read
-    in C^op."""
-    return pullback_competitors(inst, sq, bound, op=True)
-
-
 def _pullback_bijection_at(inst: Instance, sq: Square, t: ObjHandle, op: bool) -> bool:
     """Whether w |-> (top . w, left . w) is a bijection from hom(t, apex)
     onto the cones at t over the cospan (right, bottom).
@@ -199,25 +159,25 @@ def _pullback_bijection_at(inst: Instance, sq: Square, t: ObjHandle, op: bool) -
 
 
 def _decide(inst: Instance, sq: Square, bound: int, op: bool) -> bool:
-    """Whether sq is a pullback in C, or with op in C^op (a pushout in C).
-
-    The test objects are the summands of pullback_competitors: the split
-    catalog, kept per bound, then those of the square's own competitors."""
+    """Whether sq is a pullback in C, or with op in C^op (a pushout in C),
+    tested at the instance's decision_objects."""
     validate_square(inst, sq)
-    tests = _split_catalog(inst, bound) + _summands_of(inst, _square_competitors(inst, sq, op))
-    return all(_pullback_bijection_at(inst, sq, t, op) for t in _dedupe(tests))
+    return all(_pullback_bijection_at(inst, sq, t, op)
+               for t in inst.decision_objects(sq, bound, op))
 
 
 def is_pullback(inst: Instance, sq: Square, bound: int) -> bool:
-    """Whether the commuting square is a pullback, decided over the bounded
-    competitor catalog (exact whenever a cospan leg lies in M)."""
+    """Whether the commuting square is a pullback, decided at the instance's
+    test objects: exact in finab at every bound, and elsewhere over the
+    bounded catalog, exact whenever a cospan leg lies in M."""
     return _decide(inst, sq, bound, op=False)
 
 
 def is_pushout(inst: Instance, sq: Square, bound: int) -> bool:
     """Whether the commuting square is a pushout, that is a pullback in
-    C^op, decided over the bounded competitor catalog (exact whenever a
-    span leg lies in E)."""
+    C^op, decided at the instance's test objects: exact in finab at every
+    bound, and elsewhere over the bounded catalog, exact whenever a span
+    leg lies in E."""
     return _decide(inst, sq, bound, op=True)
 
 
@@ -323,7 +283,7 @@ def _jointly_failures(inst: Instance, first: Mor, second: Mor, bound: int,
         raise ShapeViolation(f"{shape} legs must share their {end}")
     if not getattr(inst.classify(first), in_E) or not getattr(inst.classify(second), in_M):
         raise ShapeViolation(f"{shape} legs must be {classes}")
-    for t in _split_catalog(inst, bound):
+    for t in inst.split_catalog(bound):
         firsts = inst.compose_all(first, t, op)
         if len(set(zip(firsts, inst.compose_all(second, t, op)))) < len(firsts):
             return [{
@@ -520,7 +480,7 @@ def _check_properness(inst: Instance, seed: int, samples: int, bound: int) -> Ch
         # an E-morphism is epic when it is monic in C^op
         for op, cls, name, prop in ((True, "E", "e", "epic"), (False, "M", "m", "monic")):
             f = smp.hom(cls=cls)
-            for t in _split_catalog(inst, bound):
+            for t in inst.split_catalog(bound):
                 composites = inst.compose_all(f, t, op)
                 if len(set(composites)) < len(composites):
                     detail = f"not {prop} at {t.descriptor}"

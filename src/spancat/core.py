@@ -166,7 +166,8 @@ class Memo:
     composite, keyed by the four legs of its two factors.  ``pair_keys``
     holds each span pair's ``rel_pair_key``, None included, but never the
     answer of an iso search.  ``split_catalogs`` holds, per bound, the
-    summands of the bounded catalog that the decisions and scans test.
+    summands of the bounded catalog (``Instance.split_catalog``) that the
+    jointly and properness scans, and the default decisions, test.
     """
 
     handles: dict = field(default_factory=dict)  # normalized obj_key -> ObjHandle
@@ -206,17 +207,21 @@ class Instance(ABC):
     homomorphisms, so the whole sequence follows from the images of the hom
     group's generators by addition alone.
 
-    The bounded decisions and the jointly and properness scans test each
-    catalog object through its ``summands``.  When t is the biproduct of
-    t1, ..., tn, hom(t, X) is the product of the hom(ti, X) and hom(X, t) of
-    the hom(X, ti), naturally in X, so a map between such hom sets is
-    injective, or bijective, at t exactly when it is at every ti (a
-    category with biproducts has zero maps, so no hom set is empty).  The
-    default keeps t whole.  finab splits t into its primary cyclic summands.
-    pinj keeps the default: a disjoint union is no biproduct of partial
-    injections, since a partial injection out of A + B is a pair out of A
-    and B with disjoint images, not any pair.  A one-object groupoid has
-    nothing to split.
+    The jointly and properness scans, and by default the bounded
+    decisions, test each catalog object through its ``summands``.  When t
+    is the biproduct of t1, ..., tn, hom(t, X) is the product of the
+    hom(ti, X) and hom(X, t) of the hom(X, ti), naturally in X, so a map
+    between such hom sets is injective, or bijective, at t exactly when it
+    is at every ti (a category with biproducts has zero maps, so no hom set
+    is empty).  The default keeps t whole.  finab splits t into its
+    primary cyclic summands.  pinj keeps the default: a disjoint union is
+    no biproduct of partial injections, since a partial injection out of
+    A + B is a pair out of A and B with disjoint images, not any pair.  A
+    one-object groupoid has nothing to split.
+
+    The bounded decisions read their test objects from
+    ``decision_objects``; finab overrides it with one cyclic group per
+    prime, read off the square's corners.
 
     The samplers draw class-constrained morphisms through two hooks:
     ``class_homs(a, b, cls)`` lists the morphisms a -> b of a class (any, E,
@@ -304,13 +309,49 @@ class Instance(ABC):
     def summands(self, t: ObjHandle) -> tuple[ObjHandle, ...]:
         """Objects t1, ..., tn of which t is the biproduct, or (t,).
 
-        The decisions read hom(t, -) on the pullback side and hom(-, t) on
-        the pushout side, so an instance may split t only into summands of
-        which t is both the coproduct and the product (the empty tuple for
-        a zero object).  A split catalog object's summands must lie in its
-        catalog before it, so that a scan's first failure, which is then
-        never at a split object, stays where it was."""
+        The scans and the default decisions read hom(t, -) on the pullback
+        side and hom(-, t) on the pushout side, so an instance may split t
+        only into summands of which t is both the coproduct and the product
+        (the empty tuple for a zero object).  A split catalog object's
+        summands must lie in its catalog before it, so that a scan's first
+        failure, which is then never at a split object, stays where it
+        was."""
         return (t,)
+
+    def split_catalog(self, bound: int) -> list[ObjHandle]:
+        """The summands of the bounded catalog, each once, in order of first
+        appearance, kept per bound in ``memo.split_catalogs``; callers must
+        not change the list."""
+        table = self.memo.split_catalogs
+        hit = table.get(bound)
+        if hit is None:
+            catalog = self.enumerate_objects_up_to(bound)
+            hit = table[bound] = list(dict.fromkeys(s for t in catalog for s in self.summands(t)))
+        return hit
+
+    def decision_objects(self, sq: Square, bound: int, op: bool = False) -> list[ObjHandle]:
+        """The test objects at which the pullback decision on sq tests the
+        mediator bijection, each once: sq is a pullback when the bijection
+        holds at every one of them.  With op they are those of the pushout
+        decision, the pullback decision read in C^op: the apex is the
+        bottom-right corner, E plays M and pushout_along_E plays
+        pullback_along_M.
+
+        The default is the split catalog, then the summands of the square's
+        apex and, when a cospan leg lies in M, of the canonical pullback
+        apex."""
+        if op:
+            comps = [sq.bottom_right]
+            right, bottom, in_M, cone = sq.top, sq.left, "in_E", self.pushout_along_E
+        else:
+            comps = [sq.apex]
+            right, bottom, in_M, cone = sq.right, sq.bottom, "in_M", self.pullback_along_M
+        if getattr(self.classify(bottom), in_M):
+            comps.append(cone(right, bottom).apex)
+        elif getattr(self.classify(right), in_M):
+            comps.append(cone(bottom, right).apex)
+        own = [s for t in comps for s in self.summands(t)]
+        return list(dict.fromkeys(self.split_catalog(bound) + own))
 
     # -- generic implementations (instances may override with solvers) ------
 

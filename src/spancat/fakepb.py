@@ -241,9 +241,11 @@ def span_pair_iso_eq(inst: Instance, first: tuple[EMSpan, EMSpan],
     two sources."""
     p1, p2 = first
     q1, q2 = second
-    if p1.src != p2.src or q1.src != q2.src:
+    # interned handles are mostly identical: test identity before the
+    # Python-level __eq__
+    if (p1.src is not p2.src and p1.src != p2.src) or (q1.src is not q2.src and q1.src != q2.src):
         raise EndpointMismatch("span pairs must share their source object")
-    if p1.tgt != q1.tgt or p2.tgt != q2.tgt:
+    if (p1.tgt is not q1.tgt and p1.tgt != q1.tgt) or (p2.tgt is not q2.tgt and p2.tgt != q2.tgt):
         return False
     kp = span_pair_key(inst, first)
     if kp is not None:

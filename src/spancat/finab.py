@@ -885,6 +885,19 @@ class FinAbInstance(Instance):
                 self.obj((q,)) for q in primary_factors(t.obj_key))
         return hit
 
+    def decision_objects(self, sq: Square, bound: int, op: bool = False) -> list[ObjHandle]:
+        """Z/p^e(p) for each prime p dividing the order of a corner of sq,
+        by increasing p, where p^e(p) is the largest power of p among the
+        corners' primary factors; the bound is not read.  The bijection at
+        these alone decides the square exactly, in both directions (see the
+        axioms module)."""
+        top: dict[int, int] = {}
+        for corner in (sq.apex, sq.top.cod, sq.left.cod, sq.bottom_right):
+            for q in primary_factors(corner.obj_key):
+                p = _primes(q)[0]
+                top[p] = max(top.get(p, q), q)
+        return [self.obj((top[p],)) for p in sorted(top)]
+
     # morphisms
     def hom(self, a: ObjHandle, b: ObjHandle, rows: Sequence[Sequence[int]]) -> Mor:
         mat = validate_hom(a.obj_key, b.obj_key, rows)

@@ -35,7 +35,7 @@ from .core import (
     ObjHandle,
     ValidationFailure,
 )
-from .fakepb import fake_pullback, properness_holds, sample_span, span_pair_iso_eq
+from .fakepb import fake_pullback, properness_holds, sample_span, span_pair_iso_eq, span_pair_key
 from .finab import (
     FinAbInstance,
     close_elements,
@@ -96,8 +96,9 @@ def rel_reverse(r: Relation) -> Relation:
 
 def rel_key(inst: Instance, r: Relation) -> Any:
     """The instance's end-fixed iso invariant of the zig-zag, or None when
-    the instance offers no fast path."""
-    return inst.rel_pair_key(r.left.d, r.left.m, r.right.d, r.right.m)
+    the instance offers no fast path; kept per leg pair in
+    ``inst.memo.pair_keys``."""
+    return span_pair_key(inst, (r.left, r.right))
 
 
 def graph_relation(inst: Instance, f: Mor) -> Relation:
@@ -133,7 +134,9 @@ def rel_compose(inst: Instance, r2: Relation, r1: Relation) -> Relation:
 
 def rel_iso_eq(inst: Instance, r1: Relation, r2: Relation) -> bool:
     """End-fixed isomorphism of zig-zags; the ends must agree on the nose."""
-    if r1.X != r2.X or r1.Z != r2.Z:
+    # interned handles are mostly identical: test identity before the
+    # Python-level __eq__
+    if (r1.X is not r2.X and r1.X != r2.X) or (r1.Z is not r2.Z and r1.Z != r2.Z):
         raise EndpointMismatch("rel_iso_eq compares relations with equal ends")
     return span_pair_iso_eq(inst, (r1.left, r1.right), (r2.left, r2.right))
 

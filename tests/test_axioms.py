@@ -5,6 +5,7 @@ enumerates every cone and searches mediators explicitly.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 
 import pytest
@@ -13,10 +14,8 @@ from hypothesis import given, settings, strategies as st
 from spancat.axioms import (
     AXIOM_CHECKS,
     MAX_FAILURE_DUMPS,
-    _dedupe,
     _jointly_failures,
     _pullback_bijection_at,
-    _summands_of,
     check_jointly,
     check_pasting_lemma,
     check_pasting_lemma_dual,
@@ -24,8 +23,6 @@ from spancat.axioms import (
     is_pullback,
     is_pushout,
     paste_squares,
-    pullback_competitors,
-    pushout_competitors,
     run_axiom_suite,
     run_sampled,
 )
@@ -49,6 +46,31 @@ S3 = groupoid_instance(symmetric_group_table(3), name="groupoid:s3")
 # ---------------------------------------------------------------------------
 # naive oracle
 # ---------------------------------------------------------------------------
+
+
+def pullback_competitors(inst, sq, bound, op=False):
+    """The naive oracle's test objects: the bounded catalog, the square's
+    apex and, when a cospan leg lies in M, the canonical pullback apex,
+    each once.  With op the square is read in C^op: the apex is the
+    bottom-right corner, E plays M and pushout_along_E plays
+    pullback_along_M."""
+    if op:
+        comps = inst.enumerate_objects_up_to(bound) + [sq.bottom_right]
+        right, bottom, in_M, cone = sq.top, sq.left, "in_E", inst.pushout_along_E
+    else:
+        comps = inst.enumerate_objects_up_to(bound) + [sq.apex]
+        right, bottom, in_M, cone = sq.right, sq.bottom, "in_M", inst.pullback_along_M
+    if getattr(inst.classify(bottom), in_M):
+        comps.append(cone(right, bottom).apex)
+    elif getattr(inst.classify(right), in_M):
+        comps.append(cone(bottom, right).apex)
+    return list(dict.fromkeys(comps))
+
+
+def pushout_competitors(inst, sq, bound):
+    """The naive oracle's test objects for the pushout decision:
+    pullback_competitors read in C^op."""
+    return pullback_competitors(inst, sq, bound, op=True)
 
 
 def naive_is_pullback(inst, sq, competitors):
@@ -119,6 +141,22 @@ def test_degenerate_square_is_neither():
     assert not is_pushout(FA, sq, 8)
     # so the mixed-square biconditional still holds
     assert check_sfs5(FA, sq, 8).ok
+
+
+def test_apex_zero_over_two_z2s_is_neither_at_any_bound():
+    # apex 0 over Z/2 -> 0 <- Z/2: the genuine pullback, and the genuine
+    # pushout of Z/2 <- 0 -> Z/2, is Z/2 + Z/2.  The bound-1 catalog is {0},
+    # and no cospan leg is in M and no span leg in E, so the competitor
+    # lists hold the trivial group alone, where the square looks universal
+    zero, z2 = FA.group(), FA.group(2)
+    into, out = FA.hom(zero, z2, [[]]), FA.hom(z2, zero, [])
+    sq = Square(top=into, left=into, right=out, bottom=out)
+    assert [t.obj_key for t in pullback_competitors(FA, sq, 1)] == [()]
+    assert naive_is_pullback(FA, sq, pullback_competitors(FA, sq, 1))
+    assert naive_is_pushout(FA, sq, pushout_competitors(FA, sq, 1))
+    for bound in (1, 8):
+        assert not is_pullback(FA, sq, bound)
+        assert not is_pushout(FA, sq, bound)
 
 
 def test_identity_square_is_both():
@@ -308,11 +346,19 @@ def test_bijection_at_a_group_is_the_bijections_at_its_summands(finab_square_poo
     assert split_outcomes == {False, True}
 
 
-def _cyclic_prime_power(key):
+def _prime_of(key):
+    """The least prime dividing the order of the cyclic group key, or None
+    when key is no nontrivial cyclic group."""
     if len(key) != 1 or key[0] < 2:
+        return None
+    return next(d for d in range(2, key[0] + 1) if key[0] % d == 0)
+
+
+def _cyclic_prime_power(key):
+    p = _prime_of(key)
+    if p is None:
         return False
     q = key[0]
-    p = next(d for d in range(2, q + 1) if q % d == 0)
     while q % p == 0:
         q //= p
     return q == 1
@@ -342,22 +388,68 @@ class _SeenGroupoid(_Seen, GroupoidInstance):
     pass
 
 
+class _CountingFinAb(_SeenFinAb):
+    """_SeenFinAb that also counts its cone, catalog and summands calls in
+    calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = collections.Counter()
+
+    def pullback_along_M(self, f, m):
+        self.calls["pullback_along_M"] += 1
+        return super().pullback_along_M(f, m)
+
+    def pushout_along_E(self, f, e):
+        self.calls["pushout_along_E"] += 1
+        return super().pushout_along_E(f, e)
+
+    def enumerate_objects_up_to(self, bound):
+        self.calls["enumerate_objects_up_to"] += 1
+        return super().enumerate_objects_up_to(bound)
+
+    def summands(self, t):
+        self.calls["summands"] += 1
+        return super().summands(t)
+
+
 FINAB_PRIMARY_UP_TO_8 = [(2,), (3,), (4,), (5,), (7,), (8,)]
+
+
+@pytest.mark.parametrize("op", [False, True], ids=["pullback", "pushout"])
+def test_finab_decides_at_one_torsion_object_per_prime(finab_square_pool, op):
+    # hom(Z/n, A) is the n-torsion of A, so the bijection at Z/p^e(p) for
+    # each prime decides a square as the bijection at every group does;
+    # bound 1 shows that the catalog plays no part
+    catalog = FA.enumerate_objects_up_to(16)
+    decide = is_pushout if op else is_pullback
+    inst = _SeenFinAb()
+    outcomes = set()
+    for sq in finab_square_pool:
+        inst.seen = []
+        outcome = decide(inst, sq, 1)
+        assert outcome == all(_pullback_bijection_at(FA, sq, t, op) for t in catalog), sq
+        primes = [_prime_of(k) for k in {t.obj_key for t in inst.seen}]
+        assert len(primes) == len(set(primes)), (sq, primes)
+        outcomes.add(outcome)
+    assert outcomes == {False, True}
 
 
 @pytest.mark.parametrize("decide", [is_pullback, is_pushout])
 def test_finab_decisions_visit_only_primary_cyclic_groups(finab_square_pool, decide):
-    inst = _SeenFinAb()
+    inst = _CountingFinAb()
     outcomes = {decide(inst, sq, 8) for sq in finab_square_pool[::4]}
     assert outcomes == {False, True}
     keys = {t.obj_key for t in inst.seen}
-    assert set(FINAB_PRIMARY_UP_TO_8) <= keys
-    assert all(_cyclic_prime_power(k) for k in keys), sorted(keys)
+    assert keys == {(2,), (3,), (4,)}, sorted(keys)
+    # no canonical cone, no catalog, no splitting
+    assert inst.calls == {}
+    assert inst.memo.split_catalogs == {}
 
 
 def test_finab_jointly_and_properness_scan_the_split_catalog():
     split = [FA.obj(k) for k in FINAB_PRIMARY_UP_TO_8]
-    assert _summands_of(FA, FA.enumerate_objects_up_to(8)) == split
+    assert FA.split_catalog(8) == split
     inst = _SeenFinAb()
     assert AXIOM_CHECKS["jointly"](inst, 0, 30, 8).ok
     assert inst.seen == [t for t in split for _ in range(2)] * 30
@@ -366,33 +458,24 @@ def test_finab_jointly_and_properness_scan_the_split_catalog():
     assert inst.seen == split * 2 * 30
 
 
-class _SplitFinAb(FinAbInstance):
-    """finab that records the object of every summands call in split."""
-
-    def __init__(self):
-        super().__init__()
-        self.split = []
-
-    def summands(self, t):
-        self.split.append(t)
-        return super().summands(t)
-
-
 @pytest.mark.parametrize("decide", [is_pullback, is_pushout])
 def test_the_split_catalog_is_kept_per_bound(finab_square_pool, decide):
-    inst = _SplitFinAb()
-    catalog = inst.enumerate_objects_up_to(8)
-    decide(inst, finab_square_pool[0], 8)
-    assert inst.memo.split_catalogs == {8: _summands_of(FA, catalog)}
-    for sq in finab_square_pool[1:40]:
-        inst.split = []
+    inst = _CountingFinAb()
+    split = [inst.obj(k) for k in FINAB_PRIMARY_UP_TO_8]
+    for sq in finab_square_pool[:40]:
         decide(inst, sq, 8)
-        # only the square's apex and its canonical cone apex are split
-        assert 1 <= len(inst.split) <= 2
-    inst.split = []
+    assert inst.memo.split_catalogs == {}
     assert AXIOM_CHECKS["jointly"](inst, 0, 5, 8).ok
+    assert inst.memo.split_catalogs == {8: split}
+    # the first scan split the catalog; later scans and decisions split
+    # nothing and leave the kept list as it is
+    inst.calls.clear()
     assert AXIOM_CHECKS["properness"](inst, 0, 5, 8).ok
-    assert inst.split == []
+    assert AXIOM_CHECKS["jointly"](inst, 1, 5, 8).ok
+    for sq in finab_square_pool[40:80]:
+        decide(inst, sq, 8)
+    assert inst.calls["summands"] == 0
+    assert inst.memo.split_catalogs == {8: split}
 
 
 def _assert_scans_unsplit(inst, squares, bound):
@@ -405,7 +488,6 @@ def _assert_scans_unsplit(inst, squares, bound):
             inst.seen = []
             outcome = decide(inst, sq, bound)
             comps = pullback_competitors(inst, sq, bound, op)
-            assert comps == _dedupe(comps)
             if outcome:
                 assert inst.seen == [t for t in comps for _ in range(4)], sq
             else:
@@ -489,7 +571,7 @@ def test_jointly_failure_details_name_the_first_catalog_failure(op):
 @pytest.mark.parametrize("op", [False, True], ids=["monic", "epic"])
 def test_single_hom_failures_name_the_first_catalog_failure(op):
     catalog = FA.enumerate_objects_up_to(8)
-    split = _summands_of(FA, catalog)
+    split = FA.split_catalog(8)
     homs = [f for a in catalog for b in catalog for f in FA.enumerate_homs(a, b)]
     failed_at = set()
     for f in homs:

@@ -240,6 +240,18 @@ def test_check_axioms_report_pinned(tmp_path):
     assert digest == "eccfc76cd40d066b4ed985ff6bad24971f10beb2bf7a887a01c686c5b75cb4cd"
 
 
+def test_check_axioms_order_8_report_pinned(tmp_path):
+    # the sha256 of the finab-axioms-o8 benchmark unit's report as decisions
+    # over the split catalog and the canonical cone wrote it; deciding at
+    # one torsion group per prime must not move a verdict or a dump
+    out = tmp_path / "axioms.json"
+    proc = run_cli("check-axioms", "--instance", "finab", "--max-order", "8",
+                   "--samples", "1000", "--seed", "0", "--out", str(out))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "dfa9af1959d8aa9f7a87295a29231f0255f75b3cf0b1b00359d92886560ff182"
+
+
 def test_finab_associativity_report_pinned(tmp_path):
     # the sha256 of this report as pools filtered by classify drew it; pools
     # made from structure must draw the same relations

@@ -553,6 +553,32 @@ def test_repeated_rel_iso_eq_keys_each_side_once():
     assert len(inst.memo.pair_keys) == 3
 
 
+def test_rel_key_reads_the_pair_keys_that_rel_iso_eq_stored():
+    inst = CountingPInj()
+    x, z = inst.fset(1), inst.fset(2)
+    r = matching_to_relation(inst, x, z, [(0, 1)], (), [0])
+    s = rel_compose(inst, rel_identity(inst, z), r)
+    assert rel_iso_eq(inst, r, s)
+    assert inst.keys == 2
+    for _ in range(5):
+        assert rel_key(inst, r) == rel_key(inst, s) == PI.rel_pair_key(
+            r.left.d, r.left.m, r.right.d, r.right.m)
+        assert rel_class(inst, r) == rel_class(inst, s)
+    assert inst.keys == 2
+
+
+def test_endpoint_checks_compare_handles_of_two_instances_by_value():
+    # handles of two instances are equal by value but never identical
+    a, b = PInjInstance(), PInjInstance()
+    ra = matching_to_relation(a, a.fset(1), a.fset(2), [(0, 1)])
+    rb = matching_to_relation(b, b.fset(1), b.fset(2), [(0, 1)])
+    assert ra.X is not rb.X and ra.X == rb.X
+    assert rel_iso_eq(a, ra, rb)
+    assert span_pair_iso_eq(b, (ra.left, ra.right), (rb.left, rb.right))
+    with pytest.raises(EndpointMismatch):
+        rel_iso_eq(a, ra, rel_reverse(rb))
+
+
 def test_repeated_rel_compose_is_one_relation_from_one_fake_pullback(monkeypatch):
     import spancat.relations as relations
 

@@ -52,6 +52,12 @@ C^op: composites and hom sets are taken with their arguments flipped
 pullback_along_M, and the square is read with its edges exchanged.
 Morphisms are never rebuilt; they keep their endpoints in C, so failure
 dumps replay as they are.
+
+The decisions trust that a square commutes.  SFS1-SFS4 validate each cone
+square the instance computes; the sampler's fills commute by construction
+and its other squares are those cones, so SFS5 and the pasting checks do
+not validate again.  check_star_bipullback, the V3/V4 completions and
+certify_grid validate the squares they are handed or build.
 """
 from __future__ import annotations
 
@@ -102,13 +108,12 @@ class CheckReport:
         }
 
 
-def one_sample_report(inst: Instance, name: str, failures: list, bound: int,
-                      seed: int = 0) -> CheckReport:
+def one_sample_report(inst: Instance, name: str, failures: list, bound: int) -> CheckReport:
     """The report of one check on one input, given the input's failure
     dumps: the input fails, once, when there are any."""
     return CheckReport(
         check_name=name, instance=inst.name, samples=1,
-        passes=0 if failures else 1, failures=failures, seed=seed, bound=bound,
+        passes=0 if failures else 1, failures=failures, seed=0, bound=bound,
     )
 
 
@@ -161,7 +166,6 @@ def _pullback_bijection_at(inst: Instance, sq: Square, t: ObjHandle, op: bool) -
 def _decide(inst: Instance, sq: Square, bound: int, op: bool) -> bool:
     """Whether sq is a pullback in C, or with op in C^op (a pushout in C),
     tested at the instance's decision_objects."""
-    validate_square(inst, sq)
     return all(_pullback_bijection_at(inst, sq, t, op)
                for t in inst.decision_objects(sq, bound, op))
 
@@ -169,7 +173,8 @@ def _decide(inst: Instance, sq: Square, bound: int, op: bool) -> bool:
 def is_pullback(inst: Instance, sq: Square, bound: int) -> bool:
     """Whether the commuting square is a pullback, decided at the instance's
     test objects: exact in finab at every bound, and elsewhere over the
-    bounded catalog, exact whenever a cospan leg lies in M."""
+    bounded catalog, exact whenever a cospan leg lies in M.  sq must
+    commute; the decision does not check it."""
     return _decide(inst, sq, bound, op=False)
 
 
@@ -177,7 +182,7 @@ def is_pushout(inst: Instance, sq: Square, bound: int) -> bool:
     """Whether the commuting square is a pushout, that is a pullback in
     C^op, decided at the instance's test objects: exact in finab at every
     bound, and elsewhere over the bounded catalog, exact whenever a span
-    leg lies in E."""
+    leg lies in E.  sq must commute; the decision does not check it."""
     return _decide(inst, sq, bound, op=True)
 
 
@@ -186,7 +191,8 @@ def is_pushout(inst: Instance, sq: Square, bound: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _sfs5_failures(inst: Instance, sq: Square, bound: int) -> list[dict]:
+def sfs5_failures(inst: Instance, sq: Square, bound: int) -> list[dict]:
+    """SFS5 on one mixed square: pullback and pushout must coincide."""
     cls = (
         inst.classify(sq.top).in_M,
         inst.classify(sq.left).in_E,
@@ -207,21 +213,10 @@ def _sfs5_failures(inst: Instance, sq: Square, bound: int) -> list[dict]:
     }]
 
 
-def check_sfs5(inst: Instance, sq: Square, bound: int, seed: int = 0) -> CheckReport:
-    """For one mixed square (top in M, left in E, right in E, bottom in M):
-    pullback and pushout must coincide."""
-    return one_sample_report(inst, "sfs5", _sfs5_failures(inst, sq, bound), bound, seed)
-
-
-def _pasteable(inst: Instance, left: Square, right: Square) -> None:
-    validate_square(inst, left)
-    validate_square(inst, right)
+def paste_squares(inst: Instance, left: Square, right: Square) -> Square:
+    """The outer rectangle of two squares that share their middle edge."""
     if not inst.mor_eq(left.right, right.left):
         raise ShapeViolation("squares do not share their middle edge")
-
-
-def paste_squares(inst: Instance, left: Square, right: Square) -> Square:
-    _pasteable(inst, left, right)
     return Square(
         top=inst.compose(right.top, left.top),
         left=left.left,
@@ -230,8 +225,10 @@ def paste_squares(inst: Instance, left: Square, right: Square) -> Square:
     )
 
 
-def _pasting_failures(inst: Instance, left: Square, right: Square,
-                      bound: int, op: bool = False) -> list[dict]:
+def pasting_failures(inst: Instance, left: Square, right: Square,
+                     bound: int, op: bool = False) -> list[dict]:
+    """The pasted square of a ladder with verticals in M is a pullback iff
+    both squares are; with op, verticals in E and pushouts."""
     decide, label = (is_pushout, "is_pushout") if op else (is_pullback, "is_pullback")
     rect = paste_squares(inst, left, right)
     lp = decide(inst, left, bound)
@@ -246,22 +243,6 @@ def _pasting_failures(inst: Instance, left: Square, right: Square,
     }]
 
 
-def check_pasting_lemma(inst: Instance, left: Square, right: Square,
-                        bound: int, seed: int = 0) -> CheckReport:
-    """For a ladder between two E-then-M factorizations with verticals in M:
-    the pasted square is a pullback iff both component squares are."""
-    fails = _pasting_failures(inst, left, right, bound)
-    return one_sample_report(inst, "pasting", fails, bound, seed)
-
-
-def check_pasting_lemma_dual(inst: Instance, left: Square, right: Square,
-                             bound: int, seed: int = 0) -> CheckReport:
-    """For a ladder between two E-then-M factorizations with verticals in E:
-    the pasted square is a pushout iff both component squares are."""
-    fails = _pasting_failures(inst, left, right, bound, op=True)
-    return one_sample_report(inst, "pasting_dual", fails, bound, seed)
-
-
 # op -> (shape, shared end, leg classes, dump names, property) of the legs
 # whose joint monicity, read in C^op when op, is checked
 _JOINT_LEGS = {
@@ -270,8 +251,8 @@ _JOINT_LEGS = {
 }
 
 
-def _jointly_failures(inst: Instance, first: Mor, second: Mor, bound: int,
-                      op: bool = False) -> list[dict]:
+def jointly_failures(inst: Instance, first: Mor, second: Mor, bound: int,
+                     op: bool = False) -> list[dict]:
     """Joint monicity of the span (first in E, second in M); with op, joint
     epicity of the cospan (first in M, second in E), which is joint
     monicity in C^op."""
@@ -292,20 +273,6 @@ def _jointly_failures(inst: Instance, first: Mor, second: Mor, bound: int,
                 "detail": f"not jointly {prop} at {t.descriptor}",
             }]
     return []
-
-
-def check_jointly(inst: Instance, first: Mor, second: Mor, bound: int,
-                  seed: int = 0) -> CheckReport:
-    """Joint monicity of an (E, M) span, or joint epicity of an (M, E)
-    cospan; the shape is inferred from the shared endpoint."""
-    if first.dom == second.dom and (first.cod != second.cod or inst.classify(first).in_E):
-        op = False
-    elif first.cod == second.cod:
-        op = True
-    else:
-        raise ShapeViolation("legs form neither a span nor a cospan")
-    fails = _jointly_failures(inst, first, second, bound, op)
-    return one_sample_report(inst, "jointly", fails, bound, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +393,8 @@ def _check_stability(name: str, inst: Instance, seed: int, samples: int,
     """SFS1: pullbacks along M exist, so the computed cone is a pullback and
     the leg opposite m is again in M.  SFS3: pulling an E-morphism back
     along M lands in E again.  SFS2 and SFS4 are the same checks read in
-    C^op, on pushouts along E."""
+    C^op, on pushouts along E.  A cone square that does not commute raises
+    ShapeViolation."""
     draw, op, leg, cls, detail = _STABILITY[name]
     cone_of = inst.pushout_along_E if op else inst.pullback_along_M
     not_universal = "cocone is not a pushout" if op else "cone is not a pullback"
@@ -435,6 +403,7 @@ def _check_stability(name: str, inst: Instance, seed: int, samples: int,
         f, g = getattr(smp, draw)()
         cone = cone_of(f, g)
         sq = drawn_square(op, cone.leg2, cone.leg1, g, f)
+        validate_square(inst, sq)
         if not getattr(inst.classify(getattr(cone, leg)), cls):
             return [{"square": square_dict(inst, sq), "detail": detail}]
         if not (is_pushout if op else is_pullback)(inst, sq, bound):
@@ -448,14 +417,14 @@ def _check_sfs5(inst: Instance, seed: int, samples: int, bound: int) -> CheckRep
     """Mixed squares (top in M, left in E, right in E, bottom in M) are
     pullbacks exactly when they are pushouts."""
     return run_sampled("sfs5", inst, seed, samples, bound,
-                       lambda smp: _sfs5_failures(inst, smp.mixed_square(), bound))
+                       lambda smp: sfs5_failures(inst, smp.mixed_square(), bound))
 
 
 def _check_pasting(inst: Instance, seed: int, samples: int, bound: int,
                    op: bool = False) -> CheckReport:
     return run_sampled(
         "pasting_dual" if op else "pasting", inst, seed, samples, bound,
-        lambda smp: _pasting_failures(inst, *smp.factorization_ladder(op), bound, op),
+        lambda smp: pasting_failures(inst, *smp.factorization_ladder(op), bound, op),
     )
 
 
@@ -466,9 +435,9 @@ def _check_jointly(inst: Instance, seed: int, samples: int, bound: int) -> Check
     def body(smp: Sampler) -> list[dict]:
         if smp.rng.randrange(2) == 0:
             d, m = smp.em_span_legs()
-            return _jointly_failures(inst, d, m, bound)
+            return jointly_failures(inst, d, m, bound)
         e, m = smp.cospan_E_M()
-        return _jointly_failures(inst, m, e, bound, op=True)
+        return jointly_failures(inst, m, e, bound, op=True)
 
     return run_sampled("jointly", inst, seed, samples, bound, body)
 

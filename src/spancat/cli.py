@@ -32,6 +32,9 @@ from .fakepb import (
     certify_grid,
     check_v1,
     fake_pullback,
+    run_fake_mono_suite,
+    run_grid_suite,
+    run_identity_suite,
     run_stacking_suite,
     run_symmetry_suite,
     run_v_conditions_suite,
@@ -224,6 +227,9 @@ SUITES: dict[str, tuple[Callable[[Instance, int, int, int], CheckReport], int]] 
     "associativity": (run_associativity_suite, 500),
     "stacking": (run_stacking_suite, 200),
     "symmetry": (run_symmetry_suite, 200),
+    "identity": (run_identity_suite, 200),
+    "fake-mono": (run_fake_mono_suite, 200),
+    "grid": (run_grid_suite, 200),
     "goursat": (run_goursat_suite, 60),
     "rrr": (run_rrr_suite, 200),
     "v-conditions": (run_v_conditions_suite, 60),

@@ -112,7 +112,7 @@ class Square:
            v                 v
         cod(left) -bottom-> cod(right)
 
-    Invariant (checked by validate): right . top == bottom . left.
+    Invariant: right . top == bottom . left (validate_square).
     """
 
     top: Mor
@@ -157,8 +157,10 @@ class Memo:
     """Per-instance tables of construction results, keyed by their inputs.
 
     Each table maps an input to the result of a construction that returned
-    normally; a construction that raises stores nothing, so bad input raises
-    on every call.  The tables live as long as their instance.  ``handles``
+    normally; a construction that raises stores nothing, so input it
+    rejects raises on every call.  The keys are trusted: span legs are
+    validated where spans are built (``spans.em_span``).  The tables live
+    as long as their instance.  ``handles``
     holds the one ObjHandle per normalized object key that ``Instance.obj``
     hands out, and ``spans`` the one EMSpan per pair of legs (d, m) that the
     span builders hand out; spans compare by identity, so every table keyed
@@ -573,7 +575,6 @@ class GroupoidInstance(Instance):
         return Mor(a, a, self.ident)
 
     def classify(self, f: Mor) -> OrthClass:
-        self.validate_mor(f)
         return OrthClass(True, True)
 
     def factorize(self, f: Mor) -> Factorization:

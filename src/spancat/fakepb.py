@@ -15,11 +15,14 @@ V2 delegate to the bipullback and exchange machinery, while v3_complete and
 v4_complete constructively complete mixed diagrams, certifying the produced
 squares by the bounded universal-property decisions.
 
-Fake pullbacks are memoized per instance (``Instance.memo``): the input,
-grid and output validation runs once per distinct cospan, and later calls
-with an equal cospan return the stored result.  So are the zig-zag keys
-that ``span_pair_iso_eq`` compares: each span pair's ``rel_pair_key`` is
-computed once.  The iso search behind a None key is never stored.
+Fake pullbacks are memoized per instance (``Instance.memo``): the
+construction runs once per distinct cospan, and later calls with an equal
+cospan return the stored result.  So are the zig-zag keys that
+``span_pair_iso_eq`` compares: each span pair's ``rel_pair_key`` is
+computed once.  The iso search behind a None key is never stored.  The
+construction validates nothing: em_span validated its inputs, and
+certify_grid, run by the grid suite and the fake-pullback command,
+validates its grid.
 """
 from __future__ import annotations
 
@@ -52,6 +55,7 @@ from .jsonio import span_dict
 from .spans import (
     EMSpan,
     SpanCell,
+    _span,
     cell_between,
     check_star_bipullback,
     em_span,
@@ -61,7 +65,6 @@ from .spans import (
     lift_m,
     span_compose,
     span_iso_eq,
-    validate_em_span,
 )
 
 
@@ -135,15 +138,12 @@ def fake_pullback(inst: Instance, f: EMSpan, g: EMSpan) -> FakePullbackResult:
     the pullback leg into U, (3) likewise into V, (4) push the two E-parts
     out.  The result legs are (r, X, i): Q -> U and (s, Y, j): Q -> V.
 
-    Memoized in ``inst.memo`` on (f, g).  Only results that passed every
-    check are stored, so each distinct cospan is validated once and a bad one
-    raises on every call."""
+    Memoized in ``inst.memo`` on (f, g); a cospan whose targets differ
+    raises on every call.  Nothing else is checked: see certify_grid."""
     table = inst.memo.fake_pullbacks
     hit = table.get((f, g))
     if hit is not None:
         return hit
-    validate_em_span(inst, f)
-    validate_em_span(inst, g)
     if f.tgt != g.tgt:
         raise EndpointMismatch("fake pullback needs a cospan: targets differ")
     cone = inst.pullback_along_M(f.m, g.m)
@@ -160,52 +160,37 @@ def fake_pullback(inst: Instance, f: EMSpan, g: EMSpan) -> FakePullbackResult:
         r=r, s=s, i=i, j=j, d_bar=d_bar, e_bar=e_bar, n_bar=n_bar, m_bar=m_bar,
         d=f.d, m=f.m, e=g.d, n=g.m,
     )
-    _validate_grid(inst, grid)
     out = table[f, g] = FakePullbackResult(
-        grid=grid,
-        left_leg=em_span(inst, r, i),
-        right_leg=em_span(inst, s, j),
+        grid=grid, left_leg=_span(inst, r, i), right_leg=_span(inst, s, j),
     )
     return out
 
 
-def _validate_grid(inst: Instance, grid: FakePullbackGrid) -> None:
-    """Cheap structural checks; a failure here signals an instance bug."""
-    for sq in (grid.pullback_square(), grid.pushout_square(),
-               grid.left_factor_square(), grid.right_factor_square()):
-        validate_square(inst, sq)
-    for name, cls in grid.edge_classes().items():
-        got = inst.classify(getattr(grid, name))
-        if not (got.in_E if cls == "E" else got.in_M):
-            raise ClassViolation(f"grid edge {name} fell outside class {cls}")
-
-
 def certify_grid(inst: Instance, grid: FakePullbackGrid, bound: int) -> list[dict]:
-    """Re-verify every grid invariant at catalog scope.
+    """Verify every grid invariant at catalog scope: the one check of a grid.
 
-    Returns failure records (empty means certified): the bottom-right square
-    must be a pullback, the top-left square a pushout, the two factorization
-    squares must commute with correctly classed diagonals, all twelve edges
-    must sit in their stated class, and the degeneracy transfers must hold
-    (an invertible d forces s invertible, an invertible m forces j
-    invertible, and symmetrically e to r and n to i).
+    Returns failure records (empty means certified): the four squares must
+    commute and all twelve edges must sit in their stated class (else one
+    record and no more), the bottom-right square must be a pullback, the
+    top-left square a pushout, and the degeneracy transfers must hold (an
+    invertible d forces s invertible, an invertible m forces j invertible,
+    and symmetrically e to r and n to i).
     """
-    failures: list[dict] = []
     try:
-        _validate_grid(inst, grid)
+        for sq in (grid.pullback_square(), grid.pushout_square(),
+                   grid.left_factor_square(), grid.right_factor_square()):
+            validate_square(inst, sq)
+        for name, cls in grid.edge_classes().items():
+            got = inst.classify(getattr(grid, name))
+            if not (got.in_E if cls == "E" else got.in_M):
+                raise ClassViolation(f"grid edge {name} fell outside class {cls}")
     except SpanCatError as exc:
-        failures.append({"detail": f"structural validation failed: {exc}"})
-        return failures
+        return [{"detail": f"structural validation failed: {exc}"}]
+    failures: list[dict] = []
     if not is_pullback(inst, grid.pullback_square(), bound):
         failures.append({"detail": "bottom-right square is not a pullback"})
     if not is_pushout(inst, grid.pushout_square(), bound):
         failures.append({"detail": "top-left square is not a pushout"})
-    for label, e_part, m_part, total in (
-        ("left", grid.d_bar, grid.i, inst.compose(grid.d, grid.n_bar)),
-        ("right", grid.e_bar, grid.j, inst.compose(grid.e, grid.m_bar)),
-    ):
-        if not inst.mor_eq(inst.compose(m_part, e_part), total):
-            failures.append({"detail": f"{label} factorization square broken"})
     for hyp, conc, names in (
         (grid.d, grid.s, "d->s"), (grid.m, grid.j, "m->j"),
         (grid.e, grid.r, "e->r"), (grid.n, grid.i, "n->i"),
@@ -368,8 +353,6 @@ def v2_square(inst: Instance, a: EMSpan, x: EMSpan) -> V2Square:
     a must have an invertible m-leg (it lies in the reversed-E class) and x
     an invertible d-leg (it lies in the lifted-M class); both must target
     the same object."""
-    validate_em_span(inst, a)
-    validate_em_span(inst, x)
     if a.tgt != x.tgt:
         raise EndpointMismatch("v2 square needs a cospan: targets differ")
     if not inst.is_iso(a.m):

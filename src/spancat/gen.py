@@ -230,13 +230,6 @@ class Sampler:
         # drawn in C, a ladder of C^op is turned half a turn: its squares swap
         return (right, left) if op else (left, right)
 
-    def factorization_ladder_dual(self) -> tuple[Square, Square]:
-        """Two squares sharing their middle edge: rows are E-then-M
-        factorizations and all three verticals are in E; each square is a
-        canonical pushout or a random commuting fill.  This is
-        factorization_ladder drawn in C^op."""
-        return self.factorization_ladder(op=True)
-
     # -- spans of spans ---------------------------------------------------------
 
     def em_apexes(self, src: ObjHandle, tgt: ObjHandle) -> list[ObjHandle]:

@@ -162,7 +162,6 @@ def parse_relation(inst: Instance, data: Any):
         _require(field in data, f"relation needs a {field!r} field")
     left = parse_span(inst, data["left"])
     right = parse_span(inst, data["right"])
-    _require(left.src == right.src, "relation legs must share their source")
     r = relation(inst, left, right)
     for field, have in (("X", r.X), ("Z", r.Z)):
         if field in data:
@@ -176,7 +175,3 @@ def parse_relation(inst: Instance, data: Any):
 def dumps(data: Any) -> str:
     """Canonical serialization: sorted keys, stable separators, newline end."""
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
-def loads(text: str) -> Any:
-    return json.loads(text)

@@ -28,6 +28,7 @@ from .core import (
     ShapeViolation,
     SpanCatError,
     Square,
+    validate_square,
 )
 from .jsonio import square_dict
 
@@ -40,7 +41,8 @@ class EMSpan:
     Equal means identical: build spans through em_span, id_span, lift_m,
     lift_e and span_compose, which hand out one span per instance and pair
     of legs, so equality and hashing are by identity.  apex, src and tgt
-    are the legs' endpoints."""
+    are the legs' endpoints.  Only the builders check classes (em_span and
+    the lifts); everything that takes an EMSpan trusts it."""
 
     src: ObjHandle
     tgt: ObjHandle
@@ -85,8 +87,8 @@ def _span(inst: Instance, d: Mor, m: Mor) -> EMSpan:
 
 
 def em_span(inst: Instance, d: Mor, m: Mor) -> EMSpan:
-    """The EM-span with legs d and m, validated on every call; a pair that
-    fails stores nothing."""
+    """The EM-span with legs d and m, validated on every call: the boundary
+    for parsed and drawn legs.  A pair that fails stores nothing."""
     validate_em_span(inst, EMSpan(src=d.cod, tgt=m.cod, apex=d.dom, d=d, m=m))
     return _span(inst, d, m)
 
@@ -302,7 +304,9 @@ def check_star_bipullback(inst: Instance, sq: Square, bound: int,
     all-E pushout square (lifted by e |-> e^*) is a bipullback of spans.
 
     The corner is the square's apex for the M-form and the bottom-right
-    object for the E-form (lifting by e^* reverses arrows)."""
+    object for the E-form (lifting by e^* reverses arrows).  sq is
+    validated first."""
+    validate_square(inst, sq)
     classes = [inst.classify(f) for f in (sq.top, sq.left, sq.right, sq.bottom)]
     if all(c.in_M for c in classes):
         if not is_pullback(inst, sq, bound):

@@ -14,19 +14,19 @@ from hypothesis import given, settings, strategies as st
 from spancat.axioms import (
     AXIOM_CHECKS,
     MAX_FAILURE_DUMPS,
-    _jointly_failures,
     _pullback_bijection_at,
-    check_jointly,
-    check_pasting_lemma,
-    check_pasting_lemma_dual,
-    check_sfs5,
     is_pullback,
     is_pushout,
+    jointly_failures,
     paste_squares,
+    pasting_failures,
     run_axiom_suite,
     run_sampled,
+    sfs5_failures,
 )
+from spancat import cli
 from spancat.core import (
+    ConeResult,
     GroupoidInstance,
     OrthClass,
     ShapeViolation,
@@ -140,7 +140,7 @@ def test_degenerate_square_is_neither():
     assert not is_pullback(FA, sq, 8)
     assert not is_pushout(FA, sq, 8)
     # so the mixed-square biconditional still holds
-    assert check_sfs5(FA, sq, 8).ok
+    assert sfs5_failures(FA, sq, 8) == []
 
 
 def test_apex_zero_over_two_z2s_is_neither_at_any_bound():
@@ -231,29 +231,29 @@ def test_check_sfs5_rejects_bad_shape():
     z = FA.hom(z2, z2, [[0]])  # neither E nor M
     sq = Square(top=z, left=z, right=z, bottom=z)
     with pytest.raises(ShapeViolation):
-        check_sfs5(FA, sq, 4)
+        sfs5_failures(FA, sq, 4)
 
 
 def test_check_jointly_frozen():
     z4, z2 = FA.group(4), FA.group(2)
     d = FA.hom(z4, z2, [[1]])
     m = FA.identity(z4)
-    assert check_jointly(FA, d, m, 6).ok
+    assert jointly_failures(FA, d, m, 6) == []
     # cospan form: inclusion and a surjection onto Z/4
     incl = FA.hom(z2, z4, [[2]])
     surj = FA.identity(z4)
-    assert check_jointly(FA, incl, surj, 6).ok
+    assert jointly_failures(FA, incl, surj, 6, op=True) == []
     with pytest.raises(ShapeViolation):
-        check_jointly(FA, FA.hom(z4, z2, [[0]]), FA.hom(z2, z4, [[0]]), 4)
+        jointly_failures(FA, FA.hom(z4, z2, [[0]]), FA.hom(z2, z4, [[0]]), 4)
 
 
 def test_check_pasting_on_canonical_ladders():
     for seed in range(6):
         smp = Sampler(FA, seed, 6)
         left, right = smp.factorization_ladder()
-        assert check_pasting_lemma(FA, left, right, 6).ok
-        left, right = smp.factorization_ladder_dual()
-        assert check_pasting_lemma_dual(FA, left, right, 6).ok
+        assert pasting_failures(FA, left, right, 6) == []
+        left, right = smp.factorization_ladder(op=True)
+        assert pasting_failures(FA, left, right, 6, op=True) == []
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +562,7 @@ def test_jointly_failure_details_name_the_first_catalog_failure(op):
 
         t0 = _first_failure(catalog, jointly_at)
         want = [] if t0 is None else [f"not jointly {prop} at {t0.descriptor}"]
-        assert [d["detail"] for d in _jointly_failures(inst, f, g, 8, op)] == want, (f, g)
+        assert [d["detail"] for d in jointly_failures(inst, f, g, 8, op)] == want, (f, g)
         failed_at.add(t0)
     assert None in failed_at and len(failed_at) > 3
     assert all(_cyclic_prime_power(t.obj_key) for t in failed_at if t)
@@ -625,6 +625,28 @@ def test_report_dict_shape():
     }
     assert d["check_name"] == "fs2"
     assert d["seed"] == 1
+
+
+class _ZeroConeFinAb(FinAbInstance):
+    """A broken instance: the first leg of each pullback cone is the zero
+    map, so the cone square commutes only when the second leg is zero."""
+
+    def pullback_along_M(self, f, m):
+        cone = super().pullback_along_M(f, m)
+        p, a = cone.apex, cone.leg1.cod
+        zero = self.hom(p, a, [[0] * len(p.obj_key) for _ in a.obj_key])
+        return ConeResult(p, zero, cone.leg2)
+
+
+def test_sfs1_validates_the_instance_cone(monkeypatch, capsys):
+    # the decisions trust their squares, so SFS1 checks the cone it decides
+    with pytest.raises(ShapeViolation, match="does not commute"):
+        run_axiom_suite(_ZeroConeFinAb(), seed=0, samples=50, bound=6, checks=["sfs1"])
+    monkeypatch.setattr(cli, "load_instance", lambda cfg: _ZeroConeFinAb())
+    rc = cli.main(["check-axioms", "--max-order", "6", "--samples", "20"])
+    assert rc == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unknown_check_rejected():

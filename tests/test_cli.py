@@ -20,7 +20,7 @@ from spancat.axioms import CheckReport
 from spancat.config import ConfigError, RunConfig, env_seed, instance_bound, load_instance
 from spancat.core import ValidationFailure, groupoid_instance, symmetric_group_table
 from spancat.finab import FinAbInstance, close_elements
-from spancat.jsonio import dumps, parse_mor, parse_obj, relation_dict, span_dict
+from spancat.jsonio import dumps, mor_dict, parse_mor, parse_obj, relation_dict, span_dict
 from spancat.pinj import PInjInstance
 from spancat.relations import rel_identity, subgroup_to_zigzag
 from spancat.spans import em_span, id_span, lift_m
@@ -263,6 +263,22 @@ def test_finab_associativity_report_pinned(tmp_path):
     assert digest == "a080d5bd94025d60266f3a23f16aba37cd188aa18e2e19c450586054d5135610"
 
 
+def test_fake_pullback_law_reports_pinned(tmp_path):
+    # the sha256 of each finab report at seed 0 as the three law suites
+    # first wrote it from the command line
+    pinned = {
+        "identity": "dc23027db8adc54aed802c230b9a4539de4e76fa4809be30e1f0eef4583347d2",
+        "fake-mono": "d7984760e8c1f68141300e50765fa18b1ebe60ded2d6c29ac907b594605d0117",
+        "grid": "2d13e31ca531cfa14ca2f08b9e0744e7a2035805e392516cb866a779f5ae7c21",
+    }
+    for suite, expected in pinned.items():
+        out = tmp_path / f"{suite}.json"
+        proc = run_cli("suite", "--suite", suite, "--instance", "finab",
+                       "--seed", "0", "--out", str(out))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
 @pytest.fixture()
 def order9_cospan_file(tmp_path):
     # on Z/9 a presentation that picks another unit shows in the matrices;
@@ -381,6 +397,41 @@ def test_fake_pullback_non_integer_exits_two(tmp_path, instance, leg, field, val
     assert "must be a JSON integer" in proc.stderr
 
 
+def _class_violation_input(case: str) -> tuple[str, str, object]:
+    """(command, instance, file content) of a well-formed input whose
+    morphisms parse but lie outside the class their place needs."""
+    if case == "finab-d-not-in-E":
+        z2 = FA.group(2)
+        d = {"dom": [2], "cod": [4], "matrix": [[2]]}
+        f = {"d": d, "m": mor_dict(FA, FA.identity(z2))}
+        return "fake-pullback", "finab", {"f": f, "g": span_dict(FA, id_span(FA, z2))}
+    if case == "pinj-d-not-surjective":
+        two = PI.fset(2)
+        d = {"dom": 2, "cod": 2, "map": [0, None]}
+        f = {"d": d, "m": mor_dict(PI, PI.identity(two))}
+        return "fake-pullback", "pinj", {"f": f, "g": span_dict(PI, id_span(PI, two))}
+    z4 = FA.group(4)
+    rel = relation_dict(FA, rel_identity(FA, z4))
+    m = {"dom": [4], "cod": [2], "matrix": [[1]]}
+    rel["left"] = {"d": mor_dict(FA, FA.identity(z4)), "m": m}
+    return "compose-relations", "finab", [rel]
+
+
+@pytest.mark.parametrize(
+    "case", ["finab-d-not-in-E", "pinj-d-not-surjective", "relation-m-not-in-M"])
+def test_class_violations_exit_two(tmp_path, case):
+    # the parsers are the boundary where span classes are checked: a leg in
+    # the wrong class is bad input (exit 2) in one line, not a traceback
+    command, instance, content = _class_violation_input(case)
+    path = tmp_path / "input.json"
+    path.write_text(dumps(content))
+    proc = run_cli(command, "--instance", instance, str(path))
+    assert proc.returncode == EXIT_ERROR
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "EM-span must be in" in proc.stderr
+
+
 @pytest.mark.parametrize("data", [{"star": 1}, {"star": "*"}, {"star": True, "x": 0}, {}])
 def test_groupoid_object_must_be_star_true(data):
     s3 = groupoid_instance(symmetric_group_table(3), name="groupoid:s3")
@@ -471,6 +522,9 @@ def test_compose_relations_rejects_non_list(tmp_path, capsys):
         ("rrr", "pinj", ["--samples", "15"]),
         ("v-conditions", "pinj", ["--samples", "8"]),
         ("bipullback", "pinj", ["--samples", "10"]),
+        ("identity", "pinj", ["--samples", "15"]),
+        ("fake-mono", "pinj", ["--samples", "15"]),
+        ("grid", "pinj", ["--samples", "15"]),
     ],
 )
 def test_suites_pass(suite, instance, extra, capsys):

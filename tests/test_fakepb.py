@@ -11,10 +11,14 @@ machinery.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from spancat.axioms import is_pullback, is_pushout
 from spancat.core import (
     ClassViolation,
+    ConeResult,
     EndpointMismatch,
     ShapeViolation,
     Square,
@@ -618,15 +622,6 @@ def test_failed_fake_pullbacks_are_not_memoized():
     for _ in range(2):
         with pytest.raises(EndpointMismatch):
             fake_pullback(inst, f, other)
-    # a left leg that misses a point of its target is outside E
-    r3 = inst.fset(3)
-    bad = EMSpan(
-        src=inst.fset(2), tgt=f.tgt, apex=r3,
-        d=inst.pinj(r3, inst.fset(2), (0, None, None)), m=f.m,
-    )
-    for _ in range(2):
-        with pytest.raises(ClassViolation):
-            fake_pullback(inst, bad, g)
     assert inst.memo.fake_pullbacks == {}
 
 
@@ -644,3 +639,73 @@ def test_repeated_fake_pullback_pulls_back_once():
     results = {id(fake_pullback(inst, f, g)) for _ in range(10)}
     assert len(results) == 1
     assert inst.pullbacks == 1
+
+
+# ---------------------------------------------------------------------------
+# where validation runs: certify_grid, not the construction
+# ---------------------------------------------------------------------------
+
+
+class _CountingValidateFinAb(FinAbInstance):
+    def __init__(self):
+        super().__init__()
+        self.validations = 0
+
+    def validate_mor(self, f):
+        self.validations += 1
+        super().validate_mor(f)
+
+
+def test_decisions_and_fake_pullback_misses_validate_nothing():
+    inst = _CountingValidateFinAb()
+    z2, z4, z8 = inst.group(2), inst.group(4), inst.group(8)
+    f = em_span(inst, inst.hom(z4, z2, [[1]]), inst.hom(z4, z8, [[2]]))
+    g = em_span(inst, inst.identity(z8), inst.identity(z8))
+    cone = inst.pullback_along_M(f.m, g.m)
+    sq = Square(top=cone.leg1, left=cone.leg2, right=f.m, bottom=g.m)
+    inst.validations = 0
+    # a pullback along an isomorphism is also a pushout
+    assert is_pullback(inst, sq, 8) and is_pushout(inst, sq, 8)
+    fake_pullback(inst, f, g)
+    assert len(inst.memo.fake_pullbacks) == 1
+    assert inst.validations == 0
+    # the fake-pullback command's check of the grid does validate it
+    assert certify_grid(inst, fake_pullback(inst, f, g).grid, 8) == []
+    assert inst.validations > 0
+
+
+class _WidePushoutFinAb(FinAbInstance):
+    """A broken instance: its pushouts carry a spare Z/2 summand that no
+    leg reaches, so the square commutes but both legs lie outside E."""
+
+    def pushout_along_E(self, f, e):
+        po = super().pushout_along_E(f, e)
+        wide = self.group(*po.apex.obj_key, 2)
+
+        def widen(leg):
+            return self.hom(leg.dom, wide, [*leg.payload, [0] * len(leg.dom.obj_key)])
+
+        return ConeResult(wide, widen(po.leg1), widen(po.leg2))
+
+
+def test_grid_suite_reports_a_broken_grid_as_failures():
+    rep = run_grid_suite(_WidePushoutFinAb(), seed=1, samples=25, bound=5)
+    assert rep.passes == 0 and len(rep.failures) == 25
+    for failure in rep.failures:
+        assert set(failure) == {"detail", "f", "g"}
+        assert failure["detail"] == (
+            "structural validation failed: grid edge r fell outside class E")
+
+
+def test_certify_grid_reports_a_misclassified_edge():
+    # M-legs onto the two summands of Z/2 + Z/2 pull back to 0, so the
+    # left factorization square runs out of 0 and commutes for any d
+    z2, v4 = FA.group(2), FA.group(2, 2)
+    f = em_span(FA, FA.identity(z2), FA.hom(z2, v4, [[1], [0]]))
+    g = em_span(FA, FA.identity(z2), FA.hom(z2, v4, [[0], [1]]))
+    grid = fake_pullback(FA, f, g).grid
+    assert grid.Z.obj_key == () and certify_grid(FA, grid, 4) == []
+    zero = FA.hom(z2, z2, [[0]])  # neither in E nor in M
+    assert certify_grid(FA, dataclasses.replace(grid, d=zero), 4) == [
+        {"detail": "structural validation failed: grid edge d fell outside class E"},
+    ]

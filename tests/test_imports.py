@@ -1,5 +1,6 @@
 """Import hygiene: no module of the package, the tests or the scripts
-imports a name it never uses.
+imports a name it never uses, and no definition in the package lacks a
+caller in the package unless it is pinned as library API.
 
 Each module is parsed with ast.  An import binds names (the alias, or the
 first component of a dotted ``import a.b``); a name counts as used when it
@@ -10,6 +11,7 @@ directives, not names, and are skipped.
 from __future__ import annotations
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -49,3 +51,64 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Library API with no caller in src/ yet: "function" or "Class.method".
+# Growing this list needs a line in CHANGES.md.
+UNCALLED_API = frozenset({
+    "apply_hom", "diagonal_subgroup", "GroupoidInstance.mor", "symmetric_group_table",
+    "count_pinjs", "graph_relation", "rel_class", "relation_to_matching", "all_matchings",
+    "Instance.compose_many", "matching_to_relation", "rel_identity",
+})
+
+
+def _named(tree: ast.AST) -> collections.Counter:
+    """How often each identifier is named: a Name, an attribute, or a string
+    (getattr dispatch tables name methods by string)."""
+    out: collections.Counter = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1
+    return out
+
+
+def uncalled_definitions(sources: list[str]) -> set[str]:
+    """Top-level functions and methods of top-level classes that no code
+    names outside their own body; dunder methods are called by Python."""
+    trees = [ast.parse(s) for s in sources]
+    named = sum((_named(t) for t in trees), collections.Counter())
+    defs = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{f.name}", f) for f in node.body
+                         if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and not f.name.startswith("__")]
+    return {label for label, node in defs
+            if named[node.name] - _named(node)[node.name] <= 0}
+
+
+def test_uncalled_definitions_are_found():
+    source = (
+        "def used(): return helper()\n"
+        "def helper(): return helper()\n"
+        "def dead(): return dead()\n"
+        "class K:\n"
+        "    def __init__(self): self.go()\n"
+        "    def go(self): pass\n"
+        "    def by_name(self): pass\n"
+        "    def idle(self): pass\n"
+        "DISPATCH = {'x': 'by_name'}\n"
+    )
+    assert uncalled_definitions([source]) == {"used", "dead", "K.idle"}
+
+
+def test_every_src_definition_has_a_src_caller():
+    sources = [p.read_text(encoding="utf-8") for p in MODULES if p.parent.name == "spancat"]
+    assert uncalled_definitions(sources) == UNCALLED_API

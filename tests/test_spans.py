@@ -577,9 +577,15 @@ def test_bad_em_spans_raise_every_time_and_store_nothing():
     f, _ = composable_pair(inst)
     before = dict(inst.memo.spans)
     outside_m = inst.pinj(f.apex, f.tgt, (1, None))
+    # a left leg that misses a point of its target is outside E
+    r3 = inst.fset(3)
+    outside_e = inst.pinj(r3, inst.fset(2), (0, None, None))
+    into_w = inst.pinj(r3, inst.fset(3), (0, 1, 2))
     for _ in range(3):
         with pytest.raises(ClassViolation):
             em_span(inst, f.d, outside_m)
+        with pytest.raises(ClassViolation):
+            em_span(inst, outside_e, into_w)
         with pytest.raises(EndpointMismatch):
             em_span(inst, f.d, inst.identity(inst.fset(3)))
     assert inst.memo.spans == before

@@ -16,12 +16,7 @@ Each instance names the test objects of a decision
 square's own apex and, when one cospan leg is in M, the canonically
 computed pullback apex; mediators between those two then compose to
 identities by uniqueness at both, which makes the bounded answer exact
-rather than an approximation over the catalog.  Each of them is tested
-through its summands (Instance.summands).  When t is the biproduct of t1,
-..., tn, hom(t, X) is the product of the hom(ti, X), naturally in X, and
-dually hom(X, t) of the hom(X, ti); so the mediator map is a bijection at
-t exactly when it is one at every ti, and the same holds for the
-injectivity that the jointly and properness scans test.
+rather than an approximation over the catalog.
 
 finab needs no catalog and no canonical cone.  The mediator map at T is
 hom(T, c) for the comparison map c from the apex to the genuine pullback
@@ -37,13 +32,21 @@ exact at every bound.  Pushouts follow dually: hom(A, Z/n) is dual to
 A/nA, and the genuine pushout is a quotient of the direct sum of two
 corners.
 
-The jointly and properness scans walk the split catalog, the summands of
-the bounded catalog kept per bound (Instance.split_catalog).  finab splits
-each group into its primary cyclic summands, which leaves at most one test
-object per prime power; pinj and the groupoids keep every object whole.  A
-split object's summands come before it in the catalog, so the first object
-at which a scan fails is never split, and the failure detail names the
-object it always named.
+The jointly and properness scans test a map of hom sets for injectivity
+at each of the instance's scan objects (Instance.scan_objects), by default
+the bounded catalog, and name the first object at which it fails.  For the
+legs (d, m) of a span out of a, the map at T is w |-> (d . w, m . w) on
+hom(T, a); for one M-morphism f it is w |-> f . w on hom(T, dom f).  finab
+scans Z/p for each prime p dividing the order of a (of dom f).  The map at T
+is hom(T, k) for the hom k = (d, m) (or f), so it is one-to-one exactly when
+hom(T, ker k) is zero, that is when the orders of T and ker k share no
+prime; and ker k is a subgroup of a.  So the scan fails exactly when it
+fails at Z/p for some such p.  It names Z/p for the least prime p dividing
+|ker k|, and so does a scan of the catalog, ordered by order, since a
+group of smaller order shares no prime with ker k; that Z/p is in the
+catalog whenever a is.  The joint epicity of a cospan and the epicity of an
+E-morphism are the same read in C^op, with hom(-, Z/p) and the cokernel, a
+quotient of the shared codomain.
 
 A pushout in C is a pullback in C^op, where E and M swap, so each check is
 written once, for pullbacks, and its pushout form runs the same code read in
@@ -264,7 +267,7 @@ def jointly_failures(inst: Instance, first: Mor, second: Mor, bound: int,
         raise ShapeViolation(f"{shape} legs must share their {end}")
     if not getattr(inst.classify(first), in_E) or not getattr(inst.classify(second), in_M):
         raise ShapeViolation(f"{shape} legs must be {classes}")
-    for t in inst.split_catalog(bound):
+    for t in inst.scan_objects(apex, bound):
         firsts = inst.compose_all(first, t, op)
         if len(set(zip(firsts, inst.compose_all(second, t, op)))) < len(firsts):
             return [{
@@ -304,8 +307,8 @@ def _check_fs1(inst: Instance, seed: int, samples: int, bound: int) -> CheckRepo
     (e on top, m on the bottom) admits exactly one diagonal."""
 
     def body(smp: Sampler) -> list[dict]:
-        e = smp.mor_in_E()
-        m = smp.mor_in_M()
+        e = smp.hom(cls="E")
+        m = smp.hom(cls="M")
         groups: dict = {}
         for u in smp.pool(e.dom, m.dom):
             groups.setdefault(inst.compose(m, u).payload, []).append(u)
@@ -449,7 +452,7 @@ def _check_properness(inst: Instance, seed: int, samples: int, bound: int) -> Ch
         # an E-morphism is epic when it is monic in C^op
         for op, cls, name, prop in ((True, "E", "e", "epic"), (False, "M", "m", "monic")):
             f = smp.hom(cls=cls)
-            for t in inst.split_catalog(bound):
+            for t in inst.scan_objects(f.cod if op else f.dom, bound):
                 composites = inst.compose_all(f, t, op)
                 if len(set(composites)) < len(composites):
                     detail = f"not {prop} at {t.descriptor}"
@@ -483,13 +486,18 @@ _SAMPLE_SCALE = {
 def run_axiom_suite(inst: Instance, seed: int = 0, samples: int = 500,
                     bound: int = 8, checks: Optional[list[str]] = None) -> list[CheckReport]:
     """Run the named checks (default: all) and return reports sorted by
-    check name."""
+    check name.
+
+    SFS1-SFS4 run first: they validate the instance's own cones, which the
+    other checks' draws build on, so a broken cone is reported as the
+    square that does not commute.  Each check draws from its own seeded
+    sampler, so the order of the runs changes no report."""
     names = sorted(AXIOM_CHECKS) if checks is None else sorted(checks)
     out = []
-    for name in names:
+    for name in sorted(names, key=lambda n: n not in _STABILITY):
         fn = AXIOM_CHECKS.get(name)
         if fn is None:
             raise ValueError(f"unknown check {name!r}; known: {sorted(AXIOM_CHECKS)}")
         n = max(1, int(samples * _SAMPLE_SCALE.get(name, 1.0)))
         out.append(fn(inst, seed, n, bound))
-    return out
+    return sorted(out, key=lambda r: r.check_name)

@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from .core import Instance, SpanCatError, groupoid_instance
+from .core import GroupoidInstance, Instance, SpanCatError
 from .finab import FinAbInstance
 from .pinj import PInjInstance
 
@@ -93,7 +93,7 @@ def load_instance(cfg: RunConfig) -> Instance:
         raise ConfigError(f"groupoid table {path!r} needs a 'table' field")
     label = data.get("name", os.path.splitext(os.path.basename(path))[0])
     try:
-        return groupoid_instance(data["table"], name=f"groupoid:{label}")
+        return GroupoidInstance(data["table"], name=f"groupoid:{label}")
     except (SpanCatError, TypeError, ValueError) as exc:
         raise ConfigError(f"groupoid table {path!r} is not a group table: {exc}") from exc
 

@@ -7,8 +7,9 @@ along M, pushouts along E, stability of E under pullback along M (and dually),
 and the pullback-iff-pushout property for mixed squares.
 
 Everything downstream (spans, fake pullbacks, the relation calculus) is
-written against the :class:`Instance` contract defined here, so a new
-category can be plugged in by implementing one class.
+written against the :class:`Instance` contract defined here.  A new
+category is one subclass, one entry of ``config.INSTANCES`` and, for its
+JSON dumps and inputs, one schema in ``jsonio``.
 """
 from __future__ import annotations
 
@@ -167,9 +168,7 @@ class Memo:
     on spans hits by identity.  ``rel_composites`` holds each relation
     composite, keyed by the four legs of its two factors.  ``pair_keys``
     holds each span pair's ``rel_pair_key``, None included, but never the
-    answer of an iso search.  ``split_catalogs`` holds, per bound, the
-    summands of the bounded catalog (``Instance.split_catalog``) that the
-    jointly and properness scans, and the default decisions, test.
+    answer of an iso search.
     """
 
     handles: dict = field(default_factory=dict)  # normalized obj_key -> ObjHandle
@@ -181,7 +180,6 @@ class Memo:
     span_reps: dict = field(default_factory=dict)  # (src, tgt, bound) keys -> reps
     properness: dict = field(default_factory=dict)  # (bound, seed) -> bool
     pair_keys: dict = field(default_factory=dict)  # (span, span) -> rel_pair_key
-    split_catalogs: dict = field(default_factory=dict)  # bound -> split catalog
 
 
 class Instance(ABC):
@@ -209,21 +207,16 @@ class Instance(ABC):
     homomorphisms, so the whole sequence follows from the images of the hom
     group's generators by addition alone.
 
-    The jointly and properness scans, and by default the bounded
-    decisions, test each catalog object through its ``summands``.  When t
-    is the biproduct of t1, ..., tn, hom(t, X) is the product of the
-    hom(ti, X) and hom(X, t) of the hom(X, ti), naturally in X, so a map
-    between such hom sets is injective, or bijective, at t exactly when it
-    is at every ti (a category with biproducts has zero maps, so no hom set
-    is empty).  The default keeps t whole.  finab splits t into its
-    primary cyclic summands.  pinj keeps the default: a disjoint union is
-    no biproduct of partial injections, since a partial injection out of
-    A + B is a pair out of A and B with disjoint images, not any pair.  A
-    one-object groupoid has nothing to split.
-
     The bounded decisions read their test objects from
-    ``decision_objects``; finab overrides it with one cyclic group per
-    prime, read off the square's corners.
+    ``decision_objects``, and the jointly and properness scans from
+    ``scan_objects``.  Both default to the bounded catalog, which pinj and
+    the groupoids keep.  finab reads its test objects off the objects at
+    hand: Z/p^e(p) per prime for a decision, Z/p per prime for a scan (see
+    the axioms module).
+
+    Iso classes of spans and zig-zags are compared through two keys that
+    every instance gives, ``span_iso_key`` and ``rel_pair_key``; the latter
+    may answer None to send a comparison to the bounded iso search.
 
     The samplers draw class-constrained morphisms through two hooks:
     ``class_homs(a, b, cls)`` lists the morphisms a -> b of a class (any, E,
@@ -308,29 +301,6 @@ class Instance(ABC):
     def enumerate_homs(self, a: ObjHandle, b: ObjHandle) -> Sequence[Mor]:
         ...
 
-    def summands(self, t: ObjHandle) -> tuple[ObjHandle, ...]:
-        """Objects t1, ..., tn of which t is the biproduct, or (t,).
-
-        The scans and the default decisions read hom(t, -) on the pullback
-        side and hom(-, t) on the pushout side, so an instance may split t
-        only into summands of which t is both the coproduct and the product
-        (the empty tuple for a zero object).  A split catalog object's
-        summands must lie in its catalog before it, so that a scan's first
-        failure, which is then never at a split object, stays where it
-        was."""
-        return (t,)
-
-    def split_catalog(self, bound: int) -> list[ObjHandle]:
-        """The summands of the bounded catalog, each once, in order of first
-        appearance, kept per bound in ``memo.split_catalogs``; callers must
-        not change the list."""
-        table = self.memo.split_catalogs
-        hit = table.get(bound)
-        if hit is None:
-            catalog = self.enumerate_objects_up_to(bound)
-            hit = table[bound] = list(dict.fromkeys(s for t in catalog for s in self.summands(t)))
-        return hit
-
     def decision_objects(self, sq: Square, bound: int, op: bool = False) -> list[ObjHandle]:
         """The test objects at which the pullback decision on sq tests the
         mediator bijection, each once: sq is a pullback when the bijection
@@ -339,21 +309,30 @@ class Instance(ABC):
         bottom-right corner, E plays M and pushout_along_E plays
         pullback_along_M.
 
-        The default is the split catalog, then the summands of the square's
-        apex and, when a cospan leg lies in M, of the canonical pullback
-        apex."""
+        The default is the bounded catalog, then the square's apex and,
+        when a cospan leg lies in M, the canonical pullback apex."""
+        comps = self.enumerate_objects_up_to(bound)
         if op:
-            comps = [sq.bottom_right]
+            comps.append(sq.bottom_right)
             right, bottom, in_M, cone = sq.top, sq.left, "in_E", self.pushout_along_E
         else:
-            comps = [sq.apex]
+            comps.append(sq.apex)
             right, bottom, in_M, cone = sq.right, sq.bottom, "in_M", self.pullback_along_M
         if getattr(self.classify(bottom), in_M):
             comps.append(cone(right, bottom).apex)
         elif getattr(self.classify(right), in_M):
             comps.append(cone(bottom, right).apex)
-        own = [s for t in comps for s in self.summands(t)]
-        return list(dict.fromkeys(self.split_catalog(bound) + own))
+        return list(dict.fromkeys(comps))
+
+    def scan_objects(self, a: ObjHandle, bound: int) -> list[ObjHandle]:
+        """The test objects t at which the jointly and properness scans test
+        a map out of hom(t, a), or with op out of hom(a, t), for
+        injectivity; a is the shared domain of the legs tested (with op,
+        their shared codomain).  The scans name the first t that fails, so
+        when a lies in the bounded catalog, an override must fail exactly
+        when the catalog does, and first at the same object.  The default
+        is the bounded catalog."""
+        return self.enumerate_objects_up_to(bound)
 
     # -- generic implementations (instances may override with solvers) ------
 
@@ -448,19 +427,20 @@ class Instance(ABC):
                 count += 1
         return found, count
 
-    # -- optional fast-path hooks -------------------------------------------
+    # -- iso-class keys -----------------------------------------------------
 
+    @abstractmethod
     def span_iso_key(self, d: Mor, m: Mor) -> Any:
         """A complete invariant for the iso class of the span (d, m) out of a
-        common apex, if the instance has a cheap one; None to force search."""
-        return None
+        common apex: two parallel EM-spans are isomorphic exactly when
+        their keys are equal."""
 
+    @abstractmethod
     def rel_pair_key(self, d1: Mor, m1: Mor, d2: Mor, m2: Mor) -> Any:
         """A complete invariant for the end-fixed iso class of the zig-zag
         cod(m1) <- apex1 -> Q <- apex2 -> cod(m2) given by two EM-span legs
         (d1, m1) and (d2, m2) with a shared middle Q = cod(d1) = cod(d2).
         None to force a bounded iso search."""
-        return None
 
 
 def drawn_square(op: bool, top: Mor, left: Mor, right: Mor, bottom: Mor) -> Square:
@@ -618,11 +598,6 @@ class GroupoidInstance(Instance):
         k1 = self.compose(m1, self.inverse(d1))
         k2 = self.compose(d2, self.inverse(m2))
         return self.compose(k1, k2).payload
-
-
-def groupoid_instance(table: Sequence[Sequence[int]], name: str = "groupoid") -> GroupoidInstance:
-    """Build and validate a one-object groupoid instance from a group table."""
-    return GroupoidInstance(table, name=name)
 
 
 def symmetric_group_table(n: int) -> list[list[int]]:

@@ -513,13 +513,13 @@ def check_v1(inst: Instance, seed: int = 0, samples: int = 20, bound: int = 6,
     reports = []
     for k in range(samples):
         if k % 2 == 0:
-            m1 = smp.mor_in_M()
+            m1 = smp.hom(cls="M")
             m2 = smp.hom(b=m1.cod, cls="M")
             cone = inst.pullback_along_M(m2, m1)
             sq = Square(top=cone.leg2, left=cone.leg1, right=m1, bottom=m2)
             legs_ok = inst.classify(cone.leg1).in_M and inst.classify(cone.leg2).in_M
         else:
-            e1 = smp.mor_in_E()
+            e1 = smp.hom(cls="E")
             e2 = smp.hom(a=e1.dom, cls="E")
             cone = inst.pushout_along_E(e1, e2)
             sq = Square(top=e1, left=e2, right=cone.leg1, bottom=cone.leg2)
@@ -615,7 +615,7 @@ def run_v_conditions_suite(inst: Instance, seed: int = 0, samples: int = 60,
 
 
 def _sample_v2(inst: Instance, smp: Sampler, bound: int) -> V2Square:
-    e = smp.mor_in_E()
+    e = smp.hom(cls="E")
     m = smp.hom(b=e.dom, cls="M")
     return v2_square(inst, lift_e(inst, e), lift_m(inst, m))
 
@@ -631,7 +631,7 @@ def _sample_v3(inst: Instance, smp: Sampler, bound: int) -> V3Result:
 
 
 def _sample_v4(inst: Instance, smp: Sampler, bound: int) -> V4Result:
-    f = smp.mor_in_E()
+    f = smp.hom(cls="E")
     a = smp.hom(a=f.dom, cls="E")
     cone = inst.pushout_along_E(f, a)
     sq = Square(top=a, left=f, right=cone.leg2, bottom=cone.leg1)

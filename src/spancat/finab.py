@@ -862,7 +862,6 @@ class FinAbInstance(Instance):
         self._catalogs: dict[int, list[ObjHandle]] = {}
         self._exists_cache: dict[tuple[Orders, Orders, str], bool] = {}
         self._class_cache: dict[tuple[Orders, Orders, bool], tuple[Mor, ...]] = {}
-        self._summand_cache: dict[Orders, tuple[ObjHandle, ...]] = {}
 
     # objects
     def validate_obj(self, key: Any) -> Orders:
@@ -876,15 +875,6 @@ class FinAbInstance(Instance):
     def group(self, *orders: int) -> ObjHandle:
         return self.obj(tuple(orders))
 
-    def summands(self, t: ObjHandle) -> tuple[ObjHandle, ...]:
-        """The primary cyclic summands of t: a finite abelian group is the
-        biproduct of its cyclic groups of prime-power order."""
-        hit = self._summand_cache.get(t.obj_key)
-        if hit is None:
-            hit = self._summand_cache[t.obj_key] = tuple(
-                self.obj((q,)) for q in primary_factors(t.obj_key))
-        return hit
-
     def decision_objects(self, sq: Square, bound: int, op: bool = False) -> list[ObjHandle]:
         """Z/p^e(p) for each prime p dividing the order of a corner of sq,
         by increasing p, where p^e(p) is the largest power of p among the
@@ -897,6 +887,13 @@ class FinAbInstance(Instance):
                 p = _primes(q)[0]
                 top[p] = max(top.get(p, q), q)
         return [self.obj((top[p],)) for p in sorted(top)]
+
+    def scan_objects(self, a: ObjHandle, bound: int) -> list[ObjHandle]:
+        """Z/p for each prime p dividing the order of a, by increasing p; the
+        bound is not read.  A hom is one-to-one exactly when no Z/p maps
+        into its kernel, and onto exactly when its cokernel maps onto no
+        Z/p (see the axioms module)."""
+        return [self.obj((p,)) for p in _primes(group_size(a.obj_key))]
 
     # morphisms
     def hom(self, a: ObjHandle, b: ObjHandle, rows: Sequence[Sequence[int]]) -> Mor:

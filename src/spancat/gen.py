@@ -76,33 +76,27 @@ class Sampler:
         bb = self.rng.choice(self.reachable(aa, cls, "out"))
         return self.rng.choice(self.pool(aa, bb, cls))
 
-    def mor_in_E(self, a: Optional[ObjHandle] = None, b: Optional[ObjHandle] = None) -> Mor:
-        return self.hom(a, b, "E")
-
-    def mor_in_M(self, a: Optional[ObjHandle] = None, b: Optional[ObjHandle] = None) -> Mor:
-        return self.hom(a, b, "M")
-
     # -- shaped draws ----------------------------------------------------------
 
     def cospan_with_M(self) -> tuple[Mor, Mor]:
         """(f, m) with common codomain and m in M; f unconstrained."""
-        m = self.mor_in_M()
+        m = self.hom(cls="M")
         f = self.hom(b=m.cod)
         return f, m
 
     def cospan_E_M(self) -> tuple[Mor, Mor]:
-        m = self.mor_in_M()
+        m = self.hom(cls="M")
         e = self.hom(b=m.cod, cls="E")
         return e, m
 
     def span_with_E(self) -> tuple[Mor, Mor]:
         """(f, e) with common domain and e in E; f unconstrained."""
-        e = self.mor_in_E()
+        e = self.hom(cls="E")
         f = self.hom(a=e.dom)
         return f, e
 
     def span_M_E(self) -> tuple[Mor, Mor]:
-        e = self.mor_in_E()
+        e = self.hom(cls="E")
         m = self.hom(a=e.dom, cls="M")
         return m, e
 
@@ -150,7 +144,7 @@ class Sampler:
             return Square(top=cone.leg1, left=cone.leg2, right=e, bottom=m)
 
         def fill() -> Optional[Square]:
-            n = self.mor_in_M()
+            n = self.hom(cls="M")
             e_pool_objs = self.reachable(n.dom, "E", "out")
             z = self.rng.choice(e_pool_objs)
             e = self.rng.choice(self.pool(n.dom, z, "E"))

@@ -5,7 +5,9 @@ Composition pulls the middle cospan back along the M-leg; the classes of the
 result come from M-stability and the stability of E under pullback along M.
 2-cells are span morphisms between apexes; because M-legs are monic there is
 at most one 2-cell between parallel spans, so hom-categories are preorders
-and all iso-class reasoning reduces to cells-in-both-directions.
+and two spans are isomorphic exactly when there is a cell each way.  Every
+instance gives a complete invariant of that relation, ``span_iso_key``, so
+iso classes are compared and collected by key.
 
 Spans are hash-consed per instance (``Instance.memo``): every builder here
 hands out the one EMSpan of its instance with given legs (d, m), so equal
@@ -155,17 +157,13 @@ def span_key(inst: Instance, s: EMSpan) -> Any:
 
 
 def span_iso_eq(inst: Instance, f: EMSpan, g: EMSpan) -> bool:
-    """Whether parallel spans are isomorphic.
+    """Whether two spans are parallel and isomorphic: whether their
+    ``span_iso_key``s, a complete invariant, agree.
 
     With cells unique, cells in both directions are automatically mutually
-    inverse, so isomorphism is equivalent to a cell each way; instances with
-    a complete span invariant short-circuit the search."""
-    if f.src != g.src or f.tgt != g.tgt:
-        return False
-    kf, kg = span_key(inst, f), span_key(inst, g)
-    if kf is not None and kg is not None:
-        return kf == kg
-    return cell_between(inst, f, g) is not None and cell_between(inst, g, f) is not None
+    inverse, so this is a cell each way; the tests check the keys against
+    cell_between."""
+    return f.src == g.src and f.tgt == g.tgt and span_key(inst, f) == span_key(inst, g)
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,11 +217,7 @@ def span_class_reps(inst: Instance, src: ObjHandle, tgt: ObjHandle,
         for d in es:
             for m in ms:
                 k = inst.span_iso_key(d, m)
-                if k is None:
-                    s = _span(inst, d, m)
-                    if not any(span_iso_eq(inst, s, r) for r in reps):
-                        reps.append(s)
-                elif k not in seen_keys:
+                if k not in seen_keys:
                     seen_keys.add(k)
                     reps.append(_span(inst, d, m))
     cache[ck] = reps
@@ -235,24 +229,8 @@ def _composite_key(inst: Instance, g: EMSpan, f: EMSpan) -> Any:
     cache = inst.memo.composite_keys
     hit = cache.get((g, f))
     if hit is None:
-        comp = span_compose(inst, g, f)
-        hit = span_key(inst, comp)
-        if hit is None:
-            # no complete invariant available: fall back to the span itself
-            hit = comp
-        cache[g, f] = hit
+        hit = cache[g, f] = span_key(inst, span_compose(inst, g, f))
     return hit
-
-
-def _keys_match(inst: Instance, a: Any, b: Any) -> bool:
-    if isinstance(a, EMSpan) and isinstance(b, EMSpan):
-        return span_iso_eq(inst, a, b)
-    return a == b
-
-
-def _span_or_key(inst: Instance, s: EMSpan) -> Any:
-    k = span_key(inst, s)
-    return s if k is None else k
 
 
 def _bipullback_failures(inst: Instance, proj1: EMSpan, proj2: EMSpan,
@@ -279,17 +257,13 @@ def _bipullback_failures(inst: Instance, proj1: EMSpan, proj2: EMSpan,
         u_keys = [(u, _composite_key(inst, side1, u)) for u in us]
         v_keys = [(v, _composite_key(inst, side2, v)) for v in vs]
         for u, ku in u_keys:
-            su = _span_or_key(inst, u)
+            su = span_key(inst, u)
             for v, kv in v_keys:
-                if not _keys_match(inst, ku, kv):
+                if ku != kv:
                     continue
                 samples += 1
-                sv = _span_or_key(inst, v)
-                mediators = [
-                    w
-                    for k1, k2, w in w_entries
-                    if _keys_match(inst, k1, su) and _keys_match(inst, k2, sv)
-                ]
+                sv = span_key(inst, v)
+                mediators = [w for k1, k2, w in w_entries if k1 == su and k2 == sv]
                 if len(mediators) != 1:
                     failures.append({
                         "test_object": t.descriptor,

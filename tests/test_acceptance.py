@@ -15,7 +15,7 @@ import json
 import time
 
 from spancat.axioms import run_axiom_suite
-from spancat.core import groupoid_instance, symmetric_group_table
+from spancat.core import GroupoidInstance, symmetric_group_table
 from spancat.fakepb import (
     check_identity_law,
     check_stacking,
@@ -54,7 +54,7 @@ SEED = 0
 
 FA = FinAbInstance()
 PI = PInjInstance()
-S3 = groupoid_instance(symmetric_group_table(3), name="groupoid:s3")
+S3 = GroupoidInstance(symmetric_group_table(3), name="groupoid:s3")
 
 # catalog bounds per instance: finab by group order, pinj by set size
 INSTANCES = ((FA, 8), (PI, 4), (S3, 1))
@@ -132,7 +132,7 @@ def test_criterion_04_exchange_cell_matches_factorization():
         smp = Sampler(inst, f"{SEED}:exchange", bound)
         n = 0
         for _ in range(200):
-            m = smp.mor_in_M()
+            m = smp.hom(cls="M")
             e = smp.hom(a=m.cod, cls="E")
             res = exchange_square(inst, m, e)
             # the comparison cell exists and cell_between asserted uniqueness;
@@ -190,7 +190,7 @@ def test_criterion_07_grid_certification_with_degeneracies():
         smp = Sampler(inst, f"{SEED}:degenerate", bound)
         forced = 0
         for _ in range(25):
-            m = smp.mor_in_M()
+            m = smp.hom(cls="M")
             f = lift_m(inst, m)
             d2, m2 = smp.em_span_legs(tgt=f.tgt)
             grid = fake_pullback(inst, f, em_span(inst, d2, m2)).grid

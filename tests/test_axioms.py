@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,16 +32,16 @@ from spancat.core import (
     OrthClass,
     ShapeViolation,
     Square,
-    groupoid_instance,
     symmetric_group_table,
 )
-from spancat.finab import FinAbInstance
+from spancat.finab import FinAbInstance, primary_factors
 from spancat.gen import Sampler
+from spancat.jsonio import mor_dict, parse_mor
 from spancat.pinj import PInjInstance
 
 FA = FinAbInstance()
 PI = PInjInstance()
-S3 = groupoid_instance(symmetric_group_table(3), name="groupoid:s3")
+S3 = GroupoidInstance(symmetric_group_table(3), name="groupoid:s3")
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +330,17 @@ def test_finab_counting_matches_naive_on_sampled_squares(seed):
 
 
 # ---------------------------------------------------------------------------
-# test objects split into summands
+# test objects
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("op", [False, True], ids=["pullback", "pushout"])
 def test_bijection_at_a_group_is_the_bijections_at_its_summands(finab_square_pool, op):
+    # a group is the biproduct of its primary cyclic summands, so hom sets
+    # out of it (into it, with op) are products of those at the summands
     split_outcomes = set()
     for t in FA.enumerate_objects_up_to(8):
-        parts = FA.summands(t)
+        parts = tuple(FA.obj((q,)) for q in primary_factors(t.obj_key))
         for sq in finab_square_pool:
             whole = _pullback_bijection_at(FA, sq, t, op)
             assert whole == all(_pullback_bijection_at(FA, sq, s, op) for s in parts), (t, sq)
@@ -389,8 +392,7 @@ class _SeenGroupoid(_Seen, GroupoidInstance):
 
 
 class _CountingFinAb(_SeenFinAb):
-    """_SeenFinAb that also counts its cone, catalog and summands calls in
-    calls."""
+    """_SeenFinAb that also counts its cone and catalog calls in calls."""
 
     def __init__(self):
         super().__init__()
@@ -407,13 +409,6 @@ class _CountingFinAb(_SeenFinAb):
     def enumerate_objects_up_to(self, bound):
         self.calls["enumerate_objects_up_to"] += 1
         return super().enumerate_objects_up_to(bound)
-
-    def summands(self, t):
-        self.calls["summands"] += 1
-        return super().summands(t)
-
-
-FINAB_PRIMARY_UP_TO_8 = [(2,), (3,), (4,), (5,), (7,), (8,)]
 
 
 @pytest.mark.parametrize("op", [False, True], ids=["pullback", "pushout"])
@@ -442,40 +437,40 @@ def test_finab_decisions_visit_only_primary_cyclic_groups(finab_square_pool, dec
     assert outcomes == {False, True}
     keys = {t.obj_key for t in inst.seen}
     assert keys == {(2,), (3,), (4,)}, sorted(keys)
-    # no canonical cone, no catalog, no splitting
+    # no canonical cone, no catalog
     assert inst.calls == {}
-    assert inst.memo.split_catalogs == {}
 
 
-def test_finab_jointly_and_properness_scan_the_split_catalog():
-    split = [FA.obj(k) for k in FINAB_PRIMARY_UP_TO_8]
-    assert FA.split_catalog(8) == split
-    inst = _SeenFinAb()
-    assert AXIOM_CHECKS["jointly"](inst, 0, 30, 8).ok
-    assert inst.seen == [t for t in split for _ in range(2)] * 30
-    inst.seen = []
-    assert AXIOM_CHECKS["properness"](inst, 0, 30, 8).ok
-    assert inst.seen == split * 2 * 30
+def _primes_of(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and _prime_of((p,)) == p]
 
 
-@pytest.mark.parametrize("decide", [is_pullback, is_pushout])
-def test_the_split_catalog_is_kept_per_bound(finab_square_pool, decide):
-    inst = _CountingFinAb()
-    split = [inst.obj(k) for k in FINAB_PRIMARY_UP_TO_8]
-    for sq in finab_square_pool[:40]:
-        decide(inst, sq, 8)
-    assert inst.memo.split_catalogs == {}
-    assert AXIOM_CHECKS["jointly"](inst, 0, 5, 8).ok
-    assert inst.memo.split_catalogs == {8: split}
-    # the first scan split the catalog; later scans and decisions split
-    # nothing and leave the kept list as it is
-    inst.calls.clear()
-    assert AXIOM_CHECKS["properness"](inst, 0, 5, 8).ok
-    assert AXIOM_CHECKS["jointly"](inst, 1, 5, 8).ok
-    for sq in finab_square_pool[40:80]:
-        decide(inst, sq, 8)
-    assert inst.calls["summands"] == 0
-    assert inst.memo.split_catalogs == {8: split}
+class _ScanningFinAb(_SeenFinAb):
+    """_SeenFinAb that records each scan_objects call in scans."""
+
+    def __init__(self):
+        super().__init__()
+        self.scans = []
+
+    def scan_objects(self, a, bound):
+        out = super().scan_objects(a, bound)
+        self.scans.append((a, out))
+        return out
+
+
+def test_finab_jointly_and_properness_scan_one_z_p_per_prime():
+    assert [t.obj_key for t in FA.scan_objects(FA.group(12, 2), 1)] == [(2,), (3,)]
+    assert FA.scan_objects(FA.group(), 8) == []
+    # the jointly scan walks each object twice, once per leg; properness
+    # scans twice per draw, an E-morphism then an M-morphism
+    for check, scans, walks in (("jointly", 30, 2), ("properness", 60, 1)):
+        inst = _ScanningFinAb()
+        assert AXIOM_CHECKS[check](inst, 0, 30, 8).ok
+        assert len(inst.scans) == scans
+        assert inst.seen == [t for _, ts in inst.scans for t in ts for _ in range(walks)]
+        for a, ts in inst.scans:
+            assert [t.obj_key for t in ts] == [(p,) for p in _primes_of(math.prod(a.obj_key))]
+        assert {t.obj_key for t in inst.seen} == {(2,), (3,), (5,), (7,)}
 
 
 def _assert_scans_unsplit(inst, squares, bound):
@@ -518,10 +513,16 @@ def test_groupoid_scans_keep_every_object_whole():
 
 class _AnyClassFinAb(FinAbInstance):
     """finab with every hom in E and M, so that the jointly scan takes any
-    pair of homs."""
+    pair of homs and the samplers draw any hom for any class."""
 
     def classify(self, f):
         return OrthClass(True, True)
+
+    def class_homs(self, a, b, cls="any"):
+        return self.enumerate_homs(a, b)
+
+    def has_class_hom(self, a, b, cls="any"):
+        return True
 
 
 def _first_failure(objs, injective_at):
@@ -547,8 +548,8 @@ def _hom_pairs(op, n_every):
 
 @pytest.mark.parametrize("op", [False, True], ids=["monic", "epic"])
 def test_jointly_failure_details_name_the_first_catalog_failure(op):
-    # a pair fails first at some object of the unsplit catalog; the scan of
-    # the split catalog must name that object too
+    # a pair fails first at some object of the catalog; the scan of one
+    # Z/p per prime must name that object too
     inst = _AnyClassFinAb()
     catalog = FA.enumerate_objects_up_to(8)
     prop = "epic" if op else "monic"
@@ -570,8 +571,9 @@ def test_jointly_failure_details_name_the_first_catalog_failure(op):
 
 @pytest.mark.parametrize("op", [False, True], ids=["monic", "epic"])
 def test_single_hom_failures_name_the_first_catalog_failure(op):
+    # the properness scan of f, at Z/p for each prime p dividing the order
+    # of dom f (cod f, with op), must name the first catalog failure
     catalog = FA.enumerate_objects_up_to(8)
-    split = FA.split_catalog(8)
     homs = [f for a in catalog for b in catalog for f in FA.enumerate_homs(a, b)]
     failed_at = set()
     for f in homs:
@@ -580,7 +582,7 @@ def test_single_hom_failures_name_the_first_catalog_failure(op):
             return len(set(composites)) == len(composites)
 
         t0 = _first_failure(catalog, injective_at)
-        assert _first_failure(split, injective_at) == t0, f
+        assert _first_failure(FA.scan_objects(f.cod if op else f.dom, 8), injective_at) == t0, f
         failed_at.add(t0)
     assert None in failed_at and len(failed_at) > 3
     assert all(_cyclic_prime_power(t.obj_key) for t in failed_at if t)
@@ -642,11 +644,67 @@ def test_sfs1_validates_the_instance_cone(monkeypatch, capsys):
     # the decisions trust their squares, so SFS1 checks the cone it decides
     with pytest.raises(ShapeViolation, match="does not commute"):
         run_axiom_suite(_ZeroConeFinAb(), seed=0, samples=50, bound=6, checks=["sfs1"])
+    # the whole suite runs SFS1-SFS4 first, so the broken cone is reported
+    # as such, not as a class precondition of a draw built on it
     monkeypatch.setattr(cli, "load_instance", lambda cfg: _ZeroConeFinAb())
     rc = cli.main(["check-axioms", "--max-order", "6", "--samples", "20"])
     assert rc == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "does not commute" in err
+
+
+# check -> (passes, samples) on _AnyClassFinAb at seed 0, bound 6, 40 samples
+_ANY_CLASS_OUTCOMES = {
+    "fs1": (6, 16), "fs2": (2, 40), "jointly": (5, 16), "properness": (1, 16), "sfs5": (26, 40),
+}
+
+
+def _dumped_mors(dump):
+    """The morphism dumps of a failure record: its own and its square's."""
+    for key, value in dump.items():
+        if key == "square":
+            yield from value.values()
+        elif key != "detail":
+            yield value
+
+
+def _injective_at(inst, legs, op):
+    """Whether the hom-set map of the legs, w |-> (g . w for g in legs) or
+    with op w |-> (w . g for g in legs), is one-to-one at a test object."""
+    def at(t):
+        walks = [inst.compose_all(g, t, op) for g in legs]
+        return len(set(zip(*walks))) == len(walks[0])
+
+    return at
+
+
+def test_law_failures_are_recorded_and_replayable():
+    # with every hom in every class, each law fails on some draws; each
+    # failure record must replay, and the scans must name the first
+    # catalog object at which they fail
+    inst = _AnyClassFinAb()
+    reports = run_axiom_suite(inst, seed=0, samples=40, bound=6, checks=list(_ANY_CLASS_OUTCOMES))
+    assert {r.check_name: (r.passes, r.samples) for r in reports} == _ANY_CLASS_OUTCOMES
+    catalog = inst.enumerate_objects_up_to(6)
+    dumps = 0
+    for r in reports:
+        assert len(r.failures) == min(r.samples - r.passes, MAX_FAILURE_DUMPS)
+        for dump in r.failures:
+            for data in _dumped_mors(dump):
+                assert mor_dict(inst, parse_mor(inst, data)) == data
+                dumps += 1
+            mors = {k: parse_mor(inst, v) for k, v in dump.items() if k not in ("detail", "square")}
+            op = "e" in mors
+            prop = "epic" if op else "monic"
+            if r.check_name == "jointly":
+                legs = (mors["m"], mors["e"]) if op else (mors["d"], mors["m"])
+                t0 = _first_failure(catalog, _injective_at(inst, legs, op))
+                assert dump["detail"] == f"not jointly {prop} at {t0.descriptor}"
+            elif r.check_name == "properness":
+                t0 = _first_failure(catalog, _injective_at(inst, tuple(mors.values()), op))
+                assert dump["detail"] == f"not {prop} at {t0.descriptor}"
+    assert dumps == 138
 
 
 def test_unknown_check_rejected():

@@ -18,7 +18,7 @@ from spancat import cli, config
 from spancat.cli import EXIT_ERROR, EXIT_OK, SuiteReport, main
 from spancat.axioms import CheckReport
 from spancat.config import ConfigError, RunConfig, env_seed, instance_bound, load_instance
-from spancat.core import ValidationFailure, groupoid_instance, symmetric_group_table
+from spancat.core import GroupoidInstance, ValidationFailure, symmetric_group_table
 from spancat.finab import FinAbInstance, close_elements
 from spancat.jsonio import dumps, mor_dict, parse_mor, parse_obj, relation_dict, span_dict
 from spancat.pinj import PInjInstance
@@ -434,7 +434,7 @@ def test_class_violations_exit_two(tmp_path, case):
 
 @pytest.mark.parametrize("data", [{"star": 1}, {"star": "*"}, {"star": True, "x": 0}, {}])
 def test_groupoid_object_must_be_star_true(data):
-    s3 = groupoid_instance(symmetric_group_table(3), name="groupoid:s3")
+    s3 = GroupoidInstance(symmetric_group_table(3), name="groupoid:s3")
     assert parse_obj(s3, {"star": True}) == s3.star
     with pytest.raises(ValidationFailure):
         parse_obj(s3, data)

@@ -9,12 +9,12 @@ from spancat.core import (
     ClassViolation,
     CrossInstance,
     EndpointMismatch,
+    GroupoidInstance,
     ObjHandle,
     ShapeViolation,
     SpanCatError,
     Square,
     ValidationFailure,
-    groupoid_instance,
     require_same_instance,
     symmetric_group_table,
     validate_square,
@@ -24,7 +24,7 @@ from spancat.pinj import PInjInstance
 
 FA = FinAbInstance()
 PI = PInjInstance()
-S3 = groupoid_instance(symmetric_group_table(3), name="groupoid:s3")
+S3 = GroupoidInstance(symmetric_group_table(3), name="groupoid:s3")
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +195,10 @@ def test_symmetric_group_table_shape():
 
 def test_groupoid_rejects_non_group_tables():
     with pytest.raises(ValidationFailure):
-        groupoid_instance([[0, 0], [0, 0]])
+        GroupoidInstance([[0, 0], [0, 0]])
     # associative magma with no inverses (left zero semigroup) also fails
     with pytest.raises(ValidationFailure):
-        groupoid_instance([[0, 1], [0, 1]])
+        GroupoidInstance([[0, 1], [0, 1]])
 
 
 def test_groupoid_everything_is_iso():

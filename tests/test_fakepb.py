@@ -20,9 +20,9 @@ from spancat.core import (
     ClassViolation,
     ConeResult,
     EndpointMismatch,
+    GroupoidInstance,
     ShapeViolation,
     Square,
-    groupoid_instance,
     symmetric_group_table,
 )
 from spancat.fakepb import (
@@ -61,7 +61,7 @@ from spancat.spans import (
 
 FA = FinAbInstance()
 PI = PInjInstance()
-S3 = groupoid_instance(symmetric_group_table(3), name="groupoid:s3")
+S3 = GroupoidInstance(symmetric_group_table(3), name="groupoid:s3")
 
 
 def pair_key(inst, fp):
@@ -448,7 +448,7 @@ def test_v2_unique_up_to_pair_iso_bounded():
 def test_v2_sampled(inst, bound):
     smp = Sampler(inst, "v2", bound)
     for _ in range(10):
-        e = smp.mor_in_E()
+        e = smp.hom(cls="E")
         m = smp.hom(b=e.dom, cls="M")
         sqr = v2_square(inst, lift_e(inst, e), lift_m(inst, m))
         assert inst.is_iso(sqr.b.m) and inst.is_iso(sqr.y.d)

@@ -1,6 +1,7 @@
 """Import hygiene: no module of the package, the tests or the scripts
-imports a name it never uses, and no definition in the package lacks a
-caller in the package unless it is pinned as library API.
+imports a name it never uses, no definition in the package lacks a
+caller in the package unless it is pinned as library API, and no default
+of the Instance contract is one that every shipped instance overrides.
 
 Each module is parsed with ast.  An import binds names (the alias, or the
 first component of a dotted ``import a.b``); a name counts as used when it
@@ -12,9 +13,14 @@ from __future__ import annotations
 
 import ast
 import collections
+import inspect
 import pathlib
 
 import pytest
+
+from spancat.core import GroupoidInstance, Instance
+from spancat.finab import FinAbInstance
+from spancat.pinj import PInjInstance
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = sorted(
@@ -112,3 +118,18 @@ def test_uncalled_definitions_are_found():
 def test_every_src_definition_has_a_src_caller():
     sources = [p.read_text(encoding="utf-8") for p in MODULES if p.parent.name == "spancat"]
     assert uncalled_definitions(sources) == UNCALLED_API
+
+
+# Instance defaults that every shipped instance overrides, each kept for a
+# reason: fill_diagonal's enumeration is the reference of tests/test_pinj.py.
+# Growing this set needs a line in CHANGES.md.
+OVERRIDDEN_EVERYWHERE = frozenset({"fill_diagonal"})
+
+
+def test_every_instance_default_serves_a_shipped_instance():
+    shipped = (FinAbInstance, PInjInstance, GroupoidInstance)
+    defaults = {name: fn for name, fn in vars(Instance).items()
+                if inspect.isfunction(fn) and not getattr(fn, "__isabstractmethod__", False)}
+    unused = {name for name, fn in defaults.items()
+              if all(getattr(cls, name) is not fn for cls in shipped)}
+    assert unused == OVERRIDDEN_EVERYWHERE

@@ -20,7 +20,6 @@ from spancat.core import (
     EndpointMismatch,
     GroupoidInstance,
     ValidationFailure,
-    groupoid_instance,
     symmetric_group_table,
 )
 from spancat.finab import (
@@ -64,7 +63,7 @@ from spancat.spans import em_span, id_span, lift_e
 
 FA = FinAbInstance()
 PI = PInjInstance()
-S3 = groupoid_instance(symmetric_group_table(3), name="groupoid:s3")
+S3 = GroupoidInstance(symmetric_group_table(3), name="groupoid:s3")
 
 INSTANCES = [(FA, 5), (PI, 3), (S3, 1)]
 INSTANCE_IDS = ["finab", "pinj", "groupoid"]
@@ -638,7 +637,7 @@ class _NoKeyGroupoid(GroupoidInstance):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: groupoid_instance(symmetric_group_table(3), name="groupoid:s3"),
+    lambda: GroupoidInstance(symmetric_group_table(3), name="groupoid:s3"),
     lambda: _NoKeyGroupoid(symmetric_group_table(3), name="groupoid:s3"),
 ], ids=["keyed", "keyless"])
 def test_warm_pair_comparisons_match_a_fresh_instance(make):

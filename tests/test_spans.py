@@ -14,11 +14,11 @@ import pytest
 from spancat.core import (
     ClassViolation,
     EndpointMismatch,
+    GroupoidInstance,
     Mor,
     ObjHandle,
     ShapeViolation,
     Square,
-    groupoid_instance,
     symmetric_group_table,
 )
 from spancat.finab import FinAbInstance
@@ -43,7 +43,7 @@ from spancat.spans import (
 
 FA = FinAbInstance()
 PI = PInjInstance()
-S3 = groupoid_instance(symmetric_group_table(3), name="groupoid:s3")
+S3 = GroupoidInstance(symmetric_group_table(3), name="groupoid:s3")
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,7 @@ def test_pinj_composition_matches_element_oracle_sampled():
 def test_lift_m_functorial_up_to_iso():
     smp = Sampler(FA, "liftm", 6)
     for _ in range(20):
-        m1 = smp.mor_in_M()
+        m1 = smp.hom(cls="M")
         m2 = smp.hom(a=m1.cod, cls="M")
         lhs = lift_m(FA, FA.compose(m2, m1))
         rhs = span_compose(FA, lift_m(FA, m2), lift_m(FA, m1))
@@ -284,7 +284,7 @@ def test_lift_m_functorial_up_to_iso():
 def test_lift_e_contravariant_up_to_iso():
     smp = Sampler(FA, "lifte", 6)
     for _ in range(20):
-        e1 = smp.mor_in_E()
+        e1 = smp.hom(cls="E")
         e2 = smp.hom(a=e1.cod, cls="E")
         lhs = lift_e(FA, FA.compose(e2, e1))
         rhs = span_compose(FA, lift_e(FA, e1), lift_e(FA, e2))
@@ -295,7 +295,7 @@ def test_lift_e_contravariant_up_to_iso():
 def test_exchange_square_sampled(inst, bound):
     smp = Sampler(inst, "exchange", bound)
     for _ in range(25):
-        m = smp.mor_in_M()
+        m = smp.hom(cls="M")
         e = smp.hom(a=m.cod, cls="E")
         ex = exchange_square(inst, m, e)
         fac = inst.factorize(inst.compose(e, m))
@@ -551,7 +551,7 @@ def test_em_span_is_interned():
 @pytest.mark.parametrize("make,obj", [
     (FinAbInstance, lambda inst: inst.group(2, 4)),
     (PInjInstance, lambda inst: inst.fset(3)),
-    (lambda: groupoid_instance(symmetric_group_table(3)), lambda inst: inst.star),
+    (lambda: GroupoidInstance(symmetric_group_table(3)), lambda inst: inst.star),
 ], ids=["finab", "pinj", "groupoid"])
 def test_identity_lifts_are_the_identity_span(make, obj):
     inst = make()

@@ -483,8 +483,8 @@ _SAMPLE_SCALE = {
 }
 
 
-def run_axiom_suite(inst: Instance, seed: int = 0, samples: int = 500,
-                    bound: int = 8, checks: Optional[list[str]] = None) -> list[CheckReport]:
+def run_axiom_suite(inst: Instance, seed: int, samples: int,
+                    bound: int, checks: Optional[list[str]] = None) -> list[CheckReport]:
     """Run the named checks (default: all) and return reports sorted by
     check name.
 

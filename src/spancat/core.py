@@ -178,7 +178,7 @@ class Memo:
     rel_composites: dict = field(default_factory=dict)  # (r2 legs, r1 legs) -> Relation
     composite_keys: dict = field(default_factory=dict)  # (g, f) -> iso key of g . f
     span_reps: dict = field(default_factory=dict)  # (src, tgt, bound) keys -> reps
-    properness: dict = field(default_factory=dict)  # (bound, seed) -> bool
+    properness: dict = field(default_factory=dict)  # bound -> bool
     pair_keys: dict = field(default_factory=dict)  # (span, span) -> rel_pair_key
 
 
@@ -496,6 +496,10 @@ class GroupoidInstance(Instance):
         tab = tuple(tuple(row) for row in table)
         if any(len(row) != n for row in tab):
             raise ValidationFailure("groupoid table is not square")
+        # bool is an int subclass and 1.0 == 1, so range() alone lets both in
+        bad = [x for row in tab for x in row if type(x) is not int]
+        if bad:
+            raise ValidationFailure(f"groupoid table entry must be a JSON integer, got {bad[0]!r}")
         if any(x not in range(n) for row in tab for x in row):
             raise ValidationFailure("groupoid table entries out of range")
         # identity element: a two-sided unit

@@ -295,17 +295,15 @@ def check_stacking(inst: Instance, t: EMSpan, r: EMSpan, s: EMSpan,
     }], bound)
 
 
-def properness_holds(inst: Instance, bound: int, seed: int = 0) -> bool:
+def properness_holds(inst: Instance, bound: int) -> bool:
     """Memoized spot check that E-members are epic and M-members are monic
     at catalog scope."""
     cache = inst.memo.properness
-    key = (bound, seed)
-    hit = cache.get(key)
+    hit = cache.get(bound)
     if hit is None:
-        rep = run_axiom_suite(inst, seed=seed, samples=50, bound=bound,
+        rep = run_axiom_suite(inst, seed=0, samples=50, bound=bound,
                               checks=["properness"])[0]
-        hit = not rep.failures
-        cache[key] = hit
+        hit = cache[bound] = not rep.failures
     return hit
 
 
@@ -505,7 +503,7 @@ def v4_complete(inst: Instance, sq: Square, x: Mor, bound: int) -> V4Result:
     )
 
 
-def check_v1(inst: Instance, seed: int = 0, samples: int = 20, bound: int = 6,
+def check_v1(inst: Instance, seed: int, samples: int, bound: int,
              span_bound: int = 3) -> CheckReport:
     """Lifted pullbacks of M-cospans and pushouts of E-spans are bounded
     bipullbacks with legs in the lifted class."""
@@ -548,24 +546,24 @@ def _sample_cospan(inst: Instance, smp: Sampler) -> tuple[EMSpan, EMSpan]:
     return f, sample_span(inst, smp, tgt=f.tgt)
 
 
-def run_symmetry_suite(inst: Instance, seed: int = 0, samples: int = 200,
-                       bound: int = 6) -> CheckReport:
+def run_symmetry_suite(inst: Instance, seed: int, samples: int,
+                       bound: int) -> CheckReport:
     return run_sampled(
         "symmetry", inst, seed, samples, bound,
         lambda smp: check_symmetry(inst, *_sample_cospan(inst, smp), bound).failures,
     )
 
 
-def run_identity_suite(inst: Instance, seed: int = 0, samples: int = 200,
-                       bound: int = 6) -> CheckReport:
+def run_identity_suite(inst: Instance, seed: int, samples: int,
+                       bound: int) -> CheckReport:
     return run_sampled(
         "identity", inst, seed, samples, bound,
         lambda smp: check_identity_law(inst, sample_span(inst, smp), bound).failures,
     )
 
 
-def run_stacking_suite(inst: Instance, seed: int = 0, samples: int = 200,
-                       bound: int = 6) -> CheckReport:
+def run_stacking_suite(inst: Instance, seed: int, samples: int,
+                       bound: int) -> CheckReport:
     def body(smp: Sampler) -> list[dict]:
         t = sample_span(inst, smp)
         r = sample_span(inst, smp, src=t.tgt)
@@ -575,16 +573,16 @@ def run_stacking_suite(inst: Instance, seed: int = 0, samples: int = 200,
     return run_sampled("stacking", inst, seed, samples, bound, body)
 
 
-def run_fake_mono_suite(inst: Instance, seed: int = 0, samples: int = 200,
-                        bound: int = 6) -> CheckReport:
+def run_fake_mono_suite(inst: Instance, seed: int, samples: int,
+                        bound: int) -> CheckReport:
     return run_sampled(
         "fake_mono", inst, seed, samples, bound,
         lambda smp: check_fake_mono(inst, sample_span(inst, smp), bound).failures,
     )
 
 
-def run_grid_suite(inst: Instance, seed: int = 0, samples: int = 200,
-                   bound: int = 6) -> CheckReport:
+def run_grid_suite(inst: Instance, seed: int, samples: int,
+                   bound: int) -> CheckReport:
     """Certify the grids of sampled cospans at catalog scope."""
 
     def body(smp: Sampler) -> list[dict]:
@@ -595,8 +593,8 @@ def run_grid_suite(inst: Instance, seed: int = 0, samples: int = 200,
     return run_sampled("grid", inst, seed, samples, bound, body)
 
 
-def run_v_conditions_suite(inst: Instance, seed: int = 0, samples: int = 60,
-                           bound: int = 6, span_bound: int = 3) -> CheckReport:
+def run_v_conditions_suite(inst: Instance, seed: int, samples: int,
+                           bound: int, span_bound: int = 3) -> CheckReport:
     """V1 by sampling, V2/V3/V4 by constructive completion on sampled data."""
     completions = cycle((_sample_v2, _sample_v3, _sample_v4))
 

@@ -7,7 +7,9 @@ the codomain order of their row.  All arithmetic is exact (Python ints).
 
 The factorization system takes E = surjective morphisms and M = injective
 ones.  Pullbacks are kernels of difference maps, pushouts are cokernels of
-pairing maps, and everything reduces to Smith normal form over Z.
+pairing maps, factorizations are images, and classification reads the order
+of a cokernel: each construction reads its answer off the Smith normal forms
+over Z it computes, with no second algorithm beside them.
 """
 from __future__ import annotations
 
@@ -200,20 +202,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNF:
     return SNF(freeze(U), freeze(A), freeze(V), freeze(Ui))
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def integer_kernel_basis(mat: Sequence[Sequence[int]]) -> list[Vector]:
     """Basis vectors of {x : mat @ x == 0} over Z."""
     m = len(mat)
@@ -293,69 +281,40 @@ def hom_identity(orders: Orders) -> Matrix:
     )
 
 
-def cokernel_size(dom: Orders, cod: Orders, mat: Matrix) -> int:
-    """Order of the cokernel of mat: dom -> cod.
-
-    The cokernel is Z^m / L with L the column lattice of [mat | diag(cod)],
-    so its order is the index of L, the |determinant| of any triangular
-    basis of L (Cohen, A Course in Computational Algebraic Number Theory,
-    section 2.4).  A column echelon form without transforms gives one: row r
-    gcd-folds columns r+1.. into column r, touching only rows >= r.  The
-    diag(cod) columns make L full rank, so no pivot is zero.
-
-    >>> cokernel_size((4,), (4,), ((2,),))
-    2
-    """
-    m = len(cod)
-    cols = [[mat[i][j] for i in range(m)] for j in range(len(dom))]
-    cols += [[c if i == k else 0 for i in range(m)] for k, c in enumerate(cod)]
-    det = 1
-    for r in range(m):
-        piv = cols[r]
-        for col in cols[r + 1:]:
-            b = col[r]
-            if b:
-                a = piv[r]
-                g, x, y = _xgcd(a, b)
-                p, q = a // g, b // g
-                for k in range(r, m):
-                    ak, bk = piv[k], col[k]
-                    piv[k] = x * ak + y * bk
-                    col[k] = p * bk - q * ak
-        det *= abs(piv[r])
-    return det
-
-
 def hom_classify(dom: Orders, cod: Orders, mat: Matrix) -> OrthClass:
-    c = cokernel_size(dom, cod, mat)
-    surj = c == 1
-    inj = group_size(dom) * c == group_size(cod)
-    return OrthClass(in_E=surj, in_M=inj)
+    """Onto iff the cokernel is trivial, one-to-one iff |dom| . |coker| ==
+    |cod|; the cokernel's order is read off its Smith form.
+
+    >>> hom_classify((4,), (4,), ((2,),))
+    OrthClass(in_E=False, in_M=False)
+    """
+    c = group_size(cokernel_data(dom, cod, mat)[0])
+    return OrthClass(in_E=c == 1, in_M=group_size(dom) * c == group_size(cod))
 
 
 def solve_congruence(
     mat: Sequence[Sequence[int]], dom: Orders, cod: Orders, target: Sequence[int]
-) -> Optional[Vector]:
-    """One x (mod dom) with mat @ x == target (mod cod), or None."""
+) -> tuple[Optional[Vector], int]:
+    """(one x (mod dom) with mat @ x == target (mod cod), or None; the order
+    of the cokernel of mat).  Both come from the Smith form of
+    [mat | diag(cod)], whose diagonal has no zero since diag(cod) makes it
+    full rank: the cokernel's order is the product of that diagonal.
+
+    >>> solve_congruence(((2,),), (4,), (4,), (2,)), solve_congruence(((2,),), (4,), (4,), (1,))
+    (((1,), 2), (None, 2))
+    """
     m, n = len(cod), len(dom)
     if m == 0:
-        return tuple(0 for _ in range(n))
+        return tuple(0 for _ in range(n)), 1
     aug = [list(mat[i]) + [cod[i] if k == i else 0 for k in range(m)] for i in range(m)]
     s = smith_normal_form(aug)
     t = mat_vec(s.U, list(target))
-    y = [0] * (n + m)
     diag = s.diag
-    for i in range(m):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if t[i] != 0:
-                return None
-        else:
-            if t[i] % d != 0:
-                return None
-            y[i] = t[i] // d
-    x_full = mat_vec(s.V, y)
-    return tuple(x_full[j] % dom[j] if dom[j] else x_full[j] for j in range(n))
+    order = math.prod(diag)
+    if any(t[i] % d for i, d in enumerate(diag)):
+        return None, order
+    x_full = mat_vec(s.V, [t[i] // d for i, d in enumerate(diag)] + [0] * n)
+    return tuple(x_full[j] % dom[j] for j in range(n)), order
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +345,23 @@ def joint_image(
     return x, z, close_elements(x + z, zip(*to_x, *to_z))
 
 
-def subgroup_from_gens(ambient: Orders, gens: Sequence[Vector]) -> tuple[Orders, Matrix]:
+def subgroup_from_gens(
+    ambient: Orders, gens: Sequence[Vector]
+) -> tuple[Orders, Matrix, Matrix]:
     """The subgroup of ambient generated by gens, presented as (orders,
-    embedding): orders in invariant-factor form, and the matrix of an
-    injective hom from that group onto the subgroup."""
+    embedding, coords): orders in invariant-factor form, the matrix of an
+    injective hom from that group onto the subgroup, and the matrix whose
+    column j is the coordinates of gens[j] in that group.
+
+    With U . rel . V == D the Smith form of the generators' relations, the
+    new generators are h = gens . U^-1, so gens[j] is the sum of U[i][j] h_i
+    and coordinate i is read mod d_i."""
     n = len(ambient)
     if n == 0:
         gens = []
     k = len(gens)
     if k == 0:
-        return (), tuple(() for _ in range(n))
+        return (), tuple(() for _ in range(n)), ()
     gen_mat = [[gens[j][i] % ambient[i] for j in range(k)] for i in range(n)]
     # relation lattice of the chosen generators
     rel_rows = [gen_mat[i] + [ambient[i] if t == i else 0 for t in range(n)] for i in range(n)]
@@ -407,13 +373,10 @@ def subgroup_from_gens(ambient: Orders, gens: Sequence[Vector]) -> tuple[Orders,
         raise SpanCatError("subgroup relation lattice is not full rank")
     kept = [i for i in range(k) if diag[i] > 1]
     orders = tuple(diag[i] for i in kept)
-    emb_cols = []
-    for i in kept:
-        combo = [s.Uinv[r][i] for r in range(k)]
-        col = mat_vec(gen_mat, combo)
-        emb_cols.append(tuple(col[r] % ambient[r] for r in range(n)))
-    embedding = tuple(tuple(c[r] for c in emb_cols) for r in range(n))
-    return orders, embedding
+    h = mat_mul(gen_mat, s.Uinv)
+    embedding = tuple(tuple(h[r][i] % ambient[r] for i in kept) for r in range(n))
+    coords = tuple(tuple(x % diag[i] for x in s.U[i]) for i in kept)
+    return orders, embedding, coords
 
 
 def kernel_gens(dom: Orders, cod: Orders, mat: Matrix) -> list[Vector]:
@@ -427,11 +390,11 @@ def kernel_gens(dom: Orders, cod: Orders, mat: Matrix) -> list[Vector]:
     return [tuple(v[i] % dom[i] for i in range(n)) for v in basis]
 
 
-def kernel_subgroup(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix]:
+def kernel_subgroup(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix, Matrix]:
     return subgroup_from_gens(dom, kernel_gens(dom, cod, mat))
 
 
-def image_subgroup(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix]:
+def image_subgroup(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix, Matrix]:
     cols = [tuple(mat[i][j] for i in range(len(cod))) for j in range(len(dom))]
     return subgroup_from_gens(cod, cols)
 
@@ -451,17 +414,10 @@ def cokernel_data(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix
 
 
 def ab_factorize(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix, Matrix]:
-    """(image orders, e: dom -> image, m: image -> cod) with mat == m . e."""
-    mid, emb = image_subgroup(dom, cod, mat)
-    e_cols = []
-    for j in range(len(dom)):
-        col = tuple(mat[i][j] for i in range(len(cod)))
-        x = solve_congruence(emb, mid, cod, col)
-        if x is None:
-            raise SpanCatError("factorize: column not in image (internal error)")
-        e_cols.append(x)
-    e = tuple(tuple(e_cols[j][i] for j in range(len(dom))) for i in range(len(mid)))
-    return mid, reduce_matrix(e, mid), emb
+    """(image orders, e: dom -> image, m: image -> cod) with mat == m . e:
+    the image is presented on mat's columns, so their coordinates are e."""
+    mid, m, e = image_subgroup(dom, cod, mat)
+    return mid, e, m
 
 
 def ab_pullback(
@@ -477,7 +433,7 @@ def ab_pullback(
     diff = tuple(
         tuple(list(f[i]) + [-g[i][j] % c[i] for j in range(nb)]) for i in range(len(c))
     )
-    apex, emb = kernel_subgroup(both, c, reduce_matrix(diff, c))
+    apex, emb, _ = kernel_subgroup(both, c, reduce_matrix(diff, c))
     k = len(apex)
     leg1 = reduce_matrix([[emb[i][j] for j in range(k)] for i in range(na)], a)
     leg2 = reduce_matrix([[emb[na + i][j] for j in range(k)] for i in range(nb)], b)
@@ -838,13 +794,10 @@ def solve_hom_equations(
                 val = reduce_matrix(val, y_ord)
             columns[t].extend(hg_xy.to_coords(val))
     mat = [[columns[t][r] for t in range(k)] for r in range(len(big_orders))]
-    x = solve_congruence(mat, hg.orders, tuple(big_orders), big_target)
+    x, coker = solve_congruence(mat, hg.orders, tuple(big_orders), big_target)
     if x is None:
         return None, 0
-    coker = cokernel_size(hg.orders, tuple(big_orders), freeze(mat)) if big_orders else 1
-    big_size = math.prod(big_orders)
-    count = hg.size * coker // big_size if big_size else hg.size
-    return hg.from_coords(x), count
+    return hg.from_coords(x), hg.size * coker // math.prod(big_orders)
 
 
 # ---------------------------------------------------------------------------
@@ -1071,8 +1024,7 @@ class FinAbInstance(Instance):
         key = (a.obj_key, b.obj_key)
         hit = self._hom_cache.get(key)
         if hit is None:
-            hg = hom_group(*key)
-            hit = tuple(Mor(a, b, m) for m in hg.all_matrices())
+            hit = tuple(Mor(a, b, m) for m in self._hom_group(*key).all_matrices())
             self._hom_cache[key] = hit
         return hit
 

@@ -193,7 +193,7 @@ def subgroup_to_zigzag(
     )
     if close_elements(ambient, elem_set) != elem_set:
         raise ValidationFailure("element set is not a subgroup of X + Z")
-    orders, emb = subgroup_from_gens(ambient, sorted(elem_set))
+    orders, emb, _ = subgroup_from_gens(ambient, sorted(elem_set))
     s_grp = fa.group(*orders)
     nx = len(x.obj_key)
     px = reduce_matrix(tuple(emb[i] for i in range(nx)), x.obj_key)
@@ -403,8 +403,8 @@ def sample_relation(inst: Instance, smp: Sampler,
     return relation(inst, left, sample_span(inst, smp, src=left.src))
 
 
-def run_associativity_suite(inst: Instance, seed: int = 0, samples: int = 200,
-                            bound: int = 6) -> CheckReport:
+def run_associativity_suite(inst: Instance, seed: int, samples: int,
+                            bound: int) -> CheckReport:
     def body(smp: Sampler) -> list[dict]:
         r1 = sample_relation(inst, smp)
         r2 = sample_relation(inst, smp, x=r1.Z)
@@ -414,14 +414,14 @@ def run_associativity_suite(inst: Instance, seed: int = 0, samples: int = 200,
     return run_sampled("associativity", inst, seed, samples, bound, body)
 
 
-def run_rrr_suite(inst: Instance, seed: int = 0, samples: int = 200,
-                  bound: int = 6) -> CheckReport:
+def run_rrr_suite(inst: Instance, seed: int, samples: int,
+                  bound: int) -> CheckReport:
     return run_sampled("rrr", inst, seed, samples, bound,
                        lambda smp: check_rrr(inst, sample_relation(inst, smp), bound).failures)
 
 
-def run_goursat_suite(inst: Instance, seed: int = 0, samples: int = 60,
-                      bound: int = 6, max_order: int = 16) -> CheckReport:
+def run_goursat_suite(inst: Instance, seed: int, samples: int,
+                      bound: int, max_order: int = 16) -> CheckReport:
     """Exact subgroup roundtrips over every catalog pair with
     |X + Z| <= max_order, then sampled zig-zag returns."""
     fa = _require_finab(inst)

@@ -109,6 +109,17 @@ def test_groupoid_loading_failures(tmp_path):
     not_group.write_text(json.dumps({"table": [[0, 0], [0, 0]]}))
     with pytest.raises(ConfigError):
         load_instance(RunConfig(instance=f"groupoid:{not_group}"))
+    # JSON booleans and floats are no group elements: true used to run as 1
+    # (exit 0) and 1.0 used to end in Python's own indexing message
+    for label, table in (("bools", [[False, True], [True, False]]),
+                         ("floats", [[0, 1.0], [1, 0]])):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps({"table": table}))
+        proc = run_cli("check-axioms", "--instance", f"groupoid:{path}", "--samples", "5")
+        assert proc.returncode == EXIT_ERROR, label
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "must be a JSON integer" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spancat import finab
 from spancat.core import (
     ClassViolation,
     EndpointMismatch,
@@ -27,7 +28,6 @@ from spancat.finab import (
     apply_hom,
     close_elements,
     cokernel_data,
-    cokernel_size,
     diagonal_subgroup,
     elements_of,
     freeze,
@@ -62,8 +62,8 @@ def brute_image(dom, cod, mat):
 
 
 def presented(sub, ambient):
-    """The element set of a subgroup presented as (orders, embedding)."""
-    orders, emb = sub
+    """The element set of a subgroup presented as (orders, embedding, ...)."""
+    orders, emb = sub[:2]
     return {apply_hom(emb, v, ambient) for v in elements_of(orders)}
 
 
@@ -115,7 +115,7 @@ def test_double_twice_on_z4_is_zero():
 
 
 def test_kernel_of_double_on_z4():
-    orders, emb = kernel_subgroup((4,), (4,), ((2,),))
+    orders, emb, _ = kernel_subgroup((4,), (4,), ((2,),))
     assert presented((orders, emb), (4,)) == {(0,), (2,)}
     assert orders == (2,)
 
@@ -449,7 +449,9 @@ def brute_homs(dom, cod):
         yield tuple(tuple(flat[i * len(dom):(i + 1) * len(dom)]) for i in range(len(cod)))
 
 
-def test_cokernel_size_and_classify_exhaustive_up_to_order_8():
+def test_cokernel_classify_and_factorize_exhaustive_up_to_order_8():
+    # every hom of the order-8 catalog against the brute image and kernel:
+    # the cokernel's order, the class, and the image factorization
     groups = invariant_factor_groups(8)
     homs = 0
     for dom in groups:
@@ -457,11 +459,42 @@ def test_cokernel_size_and_classify_exhaustive_up_to_order_8():
             for mat in brute_homs(dom, cod):
                 img = len(brute_image(dom, cod, mat))
                 ker = len(brute_kernel(dom, cod, mat))
-                assert cokernel_size(dom, cod, mat) == group_size(cod) // img
+                assert group_size(cokernel_data(dom, cod, mat)[0]) == group_size(cod) // img
                 c = hom_classify(dom, cod, mat)
                 assert (c.in_E, c.in_M) == (img == group_size(cod), ker == 1)
+                mid, e, m = ab_factorize(dom, cod, mat)
+                assert hom_compose(m, e, cod, len(dom)) == mat
+                assert len(brute_image(dom, mid, e)) == group_size(mid) == img
+                assert len(brute_kernel(mid, cod, m)) == 1
                 homs += 1
     assert (len(groups), homs) == (11, 1128)
+
+
+def test_factorize_and_equation_solving_read_one_smith_form(monkeypatch):
+    # a cost guard: ab_factorize presents the image (a kernel basis, then the
+    # Smith form of the generators' relations) and reads e off that form;
+    # solve_hom_equations reads a solution and the count off one Smith form
+    calls = []
+    snf = finab.smith_normal_form
+    monkeypatch.setattr(finab, "smith_normal_form", lambda mat: calls.append(mat) or snf(mat))
+    groups = invariant_factor_groups(8)
+    worst = 0
+    for dom in groups:
+        for cod in groups:
+            for mat in brute_homs(dom, cod):
+                calls.clear()
+                ab_factorize(dom, cod, mat)
+                worst = max(worst, len(calls))
+    assert worst == 2
+    calls.clear()
+    # w: Z/4 -> Z/2 + Z/4 with (0 1) . w == 2 and w . 2 == 0 on Z/2: the
+    # Z/4 entry is 2, the Z/2 entry is free
+    sol, count = solve_hom_equations((4,), (2, 4), [
+        (((2, 4), (4,), ((0, 1),)), None, ((4,), (4,), ((2,),))),
+        (None, ((2,), (4,), ((2,),)), ((2,), (2, 4), ((0,), (0,)))),
+    ])
+    assert len(calls) == 1
+    assert sol is not None and count == 2
 
 
 @settings(max_examples=50, deadline=None)
@@ -507,7 +540,7 @@ def test_subgroup_presentation_matches_elements():
     subgroups = 0
     for ambient in ambients:
         for h in all_subgroups(ambient):
-            orders, emb = subgroup_from_gens(ambient, sorted(h))
+            orders, emb, _ = subgroup_from_gens(ambient, sorted(h))
             assert orders == canonical_orders(orders)
             assert group_size(orders) == len(h)
             assert presented((orders, emb), ambient) == h
@@ -630,9 +663,10 @@ def test_solve_congruence_agrees_with_brute(data):
     assume(group_size(dom) <= 36)
     targets = {apply_hom(mat, x, cod) for x in elements_of(dom)}
     missed = [t for t in elements_of(cod) if t not in targets]
+    order = group_size(cod) // len(targets)
     for t in list(targets)[:5]:
-        x = solve_congruence(mat, dom, cod, t)
-        assert x is not None
+        x, coker = solve_congruence(mat, dom, cod, t)
+        assert x is not None and coker == order
         assert apply_hom(mat, x, cod) == tuple(t)
     for t in missed[:5]:
-        assert solve_congruence(mat, dom, cod, t) is None
+        assert solve_congruence(mat, dom, cod, t) == (None, order)

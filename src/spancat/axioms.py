@@ -78,7 +78,7 @@ from .core import (
     validate_square,
 )
 from .gen import Sampler
-from .jsonio import mor_dict, square_dict
+from .jsonio import square_dict
 
 MAX_FAILURE_DUMPS = 25
 
@@ -271,8 +271,8 @@ def jointly_failures(inst: Instance, first: Mor, second: Mor, bound: int,
         firsts = inst.compose_all(first, t, op)
         if len(set(zip(firsts, inst.compose_all(second, t, op)))) < len(firsts):
             return [{
-                names[0]: mor_dict(inst, first),
-                names[1]: mor_dict(inst, second),
+                names[0]: inst.mor_json(first),
+                names[1]: inst.mor_json(second),
                 "detail": f"not jointly {prop} at {t.descriptor}",
             }]
     return []
@@ -324,15 +324,15 @@ def _check_fs1(inst: Instance, seed: int, samples: int, bound: int) -> CheckRepo
             key = (inst.compose(w, e).payload, inst.compose(m, w).payload)
             if key in diag:
                 return [{
-                    "e": mor_dict(inst, e),
-                    "m": mor_dict(inst, m),
+                    "e": inst.mor_json(e),
+                    "m": inst.mor_json(m),
                     "detail": "two diagonals share one boundary",
                 }]
             diag[key] = w
         if pairs != len(diag):
             return [{
-                "e": mor_dict(inst, e),
-                "m": mor_dict(inst, m),
+                "e": inst.mor_json(e),
+                "m": inst.mor_json(m),
                 "detail": f"{pairs} squares but {len(diag)} diagonals",
             }]
         if sample_pair is not None:
@@ -342,8 +342,8 @@ def _check_fs1(inst: Instance, seed: int, samples: int, bound: int) -> CheckRepo
             expect = diag[(u.payload, v.payload)]
             if not inst.mor_eq(w, expect):
                 return [{
-                    "e": mor_dict(inst, e),
-                    "m": mor_dict(inst, m),
+                    "e": inst.mor_json(e),
+                    "m": inst.mor_json(m),
                     "detail": "fill_diagonal disagrees with enumeration",
                 }]
         return []
@@ -375,7 +375,7 @@ def _check_fs2(inst: Instance, seed: int, samples: int, bound: int) -> CheckRepo
                 f"classify says E&M={cls.in_E and cls.in_M} but invertible={two_sided}"
             )
         if problems:
-            return [{"f": mor_dict(inst, f), "detail": "; ".join(problems)}]
+            return [{"f": inst.mor_json(f), "detail": "; ".join(problems)}]
         return []
 
     return run_sampled("fs2", inst, seed, samples, bound, body)
@@ -456,7 +456,7 @@ def _check_properness(inst: Instance, seed: int, samples: int, bound: int) -> Ch
                 composites = inst.compose_all(f, t, op)
                 if len(set(composites)) < len(composites):
                     detail = f"not {prop} at {t.descriptor}"
-                    return [{name: mor_dict(inst, f), "detail": detail}]
+                    return [{name: inst.mor_json(f), "detail": detail}]
         return []
 
     return run_sampled("properness", inst, seed, samples, bound, body)

@@ -2,9 +2,10 @@
 bounds, take fake pullbacks of cospans from files, and compose relations.
 
 Exit codes: 0 all checks passed, 1 a property failed (the report carries
-counterexample dumps that parse back as input files), 2 bad configuration
-or unparseable input.  JSON reports are byte-identical for identical
-configuration including the seed; wall time appears in text output only.
+counterexample dumps that parse back as input files), 2 bad configuration,
+unparseable input or a run out of memory.  JSON reports are byte-identical
+for identical configuration including the seed; wall time appears in text
+output only.
 """
 from __future__ import annotations
 
@@ -42,8 +43,6 @@ from .fakepb import (
 from .finab import FinAbInstance
 from .jsonio import (
     dumps,
-    mor_dict,
-    obj_dict,
     parse_relation,
     parse_span,
     relation_dict,
@@ -135,7 +134,7 @@ def _emit_suite(cfg: RunConfig, sr: SuiteReport) -> int:
 
 def cmd_check_axioms(cfg: RunConfig) -> int:
     inst = load_instance(cfg)
-    bound = instance_bound(cfg, inst)
+    bound = instance_bound(cfg)
     samples = 500 if cfg.samples is None else cfg.samples
     start = time.perf_counter()
     reports = run_axiom_suite(inst, seed=cfg.seed, samples=samples, bound=bound)
@@ -152,7 +151,7 @@ def cmd_fake_pullback(cfg: RunConfig, path: str) -> int:
     f = parse_span(inst, data["f"])
     g = parse_span(inst, data["g"])
     result = fake_pullback(inst, f, g)
-    problems = certify_grid(inst, result.grid, instance_bound(cfg, inst))
+    problems = certify_grid(inst, result.grid, instance_bound(cfg))
     grid = result.grid
     if cfg.format == "dot":
         _write_output(cfg, grid_dot(inst, grid))
@@ -162,11 +161,11 @@ def cmd_fake_pullback(cfg: RunConfig, path: str) -> int:
             "right_leg": span_dict(inst, result.right_leg),
             "grid": {
                 "objects": {
-                    name: obj_dict(inst, getattr(grid, name))
+                    name: inst.obj_json(getattr(grid, name))
                     for name in ("Q", "X", "Y", "Z", "U", "R", "S", "V", "W")
                 },
                 "morphisms": {
-                    name: mor_dict(inst, getattr(grid, name))
+                    name: inst.mor_json(getattr(grid, name))
                     for name in sorted(grid.edge_classes())
                 },
                 "edge_classes": grid.edge_classes(),
@@ -240,7 +239,7 @@ SUITES: dict[str, tuple[Callable[[Instance, int, int, int], CheckReport], int]] 
 def cmd_suite(cfg: RunConfig, suite: str) -> int:
     runner, default_samples = SUITES[suite]
     inst = load_instance(cfg)
-    bound = instance_bound(cfg, inst)
+    bound = instance_bound(cfg)
     samples = default_samples if cfg.samples is None else cfg.samples
     start = time.perf_counter()
     report = runner(inst, cfg.seed, samples, bound)
@@ -332,6 +331,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return cmd_suite(cfg, args.suite)
     except (ConfigError, SpanCatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -98,9 +98,7 @@ def load_instance(cfg: RunConfig) -> Instance:
         raise ConfigError(f"groupoid table {path!r} is not a group table: {exc}") from exc
 
 
-def instance_bound(cfg: RunConfig, inst: Instance) -> int:
-    """The catalog bound the sampler should run with for this instance."""
-    for cls, bound in INSTANCES.values():
-        if isinstance(inst, cls):
-            return getattr(cfg, bound)
-    return 1
+def instance_bound(cfg: RunConfig) -> int:
+    """The catalog bound the sampler should run with for cfg's instance."""
+    entry = INSTANCES.get(cfg.instance)
+    return 1 if entry is None else getattr(cfg, entry[1])

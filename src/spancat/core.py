@@ -8,8 +8,8 @@ and the pullback-iff-pushout property for mixed squares.
 
 Everything downstream (spans, fake pullbacks, the relation calculus) is
 written against the :class:`Instance` contract defined here.  A new
-category is one subclass, one entry of ``config.INSTANCES`` and, for its
-JSON dumps and inputs, one schema in ``jsonio``.
+category is one subclass, which also writes and reads its own objects
+and morphisms as JSON, and one entry of ``config.INSTANCES``.
 """
 from __future__ import annotations
 
@@ -42,6 +42,26 @@ class ShapeViolation(SpanCatError):
 
 class ValidationFailure(SpanCatError):
     """Raw data failed instance validation (bad matrix, bad assignment, ...)."""
+
+
+def require(cond: bool, msg: str) -> None:
+    if not cond:
+        raise ValidationFailure(msg)
+
+
+def json_int(x: Any, what: str) -> int:
+    """A JSON integer; floats, bools and strings are bad input."""
+    require(type(x) is int, f"{what} must be a JSON integer, got {x!r}")
+    return x
+
+
+def json_list(x: Any, what: str) -> list:
+    require(isinstance(x, list), f"{what} must be a list, got {x!r}")
+    return x
+
+
+def json_ints(x: Any, what: str) -> tuple[int, ...]:
+    return tuple(json_int(n, what) for n in json_list(x, what))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -403,13 +423,6 @@ class Instance(ABC):
             return self.is_iso
         raise ValueError(f"unknown class filter {cls!r}")
 
-    def compose_many(self, *fs: Mor) -> Mor:
-        """Compose a chain given outermost-first: compose_many(h, g, f) = h.g.f."""
-        out = fs[0]
-        for f in fs[1:]:
-            out = self.compose(out, f)
-        return out
-
     def solve_post_system(self, dom: ObjHandle, cod: ObjHandle,
                           eqs: Sequence[tuple[Mor, Mor]]) -> tuple[Optional[Mor], int]:
         """One solution (or None) and the total count for the system
@@ -441,6 +454,24 @@ class Instance(ABC):
         cod(m1) <- apex1 -> Q <- apex2 -> cod(m2) given by two EM-span legs
         (d1, m1) and (d2, m2) with a shared middle Q = cod(d1) = cod(d2).
         None to force a bounded iso search."""
+
+    # -- JSON (jsonio lays these out in diagrams) -----------------------------
+
+    @abstractmethod
+    def obj_json(self, a: ObjHandle) -> dict:
+        """a as a JSON object, which parse_obj_json reads back."""
+
+    @abstractmethod
+    def mor_json(self, f: Mor) -> dict:
+        """f as a JSON object, which parse_mor_json reads back."""
+
+    @abstractmethod
+    def parse_obj_json(self, data: dict) -> ObjHandle:
+        """The object a JSON object names; ValidationFailure on bad data."""
+
+    @abstractmethod
+    def parse_mor_json(self, data: dict) -> Mor:
+        """As parse_obj_json; jsonio.parse_mor then runs validate_mor."""
 
 
 def drawn_square(op: bool, top: Mor, left: Mor, right: Mor, bottom: Mor) -> Square:
@@ -496,25 +527,16 @@ class GroupoidInstance(Instance):
         tab = tuple(tuple(row) for row in table)
         if any(len(row) != n for row in tab):
             raise ValidationFailure("groupoid table is not square")
-        # bool is an int subclass and 1.0 == 1, so range() alone lets both in
-        bad = [x for row in tab for x in row if type(x) is not int]
-        if bad:
-            raise ValidationFailure(f"groupoid table entry must be a JSON integer, got {bad[0]!r}")
+        tab = tuple(tuple(json_int(x, "groupoid table entry") for x in row) for row in tab)
         if any(x not in range(n) for row in tab for x in row):
             raise ValidationFailure("groupoid table entries out of range")
-        # identity element: a two-sided unit
-        ident = None
-        for e in range(n):
-            if all(tab[e][j] == j for j in range(n)) and all(tab[i][e] == i for i in range(n)):
-                ident = e
-                break
-        if ident is None:
+        units = [e for e in range(n) if all(tab[e][j] == j and tab[j][e] == j for j in range(n))]
+        if not units:
             raise ValidationFailure("groupoid table has no identity")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if tab[tab[i][j]][k] != tab[i][tab[j][k]]:
-                        raise ValidationFailure("groupoid table is not associative")
+        ident = units[0]
+        triples = itertools.product(range(n), repeat=3)
+        if any(tab[tab[i][j]][k] != tab[i][tab[j][k]] for i, j, k in triples):
+            raise ValidationFailure("groupoid table is not associative")
         inv = [None] * n
         for i in range(n):
             for j in range(n):
@@ -544,11 +566,6 @@ class GroupoidInstance(Instance):
             raise CrossInstance(f"morphism belongs to {f.dom.instance_id}")
         if not isinstance(f.payload, int) or not 0 <= f.payload < self.size:
             raise ValidationFailure("groupoid morphism payload must be an element index")
-
-    def mor(self, element: int) -> Mor:
-        f = Mor(self.star, self.star, element)
-        self.validate_mor(f)
-        return f
 
     def compose(self, g: Mor, f: Mor) -> Mor:
         if f.cod != g.dom:
@@ -602,6 +619,23 @@ class GroupoidInstance(Instance):
         k1 = self.compose(m1, self.inverse(d1))
         k2 = self.compose(d2, self.inverse(m2))
         return self.compose(k1, k2).payload
+
+    def obj_json(self, a: ObjHandle) -> dict:
+        """{"star": true}, the one object."""
+        return {"star": True}
+
+    def mor_json(self, f: Mor) -> dict:
+        """{"element": i}, the index of the group element in the table."""
+        return {"element": f.payload}
+
+    def parse_obj_json(self, data: dict) -> ObjHandle:
+        ok = list(data) == ["star"] and data["star"] is True
+        require(ok, f'groupoid object must be {{"star": true}}, got {data!r}')
+        return self.star
+
+    def parse_mor_json(self, data: dict) -> Mor:
+        require("element" in data, "groupoid morphism needs an 'element' field")
+        return Mor(self.star, self.star, json_int(data["element"], "'element'"))
 
 
 def symmetric_group_table(n: int) -> list[list[int]]:

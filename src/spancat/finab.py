@@ -18,7 +18,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .core import (
     ClassViolation,
@@ -33,6 +33,9 @@ from .core import (
     SpanCatError,
     Square,
     ValidationFailure,
+    json_ints,
+    json_list,
+    require,
     validate_square,
 )
 
@@ -764,14 +767,16 @@ def solve_hom_equations(
     eqs: Sequence[tuple[Optional[tuple[Orders, Orders, Matrix]],
                         Optional[tuple[Orders, Orders, Matrix]],
                         tuple[Orders, Orders, Matrix]]],
+    groups: Callable[[Orders, Orders], HomGroup],
 ) -> tuple[Optional[Matrix], int]:
     """Solve for w: dom -> cod subject to post . w . pre == rhs equations.
 
     Each equation is (post, pre, rhs) where post/pre are (dom, cod, matrix)
-    triples or None for an identity.  Returns (one solution or None, number
-    of solutions if one exists else 0).
+    triples or None for an identity; groups(x, y) gives the hom group of
+    x -> y (hom_group, or a cache of it).  Returns (one solution or None,
+    number of solutions if one exists else 0).
     """
-    hg = hom_group(dom, cod)
+    hg = groups(dom, cod)
     k = len(hg.orders)
     big_orders: list[int] = []
     big_target: list[int] = []
@@ -779,7 +784,7 @@ def solve_hom_equations(
     for post, pre, rhs in eqs:
         x_ord = pre[0] if pre else dom
         y_ord = post[1] if post else cod
-        hg_xy = hom_group(x_ord, y_ord)
+        hg_xy = groups(x_ord, y_ord)
         rhs_coords = hg_xy.to_coords(validate_hom(x_ord, y_ord, rhs[2]))
         big_target.extend(rhs_coords)
         big_orders.extend(hg_xy.orders)
@@ -969,6 +974,7 @@ class FinAbInstance(Instance):
                 ((cod, sq.bottom.cod.obj_key, sq.bottom.payload), None,
                  (dom, sq.bottom.cod.obj_key, sq.right.payload)),
             ],
+            self._hom_group,
         )
         if w is None:
             raise SpanCatError("fill_diagonal: no diagonal exists")
@@ -987,7 +993,7 @@ class FinAbInstance(Instance):
                 None,
                 (rhs.dom.obj_key, rhs.cod.obj_key, rhs.payload),
             ))
-        w, count = solve_hom_equations(dom.obj_key, cod.obj_key, sys_eqs)
+        w, count = solve_hom_equations(dom.obj_key, cod.obj_key, sys_eqs, self._hom_group)
         if w is None:
             return None, 0
         return Mor(dom, cod, w), count
@@ -1041,6 +1047,27 @@ class FinAbInstance(Instance):
         comp1 = hom_compose(m1.payload, leg1, x_ord, ncols=len(p_ord))
         comp2 = hom_compose(m2.payload, leg2, z_ord, ncols=len(p_ord))
         return joint_image(x_ord, z_ord, comp1, comp2)
+
+    def obj_json(self, a: ObjHandle) -> dict:
+        """{"orders": [...]}, the invariant factors."""
+        return {"orders": list(a.obj_key)}
+
+    def mor_json(self, f: Mor) -> dict:
+        """{"dom", "cod", "matrix"}: the endpoints' orders and the rows."""
+        return {"dom": list(f.dom.obj_key), "cod": list(f.cod.obj_key),
+                "matrix": [list(row) for row in f.payload]}
+
+    def parse_obj_json(self, data: dict) -> ObjHandle:
+        require("orders" in data, "finab object needs an 'orders' field")
+        return self.obj(json_ints(data["orders"], "'orders'"))
+
+    def parse_mor_json(self, data: dict) -> Mor:
+        for field in ("dom", "cod", "matrix"):
+            require(field in data, f"finab morphism needs a {field!r} field")
+        dom = self.obj(json_ints(data["dom"], "'dom'"))
+        cod = self.obj(json_ints(data["cod"], "'cod'"))
+        rows = json_list(data["matrix"], "'matrix'")
+        return Mor(dom, cod, tuple(json_ints(row, "'matrix' row") for row in rows))
 
     def subgroups(self, orders: Orders) -> list[frozenset[Vector]]:
         hit = self._subgroup_cache.get(orders)

@@ -24,6 +24,9 @@ from .core import (
     SpanCatError,
     Square,
     ValidationFailure,
+    json_int,
+    json_list,
+    require,
     validate_square,
 )
 
@@ -244,4 +247,25 @@ class PInjInstance(Instance):
             m2.payload[x] for x in range(d2.dom.obj_key) if d2.payload[x] is None
         )
         return (m1.cod.obj_key, m2.cod.obj_key, pairs, left, right)
+
+    def obj_json(self, a: ObjHandle) -> dict:
+        """{"size": n}."""
+        return {"size": a.obj_key}
+
+    def mor_json(self, f: Mor) -> dict:
+        """{"dom", "cod", "map"}: the sizes and the assignment, null if undefined."""
+        return {"dom": f.dom.obj_key, "cod": f.cod.obj_key, "map": list(f.payload)}
+
+    def parse_obj_json(self, data: dict) -> ObjHandle:
+        require("size" in data, "pinj object needs a 'size' field")
+        return self.obj(json_int(data["size"], "'size'"))
+
+    def parse_mor_json(self, data: dict) -> Mor:
+        for field in ("dom", "cod", "map"):
+            require(field in data, f"pinj morphism needs a {field!r} field")
+        dom = self.obj(json_int(data["dom"], "'dom'"))
+        cod = self.obj(json_int(data["cod"], "'cod'"))
+        assign = (None if x is None else json_int(x, "'map' entry")
+                  for x in json_list(data["map"], "'map'"))
+        return Mor(dom, cod, tuple(assign))
 

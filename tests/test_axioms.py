@@ -36,7 +36,7 @@ from spancat.core import (
 )
 from spancat.finab import FinAbInstance, primary_factors
 from spancat.gen import Sampler
-from spancat.jsonio import mor_dict, parse_mor
+from spancat.jsonio import parse_mor
 from spancat.pinj import PInjInstance
 
 FA = FinAbInstance()
@@ -188,9 +188,8 @@ def test_pinj_pullback_keeps_phantom_points():
 
 
 def test_groupoid_squares_are_pullbacks_and_pushouts():
-    e = S3.mor(0)
-    for k in range(6):
-        g = S3.mor(k)
+    e = S3.identity(S3.star)
+    for g in S3.enumerate_homs(S3.star, S3.star):
         sq = Square(top=g, left=e, right=e, bottom=g)
         assert is_pullback(S3, sq, 1)
         assert is_pushout(S3, sq, 1)
@@ -506,8 +505,9 @@ def test_pinj_scans_keep_every_object_whole():
 
 def test_groupoid_scans_keep_every_object_whole():
     inst = _SeenGroupoid(symmetric_group_table(3), name="groupoid:s3")
-    squares = [Square(top=S3.mor(k), left=S3.mor(0), right=S3.mor(0), bottom=S3.mor(k))
-               for k in range(6)]
+    e = S3.identity(S3.star)
+    squares = [Square(top=g, left=e, right=e, bottom=g)
+               for g in S3.enumerate_homs(S3.star, S3.star)]
     assert _assert_scans_unsplit(inst, squares, 1) == {True}
 
 
@@ -692,7 +692,7 @@ def test_law_failures_are_recorded_and_replayable():
         assert len(r.failures) == min(r.samples - r.passes, MAX_FAILURE_DUMPS)
         for dump in r.failures:
             for data in _dumped_mors(dump):
-                assert mor_dict(inst, parse_mor(inst, data)) == data
+                assert inst.mor_json(parse_mor(inst, data)) == data
                 dumps += 1
             mors = {k: parse_mor(inst, v) for k, v in dump.items() if k not in ("detail", "square")}
             op = "e" in mors

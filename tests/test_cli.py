@@ -20,7 +20,7 @@ from spancat.axioms import CheckReport
 from spancat.config import ConfigError, RunConfig, env_seed, instance_bound, load_instance
 from spancat.core import GroupoidInstance, ValidationFailure, symmetric_group_table
 from spancat.finab import FinAbInstance, close_elements
-from spancat.jsonio import dumps, mor_dict, parse_mor, parse_obj, relation_dict, span_dict
+from spancat.jsonio import dumps, parse_mor, parse_obj, relation_dict, span_dict
 from spancat.pinj import PInjInstance
 from spancat.relations import rel_identity, subgroup_to_zigzag
 from spancat.spans import em_span, id_span, lift_m
@@ -60,17 +60,17 @@ def test_instance_loading_and_bounds(tmp_path):
     cfg = RunConfig(instance="finab", max_order=6, max_size=3)
     inst = load_instance(cfg)
     assert isinstance(inst, FinAbInstance)
-    assert instance_bound(cfg, inst) == 6
+    assert instance_bound(cfg) == 6
     cfg = RunConfig(instance="pinj", max_order=6, max_size=3)
     inst = load_instance(cfg)
     assert isinstance(inst, PInjInstance)
-    assert instance_bound(cfg, inst) == 3
+    assert instance_bound(cfg) == 3
     table = tmp_path / "c2.json"
     table.write_text(json.dumps({"name": "c2", "table": [[0, 1], [1, 0]]}))
     cfg = RunConfig(instance=f"groupoid:{table}")
     inst = load_instance(cfg)
     assert inst.name == "groupoid:c2"
-    assert instance_bound(cfg, inst) == 1
+    assert instance_bound(cfg) == 1
 
 
 def instance_messages(monkeypatch, capsys) -> tuple[str, str]:
@@ -414,17 +414,17 @@ def _class_violation_input(case: str) -> tuple[str, str, object]:
     if case == "finab-d-not-in-E":
         z2 = FA.group(2)
         d = {"dom": [2], "cod": [4], "matrix": [[2]]}
-        f = {"d": d, "m": mor_dict(FA, FA.identity(z2))}
+        f = {"d": d, "m": FA.mor_json(FA.identity(z2))}
         return "fake-pullback", "finab", {"f": f, "g": span_dict(FA, id_span(FA, z2))}
     if case == "pinj-d-not-surjective":
         two = PI.fset(2)
         d = {"dom": 2, "cod": 2, "map": [0, None]}
-        f = {"d": d, "m": mor_dict(PI, PI.identity(two))}
+        f = {"d": d, "m": PI.mor_json(PI.identity(two))}
         return "fake-pullback", "pinj", {"f": f, "g": span_dict(PI, id_span(PI, two))}
     z4 = FA.group(4)
     rel = relation_dict(FA, rel_identity(FA, z4))
     m = {"dom": [4], "cod": [2], "matrix": [[1]]}
-    rel["left"] = {"d": mor_dict(FA, FA.identity(z4)), "m": m}
+    rel["left"] = {"d": FA.mor_json(FA.identity(z4)), "m": m}
     return "compose-relations", "finab", [rel]
 
 
@@ -580,6 +580,19 @@ def test_unwritable_out_exits_two(tmp_path):
 def test_bad_config_exits_two(capsys):
     assert main(["check-axioms", "--max-order", "0"]) == EXIT_ERROR
     assert main(["check-axioms", "--instance", "rings"]) == EXIT_ERROR
+
+
+def test_out_of_memory_exits_two(monkeypatch, capsys):
+    # exit 1 is kept for failed laws: a run out of memory is an exceeded
+    # budget, one error line and exit 2, not a traceback
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_axiom_suite", exhaust)
+    assert main(["check-axioms", "--samples", "1"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
 
 
 def test_reports_are_byte_identical(tmp_path):

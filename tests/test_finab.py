@@ -492,9 +492,30 @@ def test_factorize_and_equation_solving_read_one_smith_form(monkeypatch):
     sol, count = solve_hom_equations((4,), (2, 4), [
         (((2, 4), (4,), ((0, 1),)), None, ((4,), (4,), ((2,),))),
         (None, ((2,), (4,), ((2,),)), ((2,), (2, 4), ((0,), (0,)))),
-    ])
+    ], hom_group)
     assert len(calls) == 1
     assert sol is not None and count == 2
+
+
+def test_fill_diagonal_builds_each_hom_group_once(monkeypatch):
+    # a cost guard: the equation solver reads its hom groups from the
+    # instance's cache, so repeated fills build one group per (dom, cod)
+    built = []
+    build = finab.hom_group
+    monkeypatch.setattr(
+        finab, "hom_group", lambda dom, cod: built.append((dom, cod)) or build(dom, cod)
+    )
+    inst = FinAbInstance()
+    z2, z4 = inst.group(2), inst.group(4)
+    e = inst.hom(z4, z2, [[1]])
+    m = inst.hom(z2, z4, [[2]])
+    for k in (0, 1):
+        u = inst.hom(z4, z2, [[k]])
+        v = inst.hom(z2, z4, [[2 * k]])
+        for _ in range(3):
+            w = inst.fill_diagonal(Square(top=e, left=u, right=v, bottom=m))
+            assert inst.mor_eq(w, inst.hom(z2, z2, [[k]]))
+    assert built and len(built) == len(set(built))
 
 
 @settings(max_examples=50, deadline=None)
@@ -647,7 +668,7 @@ def test_solve_hom_equations_matches_enumeration(data):
 
     rhs = whole(w0)
     sol, count = solve_hom_equations(
-        b, c, [((c, y, post), (x, b, pre), (x, y, rhs))]
+        b, c, [((c, y, post), (x, b, pre), (x, y, rhs))], hom_group
     )
     assert sol is not None
     hbc = hom_group(b, c)

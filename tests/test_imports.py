@@ -1,7 +1,8 @@
 """Import hygiene: no module of the package, the tests or the scripts
 imports a name it never uses, no definition in the package lacks a
-caller in the package unless it is pinned as library API, and no default
-of the Instance contract is one that every shipped instance overrides.
+caller in the package unless it is pinned as library API, no default
+of the Instance contract is one that every shipped instance overrides,
+and the generic layers name no instance.
 
 Each module is parsed with ast.  An import binds names (the alias, or the
 first component of a dotted ``import a.b``); a name counts as used when it
@@ -62,9 +63,9 @@ def test_module_uses_every_import(path):
 # Library API with no caller in src/ yet: "function" or "Class.method".
 # Growing this list needs a line in CHANGES.md.
 UNCALLED_API = frozenset({
-    "apply_hom", "diagonal_subgroup", "GroupoidInstance.mor", "symmetric_group_table",
-    "count_pinjs", "graph_relation", "rel_class", "relation_to_matching", "all_matchings",
-    "Instance.compose_many", "matching_to_relation", "rel_identity",
+    "apply_hom", "diagonal_subgroup", "symmetric_group_table", "count_pinjs",
+    "graph_relation", "rel_class", "relation_to_matching", "all_matchings",
+    "matching_to_relation", "rel_identity",
 })
 
 
@@ -133,3 +134,51 @@ def test_every_instance_default_serves_a_shipped_instance():
     unused = {name for name, fn in defaults.items()
               if all(getattr(cls, name) is not fn for cls in shipped)}
     assert unused == OVERRIDDEN_EVERYWHERE
+
+
+# Modules written against the Instance contract alone: a new instance must
+# not need an edit here.  The instance modules, config (the instance table),
+# cli and relations (finab's and pinj's own relation theory) may name them.
+GENERIC = ("axioms", "dot", "fakepb", "gen", "jsonio", "spans")
+INSTANCE_CLASSES = {"FinAbInstance", "PInjInstance", "GroupoidInstance"}
+INSTANCE_NAMES = ("finab", "pinj", "groupoid")
+
+
+def instance_mentions(source: str) -> list[str]:
+    """Each place that names a shipped instance: its class (as a name or an
+    attribute), an import from its module, or its CLI name as a string."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        ident = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and ident in INSTANCE_CLASSES:
+            out.append(f"line {node.lineno}: {ident}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in (
+            "finab", "pinj"
+        ):
+            out.append(f"line {node.lineno}: from {node.module}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and any(
+            node.value == n or node.value.startswith(n + ":") for n in INSTANCE_NAMES
+        ):
+            out.append(f"line {node.lineno}: {node.value!r}")
+    return out
+
+
+def test_instance_mentions_are_found():
+    source = (
+        "from .finab import FinAbInstance\n"
+        "from spancat.pinj import reverse_assign\n"
+        "import spancat.core as c\n"
+        "x = c.GroupoidInstance\n"
+        "fam = ('finab', 'pinj:x', f'groupoid:{x}', 'finable', 'a pinj')\n"
+    )
+    assert instance_mentions(source) == [
+        "line 1: from finab", "line 2: from spancat.pinj",
+        "line 4: GroupoidInstance", "line 5: 'finab'", "line 5: 'pinj:x'",
+        "line 5: 'groupoid:'",
+    ]
+
+
+@pytest.mark.parametrize("name", GENERIC)
+def test_generic_layers_name_no_instance(name):
+    path = ROOT / "src" / "spancat" / f"{name}.py"
+    assert instance_mentions(path.read_text(encoding="utf-8")) == []

@@ -32,6 +32,11 @@ exact at every bound.  Pushouts follow dually: hom(A, Z/n) is dual to
 A/nA, and the genuine pushout is a quotient of the direct sum of two
 corners.
 
+FS1 matches the commuting squares (u, v) on e in E and m in M against
+the diagonals w by their boundaries (w . e, m . w), over whole hom sets.
+It too composes each hom set with e or m through compose_all, whose walks
+run in enumerate_homs order, the order of the sampler's pools.
+
 The jointly and properness scans test a map of hom sets for injectivity
 at each of the instance's scan objects (Instance.scan_objects), by default
 the bounded catalog, and name the first object at which it fails.  For the
@@ -309,19 +314,21 @@ def _check_fs1(inst: Instance, seed: int, samples: int, bound: int) -> CheckRepo
     def body(smp: Sampler) -> list[dict]:
         e = smp.hom(cls="E")
         m = smp.hom(cls="M")
+        # each pool is a whole hom set in enumerate_homs order, the order of
+        # compose_all's walks, so the two zip
         groups: dict = {}
-        for u in smp.pool(e.dom, m.dom):
-            groups.setdefault(inst.compose(m, u).payload, []).append(u)
+        for u, k in zip(smp.pool(e.dom, m.dom), inst.compose_all(m, e.dom)):
+            groups.setdefault(k, []).append(u)
         pairs = 0
         sample_pair = None
-        for v in smp.pool(e.cod, m.cod):
-            us = groups.get(inst.compose(v, e).payload, ())
+        for v, k in zip(smp.pool(e.cod, m.cod), inst.compose_all(e, m.cod, op=True)):
+            us = groups.get(k, ())
             pairs += len(us)
             if us and sample_pair is None:
                 sample_pair = (us[0], v)
         diag: dict = {}
-        for w in smp.pool(e.cod, m.dom):
-            key = (inst.compose(w, e).payload, inst.compose(m, w).payload)
+        boundaries = zip(inst.compose_all(e, m.dom, op=True), inst.compose_all(m, e.cod))
+        for w, key in zip(smp.pool(e.cod, m.dom), boundaries):
             if key in diag:
                 return [{
                     "e": inst.mor_json(e),

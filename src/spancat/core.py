@@ -220,12 +220,12 @@ class Instance(ABC):
     Together with immutable, hashable payloads this lets ``memo`` key derived
     constructions (fake pullbacks, span composites) on their inputs.
 
-    The bounded decisions and the jointly and properness checks compose one
-    fixed morphism with a whole hom set through ``compose_all``.  Its
-    default is the ``compose`` loop; an instance whose hom sets are groups
-    may override it.  In finab, u |-> g . u and u |-> u . g are group
-    homomorphisms, so the whole sequence follows from the images of the hom
-    group's generators by addition alone.
+    The bounded decisions, the FS1 check and the jointly and properness
+    checks compose one fixed morphism with a whole hom set through
+    ``compose_all``.  Its default is the ``compose`` loop; an instance whose
+    hom sets are groups may override it.  In finab, u |-> g . u and
+    u |-> u . g are group homomorphisms, so the whole sequence follows from
+    the images of the hom group's generators by addition alone.
 
     The bounded decisions read their test objects from
     ``decision_objects``, and the jointly and properness scans from

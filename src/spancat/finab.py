@@ -77,12 +77,14 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
 @dataclass(frozen=True)
 class SNF:
     """U @ A @ V == D with U, V unimodular and D diagonal with
-    d1 | d2 | ... ; nonzero entries first, all non-negative."""
+    d1 | d2 | ... ; nonzero entries first, all non-negative.  Uinv is the
+    inverse of U.  Only the transforms the caller of smith_normal_form
+    names are computed; the others are None."""
 
-    U: Matrix
+    U: Optional[Matrix]
     D: Matrix
-    V: Matrix
-    Uinv: Matrix
+    V: Optional[Matrix]
+    Uinv: Optional[Matrix]
 
     @property
     def diag(self) -> tuple[int, ...]:
@@ -91,61 +93,64 @@ class SNF:
         return tuple(self.D[i][i] for i in range(min(m, n)))
 
 
-def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNF:
-    """Smith normal form with both transforms and the inverse of U.
+def smith_normal_form(mat: Sequence[Sequence[int]], *, U: bool = False, V: bool = False,
+                      Uinv: bool = False) -> SNF:
+    """Smith normal form, with those of the transforms U, V and the inverse
+    of U that are asked for.  The pivots are chosen from the matrix alone,
+    so each transform is the same whichever others are asked for.
 
-    >>> s = smith_normal_form([[2, 0], [0, 3]])
-    >>> s.diag
-    (1, 6)
+    >>> s = smith_normal_form([[2, 0], [0, 3]], V=True)
+    >>> s.diag, s.V, s.U
+    ((1, 6), ((-1, 3), (1, -2)), None)
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
     A = [list(row) for row in mat]
     if any(len(row) != n for row in A):
         raise ValidationFailure("ragged matrix")
-    U = identity_matrix(m)
-    Ui = identity_matrix(m)
-    V = identity_matrix(n)
+    # the row operations act on A and U by rows; the column operations on A
+    # and V by columns, and the inverse of each row operation on Uinv
+    rows = [A] + ([identity_matrix(m)] if U else [])
+    cols = [A] + ([identity_matrix(n)] if V else [])
+    Ui = identity_matrix(m) if Uinv else None
 
     def row_add(i: int, j: int, c: int) -> None:
         # row i += c * row j ; Uinv column j -= c * column i
-        for k in range(n):
-            A[i][k] += c * A[j][k]
-        for k in range(m):
-            U[i][k] += c * U[j][k]
-        for k in range(m):
-            Ui[k][j] -= c * Ui[k][i]
+        for X in rows:
+            X[i] = [x + c * y for x, y in zip(X[i], X[j])]
+        if Ui is not None:
+            for r in Ui:
+                r[j] -= c * r[i]
 
     def row_swap(i: int, j: int) -> None:
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        for k in range(m):
-            Ui[k][i], Ui[k][j] = Ui[k][j], Ui[k][i]
+        for X in rows:
+            X[i], X[j] = X[j], X[i]
+        if Ui is not None:
+            for r in Ui:
+                r[i], r[j] = r[j], r[i]
 
     def row_neg(i: int) -> None:
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-        for k in range(m):
-            Ui[k][i] = -Ui[k][i]
+        for X in rows:
+            X[i] = [-x for x in X[i]]
+        if Ui is not None:
+            for r in Ui:
+                r[i] = -r[i]
 
     def col_add(j: int, i: int, c: int) -> None:
         # col j += c * col i
-        for k in range(m):
-            A[k][j] += c * A[k][i]
-        for k in range(n):
-            V[k][j] += c * V[k][i]
+        for X in cols:
+            for r in X:
+                r[j] += c * r[i]
 
     def col_swap(i: int, j: int) -> None:
-        for k in range(m):
-            A[k][i], A[k][j] = A[k][j], A[k][i]
-        for k in range(n):
-            V[k][i], V[k][j] = V[k][j], V[k][i]
+        for X in cols:
+            for r in X:
+                r[i], r[j] = r[j], r[i]
 
     def col_neg(j: int) -> None:
-        for k in range(m):
-            A[k][j] = -A[k][j]
-        for k in range(n):
-            V[k][j] = -V[k][j]
+        for X in cols:
+            for r in X:
+                r[j] = -r[j]
 
     def find_pivot(t: int) -> Optional[tuple[int, int]]:
         best = None
@@ -202,7 +207,8 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNF:
             row_add(t, offender, 1)
             continue
         t += 1
-    return SNF(freeze(U), freeze(A), freeze(V), freeze(Ui))
+    return SNF(freeze(rows[1]) if U else None, freeze(A), freeze(cols[1]) if V else None,
+               freeze(Ui) if Uinv else None)
 
 
 def integer_kernel_basis(mat: Sequence[Sequence[int]]) -> list[Vector]:
@@ -211,7 +217,7 @@ def integer_kernel_basis(mat: Sequence[Sequence[int]]) -> list[Vector]:
     n = len(mat[0]) if m else 0
     if n == 0:
         return []
-    s = smith_normal_form(mat)
+    s = smith_normal_form(mat, V=True)
     diag = s.diag
     rank = sum(1 for d in diag if d != 0)
     basis = []
@@ -259,18 +265,20 @@ def validate_hom(dom: Orders, cod: Orders, mat: Sequence[Sequence[int]]) -> Matr
 
 
 def hom_compose(g_mat: Matrix, f_mat: Matrix, cod: Orders, ncols: Optional[int] = None) -> Matrix:
-    """g . f reduced mod cod.
+    """g . f reduced mod cod, built row by row: entry (i, j) is row i of g
+    times column j of f, mod cod[i].  reduce_matrix(mat_mul(g, f), cod) is
+    the same product, kept as the tests' reference.
 
     ncols is the number of columns of f (the size of the overall domain);
     it is only needed when f has zero rows, where it cannot be inferred.
     """
-    if f_mat:
-        n = len(f_mat[0])
-    else:
+    if not f_mat:
         n = ncols if ncols is not None else 0
-    if not f_mat or not g_mat or len(g_mat[0]) == 0:
-        return tuple(tuple(0 for _ in range(n)) for _ in range(len(cod)))
-    return reduce_matrix(mat_mul(g_mat, f_mat), cod)
+        return tuple((0,) * n for _ in cod)
+    cols = list(zip(*f_mat))
+    mul = operator.mul
+    return tuple([tuple([sum(map(mul, row, col)) % c for col in cols])
+                  for row, c in zip(g_mat, cod)])
 
 
 def apply_hom(mat: Matrix, x: Sequence[int], cod: Orders) -> Vector:
@@ -310,7 +318,7 @@ def solve_congruence(
     if m == 0:
         return tuple(0 for _ in range(n)), 1
     aug = [list(mat[i]) + [cod[i] if k == i else 0 for k in range(m)] for i in range(m)]
-    s = smith_normal_form(aug)
+    s = smith_normal_form(aug, U=True, V=True)
     t = mat_vec(s.U, list(target))
     diag = s.diag
     order = math.prod(diag)
@@ -370,7 +378,7 @@ def subgroup_from_gens(
     rel_rows = [gen_mat[i] + [ambient[i] if t == i else 0 for t in range(n)] for i in range(n)]
     kernel = integer_kernel_basis(rel_rows)
     rel = [[vec[j] for vec in kernel] for j in range(k)]  # k x s, columns are relations
-    s = smith_normal_form(rel)
+    s = smith_normal_form(rel, U=True, Uinv=True)
     diag = s.diag
     if len(diag) < k or any(d == 0 for d in diag):
         raise SpanCatError("subgroup relation lattice is not full rank")
@@ -408,7 +416,7 @@ def cokernel_data(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix
     if m == 0:
         return (), ()
     aug = [list(mat[i]) + [cod[i] if k == i else 0 for k in range(m)] for i in range(m)]
-    s = smith_normal_form(aug)
+    s = smith_normal_form(aug, U=True)
     diag = s.diag
     kept = [i for i in range(m) if diag[i] > 1]
     q_orders = tuple(diag[i] for i in kept)
@@ -820,6 +828,7 @@ class FinAbInstance(Instance):
         self._catalogs: dict[int, list[ObjHandle]] = {}
         self._exists_cache: dict[tuple[Orders, Orders, str], bool] = {}
         self._class_cache: dict[tuple[Orders, Orders, bool], tuple[Mor, ...]] = {}
+        self._prime_top_cache: dict[Orders, tuple[tuple[int, int], ...]] = {}
 
     # objects
     def validate_obj(self, key: Any) -> Orders:
@@ -841,10 +850,22 @@ class FinAbInstance(Instance):
         axioms module)."""
         top: dict[int, int] = {}
         for corner in (sq.apex, sq.top.cod, sq.left.cod, sq.bottom_right):
-            for q in primary_factors(corner.obj_key):
+            for p, q in self._prime_tops(corner.obj_key):
+                if q > top.get(p, 1):
+                    top[p] = q
+        return [self.obj((top[p],)) for p in sorted(top)]
+
+    def _prime_tops(self, orders: Orders) -> tuple[tuple[int, int], ...]:
+        """(p, the largest power of p among the primary factors) for each
+        prime p dividing the order of the group, made once per group."""
+        hit = self._prime_top_cache.get(orders)
+        if hit is None:
+            top: dict[int, int] = {}
+            for q in primary_factors(orders):
                 p = _primes(q)[0]
                 top[p] = max(top.get(p, q), q)
-        return [self.obj((top[p],)) for p in sorted(top)]
+            hit = self._prime_top_cache[orders] = tuple(top.items())
+        return hit
 
     def scan_objects(self, a: ObjHandle, bound: int) -> list[ObjHandle]:
         """Z/p for each prime p dividing the order of a, by increasing p; the

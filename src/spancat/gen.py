@@ -104,13 +104,16 @@ class Sampler:
                         cls2: str = "any", op: bool = False) -> list[tuple[Mor, Mor]]:
         """All (u: a->dom(g1), v: a->dom(g2)) with g1.u == g2.v.  With op, the
         same read in C^op: all (u: cod(g1)->a, v: cod(g2)->a) with
-        u.g1 == v.g2.  The classes filter u and v as morphisms of C."""
+        u.g1 == v.g2.  The classes filter u and v as morphisms of C.  When
+        either pool is empty there are no pairs, and nothing is composed."""
         compose = self.inst.compose
         if op:
             compose = flipped(compose)
             us, vs = self.pool(g1.cod, a, cls1), self.pool(g2.cod, a, cls2)
         else:
             us, vs = self.pool(a, g1.dom, cls1), self.pool(a, g2.dom, cls2)
+        if not us or not vs:
+            return []
         groups: dict = {}
         for u in us:
             groups.setdefault(compose(g1, u).payload, []).append(u)

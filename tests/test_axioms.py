@@ -440,6 +440,35 @@ def test_finab_decisions_visit_only_primary_cyclic_groups(finab_square_pool, dec
     assert inst.calls == {}
 
 
+class _FillCountingFinAb(FinAbInstance):
+    """Counts compose calls, leaving out those of fill_diagonal, which
+    checks that the square it is handed commutes."""
+
+    def __init__(self):
+        super().__init__()
+        self.composes = self.fills = 0
+
+    def compose(self, g, f):
+        self.composes += not self.fills
+        return super().compose(g, f)
+
+    def fill_diagonal(self, sq):
+        self.fills += 1
+        try:
+            return super().fill_diagonal(sq)
+        finally:
+            self.fills -= 1
+
+
+def test_fs1_composes_hom_sets_by_walks():
+    # a cost guard: fs1's three loops compose whole hom sets with one fixed
+    # morphism, which compose_all walks in enumerate_homs order
+    inst = _FillCountingFinAb()
+    (report,) = run_axiom_suite(inst, seed=0, samples=400, bound=8, checks=["fs1"])
+    assert report.ok and report.samples == 160
+    assert inst.composes == 0
+
+
 def _primes_of(n):
     return [p for p in range(2, n + 1) if n % p == 0 and _prime_of((p,)) == p]
 

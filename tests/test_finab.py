@@ -42,6 +42,7 @@ from spancat.finab import (
     kernel_subgroup,
     mat_mul,
     primary_factors,
+    reduce_matrix,
     smith_normal_form,
     solve_congruence,
     solve_hom_equations,
@@ -88,7 +89,7 @@ def test_snf_diag_2_3():
 
 def test_snf_transforms_multiply_out():
     mat = [[4, 2], [2, 2]]
-    s = smith_normal_form(mat)
+    s = smith_normal_form(mat, U=True, V=True)
     assert freeze(mat_mul(mat_mul(s.U, mat), s.V)) == s.D
     assert s.diag == (2, 2)
 
@@ -289,6 +290,40 @@ def test_compose_all_matches_compose_loop_on_order_8_catalog(op):
             assert INST.compose_all(g, t, op) == loop, (g, t)
 
 
+def test_hom_compose_matches_mat_mul_on_order_8_catalog():
+    # the reference product: mat_mul, then each row reduced mod its order;
+    # through the trivial group it is the zero matrix
+    groups = invariant_factor_groups(8)
+    homs = {(a, b): list(hom_group(a, b).all_matrices()) for a in groups for b in groups}
+    pairs = 0
+    for a, b, c in itertools.product(groups, repeat=3):
+        fs, gs = homs[a, b], homs[b, c]
+        got = [hom_compose(g, f, c, len(a)) for f in fs for g in gs]
+        if b:
+            expect = [reduce_matrix(mat_mul(g, f), c) for f in fs for g in gs]
+        else:
+            expect = [((0,) * len(a),) * len(c)] * len(got)
+        assert got == expect, (a, b, c)
+        pairs += len(got)
+    assert pairs == 495728
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-12, 12), min_size=n, max_size=n),
+                       min_size=m, max_size=m))),
+       st.booleans(), st.booleans(), st.booleans())
+def test_trimmed_smith_forms_equal_the_full_one(mat, u, v, uinv):
+    # the pivots read the matrix alone, so a transform is the same whether
+    # or not the others are computed
+    full = smith_normal_form(mat, U=True, V=True, Uinv=True)
+    s = smith_normal_form(mat, U=u, V=v, Uinv=uinv)
+    assert s.D == full.D
+    assert s.U == (full.U if u else None)
+    assert s.V == (full.V if v else None)
+    assert s.Uinv == (full.Uinv if uinv else None)
+
+
 CLASS_FLAGS = {"E": lambda c: c.in_E, "M": lambda c: c.in_M,
                "iso": lambda c: c.in_E and c.in_M}
 
@@ -409,7 +444,7 @@ def int_matrix(draw):
 @settings(max_examples=60, deadline=None)
 @given(int_matrix())
 def test_snf_properties(mat):
-    s = smith_normal_form(mat)
+    s = smith_normal_form(mat, U=True, V=True, Uinv=True)
     m = len(mat)
     n = len(mat[0]) if m else 0
     assert freeze(mat_mul(mat_mul(s.U, mat), s.V)) == s.D
@@ -476,7 +511,8 @@ def test_factorize_and_equation_solving_read_one_smith_form(monkeypatch):
     # solve_hom_equations reads a solution and the count off one Smith form
     calls = []
     snf = finab.smith_normal_form
-    monkeypatch.setattr(finab, "smith_normal_form", lambda mat: calls.append(mat) or snf(mat))
+    monkeypatch.setattr(finab, "smith_normal_form",
+                        lambda mat, **kw: calls.append(mat) or snf(mat, **kw))
     groups = invariant_factor_groups(8)
     worst = 0
     for dom in groups:

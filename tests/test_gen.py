@@ -15,7 +15,10 @@ from spancat.finab import FinAbInstance, hom_classify
 from spancat.gen import Sampler
 from spancat.pinj import PInjInstance
 
-INSTANCES = {"finab": (FinAbInstance, 6), "pinj": (PInjInstance, 3)}
+# name -> (instance, bound); finab-o8 draws at the bound of the benchmark's
+# axiom workload
+INSTANCES = {"finab": (FinAbInstance, 6), "finab-o8": (FinAbInstance, 8),
+             "pinj": (PInjInstance, 3)}
 DRAWS_PER_STREAM = 100
 
 
@@ -52,6 +55,9 @@ PINNED = {
     ("finab", "cospan_E_M"): "6713501f9017ee10",
     ("finab", "span_M_E"): "10724e26e1a1280c",
     ("finab", "em_span_legs"): "60d2fa890fc55b75",
+    ("finab-o8", "mixed_square"): "19f93f6506894c0c",
+    ("finab-o8", "factorization_ladder"): "a02f8cc01faea656",
+    ("finab-o8", "factorization_ladder_dual"): "314bba75f1bdcbfe",
     ("pinj", "mixed_square"): "ea1f22b93f08b573",
     ("pinj", "factorization_ladder"): "5e367738965a416e",
     ("pinj", "factorization_ladder_dual"): "e59f6ac3d3b96e67",
@@ -102,3 +108,30 @@ def test_largest_finab_pool_is_drawn_without_enumerating_homs():
     # between groups of one order E, M and the isos are one pool
     assert smp.pool(z, z, "M") is pool and smp.pool(z, z, "iso") is pool
     assert not inst._hom_cache and not inst._classify_cache
+
+
+class _ComposeCounting(FinAbInstance):
+    """FinAbInstance that counts its compose calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.composes = 0
+
+    def compose(self, g, f):
+        self.composes += 1
+        return super().compose(g, f)
+
+
+@pytest.mark.parametrize("op", [False, True])
+def test_commuting_pairs_composes_nothing_when_a_pool_is_empty(op):
+    inst = _ComposeCounting()
+    smp = Sampler(inst, "pairs", 4)
+    z2, z4 = inst.group(2), inst.group(4)
+    # no onto map Z/2 -> Z/4: the E pool at `empty` is empty, the pool at
+    # `full` is not
+    a, empty, full = (z4, z2, z4) if op else (z2, z4, z2)
+    e, f = inst.identity(empty), inst.identity(full)
+    assert smp.pool(*((full, a) if op else (a, full)))
+    assert smp.commuting_pairs(e, f, a, "E", "any", op) == []
+    assert smp.commuting_pairs(f, e, a, "any", "E", op) == []
+    assert inst.composes == 0

@@ -12,13 +12,10 @@ leg's composites by payload and probing with the other's, and the mediator
 map must be injective with as many mediators as cones.
 
 Each instance names the test objects of a decision
-(Instance.decision_objects).  By default they are the bounded catalog, the
-square's own apex and, when one cospan leg is in M, the canonically
-computed pullback apex; mediators between those two then compose to
-identities by uniqueness at both, which makes the bounded answer exact
-rather than an approximation over the catalog.
+(Instance.decision_objects), by default the bounded catalog.  No decision
+builds a cone or classifies a morphism.
 
-finab needs no catalog and no canonical cone.  The mediator map at T is
+finab needs no catalog.  The mediator map at T is
 hom(T, c) for the comparison map c from the apex to the genuine pullback
 of the cospan, and hom(Z/n, A) is A[n], the n-torsion of A, naturally in
 A.  A homomorphism of finite abelian groups is an isomorphism when it is
@@ -31,6 +28,17 @@ each prime p dividing the order of a corner: one test object per prime,
 exact at every bound.  Pushouts follow dually: hom(A, Z/n) is dual to
 A/nA, and the genuine pushout is a quotient of the direct sum of two
 corners.
+
+pinj decides at the sets 1 and 2, exact at every bound.  A partial
+injection T -> X is fixed by its restrictions to the points of T, and it
+is injective when its restriction to every pair of points is.  Take a cone
+at T over the cospan.  Its restriction to each point lifts uniquely
+through the apex at 1, and the lifts assemble into one partial map out of
+T, which the lifts at 2 show to be injective; it is the only mediator,
+since two different mediators differ at some point and so give two lifts
+at 1.  So the bijection at 1 and 2 gives it at every T.  Reversal (the
+same pairs read backwards) is an isomorphism from pinj to pinj^op that
+swaps E and M, so the pushout decision tests the same two sets.
 
 FS1 matches the commuting squares (u, v) on e in E and m in M against
 the diagonals w by their boundaries (w . e, m . w), over whole hom sets.
@@ -51,7 +59,11 @@ fails at Z/p for some such p.  It names Z/p for the least prime p dividing
 group of smaller order shares no prime with ker k; that Z/p is in the
 catalog whenever a is.  The joint epicity of a cospan and the epicity of an
 E-morphism are the same read in C^op, with hom(-, Z/p) and the cokernel, a
-quotient of the shared codomain.
+quotient of the shared codomain.  pinj scans the set 1: two different
+maps out of T differ at some point of T, so a map of hom sets that is not
+one-to-one at T is not one-to-one at 1 either.  1 is also the first
+catalog object that can fail, because hom(0, a) has one member; reversal
+gives the epic side.
 
 A pushout in C is a pullback in C^op, where E and M swap, so each check is
 written once, for pullbacks, and its pushout form runs the same code read in
@@ -180,17 +192,17 @@ def _decide(inst: Instance, sq: Square, bound: int, op: bool) -> bool:
 
 def is_pullback(inst: Instance, sq: Square, bound: int) -> bool:
     """Whether the commuting square is a pullback, decided at the instance's
-    test objects: exact in finab at every bound, and elsewhere over the
-    bounded catalog, exact whenever a cospan leg lies in M.  sq must
-    commute; the decision does not check it."""
+    test objects: exact in finab and pinj at every bound, and elsewhere
+    over the bounded catalog.  sq must commute; the decision does not
+    check it."""
     return _decide(inst, sq, bound, op=False)
 
 
 def is_pushout(inst: Instance, sq: Square, bound: int) -> bool:
     """Whether the commuting square is a pushout, that is a pullback in
-    C^op, decided at the instance's test objects: exact in finab at every
-    bound, and elsewhere over the bounded catalog, exact whenever a span
-    leg lies in E.  sq must commute; the decision does not check it."""
+    C^op, decided at the instance's test objects: exact in finab and pinj
+    at every bound, and elsewhere over the bounded catalog.  sq must
+    commute; the decision does not check it."""
     return _decide(inst, sq, bound, op=True)
 
 
@@ -372,9 +384,9 @@ def _check_fs2(inst: Instance, seed: int, samples: int, bound: int) -> CheckRepo
         if not inst.mor_eq(inst.compose(fac.m, fac.e), f):
             problems.append("m . e differs from f")
         cls = inst.classify(f)
+        id_dom, id_cod = inst.identity(f.dom), inst.identity(f.cod)
         two_sided = any(
-            inst.mor_eq(inst.compose(g, f), inst.identity(f.dom))
-            and inst.mor_eq(inst.compose(f, g), inst.identity(f.cod))
+            inst.mor_eq(inst.compose(g, f), id_dom) and inst.mor_eq(inst.compose(f, g), id_cod)
             for g in inst.enumerate_homs(f.cod, f.dom)
         )
         if (cls.in_E and cls.in_M) != two_sided:

@@ -206,6 +206,18 @@ class PInjInstance(Instance):
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
         return [self.obj(n) for n in range(bound + 1)]
 
+    def decision_objects(self, sq: Square, bound: int, op: bool = False) -> list[ObjHandle]:
+        """The sets of size 1 and 2, in both directions; the bound is not
+        read.  A partial injection is fixed by its restrictions to points
+        and injective when it is on every pair of points (see the axioms
+        module)."""
+        return [self.obj(1), self.obj(2)]
+
+    def scan_objects(self, a: ObjHandle, bound: int) -> list[ObjHandle]:
+        """The set of size 1; the bound is not read.  Two maps out of a set
+        differ at some point of it (see the axioms module)."""
+        return [self.obj(1)]
+
     def enumerate_homs(self, a: ObjHandle, b: ObjHandle) -> Sequence[Mor]:
         key = (a.obj_key, b.obj_key)
         hit = self._hom_cache.get(key)

@@ -390,11 +390,12 @@ class _SeenGroupoid(_Seen, GroupoidInstance):
     pass
 
 
-class _CountingFinAb(_SeenFinAb):
-    """_SeenFinAb that also counts its cone and catalog calls in calls."""
+class _Counting(_Seen):
+    """_Seen that also counts its cone, classify and catalog calls in
+    calls."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.calls = collections.Counter()
 
     def pullback_along_M(self, f, m):
@@ -405,9 +406,25 @@ class _CountingFinAb(_SeenFinAb):
         self.calls["pushout_along_E"] += 1
         return super().pushout_along_E(f, e)
 
+    def classify(self, f):
+        self.calls["classify"] += 1
+        return super().classify(f)
+
     def enumerate_objects_up_to(self, bound):
         self.calls["enumerate_objects_up_to"] += 1
         return super().enumerate_objects_up_to(bound)
+
+
+class _CountingFinAb(_Counting, FinAbInstance):
+    pass
+
+
+class _CountingPInj(_Counting, PInjInstance):
+    pass
+
+
+class _CountingGroupoid(_Counting, GroupoidInstance):
+    pass
 
 
 @pytest.mark.parametrize("op", [False, True], ids=["pullback", "pushout"])
@@ -436,8 +453,27 @@ def test_finab_decisions_visit_only_primary_cyclic_groups(finab_square_pool, dec
     assert outcomes == {False, True}
     keys = {t.obj_key for t in inst.seen}
     assert keys == {(2,), (3,), (4,)}, sorted(keys)
-    # no canonical cone, no catalog
+    # no cone, no classify, no catalog
     assert inst.calls == {}
+
+
+def _s3_squares():
+    e = S3.identity(S3.star)
+    return [Square(top=g, left=e, right=e, bottom=g)
+            for g in S3.enumerate_homs(S3.star, S3.star)]
+
+
+@pytest.mark.parametrize("make,squares,bound", [
+    (_CountingPInj, lambda: SQUARE_POOL, 3),
+    (lambda: _CountingGroupoid(symmetric_group_table(3), name="groupoid:s3"),
+     _s3_squares, 1),
+], ids=["pinj", "groupoid"])
+def test_decisions_build_no_cone_and_classify_nothing(make, squares, bound):
+    inst = make()
+    outcomes = {decide(inst, sq, bound) for sq in squares() for decide in (is_pullback, is_pushout)}
+    assert outcomes >= {True}
+    for name in ("classify", "pullback_along_M", "pushout_along_E"):
+        assert inst.calls[name] == 0, name
 
 
 class _FillCountingFinAb(FinAbInstance):
@@ -467,6 +503,27 @@ def test_fs1_composes_hom_sets_by_walks():
     (report,) = run_axiom_suite(inst, seed=0, samples=400, bound=8, checks=["fs1"])
     assert report.ok and report.samples == 160
     assert inst.composes == 0
+
+
+class _IdentityCountingFinAb(FinAbInstance):
+    """Counts identity calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.identities = 0
+
+    def identity(self, a):
+        self.identities += 1
+        return super().identity(a)
+
+
+def test_fs2_builds_two_identities_per_sample():
+    # a cost guard: the invertibility search compares every candidate
+    # inverse with the same two identities
+    inst = _IdentityCountingFinAb()
+    (report,) = run_axiom_suite(inst, seed=0, samples=200, bound=8, checks=["fs2"])
+    assert report.ok and report.samples == 200
+    assert inst.identities == 400
 
 
 def _primes_of(n):
@@ -501,43 +558,43 @@ def test_finab_jointly_and_properness_scan_one_z_p_per_prime():
         assert {t.obj_key for t in inst.seen} == {(2,), (3,), (5,), (7,)}
 
 
-def _assert_scans_unsplit(inst, squares, bound):
-    """Each decision sees its whole competitor list, in order, four walks
-    per competitor, or a prefix of it when it fails; the jointly and
-    properness scans see the whole catalog."""
+def _assert_visits(inst, squares, bound, decided_at, scanned_at):
+    """Each decision sees decided_at, in order, four walks per object, or a
+    prefix of it when it fails; the jointly and properness scans see
+    scanned_at, each object once per leg."""
     decided = set()
     for sq in squares:
-        for op, decide in ((False, is_pullback), (True, is_pushout)):
+        for decide in (is_pullback, is_pushout):
             inst.seen = []
             outcome = decide(inst, sq, bound)
-            comps = pullback_competitors(inst, sq, bound, op)
             if outcome:
-                assert inst.seen == [t for t in comps for _ in range(4)], sq
+                assert inst.seen == [t for t in decided_at for _ in range(4)], sq
             else:
                 runs = [t for t, _ in itertools.groupby(inst.seen)]
-                assert runs == comps[:len(runs)], sq
+                assert runs == decided_at[:len(runs)], sq
             decided.add(outcome)
-    catalog = inst.enumerate_objects_up_to(bound)
     inst.seen = []
     assert AXIOM_CHECKS["jointly"](inst, 0, 10, bound).ok
-    assert inst.seen == [t for t in catalog for _ in range(2)] * 10
+    assert inst.seen == [t for t in scanned_at for _ in range(2)] * 10
     inst.seen = []
     assert AXIOM_CHECKS["properness"](inst, 0, 10, bound).ok
-    assert inst.seen == catalog * 2 * 10
+    assert inst.seen == scanned_at * 2 * 10
     return decided
 
 
-def test_pinj_scans_keep_every_object_whole():
+@pytest.mark.parametrize("bound", [1, 3, 5])
+def test_pinj_decides_at_sizes_1_and_2_and_scans_at_size_1(bound):
+    # a partial injection is fixed by its restrictions to points and is
+    # injective on every pair of them, so no decision reads the bound
     inst = _SeenPInj()
-    assert _assert_scans_unsplit(inst, SQUARE_POOL[::40], 3) == {False, True}
+    one, two = PI.fset(1), PI.fset(2)
+    assert _assert_visits(inst, SQUARE_POOL[::40], bound, [one, two], [one]) == {False, True}
 
 
 def test_groupoid_scans_keep_every_object_whole():
+    # the default test objects are the bounded catalog: the one object
     inst = _SeenGroupoid(symmetric_group_table(3), name="groupoid:s3")
-    e = S3.identity(S3.star)
-    squares = [Square(top=g, left=e, right=e, bottom=g)
-               for g in S3.enumerate_homs(S3.star, S3.star)]
-    assert _assert_scans_unsplit(inst, squares, 1) == {True}
+    assert _assert_visits(inst, _s3_squares(), 1, [S3.star], [S3.star]) == {True}
 
 
 class _AnyClassFinAb(FinAbInstance):
@@ -552,6 +609,13 @@ class _AnyClassFinAb(FinAbInstance):
 
     def has_class_hom(self, a, b, cls="any"):
         return True
+
+
+class _AnyClassPInj(PInjInstance):
+    """pinj with every hom in E and M, as _AnyClassFinAb."""
+
+    def classify(self, f):
+        return OrthClass(True, True)
 
 
 def _first_failure(objs, injective_at):
@@ -615,6 +679,76 @@ def test_single_hom_failures_name_the_first_catalog_failure(op):
         failed_at.add(t0)
     assert None in failed_at and len(failed_at) > 3
     assert all(_cyclic_prime_power(t.obj_key) for t in failed_at if t)
+
+
+@pytest.mark.parametrize("op", [False, True], ids=["monic", "epic"])
+def test_pinj_jointly_failure_details_name_the_first_catalog_failure(op):
+    # every pair of homs out of one set of size <= 3 (into one, with op);
+    # two maps out of a set differ at a point, so the scan of the set 1
+    # names the first catalog failure
+    inst = _AnyClassPInj()
+    catalog = PI.enumerate_objects_up_to(3)
+    prop = "epic" if op else "monic"
+    failed_at = collections.Counter()
+    for a, b, c in itertools.product(catalog, repeat=3):
+        homs = (PI.enumerate_homs(b, a), PI.enumerate_homs(c, a)) if op else (
+            PI.enumerate_homs(a, b), PI.enumerate_homs(a, c))
+        for f, g in itertools.product(*homs):
+            t0 = _first_failure(catalog, _injective_at(PI, (f, g), op))
+            want = [] if t0 is None else [f"not jointly {prop} at {t0.descriptor}"]
+            assert [d["detail"] for d in jointly_failures(inst, f, g, 3, op)] == want, (f, g)
+            failed_at[t0] += 1
+    assert sum(failed_at.values()) == 3396
+    assert set(failed_at) == {None, PI.fset(1)}
+
+
+@pytest.mark.parametrize("op", [False, True], ids=["monic", "epic"])
+def test_pinj_single_hom_failures_name_the_first_catalog_failure(op):
+    catalog = PI.enumerate_objects_up_to(3)
+    failed_at = collections.Counter()
+    for a, b in itertools.product(catalog, repeat=2):
+        for f in PI.enumerate_homs(a, b):
+            injective_at = _injective_at(PI, (f,), op)
+            t0 = _first_failure(catalog, injective_at)
+            assert _first_failure(PI.scan_objects(f.cod if op else f.dom, 3), injective_at) == t0, f
+            failed_at[t0] += 1
+    assert set(failed_at) == {None, PI.fset(1)}
+
+
+def _pinj_squares(objs):
+    """Every commuting pinj square with corners in objs: each (right, top)
+    pair meets the (bottom, left) pairs with the same composite."""
+    homs = PI.enumerate_homs
+    for w, y, z, x in itertools.product(objs, repeat=4):
+        lower = collections.defaultdict(list)
+        for bottom, left in itertools.product(homs(z, w), homs(x, z)):
+            lower[PI.compose(bottom, left).payload].append((bottom, left))
+        for right, top in itertools.product(homs(y, w), homs(x, y)):
+            for bottom, left in lower.get(PI.compose(right, top).payload, ()):
+                yield Square(top, left, right, bottom)
+
+
+def pinj_decisions_against_the_catalog(step):
+    """Decide every step-th commuting square with corners of size <= 3 in
+    both directions, and compare each answer with the bijection at every
+    catalog object up to size 3.  Returns (squares, pullbacks, pushouts,
+    disagreements); step 1 is the full sweep of all 277,200 squares."""
+    catalog = PI.enumerate_objects_up_to(3)
+    counts = collections.Counter()
+    for sq in itertools.islice(_pinj_squares(catalog), 0, None, step):
+        counts["squares"] += 1
+        for op, decide, name in ((False, is_pullback, "pullbacks"), (True, is_pushout, "pushouts")):
+            got = decide(PI, sq, 3)
+            counts[name] += got
+            counts["disagreements"] += got != all(
+                _pullback_bijection_at(PI, sq, t, op) for t in catalog)
+    return counts["squares"], counts["pullbacks"], counts["pushouts"], counts["disagreements"]
+
+
+def test_pinj_decisions_match_the_bijection_at_the_catalog():
+    # a fixed slice of the sweep; the full sweep, step 1, gives
+    # (277200, 5502, 5502, 0)
+    assert pinj_decisions_against_the_catalog(50) == (5544, 103, 107, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -229,14 +229,17 @@ def test_fake_pullback_malformed_file(tmp_path, capsys):
     assert "bad.json:2:1" in err
 
 
-def run_cli(*args: str, hashseed: Optional[str] = None) -> subprocess.CompletedProcess:
-    src = pathlib.Path(spancat.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
+SRC = pathlib.Path(spancat.__file__).resolve().parents[1]
+
+
+def run_cli(*args: str, hashseed: Optional[str] = None,
+            timeout: float = 60) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     if hashseed is not None:
         env["PYTHONHASHSEED"] = hashseed
     return subprocess.run(
         [sys.executable, "-m", "spancat.cli", *args],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -368,6 +371,55 @@ def test_associativity_reports_pinned(tmp_path, hashseed):
                        "--out", str(out), hashseed=hashseed)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("max_size,expected", [
+    ("1", "b2c9441a05b49a06ec0832bcadc469f0348ae254201821ff334d9cc2e44c43e7"),
+    ("5", "0b2219f5c3565843e02984418eef2a9acbb0e233cfb6d7cd62a9d9e5d7021235"),
+], ids=["size-1", "size-5"])
+def test_pinj_check_axioms_reports_pinned(tmp_path, max_size, expected):
+    # the sha256 of each report as decisions over the whole catalog, the
+    # square's apex and the canonical cone wrote it; deciding at the sets 1
+    # and 2 and scanning at 1 must not move a verdict or a dump
+    out = tmp_path / "axioms.json"
+    proc = run_cli("check-axioms", "--instance", "pinj", "--max-size", max_size,
+                   "--samples", "100", "--seed", "0", "--out", str(out))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def test_pinj_identity_span_fake_pullback_at_size_12_is_quick(tmp_path):
+    # certify_grid decides the grid's squares at the sets 1 and 2; a
+    # decision at the apex would walk hom(12, 12), 5.3e10 partial injections
+    twelve = id_span(PI, PI.fset(12))
+    path = tmp_path / "cospan.json"
+    path.write_text(dumps({"f": span_dict(PI, twelve), "g": span_dict(PI, twelve)}))
+    proc = run_cli("fake-pullback", "--instance", "pinj", "--max-size", "12", str(path),
+                   timeout=5)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["certification"] == []
+
+
+def test_run_all_suites_reports_pinned(tmp_path):
+    # one sha256 over the sorted (file name, bytes) pairs of the 32 files
+    # that scripts/run_all_suites.py writes at seed 0, as pinj decisions over
+    # the whole catalog wrote them: a change that moves no verdict, dump or
+    # draw keeps every byte
+    script = SRC.parent / "scripts" / "run_all_suites.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--seed", "0", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=300,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    files = sorted(tmp_path.iterdir())
+    assert len(files) == 32
+    digest = hashlib.sha256()
+    for path in files:
+        data = path.read_bytes()
+        digest.update(f"{path.name}\n{len(data)}\n".encode())
+        digest.update(data)
+    assert digest.hexdigest() == "da3355a6d1d8aa5d737c760aba9e1d8d090f786d8ccf6f39764e6f668f56ec81"
 
 
 def run_fake_pullback_file(tmp_path, instance: str, cospan: dict):

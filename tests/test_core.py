@@ -16,7 +16,6 @@ from spancat.core import (
     SpanCatError,
     Square,
     ValidationFailure,
-    require_same_instance,
     symmetric_group_table,
     validate_square,
 )
@@ -100,9 +99,20 @@ def test_square_must_commute():
         validate_square(FA, bad)
 
 
-def test_require_same_instance_rejects_mixing():
-    with pytest.raises(CrossInstance):
-        require_same_instance(FA.group(2), PI.fset(2))
+@pytest.mark.parametrize("inst", [FA, PI, S3], ids=["finab", "pinj", "groupoid"])
+def test_validate_mor_rejects_other_instances(inst):
+    # a morphism of another instance, and one with an endpoint of another
+    # instance at either end, whatever its payload
+    f = inst.identity(inst.enumerate_objects_up_to(1)[-1])
+    inst.validate_mor(f)
+    z2 = GroupoidInstance(symmetric_group_table(2), name="groupoid:z2")
+    for other in (FA, PI, S3, z2):
+        if other is inst:
+            continue
+        g = other.identity(other.enumerate_objects_up_to(1)[-1])
+        for bad in (g, Mor(f.dom, g.cod, f.payload), Mor(g.dom, f.cod, f.payload)):
+            with pytest.raises(CrossInstance):
+                inst.validate_mor(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,10 @@ class Instance(ABC):
     prime for a scan.  pinj decides at the sets of size 1 and 2 and scans
     at size 1.  Each is exact at every bound (see the axioms module).
 
+    ``solve_post_system`` is the one search for a unique morphism, "the w
+    with post . w == rhs": diagonal fills, inverses, cells and V3 mediators.
+    Such a w is unique because M-morphisms are monic.
+
     Iso classes of spans and zig-zags are compared through two keys that
     every instance gives, ``span_iso_key`` and ``rel_pair_key``; the latter
     may answer None to send a comparison to the bounded iso search.
@@ -330,9 +334,6 @@ class Instance(ABC):
 
     # -- generic implementations (instances may override with solvers) ------
 
-    def mor_eq(self, f: Mor, g: Mor) -> bool:
-        return f.dom == g.dom and f.cod == g.cod and f.payload == g.payload
-
     def is_iso(self, f: Mor) -> bool:
         # E and M intersect exactly in the isomorphisms.
         c = self.classify(f)
@@ -343,29 +344,24 @@ class Instance(ABC):
         if not self.is_iso(f):
             raise ClassViolation("inverse requested for a non-isomorphism")
         w, _ = self.solve_post_system(f.cod, f.dom, [(f, self.identity(f.cod))])
-        if w is None or not self.mor_eq(self.compose(w, f), self.identity(f.dom)):
+        if w is None or self.compose(w, f) != self.identity(f.dom):
             raise SpanCatError("no two-sided inverse found; E and M do not meet in isos")
         return w
 
     def fill_diagonal(self, sq: Square) -> Mor:
-        """The unique w with w . top == left and bottom . w == right, for a
-        commuting square whose top is in E and bottom in M."""
+        """The unique w with w . top == left and bottom . w == right for a
+        commuting square with top in E and bottom in M: solve_post_system's one
+        w with bottom . w == right, as M is monic (where not, this raises)."""
         validate_square(self, sq)
         if not self.classify(sq.top).in_E:
             raise ClassViolation("fill_diagonal: top edge must be in E")
         if not self.classify(sq.bottom).in_M:
             raise ClassViolation("fill_diagonal: bottom edge must be in M")
-        found = None
-        for w in self.enumerate_homs(sq.top.cod, sq.bottom.dom):
-            if self.mor_eq(self.compose(w, sq.top), sq.left) and self.mor_eq(
-                self.compose(sq.bottom, w), sq.right
-            ):
-                if found is not None:
-                    raise SpanCatError("fill_diagonal: diagonal is not unique")
-                found = w
-        if found is None:
-            raise SpanCatError("fill_diagonal: no diagonal exists")
-        return found
+        w, count = self.solve_post_system(sq.top.cod, sq.bottom.dom, [(sq.bottom, sq.right)])
+        if count != 1 or self.compose(w, sq.top) != sq.left:
+            raise SpanCatError(
+                f"fill_diagonal: no unique diagonal ({count} w with bottom . w == right)")
+        return w
 
     def compose_all(self, g: Mor, t: ObjHandle, op: bool = False) -> list:
         """The payloads of g . u for u in enumerate_homs(t, dom g), in that
@@ -402,13 +398,11 @@ class Instance(ABC):
         """One solution (or None) and the total count for the system
         {post . w == rhs : (post, rhs) in eqs} over w: dom -> cod.
 
-        Generic implementation enumerates hom(dom, cod); instances with a
-        solver override this."""
+        The default enumerates hom(dom, cod); instances with a solver
+        override this."""
         found, count = None, 0
         for w in self.enumerate_homs(dom, cod):
-            if all(
-                self.mor_eq(self.compose(post, w), rhs) for post, rhs in eqs
-            ):
+            if all(self.compose(post, w) == rhs for post, rhs in eqs):
                 if found is None:
                     found = w
                 count += 1
@@ -476,7 +470,7 @@ def validate_square(inst: Instance, sq: Square) -> None:
         raise EndpointMismatch("square corners do not line up")
     if sq.left.cod != sq.bottom.dom or sq.right.cod != sq.bottom.cod:
         raise EndpointMismatch("square corners do not line up")
-    if not inst.mor_eq(inst.compose(sq.right, sq.top), inst.compose(sq.bottom, sq.left)):
+    if inst.compose(sq.right, sq.top) != inst.compose(sq.bottom, sq.left):
         raise ShapeViolation("square does not commute")
 
 
@@ -557,10 +551,6 @@ class GroupoidInstance(Instance):
 
     def inverse(self, f: Mor) -> Mor:
         return Mor(f.cod, f.dom, self.inv[f.payload])
-
-    def fill_diagonal(self, sq: Square) -> Mor:
-        validate_square(self, sq)
-        return self.compose(sq.left, self.inverse(sq.top))
 
     def pullback_along_M(self, f: Mor, m: Mor) -> ConeResult:
         if f.cod != m.cod:

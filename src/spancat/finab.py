@@ -36,7 +36,6 @@ from .core import (
     json_ints,
     json_list,
     require,
-    validate_square,
 )
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -772,40 +771,27 @@ def class_members(hg: HomGroup, in_E: bool) -> list[int]:
 def solve_hom_equations(
     dom: Orders,
     cod: Orders,
-    eqs: Sequence[tuple[Optional[tuple[Orders, Orders, Matrix]],
-                        Optional[tuple[Orders, Orders, Matrix]],
-                        tuple[Orders, Orders, Matrix]]],
+    eqs: Sequence[tuple[Orders, Matrix, Matrix]],
     groups: Callable[[Orders, Orders], HomGroup],
 ) -> tuple[Optional[Matrix], int]:
-    """Solve for w: dom -> cod subject to post . w . pre == rhs equations.
+    """Solve for w: dom -> cod subject to post . w == rhs equations.
 
-    Each equation is (post, pre, rhs) where post/pre are (dom, cod, matrix)
-    triples or None for an identity; groups(x, y) gives the hom group of
-    x -> y (hom_group, or a cache of it).  Returns (one solution or None,
-    number of solutions if one exists else 0).
+    Each equation is (y, post, rhs) with post: cod -> y and rhs: dom -> y
+    matrices; groups(x, y) gives the hom group of x -> y (hom_group, or a
+    cache of it).  Returns (one solution or None, number of solutions if
+    one exists else 0).
     """
     hg = groups(dom, cod)
     k = len(hg.orders)
     big_orders: list[int] = []
     big_target: list[int] = []
     columns: list[list[int]] = [[] for _ in range(k)]
-    for post, pre, rhs in eqs:
-        x_ord = pre[0] if pre else dom
-        y_ord = post[1] if post else cod
-        hg_xy = groups(x_ord, y_ord)
-        rhs_coords = hg_xy.to_coords(validate_hom(x_ord, y_ord, rhs[2]))
-        big_target.extend(rhs_coords)
-        big_orders.extend(hg_xy.orders)
+    for y, post, rhs in eqs:
+        hg_y = groups(dom, y)
+        big_target.extend(hg_y.to_coords(validate_hom(dom, y, rhs)))
+        big_orders.extend(hg_y.orders)
         for t in range(k):
-            gmat = hg.generator(t)
-            val = gmat
-            if pre:
-                val = hom_compose(val, pre[2], cod, len(x_ord))
-            if post:
-                val = hom_compose(post[2], val, y_ord, len(x_ord))
-            else:
-                val = reduce_matrix(val, y_ord)
-            columns[t].extend(hg_xy.to_coords(val))
+            columns[t].extend(hg_y.to_coords(hom_compose(post, hg.generator(t), y, len(dom))))
     mat = [[columns[t][r] for t in range(k)] for r in range(len(big_orders))]
     x, coker = solve_congruence(mat, hg.orders, tuple(big_orders), big_target)
     if x is None:
@@ -979,41 +965,13 @@ class FinAbInstance(Instance):
         mid_h = self.obj(mid)
         return Factorization(Mor(f.dom, mid_h, e), Mor(mid_h, f.cod, m))
 
-    def fill_diagonal(self, sq: Square) -> Mor:
-        validate_square(self, sq)
-        if not self.classify(sq.top).in_E:
-            raise ClassViolation("fill_diagonal: top edge must be in E")
-        if not self.classify(sq.bottom).in_M:
-            raise ClassViolation("fill_diagonal: bottom edge must be in M")
-        dom, cod = sq.top.cod.obj_key, sq.bottom.dom.obj_key
-        w, count = solve_hom_equations(
-            dom,
-            cod,
-            [
-                (None, (sq.top.dom.obj_key, dom, sq.top.payload),
-                 (sq.top.dom.obj_key, cod, sq.left.payload)),
-                ((cod, sq.bottom.cod.obj_key, sq.bottom.payload), None,
-                 (dom, sq.bottom.cod.obj_key, sq.right.payload)),
-            ],
-            self._hom_group,
-        )
-        if w is None:
-            raise SpanCatError("fill_diagonal: no diagonal exists")
-        if count != 1:
-            raise SpanCatError(f"fill_diagonal: expected a unique diagonal, found {count}")
-        return Mor(sq.top.cod, sq.bottom.dom, w)
-
     def solve_post_system(self, dom: ObjHandle, cod: ObjHandle,
                           eqs: Sequence[tuple[Mor, Mor]]) -> tuple[Optional[Mor], int]:
         sys_eqs = []
         for post, rhs in eqs:
             if post.dom != cod or rhs.dom != dom or rhs.cod != post.cod:
                 raise EndpointMismatch("solve_post_system: equation endpoints")
-            sys_eqs.append((
-                (post.dom.obj_key, post.cod.obj_key, post.payload),
-                None,
-                (rhs.dom.obj_key, rhs.cod.obj_key, rhs.payload),
-            ))
+            sys_eqs.append((post.cod.obj_key, post.payload, rhs.payload))
         w, count = solve_hom_equations(dom.obj_key, cod.obj_key, sys_eqs, self._hom_group)
         if w is None:
             return None, 0

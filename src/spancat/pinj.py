@@ -21,13 +21,11 @@ from .core import (
     Mor,
     ObjHandle,
     OrthClass,
-    SpanCatError,
     Square,
     ValidationFailure,
     json_int,
     json_list,
     require,
-    validate_square,
 )
 
 Assign = tuple[Optional[int], ...]
@@ -165,19 +163,6 @@ class PInjInstance(Instance):
         if not self.is_iso(f):
             raise ClassViolation("inverse requested for a non-isomorphism")
         return self.reverse(f)
-
-    def fill_diagonal(self, sq: Square) -> Mor:
-        validate_square(self, sq)
-        if not self.classify(sq.top).in_E:
-            raise ClassViolation("fill_diagonal: top edge must be in E")
-        if not self.classify(sq.bottom).in_M:
-            raise ClassViolation("fill_diagonal: bottom edge must be in M")
-        w = self.compose(sq.left, self.reverse(sq.top))
-        if not self.mor_eq(self.compose(w, sq.top), sq.left) or not self.mor_eq(
-            self.compose(sq.bottom, w), sq.right
-        ):
-            raise SpanCatError("fill_diagonal: no diagonal exists")
-        return w
 
     def pullback_along_M(self, f: Mor, m: Mor) -> ConeResult:
         if f.cod != m.cod:

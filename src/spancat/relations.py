@@ -131,35 +131,6 @@ def rel_iso_eq(inst: Instance, r1: Relation, r2: Relation) -> bool:
     return span_pair_iso_eq(inst, (r1.left, r1.right), (r2.left, r2.right))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class RelClass:
-    """End-fixed iso class of a relation.
-
-    Equality compares canonical keys when the instance provides them and
-    falls back to the bounded iso search otherwise."""
-
-    inst: Instance
-    representative: Relation
-    canonical_key: Any
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RelClass):
-            return NotImplemented
-        r, s = self.representative, other.representative
-        if r.X != s.X or r.Z != s.Z:
-            return False
-        if self.canonical_key is not None and other.canonical_key is not None:
-            return self.canonical_key == other.canonical_key
-        return rel_iso_eq(self.inst, r, s)
-
-    def __hash__(self) -> int:
-        return hash((self.representative.X, self.representative.Z, self.canonical_key))
-
-
-def rel_class(inst: Instance, r: Relation) -> RelClass:
-    return RelClass(inst=inst, representative=r, canonical_key=rel_key(inst, r))
-
-
 # ---------------------------------------------------------------------------
 # the Goursat translation over finite abelian groups
 # ---------------------------------------------------------------------------

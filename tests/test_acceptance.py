@@ -142,8 +142,7 @@ def test_criterion_04_exchange_cell_matches_factorization():
             ok = ok and res.cell is not None
             ok = ok and inst.classify(res.e_bar).in_E
             ok = ok and inst.classify(res.m_bar).in_M
-            ok = ok and inst.mor_eq(inst.compose(res.m_bar, res.e_bar),
-                                    inst.compose(e, m))
+            ok = ok and inst.compose(res.m_bar, res.e_bar) == inst.compose(e, m)
             n += 1
         details.append(f"{inst.name} {n}")
     _line(4, "exchange squares carry exactly one comparison cell",

@@ -81,13 +81,13 @@ def naive_is_pullback(inst, sq, competitors):
         ws = inst.enumerate_homs(t, sq.apex)
         for u in ys:
             for v in zs:
-                if not inst.mor_eq(inst.compose(sq.right, u), inst.compose(sq.bottom, v)):
+                if inst.compose(sq.right, u) != inst.compose(sq.bottom, v):
                     continue
                 hits = [
                     w
                     for w in ws
-                    if inst.mor_eq(inst.compose(sq.top, w), u)
-                    and inst.mor_eq(inst.compose(sq.left, w), v)
+                    if inst.compose(sq.top, w) == u
+                    and inst.compose(sq.left, w) == v
                 ]
                 if len(hits) != 1:
                     return False
@@ -101,13 +101,13 @@ def naive_is_pushout(inst, sq, competitors):
         ws = inst.enumerate_homs(sq.bottom_right, t)
         for u in ys:
             for v in zs:
-                if not inst.mor_eq(inst.compose(u, sq.top), inst.compose(v, sq.left)):
+                if inst.compose(u, sq.top) != inst.compose(v, sq.left):
                     continue
                 hits = [
                     w
                     for w in ws
-                    if inst.mor_eq(inst.compose(w, sq.right), u)
-                    and inst.mor_eq(inst.compose(w, sq.bottom), v)
+                    if inst.compose(w, sq.right) == u
+                    and inst.compose(w, sq.bottom) == v
                 ]
                 if len(hits) != 1:
                     return False
@@ -271,7 +271,7 @@ def _commuting_squares(inst, objs):
         for right, bottom, top, left in itertools.product(
             homs(y, w), homs(z, w), homs(x, y), homs(x, z)
         ):
-            if inst.mor_eq(inst.compose(right, top), inst.compose(bottom, left)):
+            if inst.compose(right, top) == inst.compose(bottom, left):
                 out.append(Square(top, left, right, bottom))
     return out
 
@@ -505,25 +505,25 @@ def test_fs1_composes_hom_sets_by_walks():
     assert inst.composes == 0
 
 
-class _IdentityCountingFinAb(FinAbInstance):
-    """Counts identity calls."""
+class _HomSetCountingFinAb(FinAbInstance):
+    """Records the (dom, cod) keys of each enumerate_homs call."""
 
     def __init__(self):
         super().__init__()
-        self.identities = 0
+        self.hom_sets = []
 
-    def identity(self, a):
-        self.identities += 1
-        return super().identity(a)
+    def enumerate_homs(self, a, b):
+        self.hom_sets.append((a.obj_key, b.obj_key))
+        return super().enumerate_homs(a, b)
 
 
-def test_fs2_builds_two_identities_per_sample():
-    # a cost guard: the invertibility search compares every candidate
-    # inverse with the same two identities
-    inst = _IdentityCountingFinAb()
-    (report,) = run_axiom_suite(inst, seed=0, samples=200, bound=8, checks=["fs2"])
-    assert report.ok and report.samples == 200
-    assert inst.identities == 400
+def test_fs2_enumerates_no_inverse_candidates():
+    # a cost guard: fs2 decides invertibility with one solve, so the only
+    # hom sets it enumerates are the sampler's pools, each drawn once
+    inst = _HomSetCountingFinAb()
+    (report,) = run_axiom_suite(inst, seed=0, samples=1000, bound=8, checks=["fs2"])
+    assert report.ok and report.samples == 1000
+    assert len(inst.hom_sets) == len(set(inst.hom_sets)) == 121
 
 
 def _primes_of(n):

@@ -3,6 +3,8 @@ fills, the post-composition solver, iso inversion, and the table-backed
 one-object groupoid."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from spancat.core import (
@@ -129,8 +131,8 @@ def test_fill_diagonal_finds_the_unique_witness():
     # top in E, bottom in M, filled by the mod-two map w: Z/4 -> Z/2
     w = FA.fill_diagonal(Square(top=e, left=left, right=right, bottom=m))
     assert w.dom == z4 and w.cod == z2
-    assert FA.mor_eq(FA.compose(w, e), left)
-    assert FA.mor_eq(FA.compose(m, w), right)
+    assert FA.compose(w, e) == left
+    assert FA.compose(m, w) == right
 
 
 def test_fill_diagonal_guards():
@@ -155,12 +157,43 @@ def test_fill_diagonal_reports_missing_witness():
         FA.fill_diagonal(Square(top=e, left=left, right=right, bottom=m))
 
 
+def em_squares(inst, objects):
+    """Every commuting square with top in E and bottom in M whose four
+    corners are among objects."""
+    out = []
+    for a, b, c, d in itertools.product(objects, repeat=4):
+        for e in inst.class_homs(a, b, "E"):
+            for m in inst.class_homs(c, d, "M"):
+                for u in inst.enumerate_homs(a, c):
+                    for v in inst.enumerate_homs(b, d):
+                        if inst.compose(m, u) == inst.compose(v, e):
+                            out.append(Square(top=e, left=u, right=v, bottom=m))
+    return out
+
+
+def enumerated_fill(inst, sq):
+    """The reference diagonal: the one w in hom(cod top, dom bottom) with
+    w . top == left and bottom . w == right, found by enumeration."""
+    (w,) = [w for w in inst.enumerate_homs(sq.top.cod, sq.bottom.dom)
+            if inst.compose(w, sq.top) == sq.left and inst.compose(sq.bottom, w) == sq.right]
+    return w
+
+
+@pytest.mark.parametrize("inst,bound,count", [(FA, 6, 2113), (PI, 3, 3744), (S3, 1, 216)],
+                         ids=["finab", "pinj", "groupoid"])
+def test_fill_diagonal_agrees_with_enumeration(inst, bound, count):
+    squares = em_squares(inst, inst.enumerate_objects_up_to(bound))
+    assert len(squares) == count
+    for sq in squares:
+        assert inst.fill_diagonal(sq) == enumerated_fill(inst, sq), sq
+
+
 def test_solve_post_system_counts_solutions():
     z2, z4 = FA.group(2), FA.group(4)
     m = FA.hom(z2, z4, [[2]])
     found, count = FA.solve_post_system(z2, z2, [(m, m)])
     assert count == 1
-    assert FA.mor_eq(found, FA.identity(z2))
+    assert found == FA.identity(z2)
     # zero postcomposition constrains nothing: every hom solves
     zero = FA.hom(z2, z4, [[0]])
     found, count = FA.solve_post_system(z2, z2, [(zero, zero)])
@@ -171,8 +204,8 @@ def test_iso_inverse_round_trips():
     z3 = FA.group(3)
     twist = FA.hom(z3, z3, [[2]])
     inv = FA.inverse(twist)
-    assert FA.mor_eq(FA.compose(inv, twist), FA.identity(z3))
-    assert FA.mor_eq(FA.compose(twist, inv), FA.identity(z3))
+    assert FA.compose(inv, twist) == FA.identity(z3)
+    assert FA.compose(twist, inv) == FA.identity(z3)
     with pytest.raises(ClassViolation):
         FA.inverse(FA.hom(z3, FA.group(), ()))
 
@@ -210,19 +243,19 @@ def test_groupoid_everything_is_iso():
         cls = S3.classify(f)
         assert cls.in_E and cls.in_M
         inv = S3.inverse(f)
-        assert S3.mor_eq(S3.compose(inv, f), S3.identity(star))
+        assert S3.compose(inv, f) == S3.identity(star)
     f = Mor(star, star, 3)
     fac = S3.factorize(f)
-    assert S3.mor_eq(fac.e, f)
-    assert S3.mor_eq(fac.m, S3.identity(star))
+    assert fac.e == f
+    assert fac.m == S3.identity(star)
 
 
 def test_groupoid_cones_commute():
     m, f, e = (Mor(S3.star, S3.star, k) for k in (1, 4, 2))
     cone = S3.pullback_along_M(f, m)
-    assert S3.mor_eq(S3.compose(f, cone.leg1), S3.compose(m, cone.leg2))
+    assert S3.compose(f, cone.leg1) == S3.compose(m, cone.leg2)
     po = S3.pushout_along_E(f, e)
-    assert S3.mor_eq(S3.compose(po.leg1, f), S3.compose(po.leg2, e))
+    assert S3.compose(po.leg1, f) == S3.compose(po.leg2, e)
 
 
 def test_groupoid_catalog():

@@ -411,8 +411,8 @@ def test_v2_frozen_through_trivial_middle():
     # the base composite is zero, so the filling corner is trivial
     assert sqr.b.src.obj_key == () and sqr.y.src.obj_key == ()
     w = sqr.cell.w
-    assert FA.mor_eq(FA.compose(sqr.cell.tgt.d, w), sqr.cell.src.d)
-    assert FA.mor_eq(FA.compose(sqr.cell.tgt.m, w), sqr.cell.src.m)
+    assert FA.compose(sqr.cell.tgt.d, w) == sqr.cell.src.d
+    assert FA.compose(sqr.cell.tgt.m, w) == sqr.cell.src.m
 
 
 def test_v2_unique_up_to_pair_iso_bounded():
@@ -455,8 +455,8 @@ def test_v2_sampled(inst, bound):
         assert sqr.b.tgt == sqr.x.src and sqr.y.tgt == sqr.a.src
         assert sqr.b.src == sqr.y.src
         w = sqr.cell.w
-        assert inst.mor_eq(inst.compose(sqr.cell.tgt.d, w), sqr.cell.src.d)
-        assert inst.mor_eq(inst.compose(sqr.cell.tgt.m, w), sqr.cell.src.m)
+        assert inst.compose(sqr.cell.tgt.d, w) == sqr.cell.src.d
+        assert inst.compose(sqr.cell.tgt.m, w) == sqr.cell.src.m
 
 
 def test_v2_guards():

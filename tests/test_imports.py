@@ -64,7 +64,7 @@ def test_module_uses_every_import(path):
 # Growing this list needs a line in CHANGES.md.
 UNCALLED_API = frozenset({
     "apply_hom", "diagonal_subgroup", "symmetric_group_table", "count_pinjs",
-    "graph_relation", "rel_class", "relation_to_matching", "all_matchings",
+    "graph_relation", "relation_to_matching", "all_matchings",
     "matching_to_relation", "rel_identity",
 })
 
@@ -121,19 +121,13 @@ def test_every_src_definition_has_a_src_caller():
     assert uncalled_definitions(sources) == UNCALLED_API
 
 
-# Instance defaults that every shipped instance overrides, each kept for a
-# reason: fill_diagonal's enumeration is the reference of tests/test_pinj.py.
-# Growing this set needs a line in CHANGES.md.
-OVERRIDDEN_EVERYWHERE = frozenset({"fill_diagonal"})
-
-
 def test_every_instance_default_serves_a_shipped_instance():
     shipped = (FinAbInstance, PInjInstance, GroupoidInstance)
     defaults = {name: fn for name, fn in vars(Instance).items()
                 if inspect.isfunction(fn) and not getattr(fn, "__isabstractmethod__", False)}
     unused = {name for name, fn in defaults.items()
               if all(getattr(cls, name) is not fn for cls in shipped)}
-    assert unused == OVERRIDDEN_EVERYWHERE
+    assert unused == set()
 
 
 # Modules written against the Instance contract alone: a new instance must

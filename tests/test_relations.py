@@ -45,7 +45,6 @@ from spancat.relations import (
     goursat_to_subgroup,
     graph_relation,
     matching_to_relation,
-    rel_class,
     rel_compose,
     rel_identity,
     rel_iso_eq,
@@ -312,7 +311,7 @@ def test_matching_roundtrip_exhaustive_small():
 def test_matching_classes_are_distinct():
     x = z = PI.fset(2)
     rels = [matching_to_relation(PI, x, z, *m) for m in all_matchings(2, 2)]
-    assert len({rel_class(PI, r) for r in rels}) == 34
+    assert len({rel_key(PI, r) for r in rels}) == 34
     for i, r in enumerate(rels):
         for s in rels[i + 1:]:
             assert not rel_iso_eq(PI, r, s)
@@ -495,13 +494,12 @@ def test_rel_iso_eq_needs_equal_ends():
 
 def test_rel_class_equality_and_hash():
     z2 = FA.group(2)
-    direct = rel_class(FA, rel_identity(FA, z2))
-    redundant = rel_class(FA, rel_compose(FA, rel_identity(FA, z2), rel_identity(FA, z2)))
-    assert direct == redundant
-    assert hash(direct) == hash(redundant)
-    other_ends = rel_class(FA, rel_identity(FA, FA.group(4)))
-    assert direct != other_ends
-    assert direct != "not a class"
+    direct = rel_identity(FA, z2)
+    redundant = rel_compose(FA, rel_identity(FA, z2), rel_identity(FA, z2))
+    assert rel_iso_eq(FA, direct, redundant)
+    assert rel_key(FA, direct) == rel_key(FA, redundant)
+    assert hash(rel_key(FA, direct)) == hash(rel_key(FA, redundant))
+    assert rel_key(FA, direct) != rel_key(FA, rel_identity(FA, FA.group(4)))
 
 
 class _NoKeyFinAb(FinAbInstance):
@@ -521,9 +519,7 @@ def test_keyless_classes_agree_with_keyed_route():
         for s in rels:
             if r.X != s.X or r.Z != s.Z:
                 continue
-            keyed = rel_class(FA, r) == rel_class(FA, s)
-            searched = rel_class(plain, r) == rel_class(plain, s)
-            assert keyed == searched
+            assert rel_iso_eq(FA, r, s) == rel_iso_eq(plain, r, s)
 
 
 class CountingPInj(PInjInstance):
@@ -563,7 +559,7 @@ def test_rel_key_reads_the_pair_keys_that_rel_iso_eq_stored():
     for _ in range(5):
         assert rel_key(inst, r) == rel_key(inst, s) == PI.rel_pair_key(
             r.left.d, r.left.m, r.right.d, r.right.m)
-        assert rel_class(inst, r) == rel_class(inst, s)
+        assert rel_iso_eq(inst, r, s)
     assert inst.keys == 2
 
 

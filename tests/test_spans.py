@@ -105,9 +105,7 @@ def _is_iso(inst, f) -> bool:
 def count_cells(inst, f: EMSpan, g: EMSpan) -> int:
     hits = 0
     for w in inst.enumerate_homs(f.apex, g.apex):
-        if inst.mor_eq(inst.compose(g.d, w), f.d) and inst.mor_eq(
-            inst.compose(g.m, w), f.m
-        ):
+        if inst.compose(g.d, w) == f.d and inst.compose(g.m, w) == f.m:
             hits += 1
     return hits
 
@@ -149,12 +147,12 @@ def test_exchange_square_left_leg_shape():
     e = FA.hom(z8, FA.group(4), [[1]])
     fac = FA.factorize(FA.compose(e, m))
     ex = exchange_square(FA, m, e)
-    assert FA.mor_eq(ex.cell.src.d, fac.e)
-    assert FA.mor_eq(ex.cell.src.m, m)
+    assert ex.cell.src.d == fac.e
+    assert ex.cell.src.m == m
     # the cell's defining equations
     w = ex.cell.w
-    assert FA.mor_eq(FA.compose(ex.cell.tgt.d, w), ex.cell.src.d)
-    assert FA.mor_eq(FA.compose(ex.cell.tgt.m, w), ex.cell.src.m)
+    assert FA.compose(ex.cell.tgt.d, w) == ex.cell.src.d
+    assert FA.compose(ex.cell.tgt.m, w) == ex.cell.src.m
 
 
 def test_exchange_square_degenerate_sides():
@@ -182,11 +180,11 @@ def test_lift_directions_and_classes():
     m = FA.hom(z2, z4, [[2]])
     lm = lift_m(FA, m)
     assert (lm.src, lm.tgt) == (z2, z4)
-    assert FA.mor_eq(lm.m, m) and _is_iso(FA, lm.d)
+    assert lm.m == m and _is_iso(FA, lm.d)
     e = FA.hom(z4, z2, [[1]])
     le = lift_e(FA, e)
     assert (le.src, le.tgt) == (z2, z4)  # direction reverses
-    assert FA.mor_eq(le.d, e) and _is_iso(FA, le.m)
+    assert le.d == e and _is_iso(FA, le.m)
 
 
 def test_self_cell_is_identity():
@@ -194,7 +192,7 @@ def test_self_cell_is_identity():
     f = em_span(FA, FA.hom(z4, FA.group(2), [[1]]), FA.identity(z4))
     cell = cell_between(FA, f, f)
     assert cell is not None
-    assert FA.mor_eq(cell.w, FA.identity(f.apex))
+    assert cell.w == FA.identity(f.apex)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +297,10 @@ def test_exchange_square_sampled(inst, bound):
         e = smp.hom(a=m.cod, cls="E")
         ex = exchange_square(inst, m, e)
         fac = inst.factorize(inst.compose(e, m))
-        assert inst.mor_eq(ex.e_bar, fac.e) and inst.mor_eq(ex.m_bar, fac.m)
+        assert ex.e_bar == fac.e and ex.m_bar == fac.m
         w = ex.cell.w
-        assert inst.mor_eq(inst.compose(ex.cell.tgt.d, w), ex.cell.src.d)
-        assert inst.mor_eq(inst.compose(ex.cell.tgt.m, w), ex.cell.src.m)
+        assert inst.compose(ex.cell.tgt.d, w) == ex.cell.src.d
+        assert inst.compose(ex.cell.tgt.m, w) == ex.cell.src.m
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +319,8 @@ def test_pinj_local_preorder_exhaustive():
             cell = cell_between(PI, f, g)
             assert (cell is not None) == (n == 1)
             if cell is not None:
-                assert PI.mor_eq(PI.compose(g.d, cell.w), f.d)
-                assert PI.mor_eq(PI.compose(g.m, cell.w), f.m)
+                assert PI.compose(g.d, cell.w) == f.d
+                assert PI.compose(g.m, cell.w) == f.m
 
 
 def test_pinj_key_equality_iff_cells_both_ways():

@@ -236,7 +236,10 @@ class Instance(ABC):
     whether that list is nonempty.  Their defaults filter enumerate_homs by
     classify.  finab answers both from structure: existence from invariant
     factors, members from the ranks of the hom's matrices mod each prime,
-    with no hom classified one by one.
+    with no hom classified one by one.  A draw of any class reads
+    ``hom_count(a, b)`` and ``hom_at(a, b, i)`` instead, which default to
+    enumerate_homs; finab decodes the index in its hom group, so no hom
+    set is listed.
     """
 
     name: str = "abstract"
@@ -363,13 +366,24 @@ class Instance(ABC):
                 f"fill_diagonal: no unique diagonal ({count} w with bottom . w == right)")
         return w
 
-    def compose_all(self, g: Mor, t: ObjHandle, op: bool = False) -> list:
+    def compose_all(self, g: Mor, t: ObjHandle, op: bool = False) -> tuple:
         """The payloads of g . u for u in enumerate_homs(t, dom g), in that
         order; with op, of u . g for u in enumerate_homs(cod g, t), which is
-        the same walk read in C^op."""
+        the same walk read in C^op.  The tuple is read-only: an instance may
+        hand the same one to every caller."""
         if op:
-            return [self.compose(u, g).payload for u in self.enumerate_homs(g.cod, t)]
-        return [self.compose(g, u).payload for u in self.enumerate_homs(t, g.dom)]
+            return tuple(self.compose(u, g).payload for u in self.enumerate_homs(g.cod, t))
+        return tuple(self.compose(g, u).payload for u in self.enumerate_homs(t, g.dom))
+
+    def hom_count(self, a: ObjHandle, b: ObjHandle) -> int:
+        """The number of morphisms a -> b, len(enumerate_homs(a, b))."""
+        return len(self.enumerate_homs(a, b))
+
+    def hom_at(self, a: ObjHandle, b: ObjHandle, i: int) -> Mor:
+        """Morphism i of a -> b in enumerate_homs order, 0 <= i <
+        hom_count(a, b): enumerate_homs(a, b)[i], which an instance may find
+        without listing the others."""
+        return self.enumerate_homs(a, b)[i]
 
     def class_homs(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> Sequence[Mor]:
         """The morphisms a -> b of a class: any, E, M or iso, in

@@ -553,6 +553,15 @@ class HomGroup:
         for coords in itertools.product(*(range(g) for g in self.orders)):
             yield self.from_coords(coords)
 
+    def matrix_at(self, index: int) -> Matrix:
+        """The matrix at this index of all_matrices, 0 <= index < size: the
+        index is a mixed-radix number over orders, the last digit fastest."""
+        coords = []
+        for g in reversed(self.orders):
+            index, c = divmod(index, g)
+            coords.append(c)
+        return self.from_coords(coords[::-1])
+
     @functools.cached_property
     def runs(self) -> tuple[int, ...]:
         """runs[k] is the number of coordinate tuples of positions < k."""
@@ -803,10 +812,33 @@ def solve_hom_equations(
 # the instance
 # ---------------------------------------------------------------------------
 
+# The capacities of FinAbInstance's two bounded tables.
+CONSTRUCTIONS_CAPACITY = 512
+COMPOSITES_CAPACITY = 256
+
+
 class FinAbInstance(Instance):
+    """Finite abelian groups with E = onto and M = one-to-one homs.
+
+    Its tables live as long as the instance.  Those keyed by catalog
+    objects (hom sets, class pools, hom groups, subgroups, ...) are
+    unbounded, since the bound of a run caps them, and so is classify's:
+    its keys are single morphisms, few per run, with two flags each.  The
+    two tables that grow with the samples of a run are bounded, least
+    recently used first out, by the capacities above:
+    - ``_constructions`` holds ab_pullback, ab_pushout and ab_factorize by
+      their raw inputs, for pullback_along_M, pushout_along_E and
+      factorize.  The class checks run in front of it, so a rejected input
+      raises on every call; a construction that raises stores nothing.
+    - ``_composites`` holds compose_all's tuples by (g, t, op).
+    """
+
     name = "finab"
 
     def __init__(self) -> None:
+        self._constructions = functools.lru_cache(maxsize=CONSTRUCTIONS_CAPACITY)(
+            lambda build, *args: build(*args))
+        self._composites = functools.lru_cache(maxsize=COMPOSITES_CAPACITY)(self._walk_all)
         self._hom_cache: dict[tuple[Orders, Orders], tuple[Mor, ...]] = {}
         self._classify_cache: dict[tuple[Orders, Orders, Matrix], OrthClass] = {}
         self._subgroup_cache: dict[Orders, list[frozenset[Vector]]] = {}
@@ -879,7 +911,10 @@ class FinAbInstance(Instance):
     def identity(self, a: ObjHandle) -> Mor:
         return Mor(a, a, hom_identity(a.obj_key))
 
-    def compose_all(self, g: Mor, t: ObjHandle, op: bool = False) -> list:
+    def compose_all(self, g: Mor, t: ObjHandle, op: bool = False) -> tuple:
+        return self._composites(g, t, op)
+
+    def _walk_all(self, g: Mor, t: ObjHandle, op: bool) -> tuple:
         # u |-> g . u (u . g with op) is additive, and the hom group generator
         # at position (i, j, step) is step in entry (i, j) and zero elsewhere,
         # so its image is step times column i (row j with op) of g.  Each
@@ -904,13 +939,19 @@ class FinAbInstance(Instance):
                         live.append((k, [x * v % m for x in range(order)]))
                 entries.append(hg.walk(live, m))
             rows.append(list(zip(*entries)) if entries else [()] * hg.size)
-        return list(zip(*rows)) if rows else [()] * hg.size
+        return tuple(zip(*rows)) if rows else ((),) * hg.size
 
     def _hom_group(self, dom: Orders, cod: Orders) -> HomGroup:
         hg = self._hom_group_cache.get((dom, cod))
         if hg is None:
             hg = self._hom_group_cache[dom, cod] = hom_group(dom, cod)
         return hg
+
+    def hom_count(self, a: ObjHandle, b: ObjHandle) -> int:
+        return self._hom_group(a.obj_key, b.obj_key).size
+
+    def hom_at(self, a: ObjHandle, b: ObjHandle, i: int) -> Mor:
+        return Mor(a, b, self._hom_group(a.obj_key, b.obj_key).matrix_at(i))
 
     def has_class_hom(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> bool:
         key = (a.obj_key, b.obj_key, cls)
@@ -961,7 +1002,7 @@ class FinAbInstance(Instance):
         return hit
 
     def factorize(self, f: Mor) -> Factorization:
-        mid, e, m = ab_factorize(f.dom.obj_key, f.cod.obj_key, f.payload)
+        mid, e, m = self._constructions(ab_factorize, f.dom.obj_key, f.cod.obj_key, f.payload)
         mid_h = self.obj(mid)
         return Factorization(Mor(f.dom, mid_h, e), Mor(mid_h, f.cod, m))
 
@@ -982,9 +1023,8 @@ class FinAbInstance(Instance):
             raise EndpointMismatch("pullback cospan endpoints differ")
         if not self.classify(m).in_M:
             raise ClassViolation("pullback_along_M: second argument must be in M")
-        apex, leg1, leg2 = ab_pullback(
-            f.dom.obj_key, m.dom.obj_key, f.cod.obj_key, f.payload, m.payload
-        )
+        apex, leg1, leg2 = self._constructions(
+            ab_pullback, f.dom.obj_key, m.dom.obj_key, f.cod.obj_key, f.payload, m.payload)
         apex_h = self.obj(apex)
         return ConeResult(apex_h, Mor(apex_h, f.dom, leg1), Mor(apex_h, m.dom, leg2))
 
@@ -993,9 +1033,8 @@ class FinAbInstance(Instance):
             raise EndpointMismatch("pushout span endpoints differ")
         if not self.classify(e).in_E:
             raise ClassViolation("pushout_along_E: second argument must be in E")
-        apex, leg1, leg2 = ab_pushout(
-            f.dom.obj_key, f.cod.obj_key, e.cod.obj_key, f.payload, e.payload
-        )
+        apex, leg1, leg2 = self._constructions(
+            ab_pushout, f.dom.obj_key, f.cod.obj_key, e.cod.obj_key, f.payload, e.payload)
         apex_h = self.obj(apex)
         return ConeResult(apex_h, Mor(f.cod, apex_h, leg1), Mor(e.cod, apex_h, leg2))
 

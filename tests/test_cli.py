@@ -266,6 +266,53 @@ def test_check_axioms_order_8_report_pinned(tmp_path):
     assert digest == "dfa9af1959d8aa9f7a87295a29231f0255f75b3cf0b1b00359d92886560ff182"
 
 
+# Runs the CLI on its arguments, then prints its own peak RSS in KB.  On
+# Linux, getrusage's ru_maxrss of a process started by fork and exec keeps
+# the peak of the process that forked it (here, the test run), so the
+# child reads the high-water mark of its own memory instead.
+PEAK_RSS_CHILD = """
+import resource, sys
+from spancat.cli import main
+code = main(sys.argv[1:])
+try:
+    with open("/proc/self/status") as fh:
+        peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak)
+sys.exit(code)
+"""
+
+
+@pytest.fixture(scope="module")
+def order_16_run(tmp_path_factory):
+    """check-axioms on finab at order 16, 200 samples, seed 3, run once in
+    a child that prints its own peak RSS in KB as it ends."""
+    out = tmp_path_factory.mktemp("order16") / "axioms.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "check-axioms", "--instance", "finab",
+         "--max-order", "16", "--samples", "200", "--seed", "3", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return out.read_bytes(), int(proc.stdout.split()[-1])
+
+
+def test_check_axioms_order_16_report_pinned(order_16_run):
+    # the sha256 of this report as draws from whole hom sets wrote it;
+    # drawing by index into the hom group must not move a draw
+    report, _ = order_16_run
+    digest = hashlib.sha256(report).hexdigest()
+    assert digest == "3dad9c4112bae8004a9b7f10169f6d9833a4854311b29bd6af813050200bf7ee"
+
+
+def test_check_axioms_order_16_peak_rss_is_bounded(order_16_run):
+    # 72 MB when every draw of class any listed its whole hom set
+    _, peak_kb = order_16_run
+    assert peak_kb < 50 * 1024
+
+
 def test_finab_associativity_report_pinned(tmp_path):
     # the sha256 of this report as pools filtered by classify drew it; pools
     # made from structure must draw the same relations

@@ -101,6 +101,16 @@ def test_square_must_commute():
         validate_square(FA, bad)
 
 
+@pytest.mark.parametrize("inst, bound", [(FA, 8), (PI, 3), (S3, 1)],
+                         ids=["finab", "pinj", "groupoid"])
+def test_hom_at_reads_enumerate_homs_order(inst, bound):
+    objs = inst.enumerate_objects_up_to(bound)
+    for a, b in itertools.product(objs, repeat=2):
+        homs = inst.enumerate_homs(a, b)
+        assert inst.hom_count(a, b) == len(homs)
+        assert [inst.hom_at(a, b, i) for i in range(len(homs))] == list(homs)
+
+
 @pytest.mark.parametrize("inst", [FA, PI, S3], ids=["finab", "pinj", "groupoid"])
 def test_validate_mor_rejects_other_instances(inst):
     # a morphism of another instance, and one with an endpoint of another

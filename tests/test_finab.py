@@ -269,6 +269,79 @@ def test_instance_pullback_requires_M():
         INST.pullback_along_M(f, f)  # f is not mono
 
 
+def _all_homs(inst, bound):
+    objs = inst.enumerate_objects_up_to(bound)
+    return [f for a in objs for b in objs for f in inst.enumerate_homs(a, b)]
+
+
+def test_tables_answer_as_fresh_constructions_up_to_order_4():
+    # each input twice, so that the second answer is a hit of the table
+    inst = FinAbInstance()
+    homs = _all_homs(inst, 4)
+    assert len(homs) == 60
+    cones = 0
+    for f in homs:
+        for _ in range(2):
+            fac = inst.factorize(f)
+            assert (fac.mid.obj_key, fac.e.payload, fac.m.payload) == ab_factorize(
+                f.dom.obj_key, f.cod.obj_key, f.payload)
+        for m in homs:
+            if m.cod == f.cod and inst.classify(m).in_M:
+                for _ in range(2):
+                    cone = inst.pullback_along_M(f, m)
+                    assert (cone.apex.obj_key, cone.leg1.payload, cone.leg2.payload) == ab_pullback(
+                        f.dom.obj_key, m.dom.obj_key, f.cod.obj_key, f.payload, m.payload)
+                cones += 1
+        for e in homs:
+            if e.dom == f.dom and inst.classify(e).in_E:
+                for _ in range(2):
+                    cone = inst.pushout_along_E(f, e)
+                    assert (cone.apex.obj_key, cone.leg1.payload, cone.leg2.payload) == ab_pushout(
+                        f.dom.obj_key, f.cod.obj_key, e.cod.obj_key, f.payload, e.payload)
+                cones += 1
+    info = inst._constructions.cache_info()
+    assert (cones, info.misses, info.hits) == (708, 768, 768)
+
+
+def test_tables_hold_at_most_their_capacity():
+    inst = FinAbInstance()
+    homs = _all_homs(inst, 8)
+    objs = inst.enumerate_objects_up_to(8)
+    assert len(homs) > finab.CONSTRUCTIONS_CAPACITY
+    for f in homs:
+        inst.factorize(f)
+        inst.compose_all(f, objs[1])
+    for table, capacity in ((inst._constructions, finab.CONSTRUCTIONS_CAPACITY),
+                            (inst._composites, finab.COMPOSITES_CAPACITY)):
+        info = table.cache_info()
+        assert info.maxsize == capacity
+        assert info.currsize == capacity and info.misses == len(homs)
+
+
+def test_rejected_cones_raise_on_every_call():
+    inst = FinAbInstance()
+    z4, z2 = inst.group(4), inst.group(2)
+    onto = inst.hom(z4, z2, [[1]])
+    into = inst.hom(z2, z4, [[2]])
+    for _ in range(2):
+        with pytest.raises(ClassViolation):
+            inst.pullback_along_M(onto, onto)
+        with pytest.raises(ClassViolation):
+            inst.pushout_along_E(into, into)
+    assert inst._constructions.cache_info().currsize == 0
+
+
+def test_compose_all_results_are_read_only():
+    inst = FinAbInstance()
+    z2, z2_4 = inst.group(2), inst.group(2, 4)
+    g = inst.hom(z2_4, z2, [[1, 1]])
+    out = inst.compose_all(g, z2_4)
+    assert type(out) is tuple and all(type(k) is tuple for k in out)
+    with pytest.raises(TypeError):
+        out[0] = out[1]
+    assert inst.compose_all(g, z2_4) is out
+
+
 def test_enumerate_homs_counts():
     a, b = INST.group(4), INST.group(2, 4)
     homs = INST.enumerate_homs(a, b)
@@ -287,7 +360,7 @@ def test_compose_all_matches_compose_loop_on_order_8_catalog(op):
                 loop = [INST.compose(u, g).payload for u in INST.enumerate_homs(g.cod, t)]
             else:
                 loop = [INST.compose(g, u).payload for u in INST.enumerate_homs(t, g.dom)]
-            assert INST.compose_all(g, t, op) == loop, (g, t)
+            assert INST.compose_all(g, t, op) == tuple(loop), (g, t)
 
 
 def test_hom_compose_matches_mat_mul_on_order_8_catalog():

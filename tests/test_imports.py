@@ -2,7 +2,8 @@
 imports a name it never uses, no definition in the package lacks a
 caller in the package unless it is pinned as library API, no default
 of the Instance contract is one that every shipped instance overrides,
-and the generic layers name no instance.
+the generic layers name no instance, and no cache of the package
+outlives the instance that fills it.
 
 Each module is parsed with ast.  An import binds names (the alias, or the
 first component of a dotted ``import a.b``); a name counts as used when it
@@ -176,3 +177,68 @@ def test_instance_mentions_are_found():
 def test_generic_layers_name_no_instance(name):
     path = ROOT / "src" / "spancat" / f"{name}.py"
     assert instance_mentions(path.read_text(encoding="utf-8")) == []
+
+
+# functools caches: one built at module level, or on a function or method
+# defined there, lives as long as the module and is shared by every
+# instance, so caches are per-instance objects built in __init__.
+CACHE_BUILDERS = {"cache", "lru_cache"}
+
+
+def _builds_cache(node: ast.AST) -> bool:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (getattr(node, "id", None) or getattr(node, "attr", None)) in CACHE_BUILDERS
+
+
+def module_level_caches(source: str) -> list[str]:
+    """Each functools cache that lives as long as its module: a decorator
+    of a top-level function or of a method of a top-level class, or an
+    assignment at top level or in a top-level class body that builds one."""
+    tree = ast.parse(source)
+    nodes = [(None, n) for n in tree.body]
+    nodes += [(c.name, n) for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
+    out = []
+    for owner, node in nodes:
+        prefix = f"{owner}." if owner else ""
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out += [f"line {d.lineno}: {prefix}{node.name}"
+                    for d in node.decorator_list if _builds_cache(d)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and any(
+            isinstance(n, ast.Call) and _builds_cache(n.func) for n in ast.walk(node.value)
+        ):
+            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+            out.append(f"line {node.lineno}: {prefix}{ast.unparse(target)}")
+    return out
+
+
+def test_module_level_caches_are_found():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def a(): pass\n"
+        "@cache\n"
+        "def b(): pass\n"
+        "table = functools.lru_cache(None)(len)\n"
+        "class K:\n"
+        "    @lru_cache\n"
+        "    def m(self): pass\n"
+        "    @functools.cached_property\n"
+        "    def p(self): pass\n"
+        "    shared = cache(len)\n"
+        "    def __init__(self):\n"
+        "        self.t = functools.lru_cache(maxsize=4)(len)\n"
+        "def outer():\n"
+        "    @functools.cache\n"
+        "    def inner(): pass\n"
+    )
+    assert module_level_caches(source) == [
+        "line 3: a", "line 5: b", "line 7: table", "line 9: K.m", "line 13: K.shared",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.parent.name == "spancat"],
+                         ids=lambda p: p.name)
+def test_src_builds_no_module_level_cache(path):
+    assert module_level_caches(path.read_text(encoding="utf-8")) == []

@@ -586,6 +586,12 @@ class GroupoidInstance(Instance):
     def enumerate_homs(self, a: ObjHandle, b: ObjHandle) -> Sequence[Mor]:
         return tuple(Mor(a, b, i) for i in range(self.size))
 
+    def hom_count(self, a: ObjHandle, b: ObjHandle) -> int:
+        return self.size
+
+    def hom_at(self, a: ObjHandle, b: ObjHandle, i: int) -> Mor:
+        return Mor(a, b, i)
+
     def span_iso_key(self, d: Mor, m: Mor) -> Any:
         # the composite d . m^{-1} is invariant under re-choosing the apex iso
         # and determines the span up to isomorphism

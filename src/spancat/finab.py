@@ -525,7 +525,7 @@ class HomGroup:
     orders: Orders  # one invariant per stored position
     positions: tuple[tuple[int, int, int, int], ...]  # (row, col, step, gcd)
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         return group_size(self.orders)
 
@@ -552,15 +552,6 @@ class HomGroup:
     def all_matrices(self) -> Iterable[Matrix]:
         for coords in itertools.product(*(range(g) for g in self.orders)):
             yield self.from_coords(coords)
-
-    def matrix_at(self, index: int) -> Matrix:
-        """The matrix at this index of all_matrices, 0 <= index < size: the
-        index is a mixed-radix number over orders, the last digit fastest."""
-        coords = []
-        for g in reversed(self.orders):
-            index, c = divmod(index, g)
-            coords.append(c)
-        return self.from_coords(coords[::-1])
 
     @functools.cached_property
     def runs(self) -> tuple[int, ...]:
@@ -808,13 +799,46 @@ def solve_hom_equations(
     return hg.from_coords(x), hg.size * coker // math.prod(big_orders)
 
 
+def walk_composites(groups: Callable[[Orders, Orders], HomGroup], g: Mor, t: ObjHandle,
+                     op: bool) -> tuple:
+    """FinAbInstance.compose_all(g, t, op), reading the hom group it walks
+    from groups(dom, cod); a function, so no table of it holds the instance."""
+    # u |-> g . u (u . g with op) is additive, and the hom group generator
+    # at position (i, j, step) is step in entry (i, j) and zero elsewhere,
+    # so its image is step times column i (row j with op) of g.  Each
+    # entry of the composite is then a walk of the hom group's
+    # coordinates by additions of those images alone.
+    mat = g.payload
+    if op:
+        hg = groups(g.cod.obj_key, t.obj_key)
+        mods, width = t.obj_key, len(g.dom.obj_key)
+    else:
+        hg = groups(t.obj_key, g.dom.obj_key)
+        mods, width = g.cod.obj_key, len(t.obj_key)
+    lines = hg.lines[0 if op else 1]
+    rows = []
+    for r, m in enumerate(mods):
+        entries = []
+        for c in range(width):
+            live = []
+            for k, i, j, step, order in lines[r if op else c]:
+                v = step * (mat[j][c] if op else mat[r][i]) % m
+                if v:
+                    live.append((k, [x * v % m for x in range(order)]))
+            entries.append(hg.walk(live, m))
+        rows.append(list(zip(*entries)) if entries else [()] * hg.size)
+    return tuple(zip(*rows)) if rows else ((),) * hg.size
+
+
 # ---------------------------------------------------------------------------
 # the instance
 # ---------------------------------------------------------------------------
 
-# The capacities of FinAbInstance's two bounded tables.
+# The capacities of FinAbInstance's two bounded tables, and the largest
+# walk (number of composites) that the composites table stores.
 CONSTRUCTIONS_CAPACITY = 512
 COMPOSITES_CAPACITY = 256
+LARGEST_STORED_WALK = 16
 
 
 class FinAbInstance(Instance):
@@ -830,7 +854,9 @@ class FinAbInstance(Instance):
       their raw inputs, for pullback_along_M, pushout_along_E and
       factorize.  The class checks run in front of it, so a rejected input
       raises on every call; a construction that raises stores nothing.
-    - ``_composites`` holds compose_all's tuples by (g, t, op).
+    - ``_composites`` holds compose_all's tuples by (g, t, op), but only
+      walks of at most LARGEST_STORED_WALK composites: a longer one is
+      rarely asked for twice and can be a whole hom group (2^16 for End(Z2^4)).
     """
 
     name = "finab"
@@ -838,11 +864,12 @@ class FinAbInstance(Instance):
     def __init__(self) -> None:
         self._constructions = functools.lru_cache(maxsize=CONSTRUCTIONS_CAPACITY)(
             lambda build, *args: build(*args))
-        self._composites = functools.lru_cache(maxsize=COMPOSITES_CAPACITY)(self._walk_all)
+        self._hom_group = functools.lru_cache(maxsize=None)(hom_group)
+        self._composites = functools.lru_cache(maxsize=COMPOSITES_CAPACITY)(
+            functools.partial(walk_composites, self._hom_group))
         self._hom_cache: dict[tuple[Orders, Orders], tuple[Mor, ...]] = {}
         self._classify_cache: dict[tuple[Orders, Orders, Matrix], OrthClass] = {}
         self._subgroup_cache: dict[Orders, list[frozenset[Vector]]] = {}
-        self._hom_group_cache: dict[tuple[Orders, Orders], HomGroup] = {}
         self._catalogs: dict[int, list[ObjHandle]] = {}
         self._exists_cache: dict[tuple[Orders, Orders, str], bool] = {}
         self._class_cache: dict[tuple[Orders, Orders, bool], tuple[Mor, ...]] = {}
@@ -912,46 +939,16 @@ class FinAbInstance(Instance):
         return Mor(a, a, hom_identity(a.obj_key))
 
     def compose_all(self, g: Mor, t: ObjHandle, op: bool = False) -> tuple:
+        size = self.hom_count(g.cod, t) if op else self.hom_count(t, g.dom)
+        if size > LARGEST_STORED_WALK:
+            return walk_composites(self._hom_group, g, t, op)
         return self._composites(g, t, op)
-
-    def _walk_all(self, g: Mor, t: ObjHandle, op: bool) -> tuple:
-        # u |-> g . u (u . g with op) is additive, and the hom group generator
-        # at position (i, j, step) is step in entry (i, j) and zero elsewhere,
-        # so its image is step times column i (row j with op) of g.  Each
-        # entry of the composite is then a walk of the hom group's
-        # coordinates by additions of those images alone.
-        mat = g.payload
-        if op:
-            hg = self._hom_group(g.cod.obj_key, t.obj_key)
-            mods, width = t.obj_key, len(g.dom.obj_key)
-        else:
-            hg = self._hom_group(t.obj_key, g.dom.obj_key)
-            mods, width = g.cod.obj_key, len(t.obj_key)
-        lines = hg.lines[0 if op else 1]
-        rows = []
-        for r, m in enumerate(mods):
-            entries = []
-            for c in range(width):
-                live = []
-                for k, i, j, step, order in lines[r if op else c]:
-                    v = step * (mat[j][c] if op else mat[r][i]) % m
-                    if v:
-                        live.append((k, [x * v % m for x in range(order)]))
-                entries.append(hg.walk(live, m))
-            rows.append(list(zip(*entries)) if entries else [()] * hg.size)
-        return tuple(zip(*rows)) if rows else ((),) * hg.size
-
-    def _hom_group(self, dom: Orders, cod: Orders) -> HomGroup:
-        hg = self._hom_group_cache.get((dom, cod))
-        if hg is None:
-            hg = self._hom_group_cache[dom, cod] = hom_group(dom, cod)
-        return hg
 
     def hom_count(self, a: ObjHandle, b: ObjHandle) -> int:
         return self._hom_group(a.obj_key, b.obj_key).size
 
     def hom_at(self, a: ObjHandle, b: ObjHandle, i: int) -> Mor:
-        return Mor(a, b, self._hom_group(a.obj_key, b.obj_key).matrix_at(i))
+        return Mor(a, b, self._hom_group(a.obj_key, b.obj_key).matrices_at([i])[0])
 
     def has_class_hom(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> bool:
         key = (a.obj_key, b.obj_key, cls)

@@ -318,6 +318,21 @@ def test_tables_hold_at_most_their_capacity():
         assert info.currsize == capacity and info.misses == len(homs)
 
 
+def test_composites_table_stores_no_long_walk():
+    # End(Z2^3) has 2^9 members, far past the largest stored walk, and
+    # End(Z2) has 2, within it
+    inst = FinAbInstance()
+    big, z2 = inst.group(2, 2, 2), inst.group(2)
+    one = inst.identity(big)
+    walk = inst.compose_all(one, big)
+    assert len(walk) == 512 > finab.LARGEST_STORED_WALK
+    assert inst.compose_all(one, big) == walk
+    assert inst._composites.cache_info().currsize == 0
+    short = inst.compose_all(inst.identity(z2), z2)
+    assert inst.compose_all(inst.identity(z2), z2) is short
+    assert inst._composites.cache_info().currsize == 1
+
+
 def test_rejected_cones_raise_on_every_call():
     inst = FinAbInstance()
     z4, z2 = inst.group(4), inst.group(2)
@@ -335,11 +350,11 @@ def test_compose_all_results_are_read_only():
     inst = FinAbInstance()
     z2, z2_4 = inst.group(2), inst.group(2, 4)
     g = inst.hom(z2_4, z2, [[1, 1]])
-    out = inst.compose_all(g, z2_4)
+    out = inst.compose_all(g, z2)
     assert type(out) is tuple and all(type(k) is tuple for k in out)
     with pytest.raises(TypeError):
         out[0] = out[1]
-    assert inst.compose_all(g, z2_4) is out
+    assert inst.compose_all(g, z2) is out
 
 
 def test_enumerate_homs_counts():

@@ -13,6 +13,7 @@ and morphisms as JSON, and one entry of ``config.INSTANCES``.
 """
 from __future__ import annotations
 
+import collections.abc
 import functools
 import itertools
 from abc import ABC, abstractmethod
@@ -101,6 +102,44 @@ class Mor:
 
     def __repr__(self) -> str:
         return f"Mor({self.dom!r} -> {self.cod!r}: {self.payload!r})"
+
+
+class IndexedHoms(collections.abc.Sequence):
+    """The morphisms hom_at(a, b, i) of an instance for i in indices, in
+    that order: a pool that holds indices.  A member is built through
+    hom_at when its index is first read, and kept; iteration builds the
+    whole tuple once and reads it from then on.  So a draw of one member
+    builds one morphism, however large the pool."""
+
+    __slots__ = ("_inst", "_a", "_b", "_indices", "_built", "_all")
+
+    def __init__(self, inst: Instance, a: ObjHandle, b: ObjHandle,
+                 indices: Sequence[int]) -> None:
+        self._inst, self._a, self._b = inst, a, b
+        self._indices = indices
+        self._built: dict[int, Mor] = {}
+        self._all: Optional[tuple[Mor, ...]] = None
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, k):
+        if self._all is not None or isinstance(k, slice):
+            return self._tuple()[k]
+        i = self._indices[k]
+        hit = self._built.get(i)
+        if hit is None:
+            hit = self._built[i] = self._inst.hom_at(self._a, self._b, i)
+        return hit
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def _tuple(self) -> tuple[Mor, ...]:
+        if self._all is None:
+            self._all = tuple(self[k] for k in range(len(self)))
+            self._built = {}
+        return self._all
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,15 +270,16 @@ class Instance(ABC):
     may answer None to send a comparison to the bounded iso search.
 
     The samplers draw class-constrained morphisms through two hooks:
-    ``class_homs(a, b, cls)`` lists the morphisms a -> b of a class (any, E,
+    ``class_homs(a, b, cls)`` gives the morphisms a -> b of a class (any, E,
     M or iso) in enumerate_homs order, and ``has_class_hom(a, b, cls)`` says
-    whether that list is nonempty.  Their defaults filter enumerate_homs by
+    whether there is one.  Their defaults filter enumerate_homs by
     classify.  finab answers both from structure: existence from invariant
     factors, members from the ranks of the hom's matrices mod each prime,
     with no hom classified one by one.  A draw of any class reads
     ``hom_count(a, b)`` and ``hom_at(a, b, i)`` instead, which default to
     enumerate_homs; finab decodes the index in its hom group, so no hom
-    set is listed.
+    set is listed.  finab's class pools are ``IndexedHoms`` of member
+    indices, so a draw from one builds only the morphism drawn.
     """
 
     name: str = "abstract"
@@ -387,7 +427,8 @@ class Instance(ABC):
 
     def class_homs(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> Sequence[Mor]:
         """The morphisms a -> b of a class: any, E, M or iso, in
-        enumerate_homs order."""
+        enumerate_homs order.  The Sequence may build its members when they
+        are read (as ``IndexedHoms`` does) and need not be a tuple."""
         member = self._class_test(cls)
         return tuple(f for f in self.enumerate_homs(a, b) if member(f))
 

@@ -26,6 +26,7 @@ from .core import (
     CrossInstance,
     EndpointMismatch,
     Factorization,
+    IndexedHoms,
     Instance,
     Mor,
     ObjHandle,
@@ -210,6 +211,13 @@ def smith_normal_form(mat: Sequence[Sequence[int]], *, U: bool = False, V: bool 
                freeze(Ui) if Uinv else None)
 
 
+def augmented(mat: Sequence[Sequence[int]], cod: Orders) -> list[list[int]]:
+    """[mat | diag(cod)]: mat's rows, each followed by its modulus on the
+    diagonal, so that congruences mod cod become equations over Z."""
+    m = len(cod)
+    return [list(mat[i]) + [cod[i] if k == i else 0 for k in range(m)] for i in range(m)]
+
+
 def integer_kernel_basis(mat: Sequence[Sequence[int]]) -> list[Vector]:
     """Basis vectors of {x : mat @ x == 0} over Z."""
     m = len(mat)
@@ -293,13 +301,21 @@ def hom_identity(orders: Orders) -> Matrix:
 
 def hom_classify(dom: Orders, cod: Orders, mat: Matrix) -> OrthClass:
     """Onto iff the cokernel is trivial, one-to-one iff |dom| . |coker| ==
-    |cod|; the cokernel's order is read off its Smith form.
+    |cod|.
 
     >>> hom_classify((4,), (4,), ((2,),))
     OrthClass(in_E=False, in_M=False)
     """
-    c = group_size(cokernel_data(dom, cod, mat)[0])
+    c = cokernel_order(cod, mat)
     return OrthClass(in_E=c == 1, in_M=group_size(dom) * c == group_size(cod))
+
+
+def cokernel_order(cod: Orders, mat: Sequence[Sequence[int]]) -> int:
+    """The order of the cokernel of mat: the product of the diagonal of the
+    Smith form of [mat | diag(cod)], which has no zero since diag(cod)
+    makes that matrix full rank.  No transform is needed for it, and no
+    form at all for the trivial cod."""
+    return math.prod(smith_normal_form(augmented(mat, cod)).diag) if cod else 1
 
 
 def solve_congruence(
@@ -313,11 +329,10 @@ def solve_congruence(
     >>> solve_congruence(((2,),), (4,), (4,), (2,)), solve_congruence(((2,),), (4,), (4,), (1,))
     (((1,), 2), (None, 2))
     """
-    m, n = len(cod), len(dom)
-    if m == 0:
+    n = len(dom)
+    if not cod:
         return tuple(0 for _ in range(n)), 1
-    aug = [list(mat[i]) + [cod[i] if k == i else 0 for k in range(m)] for i in range(m)]
-    s = smith_normal_form(aug, U=True, V=True)
+    s = smith_normal_form(augmented(mat, cod), U=True, V=True)
     t = mat_vec(s.U, list(target))
     diag = s.diag
     order = math.prod(diag)
@@ -391,8 +406,7 @@ def subgroup_from_gens(
 
 def kernel_gens(dom: Orders, cod: Orders, mat: Matrix) -> list[Vector]:
     n = len(dom)
-    m = len(cod)
-    rows = [list(mat[i]) + [cod[i] if k == i else 0 for k in range(m)] for i in range(m)]
+    rows = augmented(mat, cod)
     if not rows:
         basis = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     else:
@@ -414,8 +428,7 @@ def cokernel_data(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix
     m = len(cod)
     if m == 0:
         return (), ()
-    aug = [list(mat[i]) + [cod[i] if k == i else 0 for k in range(m)] for i in range(m)]
-    s = smith_normal_form(aug, U=True)
+    s = smith_normal_form(augmented(mat, cod), U=True)
     diag = s.diag
     kept = [i for i in range(m) if diag[i] > 1]
     q_orders = tuple(diag[i] for i in kept)
@@ -430,6 +443,13 @@ def ab_factorize(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix,
     return mid, e, m
 
 
+def difference_map(c: Orders, f: Matrix, g: Matrix) -> Matrix:
+    """[f | -g] mod c: the map a + b -> c that is f on a and -g on b, for
+    f: a -> c and g: b -> c.  Its kernel is their pullback."""
+    return tuple(tuple(x % ci for x in fi) + tuple(-x % ci for x in gi)
+                 for fi, gi, ci in zip(f, g, c))
+
+
 def ab_pullback(
     a: Orders, b: Orders, c: Orders, f: Matrix, g: Matrix
 ) -> tuple[Orders, Matrix, Matrix]:
@@ -439,11 +459,7 @@ def ab_pullback(
     difference map a + b -> c in canonical form.
     """
     na, nb = len(a), len(b)
-    both = a + b
-    diff = tuple(
-        tuple(list(f[i]) + [-g[i][j] % c[i] for j in range(nb)]) for i in range(len(c))
-    )
-    apex, emb, _ = kernel_subgroup(both, c, reduce_matrix(diff, c))
+    apex, emb, _ = kernel_subgroup(a + b, c, difference_map(c, f, g))
     k = len(apex)
     leg1 = reduce_matrix([[emb[i][j] for j in range(k)] for i in range(na)], a)
     leg2 = reduce_matrix([[emb[na + i][j] for j in range(k)] for i in range(nb)], b)
@@ -589,28 +605,17 @@ class HomGroup:
                 sums = [x + v for x in sums for v in vals]
         return _repeat_each(sums, runs[-1] // runs[done]) if done < len(self.orders) else sums
 
-    def matrices_at(self, indices: Sequence[int]) -> list[Matrix]:
-        """The matrices at these indices of all_matrices, in that order.
+    def matrix_at(self, i: int) -> Matrix:
+        """The matrix at index i of all_matrices: its coordinates are the
+        mixed-radix digits of i, the last position's the fastest.
 
-        Positions run row by row, so an index is a mixed-radix number whose
-        digits index the rows each row's positions can make; each such row
-        is built once and shared by the matrices that hold it."""
-        columns, weight = [], 1
-        for i in reversed(range(len(self.cod))):
-            cells = [(j, [c * step % self.cod[i] for c in range(g)])
-                     for _, _, j, step, g in self.lines[0][i]]
-            table = []
-            for entries in itertools.product(*(vals for _, vals in cells)):
-                row = [0] * len(self.dom)
-                for (j, _), x in zip(cells, entries):
-                    row[j] = x
-                table.append(tuple(row))
-            size = len(table)
-            columns.append([table[n // weight % size] for n in indices])
-            weight *= size
-        if not columns:
-            return [()] * len(indices)
-        return list(zip(*reversed(columns)))
+        >>> hom_group((2, 4), (4,)).matrix_at(5)
+        ((2, 1),)
+        """
+        coords = [0] * len(self.orders)
+        for k in reversed(range(len(self.orders))):
+            i, coords[k] = divmod(i, self.orders[k])
+        return self.from_coords(coords)
 
 
 def _repeat_each(values: list[int], times: int) -> list[int]:
@@ -727,7 +732,9 @@ def _independent_keys(p: int, lines: list[list[tuple[int, int]]], width: int) ->
                 out.extend(add + rest for rest in keys(k + 1, grown))
         return out
 
-    return keys(0, frozenset([(0,) * width]))
+    out = keys(0, frozenset([(0,) * width]))
+    keys.cache_clear()  # keys refers to itself, so only a collection would free it
+    return out
 
 
 def class_members(hg: HomGroup, in_E: bool) -> list[int]:
@@ -857,6 +864,10 @@ class FinAbInstance(Instance):
     - ``_composites`` holds compose_all's tuples by (g, t, op), but only
       walks of at most LARGEST_STORED_WALK composites: a longer one is
       rarely asked for twice and can be a whole hom group (2^16 for End(Z2^4)).
+
+    Its E, M and iso pools hold indices: each is an ``IndexedHoms`` of the
+    class_members indices, which builds a morphism through hom_at when it
+    is drawn.  A draw from Aut(Z2^4) builds one of its 20,160 members.
     """
 
     name = "finab"
@@ -872,7 +883,7 @@ class FinAbInstance(Instance):
         self._subgroup_cache: dict[Orders, list[frozenset[Vector]]] = {}
         self._catalogs: dict[int, list[ObjHandle]] = {}
         self._exists_cache: dict[tuple[Orders, Orders, str], bool] = {}
-        self._class_cache: dict[tuple[Orders, Orders, bool], tuple[Mor, ...]] = {}
+        self._class_cache: dict[tuple[Orders, Orders, bool], IndexedHoms] = {}
         self._prime_top_cache: dict[Orders, tuple[tuple[int, int], ...]] = {}
 
     # objects
@@ -948,7 +959,7 @@ class FinAbInstance(Instance):
         return self._hom_group(a.obj_key, b.obj_key).size
 
     def hom_at(self, a: ObjHandle, b: ObjHandle, i: int) -> Mor:
-        return Mor(a, b, self._hom_group(a.obj_key, b.obj_key).matrices_at([i])[0])
+        return Mor(a, b, self._hom_group(a.obj_key, b.obj_key).matrix_at(i))
 
     def has_class_hom(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> bool:
         key = (a.obj_key, b.obj_key, cls)
@@ -985,9 +996,8 @@ class FinAbInstance(Instance):
         key = (x, y, cls == "E" or same_size)
         hit = self._class_cache.get(key)
         if hit is None:
-            hg = self._hom_group(x, y)
-            members = hg.matrices_at(class_members(hg, key[2]))
-            hit = self._class_cache[key] = tuple(Mor(a, b, m) for m in members)
+            members = class_members(self._hom_group(x, y), key[2])
+            hit = self._class_cache[key] = IndexedHoms(self, a, b, members)
         return hit
 
     def classify(self, f: Mor) -> OrthClass:
@@ -1053,15 +1063,15 @@ class FinAbInstance(Instance):
         return joint_image(d.cod.obj_key, m.cod.obj_key, d.payload, m.payload)
 
     def rel_pair_key(self, d1: Mor, m1: Mor, d2: Mor, m2: Mor) -> Any:
-        # pull the two E-legs back over the middle, then key the pairing of
-        # the M-legs composed with the pullback legs
-        x_ord, z_ord = m1.cod.obj_key, m2.cod.obj_key
-        p_ord, leg1, leg2 = ab_pullback(
-            d1.dom.obj_key, d2.dom.obj_key, d1.cod.obj_key, d1.payload, d2.payload
-        )
-        comp1 = hom_compose(m1.payload, leg1, x_ord, ncols=len(p_ord))
-        comp2 = hom_compose(m2.payload, leg2, z_ord, ncols=len(p_ord))
-        return joint_image(x_ord, z_ord, comp1, comp2)
+        # the pullback of the two E-legs over the middle is the kernel of
+        # their difference map; its generators, sent along the M-legs,
+        # generate the subgroup that keys the pairing of the M-legs on it
+        a, b, q = d1.dom.obj_key, d2.dom.obj_key, d1.cod.obj_key
+        x, z = m1.cod.obj_key, m2.cod.obj_key
+        n = len(a)
+        gens = [apply_hom(m1.payload, k[:n], x) + apply_hom(m2.payload, k[n:], z)
+                for k in kernel_gens(a + b, q, difference_map(q, d1.payload, d2.payload))]
+        return x, z, close_elements(x + z, gens)
 
     def obj_json(self, a: ObjHandle) -> dict:
         """{"orders": [...]}, the invariant factors."""

@@ -8,7 +8,7 @@ stable across platforms.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .core import Instance, Mor, ObjHandle, SpanCatError, Square, drawn_square, flipped
 
@@ -23,20 +23,22 @@ class Sampler:
         self.objects: list[ObjHandle] = inst.enumerate_objects_up_to(bound)
         if not self.objects:
             raise SpanCatError("instance catalog is empty")
-        self._class_pool: dict[tuple, tuple[Mor, ...]] = {}
+        self._class_pool: dict[tuple, Sequence[Mor]] = {}
         self._reach: dict[tuple, list[ObjHandle]] = {}
         self._em_apexes: dict[tuple, list[ObjHandle]] = {}
         self._em_ends: dict[tuple, list[ObjHandle]] = {}
 
     # -- pools ---------------------------------------------------------------
 
-    def pool(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> tuple[Mor, ...]:
+    def pool(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> Sequence[Mor]:
         """Morphisms a -> b of a class (any, E, M, iso), in enumerate_homs
-        order: the instance's class_homs, kept for this sampler."""
+        order: the Sequence the instance's class_homs gives, kept for this
+        sampler as it is, not copied, so a pool that builds its members on
+        read builds only those drawn."""
         key = (a.obj_key, b.obj_key, cls)
         hit = self._class_pool.get(key)
         if hit is None:
-            hit = self._class_pool[key] = tuple(self.inst.class_homs(a, b, cls))
+            hit = self._class_pool[key] = self.inst.class_homs(a, b, cls)
         return hit
 
     def reachable(self, a: ObjHandle, cls: str, direction: str) -> list[ObjHandle]:
@@ -232,15 +234,17 @@ class Sampler:
     # -- spans of spans ---------------------------------------------------------
 
     def em_apexes(self, src: ObjHandle, tgt: ObjHandle) -> list[ObjHandle]:
-        """Objects R with an E-leg R -> src and an M-leg R -> tgt.  The
-        instance's has_class_hom answers, so no pool is built here: only
-        the pools of the apex drawn are."""
+        """Objects R with an E-leg R -> src and an M-leg R -> tgt, in
+        catalog order: those of reachable(src, "E", "in") that are in
+        reachable(tgt, "M", "in").  The instance's has_class_hom answers
+        those, so no pool is built here: only the pools of the apex drawn
+        are."""
         key = (src.obj_key, tgt.obj_key)
         hit = self._em_apexes.get(key)
         if hit is None:
-            has = self.inst.has_class_hom
+            into_tgt = {r.obj_key for r in self.reachable(tgt, "M", "in")}
             hit = self._em_apexes[key] = [
-                r for r in self.objects if has(r, src, "E") and has(r, tgt, "M")]
+                r for r in self.reachable(src, "E", "in") if r.obj_key in into_tgt]
         return hit
 
     def em_ends(self, fixed: ObjHandle, side: str) -> list[ObjHandle]:

@@ -14,7 +14,7 @@ from typing import Optional
 import pytest
 
 import spancat
-from spancat import cli, config
+from spancat import cli, config, finab
 from spancat.cli import EXIT_ERROR, EXIT_OK, SuiteReport, main
 from spancat.axioms import CheckReport
 from spancat.config import ConfigError, RunConfig, env_seed, instance_bound, load_instance
@@ -324,6 +324,32 @@ def test_finab_associativity_report_pinned(tmp_path):
     assert proc.returncode == EXIT_OK, proc.stderr
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "a080d5bd94025d60266f3a23f16aba37cd188aa18e2e19c450586054d5135610"
+
+
+def test_finab_associativity_work_is_pinned(tmp_path, monkeypatch):
+    # a cost guard on the run whose report is pinned above: its class pools
+    # build only the homs drawn (311 hom_at calls; listing the pools built
+    # every member), zig-zag keys read one Smith form each where the
+    # pullback read three, and classify reads none into the trivial group
+    # (2,216 smith_normal_form calls before those two changes)
+    calls = {"hom_at": 0, "smith_normal_form": 0}
+    hom_at, snf = FinAbInstance.hom_at, finab.smith_normal_form
+
+    def counting_hom_at(self, a, b, i):
+        calls["hom_at"] += 1
+        return hom_at(self, a, b, i)
+
+    def counting_snf(mat, **kw):
+        calls["smith_normal_form"] += 1
+        return snf(mat, **kw)
+
+    monkeypatch.setattr(FinAbInstance, "hom_at", counting_hom_at)
+    monkeypatch.setattr(finab, "smith_normal_form", counting_snf)
+    out = tmp_path / "associativity.json"
+    code = main(["suite", "--suite", "associativity", "--instance", "finab",
+                 "--max-order", "16", "--samples", "50", "--seed", "0", "--out", str(out)])
+    assert code == EXIT_OK
+    assert calls == {"hom_at": 311, "smith_normal_form": 1768}
 
 
 def test_fake_pullback_law_reports_pinned(tmp_path):

@@ -28,6 +28,7 @@ from spancat.finab import (
     apply_hom,
     close_elements,
     cokernel_data,
+    cokernel_order,
     diagonal_subgroup,
     elements_of,
     freeze,
@@ -37,6 +38,7 @@ from spancat.finab import (
     hom_group,
     image_subgroup,
     integer_kernel_basis,
+    joint_image,
     invariant_factor_groups,
     invariant_factors,
     kernel_subgroup,
@@ -50,6 +52,7 @@ from spancat.finab import (
     subgroup_from_gens,
     validate_hom,
 )
+from spancat.gen import Sampler
 
 INST = FinAbInstance()
 
@@ -219,6 +222,18 @@ def test_hom_group_size_frozen():
     assert hom_group((4,), (2, 4)).size == 8
     assert hom_group((2,), (3,)).size == 1  # only the zero map
     assert hom_group((), (4,)).size == 1
+
+
+@pytest.mark.parametrize("dom,cod", [
+    ((2, 4), (2, 4, 4)), ((4,), (2, 4)), ((6,), (2, 3)), ((2, 2), (4, 8)),
+    ((2,), (3,)),  # no positions: only the zero map
+    ((), (4,)), ((2, 4), ()), ((), ()),  # to or from the trivial group
+])
+def test_matrix_at_reads_all_matrices_order(dom, cod):
+    hg = hom_group(dom, cod)
+    matrices = list(hg.all_matrices())
+    assert len(matrices) == hg.size
+    assert [hg.matrix_at(i) for i in range(hg.size)] == matrices
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +452,7 @@ def test_has_class_hom_matches_classify_scan_up_to_order_16(cls):
 
 def test_class_homs_match_classify_filter_up_to_order_16():
     # every E, M and iso pool of the order-16 catalog: the same Mors in the
-    # same order as the filtered hom set
+    # same order as the filtered hom set (a pool is a Sequence, not a tuple)
     inst, objs = FinAbInstance(), INST.enumerate_objects_up_to(16)
     sizes = {}
     for a in objs:
@@ -445,7 +460,7 @@ def test_class_homs_match_classify_filter_up_to_order_16():
             scan = classify_scan(a, b)
             for cls, flag in CLASS_FLAGS.items():
                 want = tuple(f for f, c in scan if flag(c))
-                assert inst.class_homs(a, b, cls) == want, (a, b, cls)
+                assert tuple(inst.class_homs(a, b, cls)) == want, (a, b, cls)
                 sizes[a.obj_key, b.obj_key, cls] = len(want)
     assert len(sizes) == 3 * 625
     assert sizes[(2, 2, 2, 2), (2, 2, 2, 2), "E"] == 20160  # |GL(4, 2)|
@@ -462,8 +477,42 @@ def test_class_hooks_on_keys_not_in_invariant_form():
         scan = classify_scan(a, b)
         for cls, flag in CLASS_FLAGS.items():
             want = tuple(f for f, c in scan if flag(c))
-            assert inst.class_homs(a, b, cls) == want, (x, y, cls)
+            assert tuple(inst.class_homs(a, b, cls)) == want, (x, y, cls)
             assert inst.has_class_hom(a, b, cls) == bool(want), (x, y, cls)
+
+
+def reference_pair_key(d1, m1, d2, m2):
+    """The zig-zag key as the pullback gives it: the apex and legs of
+    ab_pullback of the E-legs, each leg composed with its M-leg, and the
+    joint image of the two composites."""
+    x, z = m1.cod.obj_key, m2.cod.obj_key
+    apex, leg1, leg2 = ab_pullback(d1.dom.obj_key, d2.dom.obj_key, d1.cod.obj_key,
+                                   d1.payload, d2.payload)
+    return joint_image(x, z, hom_compose(m1.payload, leg1, x, len(apex)),
+                       hom_compose(m2.payload, leg2, z, len(apex)))
+
+
+def test_rel_pair_key_matches_pullback_reference_up_to_order_4():
+    # every pair of EM-spans out of one source, over the order-4 catalog
+    inst = FinAbInstance()
+    objs = inst.enumerate_objects_up_to(4)
+    pairs = 0
+    for q in objs:
+        spans = [(d, m) for r in objs for x in objs
+                 for d in inst.class_homs(r, q, "E") for m in inst.class_homs(r, x, "M")]
+        for (d1, m1), (d2, m2) in itertools.product(spans, repeat=2):
+            assert inst.rel_pair_key(d1, m1, d2, m2) == reference_pair_key(d1, m1, d2, m2)
+            pairs += 1
+    assert pairs == 2353
+
+
+def test_rel_pair_key_matches_pullback_reference_at_order_16():
+    inst = FinAbInstance()
+    smp = Sampler(inst, "pair-keys", 16)
+    for _ in range(200):
+        q = smp.obj()
+        (d1, m1), (d2, m2) = smp.em_span_legs(src=q), smp.em_span_legs(src=q)
+        assert inst.rel_pair_key(d1, m1, d2, m2) == reference_pair_key(d1, m1, d2, m2)
 
 
 def test_catalog_is_kept_per_bound_and_copied_per_call():
@@ -591,6 +640,19 @@ def test_cokernel_classify_and_factorize_exhaustive_up_to_order_8():
                 assert len(brute_kernel(mid, cod, m)) == 1
                 homs += 1
     assert (len(groups), homs) == (11, 1128)
+
+
+def test_cokernel_order_agrees_with_cokernel_data_up_to_order_8():
+    # hom_classify reads the order off a Smith form without transforms;
+    # cokernel_data builds the group and the quotient map from one with U
+    groups = invariant_factor_groups(8)
+    homs = 0
+    for dom in groups:
+        for cod in groups:
+            for mat in brute_homs(dom, cod):
+                assert cokernel_order(cod, mat) == group_size(cokernel_data(dom, cod, mat)[0])
+                homs += 1
+    assert homs == 1128
 
 
 def test_factorize_and_equation_solving_read_one_smith_form(monkeypatch):

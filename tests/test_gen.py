@@ -110,6 +110,43 @@ def test_largest_finab_pool_is_drawn_without_enumerating_homs():
     assert not inst._hom_cache and not inst._classify_cache
 
 
+class _HomAtCounting(FinAbInstance):
+    """FinAbInstance that counts its hom_at calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.built = 0
+
+    def hom_at(self, a, b, i):
+        self.built += 1
+        return super().hom_at(a, b, i)
+
+
+def test_one_draw_from_the_largest_finab_pool_builds_one_hom():
+    # the pool holds the indices of its 20,160 members; a draw builds the
+    # member drawn, and a member read again is not built again
+    inst = _HomAtCounting()
+    smp = Sampler(inst, "pool", 16)
+    z = inst.group(2, 2, 2, 2)
+    smp.hom(z, z, "E")
+    assert inst.built == 1
+    pool = smp.pool(z, z, "E")
+    assert pool[0] is pool[0] and inst.built == 2
+
+
+@pytest.mark.parametrize("make,bound", [(FinAbInstance, 16), (PInjInstance, 3)],
+                         ids=["finab", "pinj"])
+def test_em_apexes_match_has_class_hom_filter(make, bound):
+    inst = make()
+    smp = Sampler(inst, "apexes", bound)
+    objs = smp.objects
+    for src in objs:
+        for tgt in objs:
+            assert smp.em_apexes(src, tgt) == [
+                r for r in objs
+                if inst.has_class_hom(r, src, "E") and inst.has_class_hom(r, tgt, "M")]
+
+
 class _ComposeCounting(FinAbInstance):
     """FinAbInstance that counts its compose calls."""
 

@@ -90,6 +90,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .core import (
+    DECISIONS_CAPACITY,
     Instance,
     Mor,
     ObjHandle,
@@ -189,9 +190,22 @@ def _pullback_bijection_at(inst: Instance, sq: Square, t: ObjHandle, op: bool) -
 
 def _decide(inst: Instance, sq: Square, bound: int, op: bool) -> bool:
     """Whether sq is a pullback in C, or with op in C^op (a pushout in C),
-    tested at the instance's decision_objects."""
-    return all(_pullback_bijection_at(inst, sq, t, op)
-               for t in inst.decision_objects(sq, bound, op))
+    tested at the instance's decision_objects.  The answer is read from,
+    or else made and kept in, the bounded table inst.memo.decisions, keyed
+    by the corners' obj_keys, the payloads, bound and op; the least
+    recently used answer goes first."""
+    key = (sq.apex.obj_key, sq.top.cod.obj_key, sq.left.cod.obj_key, sq.bottom_right.obj_key,
+           sq.top.payload, sq.left.payload, sq.right.payload, sq.bottom.payload, bound, op)
+    table = inst.memo.decisions
+    hit = table.get(key)
+    if hit is not None:
+        table.move_to_end(key)
+        return hit
+    hit = table[key] = all(_pullback_bijection_at(inst, sq, t, op)
+                           for t in inst.decision_objects(sq, bound, op))
+    if len(table) > DECISIONS_CAPACITY:
+        table.popitem(last=False)
+    return hit
 
 
 def is_pullback(inst: Instance, sq: Square, bound: int) -> bool:

@@ -13,6 +13,7 @@ and morphisms as JSON, and one entry of ``config.INSTANCES``.
 """
 from __future__ import annotations
 
+import collections
 import collections.abc
 import functools
 import itertools
@@ -199,6 +200,10 @@ class ConeResult:
     leg2: Mor
 
 
+# The capacity of Memo.decisions.
+DECISIONS_CAPACITY = 1024
+
+
 @dataclass(slots=True, eq=False, repr=False)
 class Memo:
     """Per-instance tables of construction results, keyed by their inputs.
@@ -215,6 +220,13 @@ class Memo:
     composite, keyed by the four legs of its two factors.  ``pair_keys``
     holds each span pair's ``rel_pair_key``, None included, but never the
     answer of an iso search.
+
+    ``decisions`` is the one bounded table: the pullback and pushout
+    decisions of ``axioms``, a bool each, keyed by the square's four
+    corners' obj_keys, its four payloads, the bound and op.  It holds no
+    morphism, so it keeps none alive.  The distinct squares of a suite grow
+    with its samples, and each key keeps its payloads, so the table holds
+    only the DECISIONS_CAPACITY most recently used answers.
     """
 
     handles: dict = field(default_factory=dict)  # normalized obj_key -> ObjHandle
@@ -226,6 +238,8 @@ class Memo:
     span_reps: dict = field(default_factory=dict)  # (src, tgt, bound) keys -> reps
     properness: dict = field(default_factory=dict)  # bound -> bool
     pair_keys: dict = field(default_factory=dict)  # (span, span) -> rel_pair_key
+    decisions: collections.OrderedDict = field(
+        default_factory=collections.OrderedDict)  # square key -> bool
 
 
 class Instance(ABC):
@@ -259,7 +273,10 @@ class Instance(ABC):
     groupoids keep: it is their one object.  finab reads its test objects
     off the objects at hand: Z/p^e(p) per prime for a decision, Z/p per
     prime for a scan.  pinj decides at the sets of size 1 and 2 and scans
-    at size 1.  Each is exact at every bound (see the axioms module).
+    at size 1.  Each is exact at every bound (see the axioms module).  A
+    decision is a function of the square's obj_keys and payloads, the bound
+    and op, so its answer is kept in ``memo.decisions`` and made again only
+    once that bounded table has let it go.
 
     ``solve_post_system`` is the one search for a unique morphism, "the w
     with post . w == rhs": diagonal fills, inverses, cells and V3 mediators.

@@ -110,103 +110,88 @@ def smith_normal_form(mat: Sequence[Sequence[int]], *, U: bool = False, V: bool 
         raise ValidationFailure("ragged matrix")
     # the row operations act on A and U by rows; the column operations on A
     # and V by columns, and the inverse of each row operation on Uinv
-    rows = [A] + ([identity_matrix(m)] if U else [])
-    cols = [A] + ([identity_matrix(n)] if V else [])
-    Ui = identity_matrix(m) if Uinv else None
-
-    def row_add(i: int, j: int, c: int) -> None:
-        # row i += c * row j ; Uinv column j -= c * column i
-        for X in rows:
-            X[i] = [x + c * y for x, y in zip(X[i], X[j])]
-        if Ui is not None:
-            for r in Ui:
-                r[j] -= c * r[i]
-
-    def row_swap(i: int, j: int) -> None:
-        for X in rows:
-            X[i], X[j] = X[j], X[i]
-        if Ui is not None:
-            for r in Ui:
-                r[i], r[j] = r[j], r[i]
-
-    def row_neg(i: int) -> None:
-        for X in rows:
-            X[i] = [-x for x in X[i]]
-        if Ui is not None:
-            for r in Ui:
-                r[i] = -r[i]
-
-    def col_add(j: int, i: int, c: int) -> None:
-        # col j += c * col i
-        for X in cols:
-            for r in X:
-                r[j] += c * r[i]
-
-    def col_swap(i: int, j: int) -> None:
-        for X in cols:
-            for r in X:
-                r[i], r[j] = r[j], r[i]
-
-    def col_neg(j: int) -> None:
-        for X in cols:
-            for r in X:
-                r[j] = -r[j]
-
-    def find_pivot(t: int) -> Optional[tuple[int, int]]:
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
+    rows = [A, identity_matrix(m)] if U else [A]
+    cols = [A, identity_matrix(n)] if V else [A]
+    Ui = identity_matrix(m) if Uinv else []
     t = 0
     while True:
-        piv = find_pivot(t)
-        if piv is None:
+        # the pivot: the first entry, row by row, of least nonzero size;
+        # none is smaller than a first 1
+        size = pi = pj = 0
+        for i in range(t, m):
+            Ai = A[i]
+            for j in range(t, n):
+                x = abs(Ai[j])
+                if x and (not size or x < size):
+                    size, pi, pj = x, i, j
+            if size == 1:
+                break
+        if not size:
             break
-        i, j = piv
-        if i != t:
-            row_swap(t, i)
-        if j != t:
-            col_swap(t, j)
+        if pi != t:
+            for X in rows:
+                X[t], X[pi] = X[pi], X[t]
+            for r in Ui:
+                r[t], r[pi] = r[pi], r[t]
+        if pj != t:
+            for X in cols:
+                for r in X:
+                    r[t], r[pj] = r[pj], r[t]
         if A[t][t] < 0:
-            row_neg(t)
-        # clear row t and column t
+            for X in rows:
+                X[t] = [-x for x in X[t]]
+            for r in Ui:
+                r[t] = -r[t]
+        # clear column t by row operations and row t by column operations;
+        # a nonzero remainder becomes the pivot
         dirty = True
         while dirty:
             dirty = False
             for i in range(t + 1, m):
-                if A[i][t] != 0:
+                if A[i][t]:
                     q = A[i][t] // A[t][t]
-                    row_add(i, t, -q)
-                    if A[i][t] != 0:
-                        row_swap(t, i)
+                    for X in rows:
+                        X[i] = [x - q * y for x, y in zip(X[i], X[t])]
+                    for r in Ui:
+                        r[t] += q * r[i]
+                    if A[i][t]:
+                        for X in rows:
+                            X[t], X[i] = X[i], X[t]
+                        for r in Ui:
+                            r[t], r[i] = r[i], r[t]
                         if A[t][t] < 0:
-                            row_neg(t)
+                            for X in rows:
+                                X[t] = [-x for x in X[t]]
+                            for r in Ui:
+                                r[t] = -r[t]
                         dirty = True
             for j in range(t + 1, n):
-                if A[t][j] != 0:
+                if A[t][j]:
                     q = A[t][j] // A[t][t]
-                    col_add(j, t, -q)
-                    if A[t][j] != 0:
-                        col_swap(t, j)
+                    for X in cols:
+                        for r in X:
+                            r[j] -= q * r[t]
+                    if A[t][j]:
+                        for X in cols:
+                            for r in X:
+                                r[t], r[j] = r[j], r[t]
                         if A[t][t] < 0:
-                            col_neg(t)
+                            for X in cols:
+                                for r in X:
+                                    r[t] = -r[t]
                         dirty = True
-        # divisibility: pivot must divide every remaining entry
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_add(t, offender, 1)
+        # divisibility: the pivot must divide every remaining entry; else
+        # add the first offending row to row t and pivot again
+        d = A[t][t]
+        offender = None if d == 1 else next(
+            (i for i in range(t + 1, m) if any(x % d for x in A[i][t + 1:])), None)
+        if offender is None:
+            t += 1
             continue
-        t += 1
+        for X in rows:
+            X[t] = [x + y for x, y in zip(X[t], X[offender])]
+        for r in Ui:
+            r[offender] -= r[t]
     return SNF(freeze(rows[1]) if U else None, freeze(A), freeze(cols[1]) if V else None,
                freeze(Ui) if Uinv else None)
 
@@ -414,13 +399,18 @@ def kernel_gens(dom: Orders, cod: Orders, mat: Matrix) -> list[Vector]:
     return [tuple(v[i] % dom[i] for i in range(n)) for v in basis]
 
 
-def kernel_subgroup(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix, Matrix]:
-    return subgroup_from_gens(dom, kernel_gens(dom, cod, mat))
+# Each of kernel_subgroup, image_subgroup, ab_factorize and ab_pullback
+# presents its subgroup through present(ambient, gens), given gens as a
+# tuple: subgroup_from_gens, or a table of it.
+
+def kernel_subgroup(dom: Orders, cod: Orders, mat: Matrix,
+                    present: Callable = subgroup_from_gens) -> tuple[Orders, Matrix, Matrix]:
+    return present(dom, tuple(kernel_gens(dom, cod, mat)))
 
 
-def image_subgroup(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix, Matrix]:
-    cols = [tuple(mat[i][j] for i in range(len(cod))) for j in range(len(dom))]
-    return subgroup_from_gens(cod, cols)
+def image_subgroup(dom: Orders, cod: Orders, mat: Matrix,
+                   present: Callable = subgroup_from_gens) -> tuple[Orders, Matrix, Matrix]:
+    return present(cod, tuple(tuple(mat[i][j] for i in range(len(cod))) for j in range(len(dom))))
 
 
 def cokernel_data(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix]:
@@ -436,10 +426,11 @@ def cokernel_data(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix
     return q_orders, quot
 
 
-def ab_factorize(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix, Matrix]:
+def ab_factorize(dom: Orders, cod: Orders, mat: Matrix,
+                 present: Callable = subgroup_from_gens) -> tuple[Orders, Matrix, Matrix]:
     """(image orders, e: dom -> image, m: image -> cod) with mat == m . e:
     the image is presented on mat's columns, so their coordinates are e."""
-    mid, m, e = image_subgroup(dom, cod, mat)
+    mid, m, e = image_subgroup(dom, cod, mat, present)
     return mid, e, m
 
 
@@ -451,7 +442,8 @@ def difference_map(c: Orders, f: Matrix, g: Matrix) -> Matrix:
 
 
 def ab_pullback(
-    a: Orders, b: Orders, c: Orders, f: Matrix, g: Matrix
+    a: Orders, b: Orders, c: Orders, f: Matrix, g: Matrix,
+    present: Callable = subgroup_from_gens,
 ) -> tuple[Orders, Matrix, Matrix]:
     """Pullback of f: a -> c against g: b -> c.
 
@@ -459,7 +451,7 @@ def ab_pullback(
     difference map a + b -> c in canonical form.
     """
     na, nb = len(a), len(b)
-    apex, emb, _ = kernel_subgroup(a + b, c, difference_map(c, f, g))
+    apex, emb, _ = kernel_subgroup(a + b, c, difference_map(c, f, g), present)
     k = len(apex)
     leg1 = reduce_matrix([[emb[i][j] for j in range(k)] for i in range(na)], a)
     leg2 = reduce_matrix([[emb[na + i][j] for j in range(k)] for i in range(nb)], b)
@@ -719,21 +711,24 @@ def _independent_keys(p: int, lines: list[list[tuple[int, int]]], width: int) ->
                 vec[s] = d
             opts.append((tuple(vec), sum(d * w for (_, w), d in zip(cells, digits))))
         choices.append(opts)
+    return _keys_after(p, choices, 0, frozenset([(0,) * width]), {})
 
-    @functools.cache
-    def keys(k: int, span: frozenset) -> list[int]:
-        if k == len(choices):
-            return [0]
-        out = []
+
+def _keys_after(p: int, choices: list, k: int, span: frozenset, made: dict) -> list[int]:
+    """The keys that lines k, k+1, ... of _independent_keys add, given the
+    span of the vectors of the lines before them.  made holds the answers
+    already found, by (k, span); it is local to one _independent_keys call,
+    so it goes when that call returns."""
+    if k == len(choices):
+        return [0]
+    out = made.get((k, span))
+    if out is None:
+        out = made[k, span] = []
         for vec, add in choices[k]:
             if vec not in span:
                 grown = frozenset(tuple((x + t * y) % p for x, y in zip(u, vec))
                                   for u in span for t in range(p))
-                out.extend(add + rest for rest in keys(k + 1, grown))
-        return out
-
-    out = keys(0, frozenset([(0,) * width]))
-    keys.cache_clear()  # keys refers to itself, so only a collection would free it
+                out.extend(add + rest for rest in _keys_after(p, choices, k + 1, grown, made))
     return out
 
 
@@ -806,46 +801,13 @@ def solve_hom_equations(
     return hg.from_coords(x), hg.size * coker // math.prod(big_orders)
 
 
-def walk_composites(groups: Callable[[Orders, Orders], HomGroup], g: Mor, t: ObjHandle,
-                     op: bool) -> tuple:
-    """FinAbInstance.compose_all(g, t, op), reading the hom group it walks
-    from groups(dom, cod); a function, so no table of it holds the instance."""
-    # u |-> g . u (u . g with op) is additive, and the hom group generator
-    # at position (i, j, step) is step in entry (i, j) and zero elsewhere,
-    # so its image is step times column i (row j with op) of g.  Each
-    # entry of the composite is then a walk of the hom group's
-    # coordinates by additions of those images alone.
-    mat = g.payload
-    if op:
-        hg = groups(g.cod.obj_key, t.obj_key)
-        mods, width = t.obj_key, len(g.dom.obj_key)
-    else:
-        hg = groups(t.obj_key, g.dom.obj_key)
-        mods, width = g.cod.obj_key, len(t.obj_key)
-    lines = hg.lines[0 if op else 1]
-    rows = []
-    for r, m in enumerate(mods):
-        entries = []
-        for c in range(width):
-            live = []
-            for k, i, j, step, order in lines[r if op else c]:
-                v = step * (mat[j][c] if op else mat[r][i]) % m
-                if v:
-                    live.append((k, [x * v % m for x in range(order)]))
-            entries.append(hg.walk(live, m))
-        rows.append(list(zip(*entries)) if entries else [()] * hg.size)
-    return tuple(zip(*rows)) if rows else ((),) * hg.size
-
-
 # ---------------------------------------------------------------------------
 # the instance
 # ---------------------------------------------------------------------------
 
-# The capacities of FinAbInstance's two bounded tables, and the largest
-# walk (number of composites) that the composites table stores.
+# The capacities of FinAbInstance's two bounded tables.
 CONSTRUCTIONS_CAPACITY = 512
-COMPOSITES_CAPACITY = 256
-LARGEST_STORED_WALK = 16
+PRESENTATIONS_CAPACITY = 512
 
 
 class FinAbInstance(Instance):
@@ -861,9 +823,12 @@ class FinAbInstance(Instance):
       their raw inputs, for pullback_along_M, pushout_along_E and
       factorize.  The class checks run in front of it, so a rejected input
       raises on every call; a construction that raises stores nothing.
-    - ``_composites`` holds compose_all's tuples by (g, t, op), but only
-      walks of at most LARGEST_STORED_WALK composites: a longer one is
-      rarely asked for twice and can be a whole hom group (2^16 for End(Z2^4)).
+    - ``_present`` holds subgroup_from_gens by (ambient, gens), for the
+      kernels and images that ab_pullback and ab_factorize present.  Two
+      different inputs to these often present the same subgroup on the
+      same generators, and each presentation reads two Smith forms.
+    compose_all keeps nothing: its walks are cheap, and the decisions that
+    read them are kept in ``memo.decisions`` (see ``core.Memo``).
 
     Its E, M and iso pools hold indices: each is an ``IndexedHoms`` of the
     class_members indices, which builds a morphism through hom_at when it
@@ -876,8 +841,7 @@ class FinAbInstance(Instance):
         self._constructions = functools.lru_cache(maxsize=CONSTRUCTIONS_CAPACITY)(
             lambda build, *args: build(*args))
         self._hom_group = functools.lru_cache(maxsize=None)(hom_group)
-        self._composites = functools.lru_cache(maxsize=COMPOSITES_CAPACITY)(
-            functools.partial(walk_composites, self._hom_group))
+        self._present = functools.lru_cache(maxsize=PRESENTATIONS_CAPACITY)(subgroup_from_gens)
         self._hom_cache: dict[tuple[Orders, Orders], tuple[Mor, ...]] = {}
         self._classify_cache: dict[tuple[Orders, Orders, Matrix], OrthClass] = {}
         self._subgroup_cache: dict[Orders, list[frozenset[Vector]]] = {}
@@ -950,10 +914,31 @@ class FinAbInstance(Instance):
         return Mor(a, a, hom_identity(a.obj_key))
 
     def compose_all(self, g: Mor, t: ObjHandle, op: bool = False) -> tuple:
-        size = self.hom_count(g.cod, t) if op else self.hom_count(t, g.dom)
-        if size > LARGEST_STORED_WALK:
-            return walk_composites(self._hom_group, g, t, op)
-        return self._composites(g, t, op)
+        # u |-> g . u (u . g with op) is additive, and the hom group generator
+        # at position (i, j, step) is step in entry (i, j) and zero elsewhere,
+        # so its image is step times column i (row j with op) of g.  Each
+        # entry of the composite is then a walk of the hom group's
+        # coordinates by additions of those images alone.
+        mat = g.payload
+        if op:
+            hg = self._hom_group(g.cod.obj_key, t.obj_key)
+            mods, width = t.obj_key, len(g.dom.obj_key)
+        else:
+            hg = self._hom_group(t.obj_key, g.dom.obj_key)
+            mods, width = g.cod.obj_key, len(t.obj_key)
+        lines = hg.lines[0 if op else 1]
+        rows = []
+        for r, m in enumerate(mods):
+            entries = []
+            for c in range(width):
+                live = []
+                for k, i, j, step, order in lines[r if op else c]:
+                    v = step * (mat[j][c] if op else mat[r][i]) % m
+                    if v:
+                        live.append((k, [x * v % m for x in range(order)]))
+                entries.append(hg.walk(live, m))
+            rows.append(list(zip(*entries)) if entries else [()] * hg.size)
+        return tuple(zip(*rows)) if rows else ((),) * hg.size
 
     def hom_count(self, a: ObjHandle, b: ObjHandle) -> int:
         return self._hom_group(a.obj_key, b.obj_key).size
@@ -1009,7 +994,8 @@ class FinAbInstance(Instance):
         return hit
 
     def factorize(self, f: Mor) -> Factorization:
-        mid, e, m = self._constructions(ab_factorize, f.dom.obj_key, f.cod.obj_key, f.payload)
+        mid, e, m = self._constructions(ab_factorize, f.dom.obj_key, f.cod.obj_key, f.payload,
+                                        self._present)
         mid_h = self.obj(mid)
         return Factorization(Mor(f.dom, mid_h, e), Mor(mid_h, f.cod, m))
 
@@ -1031,7 +1017,8 @@ class FinAbInstance(Instance):
         if not self.classify(m).in_M:
             raise ClassViolation("pullback_along_M: second argument must be in M")
         apex, leg1, leg2 = self._constructions(
-            ab_pullback, f.dom.obj_key, m.dom.obj_key, f.cod.obj_key, f.payload, m.payload)
+            ab_pullback, f.dom.obj_key, m.dom.obj_key, f.cod.obj_key, f.payload, m.payload,
+            self._present)
         apex_h = self.obj(apex)
         return ConeResult(apex_h, Mor(apex_h, f.dom, leg1), Mor(apex_h, m.dom, leg2))
 

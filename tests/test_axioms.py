@@ -12,6 +12,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spancat import axioms
 from spancat.axioms import (
     AXIOM_CHECKS,
     MAX_FAILURE_DUMPS,
@@ -27,8 +28,11 @@ from spancat.axioms import (
 )
 from spancat import cli
 from spancat.core import (
+    DECISIONS_CAPACITY,
     ConeResult,
     GroupoidInstance,
+    Mor,
+    ObjHandle,
     OrthClass,
     ShapeViolation,
     Square,
@@ -750,6 +754,82 @@ def test_pinj_decisions_match_the_bijection_at_the_catalog():
     # a fixed slice of the sweep; the full sweep, step 1, gives
     # (277200, 5502, 5502, 0)
     assert pinj_decisions_against_the_catalog(50) == (5544, 103, 107, 0)
+
+
+# ---------------------------------------------------------------------------
+# the decisions table
+# ---------------------------------------------------------------------------
+
+
+def _parts(x):
+    """x and everything inside it, tuples opened."""
+    yield x
+    if isinstance(x, tuple):
+        for y in x:
+            yield from _parts(y)
+
+
+@pytest.mark.parametrize("op", [False, True], ids=["pullback", "pushout"])
+def test_decisions_table_answers_as_direct_decisions(finab_square_pool, monkeypatch, op):
+    # each square asked twice, the second a hit of the table; then all
+    # again, after the first ones have been pushed out of it
+    cases = [(FA, sq, 4) for sq in finab_square_pool] + [(PI, sq, 3) for sq in SQUARE_POOL]
+    assert len(cases) > DECISIONS_CAPACITY
+    direct = [all(_pullback_bijection_at(inst, sq, t, op)
+                  for t in inst.decision_objects(sq, bound, op)) for inst, sq, bound in cases]
+    assert set(direct) == {False, True}
+    decide = is_pushout if op else is_pullback
+    made = []
+    bijection = axioms._pullback_bijection_at
+    monkeypatch.setattr(axioms, "_pullback_bijection_at",
+                        lambda *args: made.append(args) or bijection(*args))
+    for inst in (FA, PI):
+        inst.memo.decisions.clear()
+    for (inst, sq, bound), expect in zip(cases, direct):
+        assert decide(inst, sq, bound) == expect, sq
+        before = len(made)
+        assert decide(inst, sq, bound) == expect, sq
+        assert len(made) == before, sq
+    before = len(made)
+    for (inst, sq, bound), expect in zip(cases, direct):
+        assert decide(inst, sq, bound) == expect, sq
+    assert len(made) > before
+    for inst in (FA, PI):
+        table = inst.memo.decisions
+        assert len(table) == DECISIONS_CAPACITY
+        held = {type(x) for key in table for x in _parts(key)}
+        assert not held & {Mor, ObjHandle, Square}, held
+
+
+class _CatalogPInj(PInjInstance):
+    """pinj deciding over the bounded catalog, so that a decision reads its
+    bound."""
+
+    def decision_objects(self, sq, bound, op=False):
+        return self.enumerate_objects_up_to(bound)
+
+
+def test_decisions_are_told_apart_by_corners_bound_and_op():
+    # the identity square on Z/2 and the square of Z/4's two reductions onto
+    # Z/2 have the same four payloads, ((1,),); the latter is a pushout
+    # but no pullback
+    inst = FinAbInstance()
+    z4, z2 = inst.group(4), inst.group(2)
+    one, onto = inst.identity(z2), inst.hom(z4, z2, [[1]])
+    assert {f.payload for f in (one, onto)} == {((1,),)}
+    assert is_pullback(inst, Square(top=one, left=one, right=one, bottom=one), 8)
+    reductions = Square(top=onto, left=onto, right=one, bottom=one)
+    assert not is_pullback(inst, reductions, 8)
+    assert is_pushout(inst, reductions, 8)
+    # a square that the cone at the one-point set tells from a pullback,
+    # which the catalog up to bound 0 leaves out
+    pinj = _CatalogPInj()
+    two, point = pinj.fset(2), pinj.fset(1)
+    m = pinj.pinj(point, point, (0,))
+    small = Square(top=m, left=pinj.pinj(point, two, (0,)), right=m,
+                   bottom=pinj.pinj(two, point, (0, None)))
+    assert is_pullback(pinj, small, 0)
+    assert not is_pullback(pinj, small, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Optional
 import pytest
 
 import spancat
-from spancat import cli, config, finab
+from spancat import axioms, cli, config, finab
 from spancat.cli import EXIT_ERROR, EXIT_OK, SuiteReport, main
 from spancat.axioms import CheckReport
 from spancat.config import ConfigError, RunConfig, env_seed, instance_bound, load_instance
@@ -254,18 +254,6 @@ def test_check_axioms_report_pinned(tmp_path):
     assert digest == "eccfc76cd40d066b4ed985ff6bad24971f10beb2bf7a887a01c686c5b75cb4cd"
 
 
-def test_check_axioms_order_8_report_pinned(tmp_path):
-    # the sha256 of the finab-axioms-o8 benchmark unit's report as decisions
-    # over the split catalog and the canonical cone wrote it; deciding at
-    # one torsion group per prime must not move a verdict or a dump
-    out = tmp_path / "axioms.json"
-    proc = run_cli("check-axioms", "--instance", "finab", "--max-order", "8",
-                   "--samples", "1000", "--seed", "0", "--out", str(out))
-    assert proc.returncode == EXIT_OK, proc.stderr
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "dfa9af1959d8aa9f7a87295a29231f0255f75b3cf0b1b00359d92886560ff182"
-
-
 # Runs the CLI on its arguments, then prints its own peak RSS in KB, or -1
 # where /proc/self/status is missing.  On Linux, getrusage's ru_maxrss of a
 # process started by fork and exec keeps the peak of the process that
@@ -284,19 +272,52 @@ sys.exit(code)
 """
 
 
-@pytest.fixture(scope="module")
-def order_16_run(tmp_path_factory):
-    """check-axioms on finab at order 16, 200 samples, seed 3, run once in
-    a child that prints its own peak RSS in KB as it ends."""
-    out = tmp_path_factory.mktemp("order16") / "axioms.json"
+def peak_rss_run(tmp_path_factory, *args: str) -> tuple[bytes, int]:
+    """The report of the CLI run on args with --out, and the peak RSS in
+    KB of the child that ran it."""
+    out = tmp_path_factory.mktemp("peak") / "report.json"
     proc = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS_CHILD, "check-axioms", "--instance", "finab",
-         "--max-order", "16", "--samples", "200", "--seed", "3", "--out", str(out)],
+        [sys.executable, "-c", PEAK_RSS_CHILD, *args, "--out", str(out)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
         timeout=120,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     return out.read_bytes(), int(proc.stdout.split()[-1])
+
+
+@pytest.fixture(scope="module")
+def order_8_run(tmp_path_factory):
+    """check-axioms on finab at order 8, 1000 samples, seed 0 (the
+    finab-axioms-o8 benchmark unit), run once in a child that prints its
+    own peak RSS in KB as it ends."""
+    return peak_rss_run(tmp_path_factory, "check-axioms", "--instance", "finab",
+                        "--max-order", "8", "--samples", "1000", "--seed", "0")
+
+
+@pytest.fixture(scope="module")
+def order_16_run(tmp_path_factory):
+    """check-axioms on finab at order 16, 200 samples, seed 3, run as
+    order_8_run is."""
+    return peak_rss_run(tmp_path_factory, "check-axioms", "--instance", "finab",
+                        "--max-order", "16", "--samples", "200", "--seed", "3")
+
+
+def test_check_axioms_order_8_report_pinned(order_8_run):
+    # the sha256 of the finab-axioms-o8 benchmark unit's report as decisions
+    # over the split catalog and the canonical cone wrote it; deciding at
+    # one torsion group per prime must not move a verdict or a dump
+    report, _ = order_8_run
+    digest = hashlib.sha256(report).hexdigest()
+    assert digest == "dfa9af1959d8aa9f7a87295a29231f0255f75b3cf0b1b00359d92886560ff182"
+
+
+def test_check_axioms_order_8_peak_rss_is_bounded(order_8_run):
+    # on Linux x86-64 with CPython 3.11: 21.4-21.5 MB with the bounded
+    # decision and presentation tables, 22.6-22.7 MB with both unbounded
+    _, peak_kb = order_8_run
+    if peak_kb < 0:
+        pytest.skip("no /proc/self/status to read the peak RSS from")
+    assert peak_kb < 22 * 1024
 
 
 def test_check_axioms_order_16_report_pinned(order_16_run):
@@ -330,8 +351,10 @@ def test_finab_associativity_work_is_pinned(tmp_path, monkeypatch):
     # a cost guard on the run whose report is pinned above: its class pools
     # build only the homs drawn (311 hom_at calls; listing the pools built
     # every member), zig-zag keys read one Smith form each where the
-    # pullback read three, and classify reads none into the trivial group
-    # (2,216 smith_normal_form calls before those two changes)
+    # pullback read three, classify reads none into the trivial group, and
+    # each distinct subgroup is presented once while it stays in finab's
+    # presentation table (2,216 smith_normal_form calls before the first
+    # two of those changes, 1,768 before the last)
     calls = {"hom_at": 0, "smith_normal_form": 0}
     hom_at, snf = FinAbInstance.hom_at, finab.smith_normal_form
 
@@ -349,7 +372,32 @@ def test_finab_associativity_work_is_pinned(tmp_path, monkeypatch):
     code = main(["suite", "--suite", "associativity", "--instance", "finab",
                  "--max-order", "16", "--samples", "50", "--seed", "0", "--out", str(out)])
     assert code == EXIT_OK
-    assert calls == {"hom_at": 311, "smith_normal_form": 1768}
+    assert calls == {"hom_at": 311, "smith_normal_form": 1590}
+
+
+def test_finab_axioms_work_is_pinned(tmp_path, monkeypatch):
+    # a cost guard on the finab-axioms-o8 benchmark unit: each distinct
+    # square is decided once while it stays in the decisions table, and
+    # each distinct subgroup presented once while it stays in the
+    # presentation table (10,582 mediator-bijection evaluations and 8,154
+    # smith_normal_form calls without the two tables)
+    calls = {"_pullback_bijection_at": 0, "smith_normal_form": 0}
+    bijection, snf = axioms._pullback_bijection_at, finab.smith_normal_form
+
+    def counting_bijection(*args):
+        calls["_pullback_bijection_at"] += 1
+        return bijection(*args)
+
+    def counting_snf(mat, **kw):
+        calls["smith_normal_form"] += 1
+        return snf(mat, **kw)
+
+    monkeypatch.setattr(axioms, "_pullback_bijection_at", counting_bijection)
+    monkeypatch.setattr(finab, "smith_normal_form", counting_snf)
+    code = main(["check-axioms", "--instance", "finab", "--max-order", "8", "--samples", "1000",
+                 "--seed", "0", "--out", str(tmp_path / "axioms.json")])
+    assert code == EXIT_OK
+    assert calls == {"_pullback_bijection_at": 5206, "smith_normal_form": 6002}
 
 
 def test_fake_pullback_law_reports_pinned(tmp_path):

@@ -6,6 +6,7 @@ algebraic laws against brute-force enumeration oracles.
 """
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -319,33 +320,77 @@ def test_tables_answer_as_fresh_constructions_up_to_order_4():
 
 
 def test_tables_hold_at_most_their_capacity():
+    # every hom up to order 12 factorized, and pulled back along the
+    # identity: more constructions than the one table holds, and more
+    # kernels and images than the other
     inst = FinAbInstance()
-    homs = _all_homs(inst, 8)
-    objs = inst.enumerate_objects_up_to(8)
+    homs = _all_homs(inst, 12)
     assert len(homs) > finab.CONSTRUCTIONS_CAPACITY
     for f in homs:
         inst.factorize(f)
-        inst.compose_all(f, objs[1])
+        inst.pullback_along_M(f, inst.identity(f.cod))
     for table, capacity in ((inst._constructions, finab.CONSTRUCTIONS_CAPACITY),
-                            (inst._composites, finab.COMPOSITES_CAPACITY)):
+                            (inst._present, finab.PRESENTATIONS_CAPACITY)):
         info = table.cache_info()
         assert info.maxsize == capacity
-        assert info.currsize == capacity and info.misses == len(homs)
+        assert info.currsize == capacity < info.misses
+    assert inst._constructions.cache_info().misses == 2 * len(homs)
 
 
-def test_composites_table_stores_no_long_walk():
-    # End(Z2^3) has 2^9 members, far past the largest stored walk, and
-    # End(Z2) has 2, within it
+def _presentation_inputs(inst, bound):
+    """(ambient, gens) of the kernel and the image of every hom up to
+    bound, as kernel_subgroup and image_subgroup hand them to present."""
+    out = []
+    for f in _all_homs(inst, bound):
+        dom, cod, mat = f.dom.obj_key, f.cod.obj_key, f.payload
+        out.append((dom, tuple(finab.kernel_gens(dom, cod, mat))))
+        out.append((cod, tuple(tuple(row[j] for row in mat) for j in range(len(dom)))))
+    return out
+
+
+def test_presentation_table_answers_as_fresh_presentations():
+    # each input twice, the second a hit; then all again, after the first
+    # ones have been pushed out
     inst = FinAbInstance()
-    big, z2 = inst.group(2, 2, 2), inst.group(2)
-    one = inst.identity(big)
-    walk = inst.compose_all(one, big)
-    assert len(walk) == 512 > finab.LARGEST_STORED_WALK
-    assert inst.compose_all(one, big) == walk
-    assert inst._composites.cache_info().currsize == 0
-    short = inst.compose_all(inst.identity(z2), z2)
-    assert inst.compose_all(inst.identity(z2), z2) is short
-    assert inst._composites.cache_info().currsize == 1
+    inputs = _presentation_inputs(inst, 8)
+    assert len(set(inputs)) > finab.PRESENTATIONS_CAPACITY
+    for ambient, gens in inputs + inputs[::-1]:
+        for _ in range(2):
+            assert inst._present(ambient, gens) == subgroup_from_gens(ambient, list(gens))
+    info = inst._present.cache_info()
+    assert info.currsize == finab.PRESENTATIONS_CAPACITY and info.hits >= len(inputs)
+
+
+def test_kernels_and_images_present_through_the_table():
+    inst = FinAbInstance()
+    f = inst.hom(inst.group(2, 4), inst.group(4), [[2, 1]])
+    dom, cod, mat = f.dom.obj_key, f.cod.obj_key, f.payload
+    assert kernel_subgroup(dom, cod, mat, inst._present) == kernel_subgroup(dom, cod, mat)
+    assert image_subgroup(dom, cod, mat, inst._present) == image_subgroup(dom, cod, mat)
+    assert inst._present.cache_info().misses == 2
+    # factorize presents the image again; the pullback's kernel is one in
+    # dom + cod, a new input
+    inst.factorize(f)
+    inst.pullback_along_M(f, inst.identity(f.cod))
+    assert inst._present.cache_info()[:2] == (1, 3)  # (hits, misses)
+
+
+def test_independent_keys_leave_no_garbage():
+    # class_members on End(Z2^3) makes keys for three lines; its table of
+    # partial keys goes when the call returns, with no cycle left for the
+    # collector
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        members = finab.class_members(hom_group((2, 2, 2), (2, 2, 2)), True)
+        gc.collect()
+        names = [getattr(x, "__qualname__", "") for x in gc.garbage]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert len(members) == 168  # |GL(3, 2)|
+    assert not [n for n in names if n.startswith("_independent_keys")], names
 
 
 def test_rejected_cones_raise_on_every_call():
@@ -369,7 +414,7 @@ def test_compose_all_results_are_read_only():
     assert type(out) is tuple and all(type(k) is tuple for k in out)
     with pytest.raises(TypeError):
         out[0] = out[1]
-    assert inst.compose_all(g, z2) is out
+    assert inst.compose_all(g, z2) == out
 
 
 def test_enumerate_homs_counts():

@@ -14,7 +14,6 @@ and morphisms as JSON, and one entry of ``config.INSTANCES``.
 from __future__ import annotations
 
 import collections
-import collections.abc
 import functools
 import itertools
 from abc import ABC, abstractmethod
@@ -103,44 +102,6 @@ class Mor:
 
     def __repr__(self) -> str:
         return f"Mor({self.dom!r} -> {self.cod!r}: {self.payload!r})"
-
-
-class IndexedHoms(collections.abc.Sequence):
-    """The morphisms hom_at(a, b, i) of an instance for i in indices, in
-    that order: a pool that holds indices.  A member is built through
-    hom_at when its index is first read, and kept; iteration builds the
-    whole tuple once and reads it from then on.  So a draw of one member
-    builds one morphism, however large the pool."""
-
-    __slots__ = ("_inst", "_a", "_b", "_indices", "_built", "_all")
-
-    def __init__(self, inst: Instance, a: ObjHandle, b: ObjHandle,
-                 indices: Sequence[int]) -> None:
-        self._inst, self._a, self._b = inst, a, b
-        self._indices = indices
-        self._built: dict[int, Mor] = {}
-        self._all: Optional[tuple[Mor, ...]] = None
-
-    def __len__(self) -> int:
-        return len(self._indices)
-
-    def __getitem__(self, k):
-        if self._all is not None or isinstance(k, slice):
-            return self._tuple()[k]
-        i = self._indices[k]
-        hit = self._built.get(i)
-        if hit is None:
-            hit = self._built[i] = self._inst.hom_at(self._a, self._b, i)
-        return hit
-
-    def __iter__(self):
-        return iter(self._tuple())
-
-    def _tuple(self) -> tuple[Mor, ...]:
-        if self._all is None:
-            self._all = tuple(self[k] for k in range(len(self)))
-            self._built = {}
-        return self._all
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,17 +247,16 @@ class Instance(ABC):
     every instance gives, ``span_iso_key`` and ``rel_pair_key``; the latter
     may answer None to send a comparison to the bounded iso search.
 
-    The samplers draw class-constrained morphisms through two hooks:
-    ``class_homs(a, b, cls)`` gives the morphisms a -> b of a class (any, E,
-    M or iso) in enumerate_homs order, and ``has_class_hom(a, b, cls)`` says
-    whether there is one.  Their defaults filter enumerate_homs by
-    classify.  finab answers both from structure: existence from invariant
-    factors, members from the ranks of the hom's matrices mod each prime,
-    with no hom classified one by one.  A draw of any class reads
-    ``hom_count(a, b)`` and ``hom_at(a, b, i)`` instead, which default to
-    enumerate_homs; finab decodes the index in its hom group, so no hom
-    set is listed.  finab's class pools are ``IndexedHoms`` of member
-    indices, so a draw from one builds only the morphism drawn.
+    The samplers draw every morphism, of any class, from a pool through two
+    hooks: ``class_homs(a, b, cls)`` gives the morphisms a -> b of a class
+    (any, E, M or iso) in enumerate_homs order, and ``has_class_hom(a, b,
+    cls)`` says whether there is one.  Their defaults filter enumerate_homs
+    by classify; class any is enumerate_homs itself.  A pool is any
+    Sequence, so it may build a member only when it is read.  finab answers
+    both from structure: existence from invariant factors, members from the
+    ranks of the hom's matrices mod each prime, with no hom classified one
+    by one.  Its pools, class any included, hold indices in its hom group,
+    so a draw from one builds only the morphism drawn.
     """
 
     name: str = "abstract"
@@ -432,20 +392,13 @@ class Instance(ABC):
             return tuple(self.compose(u, g).payload for u in self.enumerate_homs(g.cod, t))
         return tuple(self.compose(g, u).payload for u in self.enumerate_homs(t, g.dom))
 
-    def hom_count(self, a: ObjHandle, b: ObjHandle) -> int:
-        """The number of morphisms a -> b, len(enumerate_homs(a, b))."""
-        return len(self.enumerate_homs(a, b))
-
-    def hom_at(self, a: ObjHandle, b: ObjHandle, i: int) -> Mor:
-        """Morphism i of a -> b in enumerate_homs order, 0 <= i <
-        hom_count(a, b): enumerate_homs(a, b)[i], which an instance may find
-        without listing the others."""
-        return self.enumerate_homs(a, b)[i]
-
     def class_homs(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> Sequence[Mor]:
         """The morphisms a -> b of a class: any, E, M or iso, in
-        enumerate_homs order.  The Sequence may build its members when they
-        are read (as ``IndexedHoms`` does) and need not be a tuple."""
+        enumerate_homs order; for class any, enumerate_homs(a, b) itself.
+        The Sequence may build its members when they are read and need not
+        be a tuple."""
+        if cls == "any":
+            return self.enumerate_homs(a, b)
         member = self._class_test(cls)
         return tuple(f for f in self.enumerate_homs(a, b) if member(f))
 
@@ -643,12 +596,6 @@ class GroupoidInstance(Instance):
 
     def enumerate_homs(self, a: ObjHandle, b: ObjHandle) -> Sequence[Mor]:
         return tuple(Mor(a, b, i) for i in range(self.size))
-
-    def hom_count(self, a: ObjHandle, b: ObjHandle) -> int:
-        return self.size
-
-    def hom_at(self, a: ObjHandle, b: ObjHandle, i: int) -> Mor:
-        return Mor(a, b, i)
 
     def span_iso_key(self, d: Mor, m: Mor) -> Any:
         # the composite d . m^{-1} is invariant under re-choosing the apex iso

@@ -13,6 +13,7 @@ over Z it computes, with no second algorithm beside them.
 """
 from __future__ import annotations
 
+import collections.abc
 import functools
 import itertools
 import math
@@ -26,7 +27,6 @@ from .core import (
     CrossInstance,
     EndpointMismatch,
     Factorization,
-    IndexedHoms,
     Instance,
     Mor,
     ObjHandle,
@@ -557,10 +557,6 @@ class HomGroup:
         coords[k] = 1
         return self.from_coords(coords)
 
-    def all_matrices(self) -> Iterable[Matrix]:
-        for coords in itertools.product(*(range(g) for g in self.orders)):
-            yield self.from_coords(coords)
-
     @functools.cached_property
     def runs(self) -> tuple[int, ...]:
         """runs[k] is the number of coordinate tuples of positions < k."""
@@ -577,7 +573,7 @@ class HomGroup:
         return rows, cols
 
     def walk(self, live: Sequence[tuple[int, Sequence[int]]], mod: int = 0) -> list[int]:
-        """For each coordinate tuple c, in all_matrices order, the sum of
+        """For each coordinate tuple c, in matrix_at index order, the sum of
         values[c[k]] over the pairs (k, values) of live, reduced mod `mod`
         unless it is 0.  The positions k of live increase; the others add
         nothing, so a run of them only repeats each sum found so far.
@@ -598,8 +594,9 @@ class HomGroup:
         return _repeat_each(sums, runs[-1] // runs[done]) if done < len(self.orders) else sums
 
     def matrix_at(self, i: int) -> Matrix:
-        """The matrix at index i of all_matrices: its coordinates are the
-        mixed-radix digits of i, the last position's the fastest.
+        """The matrix at index i, 0 <= i < size: its coordinates are the
+        mixed-radix digits of i, the last position's the fastest.  This
+        index order is the hom group's one order of its homs.
 
         >>> hom_group((2, 4), (4,)).matrix_at(5)
         ((2, 1),)
@@ -733,7 +730,7 @@ def _keys_after(p: int, choices: list, k: int, span: frozenset, made: dict) -> l
 
 
 def class_members(hg: HomGroup, in_E: bool) -> list[int]:
-    """The all_matrices indices of the homs of hg that are onto (in_E) or
+    """The matrix_at indices of the homs of hg that are onto (in_E) or
     one-to-one.
 
     f is onto iff, for each prime p dividing |cod|, the map dom/p.dom ->
@@ -805,6 +802,45 @@ def solve_hom_equations(
 # the instance
 # ---------------------------------------------------------------------------
 
+class IndexedHoms(collections.abc.Sequence):
+    """The morphisms a -> b with matrices hg.matrix_at(i) for i in indices,
+    in that order: a pool that holds indices.  A member is built when its
+    index is first read, and kept; iteration builds the whole tuple once
+    and reads it from then on.  So a draw of one member builds one
+    morphism, however large the pool.  It holds the hom group, not the
+    instance, so a pool kept by the instance makes no reference cycle."""
+
+    __slots__ = ("_hg", "_a", "_b", "_indices", "_built", "_all")
+
+    def __init__(self, hg: HomGroup, a: ObjHandle, b: ObjHandle,
+                 indices: Sequence[int]) -> None:
+        self._hg, self._a, self._b = hg, a, b
+        self._indices = indices
+        self._built: dict[int, Mor] = {}
+        self._all: Optional[tuple[Mor, ...]] = None
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, k):
+        if self._all is not None or isinstance(k, slice):
+            return self._tuple()[k]
+        i = self._indices[k]
+        hit = self._built.get(i)
+        if hit is None:
+            hit = self._built[i] = Mor(self._a, self._b, self._hg.matrix_at(i))
+        return hit
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def _tuple(self) -> tuple[Mor, ...]:
+        if self._all is None:
+            self._all = tuple(self[k] for k in range(len(self)))
+            self._built = {}
+        return self._all
+
+
 # The capacities of FinAbInstance's two bounded tables.
 CONSTRUCTIONS_CAPACITY = 512
 PRESENTATIONS_CAPACITY = 512
@@ -814,11 +850,11 @@ class FinAbInstance(Instance):
     """Finite abelian groups with E = onto and M = one-to-one homs.
 
     Its tables live as long as the instance.  Those keyed by catalog
-    objects (hom sets, class pools, hom groups, subgroups, ...) are
-    unbounded, since the bound of a run caps them, and so is classify's:
-    its keys are single morphisms, few per run, with two flags each.  The
-    two tables that grow with the samples of a run are bounded, least
-    recently used first out, by the capacities above:
+    objects (class pools, hom groups, subgroups, ...) are unbounded, since
+    the bound of a run caps them, and so is classify's: its keys are
+    single morphisms, few per run, with two flags each.  The two tables
+    that grow with the samples of a run are bounded, least recently used
+    first out, by the capacities above:
     - ``_constructions`` holds ab_pullback, ab_pushout and ab_factorize by
       their raw inputs, for pullback_along_M, pushout_along_E and
       factorize.  The class checks run in front of it, so a rejected input
@@ -830,9 +866,12 @@ class FinAbInstance(Instance):
     compose_all keeps nothing: its walks are cheap, and the decisions that
     read them are kept in ``memo.decisions`` (see ``core.Memo``).
 
-    Its E, M and iso pools hold indices: each is an ``IndexedHoms`` of the
-    class_members indices, which builds a morphism through hom_at when it
-    is drawn.  A draw from Aut(Z2^4) builds one of its 20,160 members.
+    It keeps no hom set: its pools are ``IndexedHoms``, which build a
+    morphism when it is read.  enumerate_homs, the pool of class any,
+    holds every index of the hom group and is made on each call, as the
+    sampler keeps its pools; the E, M and iso pools hold the class_members
+    indices and are kept.  A draw from End(Z2^4) builds one of its 65,536
+    homs, and a draw from Aut(Z2^4) one of its 20,160 members.
     """
 
     name = "finab"
@@ -842,7 +881,6 @@ class FinAbInstance(Instance):
             lambda build, *args: build(*args))
         self._hom_group = functools.lru_cache(maxsize=None)(hom_group)
         self._present = functools.lru_cache(maxsize=PRESENTATIONS_CAPACITY)(subgroup_from_gens)
-        self._hom_cache: dict[tuple[Orders, Orders], tuple[Mor, ...]] = {}
         self._classify_cache: dict[tuple[Orders, Orders, Matrix], OrthClass] = {}
         self._subgroup_cache: dict[Orders, list[frozenset[Vector]]] = {}
         self._catalogs: dict[int, list[ObjHandle]] = {}
@@ -940,12 +978,6 @@ class FinAbInstance(Instance):
             rows.append(list(zip(*entries)) if entries else [()] * hg.size)
         return tuple(zip(*rows)) if rows else ((),) * hg.size
 
-    def hom_count(self, a: ObjHandle, b: ObjHandle) -> int:
-        return self._hom_group(a.obj_key, b.obj_key).size
-
-    def hom_at(self, a: ObjHandle, b: ObjHandle, i: int) -> Mor:
-        return Mor(a, b, self._hom_group(a.obj_key, b.obj_key).matrix_at(i))
-
     def has_class_hom(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> bool:
         key = (a.obj_key, b.obj_key, cls)
         hit = self._exists_cache.get(key)
@@ -970,8 +1002,6 @@ class FinAbInstance(Instance):
     def class_homs(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> Sequence[Mor]:
         x, y = a.obj_key, b.obj_key
         same_size = group_size(x) == group_size(y)
-        if cls == "any":
-            return self.enumerate_homs(a, b)
         if cls not in ("E", "M", "iso"):
             return super().class_homs(a, b, cls)
         if cls == "iso" and not same_size:
@@ -981,8 +1011,8 @@ class FinAbInstance(Instance):
         key = (x, y, cls == "E" or same_size)
         hit = self._class_cache.get(key)
         if hit is None:
-            members = class_members(self._hom_group(x, y), key[2])
-            hit = self._class_cache[key] = IndexedHoms(self, a, b, members)
+            hg = self._hom_group(x, y)
+            hit = self._class_cache[key] = IndexedHoms(hg, a, b, class_members(hg, key[2]))
         return hit
 
     def classify(self, f: Mor) -> OrthClass:
@@ -1039,12 +1069,8 @@ class FinAbInstance(Instance):
         return list(hit)
 
     def enumerate_homs(self, a: ObjHandle, b: ObjHandle) -> Sequence[Mor]:
-        key = (a.obj_key, b.obj_key)
-        hit = self._hom_cache.get(key)
-        if hit is None:
-            hit = tuple(Mor(a, b, m) for m in self._hom_group(*key).all_matrices())
-            self._hom_cache[key] = hit
-        return hit
+        hg = self._hom_group(a.obj_key, b.obj_key)
+        return IndexedHoms(hg, a, b, range(hg.size))
 
     def span_iso_key(self, d: Mor, m: Mor) -> Any:
         return joint_image(d.cod.obj_key, m.cod.obj_key, d.payload, m.payload)

@@ -62,23 +62,21 @@ class Sampler:
     def hom(self, a: Optional[ObjHandle] = None, b: Optional[ObjHandle] = None,
             cls: str = "any") -> Mor:
         """A morphism a -> b of a class, uniform in its pool; an end not
-        given is drawn first (a, then b, when neither is).  Class any draws
-        an index through hom_count and hom_at, so no pool is built; the
-        draw is the one rng.choice would make from the pool."""
+        given is drawn first (a, then b, when neither is).  The draw reads
+        one member of the pool by index, the one rng.choice would pick, so
+        a pool that builds its members on read builds only that one."""
         if a is None and b is None:
             a = self.obj()
         if b is None:
             b = self.rng.choice(self.reachable(a, cls, "out"))
         elif a is None:
             a = self.rng.choice(self.reachable(b, cls, "in"))
-        pool = None if cls == "any" else self.pool(a, b, cls)
-        n = self.inst.hom_count(a, b) if pool is None else len(pool)
-        if not n:
+        pool = self.pool(a, b, cls)
+        if not pool:
             raise SpanCatError(
                 f"no morphism of class {cls} from {a.descriptor} to {b.descriptor}"
             )
-        i = self.rng.randrange(n)
-        return self.inst.hom_at(a, b, i) if pool is None else pool[i]
+        return pool[self.rng.randrange(len(pool))]
 
     # -- shaped draws ----------------------------------------------------------
 

@@ -116,7 +116,7 @@ class PInjInstance(Instance):
     name = "pinj"
 
     def __init__(self) -> None:
-        self._hom_cache: dict[tuple[int, int], tuple[Mor, ...]] = {}
+        self._hom_sets: dict[tuple[int, int], tuple[Mor, ...]] = {}
 
     # objects
     def validate_obj(self, key: Any) -> int:
@@ -205,7 +205,7 @@ class PInjInstance(Instance):
 
     def enumerate_homs(self, a: ObjHandle, b: ObjHandle) -> Sequence[Mor]:
         key = (a.obj_key, b.obj_key)
-        hit = self._hom_cache.get(key)
+        hit = self._hom_sets.get(key)
         if hit is None:
             n, m = key
             opts: list[Optional[int]] = [None] + list(range(m))
@@ -215,7 +215,7 @@ class PInjInstance(Instance):
                 if len(vals) == len(set(vals)):
                     out.append(Mor(a, b, combo))
             hit = tuple(out)
-            self._hom_cache[key] = hit
+            self._hom_sets[key] = hit
         return hit
 
     def span_iso_key(self, d: Mor, m: Mor) -> Any:

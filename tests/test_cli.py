@@ -348,31 +348,31 @@ def test_finab_associativity_report_pinned(tmp_path):
 
 
 def test_finab_associativity_work_is_pinned(tmp_path, monkeypatch):
-    # a cost guard on the run whose report is pinned above: its class pools
-    # build only the homs drawn (311 hom_at calls; listing the pools built
+    # a cost guard on the run whose report is pinned above: its pools build
+    # only the homs drawn (311 matrix_at calls; listing the pools built
     # every member), zig-zag keys read one Smith form each where the
     # pullback read three, classify reads none into the trivial group, and
     # each distinct subgroup is presented once while it stays in finab's
     # presentation table (2,216 smith_normal_form calls before the first
     # two of those changes, 1,768 before the last)
-    calls = {"hom_at": 0, "smith_normal_form": 0}
-    hom_at, snf = FinAbInstance.hom_at, finab.smith_normal_form
+    calls = {"matrix_at": 0, "smith_normal_form": 0}
+    matrix_at, snf = finab.HomGroup.matrix_at, finab.smith_normal_form
 
-    def counting_hom_at(self, a, b, i):
-        calls["hom_at"] += 1
-        return hom_at(self, a, b, i)
+    def counting_matrix_at(self, i):
+        calls["matrix_at"] += 1
+        return matrix_at(self, i)
 
     def counting_snf(mat, **kw):
         calls["smith_normal_form"] += 1
         return snf(mat, **kw)
 
-    monkeypatch.setattr(FinAbInstance, "hom_at", counting_hom_at)
+    monkeypatch.setattr(finab.HomGroup, "matrix_at", counting_matrix_at)
     monkeypatch.setattr(finab, "smith_normal_form", counting_snf)
     out = tmp_path / "associativity.json"
     code = main(["suite", "--suite", "associativity", "--instance", "finab",
                  "--max-order", "16", "--samples", "50", "--seed", "0", "--out", str(out)])
     assert code == EXIT_OK
-    assert calls == {"hom_at": 311, "smith_normal_form": 1590}
+    assert calls == {"matrix_at": 311, "smith_normal_form": 1590}
 
 
 def test_finab_axioms_work_is_pinned(tmp_path, monkeypatch):

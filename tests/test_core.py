@@ -12,7 +12,6 @@ from spancat.core import (
     CrossInstance,
     EndpointMismatch,
     GroupoidInstance,
-    IndexedHoms,
     Mor,
     ObjHandle,
     ShapeViolation,
@@ -104,24 +103,14 @@ def test_square_must_commute():
 
 @pytest.mark.parametrize("inst, bound", [(FA, 8), (PI, 3), (S3, 1)],
                          ids=["finab", "pinj", "groupoid"])
-def test_hom_at_reads_enumerate_homs_order(inst, bound):
+def test_any_class_pool_reads_enumerate_homs_order(inst, bound):
+    # the sampler draws a morphism of class any by index from this pool
     objs = inst.enumerate_objects_up_to(bound)
     for a, b in itertools.product(objs, repeat=2):
-        homs = inst.enumerate_homs(a, b)
-        assert inst.hom_count(a, b) == len(homs)
-        assert [inst.hom_at(a, b, i) for i in range(len(homs))] == list(homs)
-
-
-def test_indexed_homs_read_hom_at_in_index_order():
-    star = S3.star
-    pool = IndexedHoms(S3, star, star, [5, 0, 3])
-    want = (Mor(star, star, 5), Mor(star, star, 0), Mor(star, star, 3))
-    assert len(pool) == 3 and pool[-1] == want[2] and pool[1] is pool[1]
-    with pytest.raises(IndexError):
-        pool[3]
-    assert pool[1:] == want[1:]
-    assert tuple(pool) == want and list(pool) == list(want)
-    assert pool[0] is next(iter(pool))
+        pool = inst.class_homs(a, b, "any")
+        homs = list(inst.enumerate_homs(a, b))
+        assert len(pool) == len(homs)
+        assert [pool[i] for i in range(len(pool))] == homs
 
 
 @pytest.mark.parametrize("inst", [FA, PI, S3], ids=["finab", "pinj", "groupoid"])

@@ -8,20 +8,24 @@ from __future__ import annotations
 
 import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spancat import finab
+from spancat.axioms import run_axiom_suite
 from spancat.core import (
     ClassViolation,
     EndpointMismatch,
+    Mor,
     Square,
     ValidationFailure,
 )
 from spancat.finab import (
     FinAbInstance,
+    IndexedHoms,
     ab_factorize,
     ab_pullback,
     ab_pushout,
@@ -54,8 +58,16 @@ from spancat.finab import (
     validate_hom,
 )
 from spancat.gen import Sampler
+from spancat.relations import run_associativity_suite
 
 INST = FinAbInstance()
+
+
+def all_matrices(hg):
+    """Every matrix of the hom group hg, its coordinates by
+    itertools.product: the reference for matrix_at's index order, which
+    reads no matrix_at."""
+    return [hg.from_coords(c) for c in itertools.product(*(range(g) for g in hg.orders))]
 
 
 def brute_kernel(dom, cod, mat):
@@ -232,9 +244,25 @@ def test_hom_group_size_frozen():
 ])
 def test_matrix_at_reads_all_matrices_order(dom, cod):
     hg = hom_group(dom, cod)
-    matrices = list(hg.all_matrices())
+    matrices = all_matrices(hg)
     assert len(matrices) == hg.size
     assert [hg.matrix_at(i) for i in range(hg.size)] == matrices
+    a, b = INST.group(*dom), INST.group(*cod)
+    assert [f.payload for f in INST.enumerate_homs(a, b)] == matrices
+
+
+def test_indexed_homs_read_matrix_at_in_index_order():
+    hg = hom_group((2, 4), (4,))
+    a, b = INST.group(2, 4), INST.group(4)
+    pool = IndexedHoms(hg, a, b, [5, 0, 3])
+    matrices = all_matrices(hg)
+    want = tuple(Mor(a, b, matrices[i]) for i in (5, 0, 3))
+    assert len(pool) == 3 and pool[-1] == want[2] and pool[1] is pool[1]
+    with pytest.raises(IndexError):
+        pool[3]
+    assert pool[1:] == want[1:]
+    assert tuple(pool) == want and list(pool) == list(want)
+    assert pool[0] is next(iter(pool))
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +421,22 @@ def test_independent_keys_leave_no_garbage():
     assert not [n for n in names if n.startswith("_independent_keys")], names
 
 
+def test_finab_instance_is_freed_by_reference_counting():
+    # the instance's pools hold hom groups, not the instance, so after a run
+    # of each suite nothing the instance keeps refers back to it, and it
+    # goes at del with the collector off
+    gc.disable()
+    try:
+        inst = FinAbInstance()
+        run_axiom_suite(inst, 0, 100, 8)
+        run_associativity_suite(inst, 0, 20, 8)
+        ref = weakref.ref(inst)
+        del inst
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_rejected_cones_raise_on_every_call():
     inst = FinAbInstance()
     z4, z2 = inst.group(4), inst.group(2)
@@ -442,7 +486,7 @@ def test_hom_compose_matches_mat_mul_on_order_8_catalog():
     # the reference product: mat_mul, then each row reduced mod its order;
     # through the trivial group it is the zero matrix
     groups = invariant_factor_groups(8)
-    homs = {(a, b): list(hom_group(a, b).all_matrices()) for a in groups for b in groups}
+    homs = {(a, b): all_matrices(hom_group(a, b)) for a in groups for b in groups}
     pairs = 0
     for a, b, c in itertools.product(groups, repeat=3):
         fs, gs = homs[a, b], homs[b, c]
@@ -855,13 +899,13 @@ def test_pushout_universal_property_bounded(data):
         hu = hom_group(a, t_orders)
         hv = hom_group(b, t_orders)
         seen = 0
-        for u in hu.all_matrices():
-            for v in hv.all_matrices():
+        for u in all_matrices(hu):
+            for v in all_matrices(hv):
                 if hom_compose(u, f, t_orders, nc) != hom_compose(v, g, t_orders, nc):
                     continue
                 seen += 1
                 mediators = [
-                    w for w in ht.all_matrices()
+                    w for w in all_matrices(ht)
                     if hom_compose(w, leg1, t_orders, len(a)) == u
                     and hom_compose(w, leg2, t_orders, len(b)) == v
                 ]
@@ -900,7 +944,7 @@ def test_solve_hom_equations_matches_enumeration(data):
     )
     assert sol is not None
     hbc = hom_group(b, c)
-    brute = [w for w in hbc.all_matrices() if images(w) == rhs]
+    brute = [w for w in all_matrices(hbc) if images(w) == rhs]
     assert count == len(brute)
     assert images(sol) == rhs
 

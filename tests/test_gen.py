@@ -11,7 +11,7 @@ import hashlib
 import pytest
 
 from spancat.core import Mor, Square
-from spancat.finab import FinAbInstance, hom_classify
+from spancat.finab import FinAbInstance, HomGroup, hom_classify
 from spancat.gen import Sampler
 from spancat.pinj import PInjInstance
 
@@ -98,7 +98,20 @@ def test_finab_sampler_lists_match_classify_scan_up_to_order_16():
                 r for r in objs if exists[r, src, "E"] and exists[r, tgt, "M"]]
 
 
-def test_largest_finab_pool_is_drawn_without_enumerating_homs():
+def _count_matrices(monkeypatch):
+    """Counts HomGroup.matrix_at calls: the matrices a finab pool builds."""
+    built = [0]
+    matrix_at = HomGroup.matrix_at
+
+    def counting(self, i):
+        built[0] += 1
+        return matrix_at(self, i)
+
+    monkeypatch.setattr(HomGroup, "matrix_at", counting)
+    return built
+
+
+def test_largest_finab_pool_is_drawn_without_enumerating_homs(monkeypatch):
     inst = FinAbInstance()
     smp = Sampler(inst, "pool", 16)
     z = inst.group(2, 2, 2, 2)
@@ -107,31 +120,26 @@ def test_largest_finab_pool_is_drawn_without_enumerating_homs():
     assert len(pool) == 20160  # |GL(4, 2)| of the 65,536 homs
     # between groups of one order E, M and the isos are one pool
     assert smp.pool(z, z, "M") is pool and smp.pool(z, z, "iso") is pool
-    assert not inst._hom_cache and not inst._classify_cache
+    assert not inst._classify_cache
+    # a draw of class any from End(Z2^4) builds the one matrix drawn
+    built = _count_matrices(monkeypatch)
+    smp.hom(z, z)
+    assert len(smp.pool(z, z)) == 65536 and built[0] == 1
 
 
-class _HomAtCounting(FinAbInstance):
-    """FinAbInstance that counts its hom_at calls."""
-
-    def __init__(self):
-        super().__init__()
-        self.built = 0
-
-    def hom_at(self, a, b, i):
-        self.built += 1
-        return super().hom_at(a, b, i)
-
-
-def test_one_draw_from_the_largest_finab_pool_builds_one_hom():
-    # the pool holds the indices of its 20,160 members; a draw builds the
-    # member drawn, and a member read again is not built again
-    inst = _HomAtCounting()
+@pytest.mark.parametrize("cls", ["any", "E"])
+def test_one_draw_from_the_largest_finab_pool_builds_one_hom(monkeypatch, cls):
+    # the pool holds the indices of its members (65,536 homs of class any,
+    # 20,160 of E); a draw builds the member drawn, and a member read again
+    # is not built again
+    built = _count_matrices(monkeypatch)
+    inst = FinAbInstance()
     smp = Sampler(inst, "pool", 16)
     z = inst.group(2, 2, 2, 2)
-    smp.hom(z, z, "E")
-    assert inst.built == 1
-    pool = smp.pool(z, z, "E")
-    assert pool[0] is pool[0] and inst.built == 2
+    smp.hom(z, z, cls)
+    assert built[0] == 1
+    pool = smp.pool(z, z, cls)
+    assert pool[0] is pool[0] and built[0] == 2
 
 
 @pytest.mark.parametrize("make,bound", [(FinAbInstance, 16), (PInjInstance, 3)],

@@ -1,7 +1,8 @@
 """Import hygiene: no module of the package, the tests or the scripts
 imports a name it never uses, no definition in the package lacks a
-caller in the package unless it is pinned as library API, no default
-of the Instance contract is one that every shipped instance overrides,
+caller in the package unless it is pinned as library API, the public
+methods of the Instance contract are pinned, no default of the contract
+is one that every shipped instance overrides,
 the generic layers name no instance, and no cache of the package
 outlives the instance that fills it.
 
@@ -68,6 +69,26 @@ UNCALLED_API = frozenset({
     "graph_relation", "relation_to_matching", "all_matchings",
     "matching_to_relation", "rel_identity",
 })
+
+
+# The Instance contract: its public methods, abstract or with a default.
+# Adding or removing a hook needs an edit here and a line in CHANGES.md.
+INSTANCE_CONTRACT = frozenset({
+    "obj", "validate_obj", "describe_obj", "enumerate_objects_up_to",
+    "decision_objects", "scan_objects",
+    "validate_mor", "compose", "identity", "classify", "factorize",
+    "is_iso", "inverse", "fill_diagonal", "solve_post_system",
+    "pullback_along_M", "pushout_along_E",
+    "enumerate_homs", "compose_all", "class_homs", "has_class_hom",
+    "span_iso_key", "rel_pair_key",
+    "obj_json", "mor_json", "parse_obj_json", "parse_mor_json",
+})
+
+
+def test_instance_contract_is_pinned():
+    public = {name for name, fn in vars(Instance).items()
+              if inspect.isfunction(fn) and not name.startswith("_")}
+    assert public == INSTANCE_CONTRACT
 
 
 def _named(tree: ast.AST) -> collections.Counter:

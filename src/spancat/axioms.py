@@ -72,7 +72,7 @@ gives the epic side.
 A pushout in C is a pullback in C^op, where E and M swap, so each check is
 written once, for pullbacks, and its pushout form runs the same code read in
 C^op: composites and hom sets are taken with their arguments flipped
-(core.flipped, or compose_all with op), pushout_along_E stands for
+(compose_all with op), pushout_along_E stands for
 pullback_along_M, and the square is read with its edges exchanged.
 Morphisms are never rebuilt; they keep their endpoints in C, so failure
 dumps replay as they are.

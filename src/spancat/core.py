@@ -223,10 +223,12 @@ class Instance(ABC):
 
     The bounded decisions, the FS1 check and the jointly and properness
     checks compose one fixed morphism with a whole hom set through
-    ``compose_all``.  Its default is the ``compose`` loop; an instance whose
-    hom sets are groups may override it.  In finab, u |-> g . u and
-    u |-> u . g are group homomorphisms, so the whole sequence follows from
-    the images of the hom group's generators by addition alone.
+    ``compose_all``, and the sampler's commuting pairs with a class pool.
+    Its default is the ``compose`` loop; an instance whose hom sets are
+    groups may override it.  In finab, u |-> g . u and u |-> u . g are
+    group homomorphisms, so the whole sequence follows from the images of
+    the hom group's generators by addition alone, and a class pool reads
+    its members' composites off that walk by index.
 
     The bounded decisions read their test objects from
     ``decision_objects``, and the jointly and properness scans from
@@ -383,14 +385,15 @@ class Instance(ABC):
                 f"fill_diagonal: no unique diagonal ({count} w with bottom . w == right)")
         return w
 
-    def compose_all(self, g: Mor, t: ObjHandle, op: bool = False) -> tuple:
-        """The payloads of g . u for u in enumerate_homs(t, dom g), in that
-        order; with op, of u . g for u in enumerate_homs(cod g, t), which is
-        the same walk read in C^op.  The tuple is read-only: an instance may
-        hand the same one to every caller."""
+    def compose_all(self, g: Mor, t: ObjHandle, op: bool = False, cls: str = "any") -> tuple:
+        """The payloads of g . u for u in class_homs(t, dom g, cls), in that
+        order; with op, of u . g for u in class_homs(cod g, t, cls), which
+        is the same walk read in C^op.  The class filters u as a morphism of
+        C.  The tuple is read-only: an instance may hand the same one to
+        every caller."""
         if op:
-            return tuple(self.compose(u, g).payload for u in self.enumerate_homs(g.cod, t))
-        return tuple(self.compose(g, u).payload for u in self.enumerate_homs(t, g.dom))
+            return tuple(self.compose(u, g).payload for u in self.class_homs(g.cod, t, cls))
+        return tuple(self.compose(g, u).payload for u in self.class_homs(t, g.dom, cls))
 
     def class_homs(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> Sequence[Mor]:
         """The morphisms a -> b of a class: any, E, M or iso, in
@@ -476,16 +479,6 @@ def drawn_square(op: bool, top: Mor, left: Mor, right: Mor, bottom: Mor) -> Squa
     if op:
         return Square(top=bottom, left=right, right=left, bottom=top)
     return Square(top=top, left=left, right=right, bottom=bottom)
-
-
-def flipped(fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
-    """fn with its two arguments swapped.
-
-    Read in C^op, compose(g, f) is compose(f, g) of C and hom(a, b) is
-    hom(b, a); every morphism keeps its C endpoints and payload.  This is
-    how the sampler's pushout-side draws run the pullback-side code; the
-    decisions read C^op through compose_all with op instead."""
-    return lambda x, y: fn(y, x)
 
 
 def validate_square(inst: Instance, sq: Square) -> None:

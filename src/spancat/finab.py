@@ -691,14 +691,14 @@ def embeds(a: Orders, b: Orders) -> bool:
     return len(a) <= len(b) and all(b[-k] % a[-k] == 0 for k in range(1, len(a) + 1))
 
 
-def _independent_keys(p: int, lines: list[list[tuple[int, int]]], width: int) -> list[int]:
+def _independent_keys(p: int, lines: list[list[tuple[int, list[int]]]], width: int) -> list[int]:
     """The keys of every way to give each line a vector in F_p^width, zero
     off the line's cells, so that the vectors are linearly independent.
 
-    A cell (s, w) is coordinate s of its line's vector; its digit d adds
-    d * w to the key.  Each vector is drawn outside the span of those before
-    it, so only members are ever made, and the keys of the later lines are
-    made once per span."""
+    A cell (s, table) is coordinate s of its line's vector; its digit d adds
+    table[d] to the key.  Each vector is drawn outside the span of those
+    before it, so only members are ever made, and the keys of the later
+    lines are made once per span."""
     choices = []
     for cells in lines:
         opts = []
@@ -706,7 +706,7 @@ def _independent_keys(p: int, lines: list[list[tuple[int, int]]], width: int) ->
             vec = [0] * width
             for (s, _), d in zip(cells, digits):
                 vec[s] = d
-            opts.append((tuple(vec), sum(d * w for (_, w), d in zip(cells, digits))))
+            opts.append((tuple(vec), sum(table[d] for (_, table), d in zip(cells, digits))))
         choices.append(opts)
     return _keys_after(p, choices, 0, frozenset([(0,) * width]), {})
 
@@ -731,7 +731,7 @@ def _keys_after(p: int, choices: list, k: int, span: frozenset, made: dict) -> l
 
 def class_members(hg: HomGroup, in_E: bool) -> list[int]:
     """The matrix_at indices of the homs of hg that are onto (in_E) or
-    one-to-one.
+    one-to-one, in increasing order.
 
     f is onto iff, for each prime p dividing |cod|, the map dom/p.dom ->
     cod/p.cod it induces is onto (Nakayama): f's entries mod p, on the rows
@@ -739,32 +739,75 @@ def class_members(hg: HomGroup, in_E: bool) -> list[int]:
     row rank.  f is one-to-one iff, for each prime p dividing |dom|, it is
     one-to-one on the socles dom[p] -> cod[p]: on the same rows and columns,
     the entry c * dom[j] / gcd mod p at coordinate c makes a matrix of full
-    column rank.  Each entry of these matrices depends on one coordinate of
-    f, so one walk packs every hom's matrices into a key, and f is a member
-    iff its key is among those of the full-rank matrices, which
-    _independent_keys makes directly."""
+    column rank.
+
+    Each entry of p's matrix is the digit d = c * mult mod p of one
+    coordinate c of f.  Where mult is not 0 mod p, the coordinate's
+    position is a cell of p and d fixes c mod p.  _independent_keys makes
+    p's full-rank matrices directly, each cell adding the index that its
+    coordinate d * mult^-1 mod p adds.  The sums of one key per prime are
+    the members whose every coordinate is the least of its class mod P,
+    the product of the primes its position is a cell of, and every other
+    member lies at fixed offsets above one of them: P * t at each
+    position.  A position that is a cell of several primes adds each
+    prime's residue to a tag digit above the indices instead; once every
+    prime is summed, the Chinese remainder theorem turns the digit into the
+    coordinate mod P.  No hom outside the class is made.
+
+    >>> class_members(hom_group((2, 2), (2, 2)), True)
+    [6, 7, 9, 11, 13, 14]
+    >>> class_members(hom_group((6,), (6,)), True), class_members(hom_group((6,), (6,)), False)
+    ([1, 5], [1, 5])
+    """
     dom, cod = hg.dom, hg.cod
     side, other = (cod, dom) if in_E else (dom, cod)
-    values = [[0] * g for g in hg.orders]
-    members, weight = {0}, 1
+    radix = [hg.size // r for r in hg.runs[1:]]  # index = sum of coordinate * radix
+    primes_at: list[list[int]] = [[] for _ in hg.orders]
+    cells_of = []
     for p in _primes(group_size(side)):
         line_at = {n: k for k, n in enumerate(i for i, o in enumerate(side) if o % p == 0)}
         coord_at = {n: k for k, n in enumerate(j for j, o in enumerate(other) if o % p == 0)}
-        cells: list[list[tuple[int, int]]] = [[] for _ in line_at]
+        cells: list[list[tuple[int, int, int]]] = [[] for _ in line_at]
         for k, (i, j, step, g) in enumerate(hg.positions):
             line, s = (i, j) if in_E else (j, i)
             mult = (step if in_E else dom[j] // g) % p
             if line in line_at and s in coord_at and mult:
-                cells[line_at[line]].append((coord_at[s], weight))
-                for c in range(g):
-                    values[k][c] += c * mult % p * weight
-                weight *= p
-        keys = _independent_keys(p, cells, len(coord_at))
-        members = {x + y for x in members for y in keys}
+                cells[line_at[line]].append((coord_at[s], k, pow(mult, -1, p)))
+                primes_at[k].append(p)
+        cells_of.append((p, cells, len(coord_at)))
+    # place[p, k] is what residue 1 mod p at position k adds; each position
+    # shared by several primes gets a tag digit of weight tag, and fixes
+    # maps that digit to its coordinate's index, less the digit itself
+    place, tags, tag = {}, [], hg.size
+    for k, ps in enumerate(primes_at):
+        if len(ps) == 1:
+            place[ps[0], k] = radix[k]
+        elif ps:
+            big, w = math.prod(ps), 1
+            crt = [0] * big
+            for p in ps:
+                place[p, k] = tag * w
+                unit = big // p * pow(big // p, -1, p)  # 1 mod p, 0 mod the others
+                crt = [c + t // w % p * unit for t, c in enumerate(crt)]
+                w *= p
+            tags.append((tag, big, [c % big * radix[k] - t * tag for t, c in enumerate(crt)]))
+            tag *= big
+    members = [0]
+    for p, cells, width in cells_of:
+        lines = [[(s, [d * inv % p * place[p, k] for d in range(p)]) for s, k, inv in line]
+                 for line in cells]
+        # keys outermost, so that they are made once; the sort below orders
+        members = [x + y for y in _independent_keys(p, lines, width) for x in members]
         if not members:
             return []
-    sums = hg.walk([(k, vals) for k, vals in enumerate(values) if any(vals)])
-    return [n for n, x in enumerate(sums) if x in members]
+    for tag, big, fixes in tags:
+        members = [x + fixes[x // tag % big] for x in members]
+    offsets = [0]
+    for k, g in enumerate(hg.orders):
+        offsets = [o + t * radix[k] for o in offsets for t in range(0, g, math.prod(primes_at[k]))]
+    members = [x + o for x in members for o in offsets]
+    members.sort()
+    return members
 
 
 def solve_hom_equations(
@@ -810,22 +853,22 @@ class IndexedHoms(collections.abc.Sequence):
     morphism, however large the pool.  It holds the hom group, not the
     instance, so a pool kept by the instance makes no reference cycle."""
 
-    __slots__ = ("_hg", "_a", "_b", "_indices", "_built", "_all")
+    __slots__ = ("_hg", "_a", "_b", "indices", "_built", "_all")
 
     def __init__(self, hg: HomGroup, a: ObjHandle, b: ObjHandle,
                  indices: Sequence[int]) -> None:
         self._hg, self._a, self._b = hg, a, b
-        self._indices = indices
+        self.indices = indices
         self._built: dict[int, Mor] = {}
         self._all: Optional[tuple[Mor, ...]] = None
 
     def __len__(self) -> int:
-        return len(self._indices)
+        return len(self.indices)
 
     def __getitem__(self, k):
         if self._all is not None or isinstance(k, slice):
             return self._tuple()[k]
-        i = self._indices[k]
+        i = self.indices[k]
         hit = self._built.get(i)
         if hit is None:
             hit = self._built[i] = Mor(self._a, self._b, self._hg.matrix_at(i))
@@ -850,9 +893,10 @@ class FinAbInstance(Instance):
     """Finite abelian groups with E = onto and M = one-to-one homs.
 
     Its tables live as long as the instance.  Those keyed by catalog
-    objects (class pools, hom groups, subgroups, ...) are unbounded, since
-    the bound of a run caps them, and so is classify's: its keys are
-    single morphisms, few per run, with two flags each.  The two tables
+    objects (class pools, hom groups, invariant factors, subgroups, ...)
+    are unbounded, since the bound of a run caps them, and so is
+    classify's: its keys are single morphisms, few per run, with two flags
+    each.  The two tables
     that grow with the samples of a run are bounded, least recently used
     first out, by the capacities above:
     - ``_constructions`` holds ab_pullback, ab_pushout and ab_factorize by
@@ -869,9 +913,14 @@ class FinAbInstance(Instance):
     It keeps no hom set: its pools are ``IndexedHoms``, which build a
     morphism when it is read.  enumerate_homs, the pool of class any,
     holds every index of the hom group and is made on each call, as the
-    sampler keeps its pools; the E, M and iso pools hold the class_members
-    indices and are kept.  A draw from End(Z2^4) builds one of its 65,536
-    homs, and a draw from Aut(Z2^4) one of its 20,160 members.
+    sampler keeps its pools; the E, M and iso pools are kept.  They hold
+    the indices that class_members makes from the full-rank matrices mod
+    each prime, with no walk of the hom group and no hom outside the
+    class.  A draw from End(Z2^4) builds one of its 65,536 homs, and a
+    draw from Aut(Z2^4) one of its 20,160 members.  compose_all with a
+    class reads the composites of a kept pool off its walk at the pool's
+    indices, so the sampler's commuting pairs build only the members that
+    pair.
     """
 
     name = "finab"
@@ -880,6 +929,7 @@ class FinAbInstance(Instance):
         self._constructions = functools.lru_cache(maxsize=CONSTRUCTIONS_CAPACITY)(
             lambda build, *args: build(*args))
         self._hom_group = functools.lru_cache(maxsize=None)(hom_group)
+        self._invariants = functools.lru_cache(maxsize=None)(invariant_factors)
         self._present = functools.lru_cache(maxsize=PRESENTATIONS_CAPACITY)(subgroup_from_gens)
         self._classify_cache: dict[tuple[Orders, Orders, Matrix], OrthClass] = {}
         self._subgroup_cache: dict[Orders, list[frozenset[Vector]]] = {}
@@ -951,12 +1001,19 @@ class FinAbInstance(Instance):
     def identity(self, a: ObjHandle) -> Mor:
         return Mor(a, a, hom_identity(a.obj_key))
 
-    def compose_all(self, g: Mor, t: ObjHandle, op: bool = False) -> tuple:
+    def compose_all(self, g: Mor, t: ObjHandle, op: bool = False, cls: str = "any") -> tuple:
         # u |-> g . u (u . g with op) is additive, and the hom group generator
         # at position (i, j, step) is step in entry (i, j) and zero elsewhere,
         # so its image is step times column i (row j with op) of g.  Each
         # entry of the composite is then a walk of the hom group's
-        # coordinates by additions of those images alone.
+        # coordinates by additions of those images alone.  A class pool's
+        # composites are those at its indices, picked from each entry's walk.
+        indices = None
+        if cls != "any":
+            pool = self.class_homs(*((g.cod, t) if op else (t, g.dom)), cls)
+            if not pool:
+                return ()
+            indices = pool.indices
         mat = g.payload
         if op:
             hg = self._hom_group(g.cod.obj_key, t.obj_key)
@@ -964,6 +1021,7 @@ class FinAbInstance(Instance):
         else:
             hg = self._hom_group(t.obj_key, g.dom.obj_key)
             mods, width = g.cod.obj_key, len(t.obj_key)
+        n = hg.size if indices is None else len(indices)
         lines = hg.lines[0 if op else 1]
         rows = []
         for r, m in enumerate(mods):
@@ -974,9 +1032,10 @@ class FinAbInstance(Instance):
                     v = step * (mat[j][c] if op else mat[r][i]) % m
                     if v:
                         live.append((k, [x * v % m for x in range(order)]))
-                entries.append(hg.walk(live, m))
-            rows.append(list(zip(*entries)) if entries else [()] * hg.size)
-        return tuple(zip(*rows)) if rows else ((),) * hg.size
+                walk = hg.walk(live, m)
+                entries.append(walk if indices is None else list(map(walk.__getitem__, indices)))
+            rows.append(list(zip(*entries)) if entries else [()] * n)
+        return tuple(zip(*rows)) if rows else ((),) * n
 
     def has_class_hom(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> bool:
         key = (a.obj_key, b.obj_key, cls)
@@ -988,9 +1047,9 @@ class FinAbInstance(Instance):
     def _class_exists(self, a: ObjHandle, b: ObjHandle, cls: str) -> bool:
         # an onto a -> b exists iff b embeds in a, a one-to-one one iff a
         # embeds in b; the invariant factors decide both
-        x, y = invariant_factors(a.obj_key), invariant_factors(b.obj_key)
         if cls == "any":
             return True  # the zero map
+        x, y = self._invariants(a.obj_key), self._invariants(b.obj_key)
         if cls == "iso":
             return x == y
         if cls == "E":

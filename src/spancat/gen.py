@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional, Sequence
 
-from .core import Instance, Mor, ObjHandle, SpanCatError, Square, drawn_square, flipped
+from .core import Instance, Mor, ObjHandle, SpanCatError, Square, drawn_square
 
 
 class Sampler:
@@ -107,24 +107,22 @@ class Sampler:
         """All (u: a->dom(g1), v: a->dom(g2)) with g1.u == g2.v.  With op, the
         same read in C^op: all (u: cod(g1)->a, v: cod(g2)->a) with
         u.g1 == v.g2.  The classes filter u and v as morphisms of C.  When
-        either pool is empty there are no pairs, and nothing is composed."""
-        compose = self.inst.compose
+        either pool is empty there are no pairs, and nothing is composed.
+        Each leg's composites come from one compose_all walk, in pool order,
+        and a pool member is read only when it is in a pair."""
         if op:
-            compose = flipped(compose)
             us, vs = self.pool(g1.cod, a, cls1), self.pool(g2.cod, a, cls2)
         else:
             us, vs = self.pool(a, g1.dom, cls1), self.pool(a, g2.dom, cls2)
         if not us or not vs:
             return []
         groups: dict = {}
-        for u in us:
-            groups.setdefault(compose(g1, u).payload, []).append(u)
-        out = []
-        for v in vs:
-            k = compose(g2, v).payload
-            for u in groups.get(k, ()):
-                out.append((u, v))
-        return out
+        for i, k in enumerate(self.inst.compose_all(g1, a, op, cls1)):
+            groups.setdefault(k, []).append(i)
+        matched = [(j, found) for j, k in enumerate(self.inst.compose_all(g2, a, op, cls2))
+                   if (found := groups.get(k))]
+        del groups  # the composites go before a member is built
+        return [(us[i], vs[j]) for j, found in matched for i in found]
 
     def _fill_or(self, fill: Callable[[], Optional[Square]],
                  canonical: Callable[[], Square]) -> Square:

@@ -117,6 +117,7 @@ class PInjInstance(Instance):
 
     def __init__(self) -> None:
         self._hom_sets: dict[tuple[int, int], tuple[Mor, ...]] = {}
+        self._class_pools: dict[tuple[int, int, str], Sequence[Mor]] = {}
 
     # objects
     def validate_obj(self, key: Any) -> int:
@@ -216,6 +217,16 @@ class PInjInstance(Instance):
                     out.append(Mor(a, b, combo))
             hit = tuple(out)
             self._hom_sets[key] = hit
+        return hit
+
+    def class_homs(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> Sequence[Mor]:
+        """The default pools, kept per class as the hom sets are: the
+        sampler's commuting pairs read a pool's composites through
+        compose_all, which asks for the pool on each call."""
+        key = (a.obj_key, b.obj_key, cls)
+        hit = self._class_pools.get(key)
+        if hit is None:
+            hit = self._class_pools[key] = super().class_homs(a, b, cls)
         return hit
 
     def span_iso_key(self, d: Mor, m: Mor) -> Any:

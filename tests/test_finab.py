@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import pytest
@@ -419,6 +420,131 @@ def test_independent_keys_leave_no_garbage():
         gc.garbage.clear()
     assert len(members) == 168  # |GL(3, 2)|
     assert not [n for n in names if n.startswith("_independent_keys")], names
+
+
+def reference_class_members(hg, in_E):
+    """class_members as it was written before it made the members directly:
+    one walk keys every hom of hg by its digits mod each prime, and a hom
+    is kept when its key is among the keys of the full-rank matrices.  Its
+    own copy of the rank enumeration keeps it apart from the one it checks."""
+    dom, cod = hg.dom, hg.cod
+    side, other = (cod, dom) if in_E else (dom, cod)
+    values = [[0] * g for g in hg.orders]
+    members, weight = {0}, 1
+    for p in finab._primes(group_size(side)):
+        line_at = {n: k for k, n in enumerate(i for i, o in enumerate(side) if o % p == 0)}
+        coord_at = {n: k for k, n in enumerate(j for j, o in enumerate(other) if o % p == 0)}
+        cells = [[] for _ in line_at]
+        for k, (i, j, step, g) in enumerate(hg.positions):
+            line, s = (i, j) if in_E else (j, i)
+            mult = (step if in_E else dom[j] // g) % p
+            if line in line_at and s in coord_at and mult:
+                cells[line_at[line]].append((coord_at[s], weight))
+                for c in range(g):
+                    values[k][c] += c * mult % p * weight
+                weight *= p
+        keys = _reference_independent_keys(p, cells, len(coord_at))
+        members = {x + y for x in members for y in keys}
+        if not members:
+            return []
+    sums = hg.walk([(k, vals) for k, vals in enumerate(values) if any(vals)])
+    return [n for n, x in enumerate(sums) if x in members]
+
+
+def _reference_independent_keys(p, lines, width):
+    """The keys sum(d * w) of every choice of a vector per line, (s, w) a
+    cell at coordinate s, such that the vectors are linearly independent:
+    each drawn outside the span of those before it."""
+    def keys_after(k, span):
+        if k == len(lines):
+            return [0]
+        out = []
+        for digits in itertools.product(range(p), repeat=len(lines[k])):
+            vec = [0] * width
+            for (s, _), d in zip(lines[k], digits):
+                vec[s] = d
+            vec = tuple(vec)
+            if vec not in span:
+                grown = frozenset(tuple((x + t * y) % p for x, y in zip(u, vec))
+                                  for u in span for t in range(p))
+                add = sum(d * w for (_, w), d in zip(lines[k], digits))
+                out.extend(add + rest for rest in keys_after(k + 1, grown))
+        return out
+    return keys_after(0, frozenset([(0,) * width]))
+
+
+def _shared_positions(hg, in_E):
+    """The positions of hg whose coordinate is read mod two or more primes:
+    those (i, j, step, g) where several primes p | g leave the multiplier
+    (step, or dom[j] / g for one-to-one) nonzero mod p."""
+    return [k for k, (i, j, step, g) in enumerate(hg.positions)
+            if sum((step if in_E else hg.dom[j] // g) % p != 0 for p in finab._primes(g)) > 1]
+
+
+def test_class_members_match_the_walk_up_to_order_16():
+    objs = [a.obj_key for a in INST.enumerate_objects_up_to(16)]
+    shared = []  # the cases whose members some coordinate's residues mod two primes fix
+    for x in objs:
+        for y in objs:
+            hg = hom_group(x, y)
+            for in_E in (True, False):
+                members = finab.class_members(hg, in_E)
+                assert members == reference_class_members(hg, in_E), (x, y, in_E)
+                if members and _shared_positions(hg, in_E):
+                    shared.append((x, y, in_E))
+    assert len(objs) ** 2 * 2 == 1250
+    assert len(shared) == 16
+    assert {((6,), (6,), True), ((2, 6), (2, 6), False), ((15,), (15,), True)} <= set(shared)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([2, 3, 4, 5, 6, 10, 12, 15, 30]), max_size=2),
+       st.lists(st.sampled_from([2, 3, 4, 5, 6, 10, 12, 15, 30]), max_size=2),
+       st.booleans())
+def test_class_members_match_the_walk_on_composite_orders(dom, cod, in_E):
+    hg = hom_group(tuple(dom), tuple(cod))
+    assume(hg.size <= 20_000)
+    assert finab.class_members(hg, in_E) == reference_class_members(hg, in_E)
+
+
+def test_class_members_of_the_largest_order_16_pool_stay_small():
+    # Aut(Z2^4): 20,160 members of 65,536 homs.  Walking and keying every
+    # hom peaked at 7.66 MB of Python heap; the members are made directly
+    tracemalloc.start()
+    try:
+        members = finab.class_members(hom_group((2, 2, 2, 2), (2, 2, 2, 2)), True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(members) == 20160
+    assert peak < 3 * 1024 * 1024
+
+
+@pytest.mark.parametrize("op", [False, True])
+@pytest.mark.parametrize("cls", ["E", "M", "iso"])
+def test_compose_all_of_a_class_matches_compose_loop_on_order_8_catalog(op, cls):
+    # every seventh morphism of the order-8 catalog against every object
+    inst, objs = FinAbInstance(), INST.enumerate_objects_up_to(8)
+    mors = [g for a in objs for b in objs for g in INST.enumerate_homs(a, b)][::7]
+    for g in mors:
+        for t in objs:
+            if op:
+                loop = [inst.compose(u, g).payload for u in inst.class_homs(g.cod, t, cls)]
+            else:
+                loop = [inst.compose(g, u).payload for u in inst.class_homs(t, g.dom, cls)]
+            assert inst.compose_all(g, t, op, cls) == tuple(loop), (g, t)
+
+
+def test_has_class_hom_reads_invariant_factors_once_per_object(monkeypatch):
+    calls = []
+    monkeypatch.setattr(finab, "invariant_factors",
+                        lambda orders: calls.append(orders) or invariant_factors(orders))
+    inst, objs = FinAbInstance(), INST.enumerate_objects_up_to(16)
+    for a in objs:
+        for b in objs:
+            for cls in ("any", "E", "M", "iso"):
+                inst.has_class_hom(a, b, cls)
+    assert sorted(calls) == sorted(a.obj_key for a in objs)
 
 
 def test_finab_instance_is_freed_by_reference_counting():

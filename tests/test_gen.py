@@ -156,7 +156,7 @@ def test_em_apexes_match_has_class_hom_filter(make, bound):
 
 
 class _ComposeCounting(FinAbInstance):
-    """FinAbInstance that counts its compose calls."""
+    """FinAbInstance that counts its compose and compose_all calls."""
 
     def __init__(self):
         super().__init__()
@@ -165,6 +165,10 @@ class _ComposeCounting(FinAbInstance):
     def compose(self, g, f):
         self.composes += 1
         return super().compose(g, f)
+
+    def compose_all(self, g, t, op=False, cls="any"):
+        self.composes += 1
+        return super().compose_all(g, t, op, cls)
 
 
 @pytest.mark.parametrize("op", [False, True])
@@ -180,3 +184,33 @@ def test_commuting_pairs_composes_nothing_when_a_pool_is_empty(op):
     assert smp.commuting_pairs(e, f, a, "E", "any", op) == []
     assert smp.commuting_pairs(f, e, a, "any", "E", op) == []
     assert inst.composes == 0
+
+
+@pytest.mark.parametrize("op", [False, True])
+def test_commuting_pairs_build_only_paired_members(monkeypatch, op):
+    # (u, v) with g1 . u == g2 . v (u . g1 == v . g2 with op), u in E and v
+    # any: the pairs of a compose loop over both pools (on an instance of
+    # its own), in its order, with a pool member built only if it is paired
+    inst, ref = FinAbInstance(), FinAbInstance()
+    smp = Sampler(inst, "pairs", 16)
+
+    def legs(i):
+        z2, z4, z24 = i.group(2), i.group(4), i.group(2, 4)
+        if op:
+            return i.hom(z2, z4, [[2]]), i.hom(z2, z24, [[1], [2]]), z2
+        return i.hom(z4, z2, [[1]]), i.hom(z24, z2, [[1, 1]]), z24
+
+    g1, g2, a = legs(ref)
+    if op:
+        us, vs = ref.class_homs(g1.cod, a, "E"), ref.enumerate_homs(g2.cod, a)
+        loop = [(u, v) for v in vs for u in us
+                if ref.compose(u, g1).payload == ref.compose(v, g2).payload]
+    else:
+        us, vs = ref.class_homs(a, g1.dom, "E"), ref.enumerate_homs(a, g2.dom)
+        loop = [(u, v) for v in vs for u in us
+                if ref.compose(g1, u).payload == ref.compose(g2, v).payload]
+    built = _count_matrices(monkeypatch)
+    pairs = smp.commuting_pairs(*legs(inst), "E", "any", op)
+    assert _plain(pairs) == _plain(loop) and pairs
+    assert built[0] == len({u for u, _ in pairs}) + len({v for _, v in pairs})
+    assert built[0] < len(us) + len(vs)

@@ -293,3 +293,23 @@ def test_span_iso_key_complete_on_small_spans():
             for d2, m2 in pool:
                 same_key = INST.span_iso_key(d1, m1) == INST.span_iso_key(d2, m2)
                 assert same_key == spans_isomorphic(d1, m1, d2, m2)
+
+
+def test_class_pools_are_kept_per_class():
+    # compose_all asks for a pool on each call; the pool is filtered once
+    class Counting(PInjInstance):
+        classified = 0
+
+        def classify(self, f):
+            Counting.classified += 1
+            return super().classify(f)
+
+    inst = Counting()
+    a, b = inst.fset(3), inst.fset(2)
+    pool = inst.class_homs(a, b, "E")
+    seen = Counting.classified
+    assert seen == len(inst.enumerate_homs(a, b))
+    g = inst.identity(b)
+    assert inst.class_homs(a, b, "E") is pool
+    assert inst.compose_all(g, a, cls="E") == tuple(f.payload for f in pool)
+    assert Counting.classified == seen

@@ -43,7 +43,10 @@ swaps E and M, so the pushout decision tests the same two sets.
 FS1 matches the commuting squares (u, v) on e in E and m in M against
 the diagonals w by their boundaries (w . e, m . w), over whole hom sets.
 It too composes each hom set with e or m through compose_all, whose walks
-run in enumerate_homs order, the order of the sampler's pools.
+run in enumerate_homs order, the order of the sampler's pools, and
+matches positions in those walks.  It builds only the members it reads
+by index: the u and v of the one square it hands to fill_diagonal, and
+the diagonal it expects back.
 
 FS2 decides invertibility by the solver, not by classify: f is invertible
 exactly when the one g with f . g == id from solve_post_system (the inverse,
@@ -344,21 +347,21 @@ def _check_fs1(inst: Instance, seed: int, samples: int, bound: int) -> CheckRepo
     def body(smp: Sampler) -> list[dict]:
         e = smp.hom(cls="E")
         m = smp.hom(cls="M")
-        # each pool is a whole hom set in enumerate_homs order, the order of
-        # compose_all's walks, so the two zip
+        # compose_all walks a hom set in enumerate_homs order, the order of
+        # the sampler's pools, so a walk's position indexes the pool
         groups: dict = {}
-        for u, k in zip(smp.pool(e.dom, m.dom), inst.compose_all(m, e.dom)):
-            groups.setdefault(k, []).append(u)
+        for i, k in enumerate(inst.compose_all(m, e.dom)):
+            groups.setdefault(k, []).append(i)
         pairs = 0
         sample_pair = None
-        for v, k in zip(smp.pool(e.cod, m.cod), inst.compose_all(e, m.cod, op=True)):
-            us = groups.get(k, ())
-            pairs += len(us)
-            if us and sample_pair is None:
-                sample_pair = (us[0], v)
+        for j, k in enumerate(inst.compose_all(e, m.cod, op=True)):
+            found = groups.get(k, ())
+            pairs += len(found)
+            if found and sample_pair is None:
+                sample_pair = (found[0], j)
         diag: dict = {}
         boundaries = zip(inst.compose_all(e, m.dom, op=True), inst.compose_all(m, e.cod))
-        for w, key in zip(smp.pool(e.cod, m.dom), boundaries):
+        for w, key in enumerate(boundaries):
             if key in diag:
                 return [{
                     "e": inst.mor_json(e),
@@ -373,11 +376,10 @@ def _check_fs1(inst: Instance, seed: int, samples: int, bound: int) -> CheckRepo
                 "detail": f"{pairs} squares but {len(diag)} diagonals",
             }]
         if sample_pair is not None:
-            u, v = sample_pair
-            sq = Square(top=e, left=u, right=v, bottom=m)
-            w = inst.fill_diagonal(sq)
-            expect = diag[(u.payload, v.payload)]
-            if w != expect:
+            u = smp.pool(e.dom, m.dom)[sample_pair[0]]
+            v = smp.pool(e.cod, m.cod)[sample_pair[1]]
+            w = inst.fill_diagonal(Square(top=e, left=u, right=v, bottom=m))
+            if w != smp.pool(e.cod, m.dom)[diag[u.payload, v.payload]]:
                 return [{
                     "e": inst.mor_json(e),
                     "m": inst.mor_json(m),

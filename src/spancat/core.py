@@ -177,7 +177,10 @@ class Memo:
     holds the one ObjHandle per normalized object key that ``Instance.obj``
     hands out, and ``spans`` the one EMSpan per pair of legs (d, m) that the
     span builders hand out; spans compare by identity, so every table keyed
-    on spans hits by identity.  ``rel_composites`` holds each relation
+    on spans hits by identity.  ``span_keys`` holds each interned span's
+    ``span_iso_key``, read through ``spans.span_key``, so a span is keyed
+    once however many composites and comparisons read it.
+    ``rel_composites`` holds each relation
     composite, keyed by the four legs of its two factors.  ``pair_keys``
     holds each span pair's ``rel_pair_key``, None included, but never the
     answer of an iso search.
@@ -194,8 +197,8 @@ class Memo:
     spans: dict = field(default_factory=dict)  # (d, m) -> EMSpan
     fake_pullbacks: dict = field(default_factory=dict)  # (f, g) -> FakePullbackResult
     span_composites: dict = field(default_factory=dict)  # (g, f) -> EMSpan
+    span_keys: dict = field(default_factory=dict)  # EMSpan -> span_iso_key
     rel_composites: dict = field(default_factory=dict)  # (r2 legs, r1 legs) -> Relation
-    composite_keys: dict = field(default_factory=dict)  # (g, f) -> iso key of g . f
     span_reps: dict = field(default_factory=dict)  # (src, tgt, bound) keys -> reps
     properness: dict = field(default_factory=dict)  # bound -> bool
     pair_keys: dict = field(default_factory=dict)  # (span, span) -> rel_pair_key
@@ -223,7 +226,7 @@ class Instance(ABC):
 
     The bounded decisions, the FS1 check and the jointly and properness
     checks compose one fixed morphism with a whole hom set through
-    ``compose_all``, and the sampler's commuting pairs with a class pool.
+    ``compose_all``, and the sampler's commuting pair with a class pool.
     Its default is the ``compose`` loop; an instance whose hom sets are
     groups may override it.  In finab, u |-> g . u and u |-> u . g are
     group homomorphisms, so the whole sequence follows from the images of
@@ -254,11 +257,13 @@ class Instance(ABC):
     (any, E, M or iso) in enumerate_homs order, and ``has_class_hom(a, b,
     cls)`` says whether there is one.  Their defaults filter enumerate_homs
     by classify; class any is enumerate_homs itself.  A pool is any
-    Sequence, so it may build a member only when it is read.  finab answers
-    both from structure: existence from invariant factors, members from the
-    ranks of the hom's matrices mod each prime, with no hom classified one
-    by one.  Its pools, class any included, hold indices in its hom group,
-    so a draw from one builds only the morphism drawn.
+    Sequence, so it may build a member only when it is read; the suites
+    and the sampler read a pool by index, and pair members by their
+    positions in compose_all's walks, not by iterating the pool.  finab
+    answers both from structure: existence from invariant factors, members
+    from the ranks of the hom's matrices mod each prime, with no hom
+    classified one by one.  Its pools, class any included, hold indices in
+    its hom group, so a draw from one builds only the morphism drawn.
     """
 
     name: str = "abstract"

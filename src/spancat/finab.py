@@ -691,6 +691,20 @@ def embeds(a: Orders, b: Orders) -> bool:
     return len(a) <= len(b) and all(b[-k] % a[-k] == 0 for k in range(1, len(a) + 1))
 
 
+def prime_tops(orders: Orders) -> tuple[tuple[int, int], ...]:
+    """(p, the largest power of p among the primary factors) for each prime
+    p dividing the order of the group, by increasing p.
+
+    >>> prime_tops((2, 12))
+    ((2, 4), (3, 3))
+    """
+    top: dict[int, int] = {}
+    for q in primary_factors(orders):
+        p = _primes(q)[0]
+        top[p] = max(top.get(p, q), q)
+    return tuple(top.items())
+
+
 def _independent_keys(p: int, lines: list[list[tuple[int, list[int]]]], width: int) -> list[int]:
     """The keys of every way to give each line a vector in F_p^width, zero
     off the line's cells, so that the vectors are linearly independent.
@@ -847,41 +861,29 @@ def solve_hom_equations(
 
 class IndexedHoms(collections.abc.Sequence):
     """The morphisms a -> b with matrices hg.matrix_at(i) for i in indices,
-    in that order: a pool that holds indices.  A member is built when its
-    index is first read, and kept; iteration builds the whole tuple once
-    and reads it from then on.  So a draw of one member builds one
-    morphism, however large the pool.  It holds the hom group, not the
-    instance, so a pool kept by the instance makes no reference cycle."""
+    in that order: a pool read by index.  A member is built when it is
+    first read, by index or by iteration, and kept once in ``_built``; no
+    other copy is made.  So a draw of one member builds one morphism,
+    however large the pool.  It holds the hom group, not the instance, so a
+    pool kept by the instance makes no reference cycle."""
 
-    __slots__ = ("_hg", "_a", "_b", "indices", "_built", "_all")
+    __slots__ = ("_hg", "_a", "_b", "indices", "_built")
 
     def __init__(self, hg: HomGroup, a: ObjHandle, b: ObjHandle,
                  indices: Sequence[int]) -> None:
         self._hg, self._a, self._b = hg, a, b
         self.indices = indices
         self._built: dict[int, Mor] = {}
-        self._all: Optional[tuple[Mor, ...]] = None
 
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __getitem__(self, k):
-        if self._all is not None or isinstance(k, slice):
-            return self._tuple()[k]
+    def __getitem__(self, k: int) -> Mor:
         i = self.indices[k]
         hit = self._built.get(i)
         if hit is None:
             hit = self._built[i] = Mor(self._a, self._b, self._hg.matrix_at(i))
         return hit
-
-    def __iter__(self):
-        return iter(self._tuple())
-
-    def _tuple(self) -> tuple[Mor, ...]:
-        if self._all is None:
-            self._all = tuple(self[k] for k in range(len(self)))
-            self._built = {}
-        return self._all
 
 
 # The capacities of FinAbInstance's two bounded tables.
@@ -892,13 +894,15 @@ PRESENTATIONS_CAPACITY = 512
 class FinAbInstance(Instance):
     """Finite abelian groups with E = onto and M = one-to-one homs.
 
-    Its tables live as long as the instance.  Those keyed by catalog
-    objects (class pools, hom groups, invariant factors, subgroups, ...)
-    are unbounded, since the bound of a run caps them, and so is
-    classify's: its keys are single morphisms, few per run, with two flags
-    each.  The two tables
-    that grow with the samples of a run are bounded, least recently used
-    first out, by the capacities above:
+    Its tables live as long as the instance; all but the class pools and
+    the catalogs are ``functools.lru_cache``s.  Those keyed by catalog
+    objects (class pools, hom groups, invariant factors, prime tops,
+    subgroups) are unbounded, since the bound of a run caps them, and so
+    is ``_classify``, of hom_classify: its keys are single morphisms, few
+    per run, with two flags each.  has_class_hom keeps nothing of its own:
+    it reads ``_invariants``, and each sampler keeps its answers.  The two
+    tables that grow with the samples of a run are bounded, least recently
+    used first out, by the capacities above:
     - ``_constructions`` holds ab_pullback, ab_pushout and ab_factorize by
       their raw inputs, for pullback_along_M, pushout_along_E and
       factorize.  The class checks run in front of it, so a rejected input
@@ -919,8 +923,8 @@ class FinAbInstance(Instance):
     class.  A draw from End(Z2^4) builds one of its 65,536 homs, and a
     draw from Aut(Z2^4) one of its 20,160 members.  compose_all with a
     class reads the composites of a kept pool off its walk at the pool's
-    indices, so the sampler's commuting pairs build only the members that
-    pair.
+    indices, so the sampler's commuting pair builds only the two members
+    it draws.
     """
 
     name = "finab"
@@ -931,12 +935,11 @@ class FinAbInstance(Instance):
         self._hom_group = functools.lru_cache(maxsize=None)(hom_group)
         self._invariants = functools.lru_cache(maxsize=None)(invariant_factors)
         self._present = functools.lru_cache(maxsize=PRESENTATIONS_CAPACITY)(subgroup_from_gens)
-        self._classify_cache: dict[tuple[Orders, Orders, Matrix], OrthClass] = {}
-        self._subgroup_cache: dict[Orders, list[frozenset[Vector]]] = {}
+        self._classify = functools.lru_cache(maxsize=None)(hom_classify)
+        self._prime_tops = functools.lru_cache(maxsize=None)(prime_tops)
+        self.subgroups = functools.lru_cache(maxsize=None)(all_subgroups)
         self._catalogs: dict[int, list[ObjHandle]] = {}
-        self._exists_cache: dict[tuple[Orders, Orders, str], bool] = {}
         self._class_cache: dict[tuple[Orders, Orders, bool], IndexedHoms] = {}
-        self._prime_top_cache: dict[Orders, tuple[tuple[int, int], ...]] = {}
 
     # objects
     def validate_obj(self, key: Any) -> Orders:
@@ -962,18 +965,6 @@ class FinAbInstance(Instance):
                 if q > top.get(p, 1):
                     top[p] = q
         return [self.obj((top[p],)) for p in sorted(top)]
-
-    def _prime_tops(self, orders: Orders) -> tuple[tuple[int, int], ...]:
-        """(p, the largest power of p among the primary factors) for each
-        prime p dividing the order of the group, made once per group."""
-        hit = self._prime_top_cache.get(orders)
-        if hit is None:
-            top: dict[int, int] = {}
-            for q in primary_factors(orders):
-                p = _primes(q)[0]
-                top[p] = max(top.get(p, q), q)
-            hit = self._prime_top_cache[orders] = tuple(top.items())
-        return hit
 
     def scan_objects(self, a: ObjHandle, bound: int) -> list[ObjHandle]:
         """Z/p for each prime p dividing the order of a, by increasing p; the
@@ -1038,13 +1029,6 @@ class FinAbInstance(Instance):
         return tuple(zip(*rows)) if rows else ((),) * n
 
     def has_class_hom(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> bool:
-        key = (a.obj_key, b.obj_key, cls)
-        hit = self._exists_cache.get(key)
-        if hit is None:
-            hit = self._exists_cache[key] = self._class_exists(a, b, cls)
-        return hit
-
-    def _class_exists(self, a: ObjHandle, b: ObjHandle, cls: str) -> bool:
         # an onto a -> b exists iff b embeds in a, a one-to-one one iff a
         # embeds in b; the invariant factors decide both
         if cls == "any":
@@ -1075,12 +1059,7 @@ class FinAbInstance(Instance):
         return hit
 
     def classify(self, f: Mor) -> OrthClass:
-        key = (f.dom.obj_key, f.cod.obj_key, f.payload)
-        hit = self._classify_cache.get(key)
-        if hit is None:
-            hit = hom_classify(*key)
-            self._classify_cache[key] = hit
-        return hit
+        return self._classify(f.dom.obj_key, f.cod.obj_key, f.payload)
 
     def factorize(self, f: Mor) -> Factorization:
         mid, e, m = self._constructions(ab_factorize, f.dom.obj_key, f.cod.obj_key, f.payload,
@@ -1165,13 +1144,6 @@ class FinAbInstance(Instance):
         cod = self.obj(json_ints(data["cod"], "'cod'"))
         rows = json_list(data["matrix"], "'matrix'")
         return Mor(dom, cod, tuple(json_ints(row, "'matrix' row") for row in rows))
-
-    def subgroups(self, orders: Orders) -> list[frozenset[Vector]]:
-        hit = self._subgroup_cache.get(orders)
-        if hit is None:
-            hit = all_subgroups(orders)
-            self._subgroup_cache[orders] = hit
-        return hit
 
 
 def invariant_factor_groups(bound: int) -> list[Orders]:

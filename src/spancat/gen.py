@@ -102,27 +102,31 @@ class Sampler:
         m = self.hom(a=e.dom, cls="M")
         return m, e
 
-    def commuting_pairs(self, g1: Mor, g2: Mor, a: ObjHandle, cls1: str = "any",
-                        cls2: str = "any", op: bool = False) -> list[tuple[Mor, Mor]]:
-        """All (u: a->dom(g1), v: a->dom(g2)) with g1.u == g2.v.  With op, the
-        same read in C^op: all (u: cod(g1)->a, v: cod(g2)->a) with
-        u.g1 == v.g2.  The classes filter u and v as morphisms of C.  When
-        either pool is empty there are no pairs, and nothing is composed.
-        Each leg's composites come from one compose_all walk, in pool order,
-        and a pool member is read only when it is in a pair."""
+    def commuting_pair(self, g1: Mor, g2: Mor, a: ObjHandle, cls1: str = "any",
+                       cls2: str = "any", op: bool = False) -> Optional[tuple[Mor, Mor]]:
+        """One (u: a->dom(g1), v: a->dom(g2)) with g1.u == g2.v, uniform
+        among all such pairs, or None when there is none.  With op, the same
+        read in C^op: (u: cod(g1)->a, v: cod(g2)->a) with u.g1 == v.g2.  The
+        classes filter u and v as morphisms of C.  When either pool is empty
+        nothing is composed.  Each leg's composites come from one
+        compose_all walk, in pool order; the pairs are listed as index
+        pairs, v's index outermost, rng.choice takes one, and only its two
+        members are built."""
         if op:
             us, vs = self.pool(g1.cod, a, cls1), self.pool(g2.cod, a, cls2)
         else:
             us, vs = self.pool(a, g1.dom, cls1), self.pool(a, g2.dom, cls2)
         if not us or not vs:
-            return []
+            return None
         groups: dict = {}
         for i, k in enumerate(self.inst.compose_all(g1, a, op, cls1)):
             groups.setdefault(k, []).append(i)
-        matched = [(j, found) for j, k in enumerate(self.inst.compose_all(g2, a, op, cls2))
-                   if (found := groups.get(k))]
-        del groups  # the composites go before a member is built
-        return [(us[i], vs[j]) for j, found in matched for i in found]
+        pairs = [(i, j) for j, k in enumerate(self.inst.compose_all(g2, a, op, cls2))
+                 for i in groups.get(k, ())]
+        if not pairs:
+            return None
+        i, j = self.rng.choice(pairs)
+        return us[i], vs[j]
 
     def _fill_or(self, fill: Callable[[], Optional[Square]],
                  canonical: Callable[[], Square]) -> Square:
@@ -152,11 +156,8 @@ class Sampler:
             z = self.rng.choice(e_pool_objs)
             e = self.rng.choice(self.pool(n.dom, z, "E"))
             w = self.rng.choice(self.objects)
-            pairs = self.commuting_pairs(n, e, w, cls1="E", cls2="M", op=True)
-            if not pairs:
-                return None
-            right, bottom = self.rng.choice(pairs)
-            return Square(top=n, left=e, right=right, bottom=bottom)
+            pair = self.commuting_pair(n, e, w, cls1="E", cls2="M", op=True)
+            return pair and Square(top=n, left=e, right=pair[0], bottom=pair[1])
 
         mode = self.rng.randrange(3)
         if mode == 0:
@@ -197,11 +198,8 @@ class Sampler:
         def fill_right() -> Optional[Square]:
             c = vertical_onto_i_()
             b_obj = self.rng.choice(self.objects)
-            pairs = self.commuting_pairs(i_, c, b_obj, cls1=M, cls2=M, op=op)
-            if not pairs:
-                return None
-            b, i = self.rng.choice(pairs)
-            return drawn_square(op, i, b, c, i_)
+            pair = self.commuting_pair(i_, c, b_obj, cls1=M, cls2=M, op=op)
+            return pair and drawn_square(op, pair[1], pair[0], c, i_)
 
         if self.rng.randrange(2) == 0:
             right = canonical_right()
@@ -214,11 +212,8 @@ class Sampler:
 
         def fill_left() -> Optional[Square]:
             a_obj = self.rng.choice(self.objects)
-            pairs = self.commuting_pairs(b, d_, a_obj, cls1=E, cls2=M, op=op)
-            if not pairs:
-                return None
-            d, a = self.rng.choice(pairs)
-            return drawn_square(op, d, a, b, d_)
+            pair = self.commuting_pair(b, d_, a_obj, cls1=E, cls2=M, op=op)
+            return pair and drawn_square(op, *pair, b, d_)
 
         if self.rng.randrange(2) == 0:
             left = canonical_left()

@@ -221,7 +221,7 @@ class PInjInstance(Instance):
 
     def class_homs(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> Sequence[Mor]:
         """The default pools, kept per class as the hom sets are: the
-        sampler's commuting pairs read a pool's composites through
+        sampler's commuting pair reads a pool's composites through
         compose_all, which asks for the pool on each call."""
         key = (a.obj_key, b.obj_key, cls)
         hit = self._class_pools.get(key)

@@ -153,7 +153,12 @@ def cell_between(inst: Instance, f: EMSpan, g: EMSpan) -> Optional[SpanCell]:
 
 
 def span_key(inst: Instance, s: EMSpan) -> Any:
-    return inst.span_iso_key(s.d, s.m)
+    """The span_iso_key of s, made once per span in ``inst.memo``."""
+    keys = inst.memo.span_keys
+    hit = keys.get(s)
+    if hit is None:
+        hit = keys[s] = inst.span_iso_key(s.d, s.m)
+    return hit
 
 
 def span_iso_eq(inst: Instance, f: EMSpan, g: EMSpan) -> bool:
@@ -224,15 +229,6 @@ def span_class_reps(inst: Instance, src: ObjHandle, tgt: ObjHandle,
     return reps
 
 
-def _composite_key(inst: Instance, g: EMSpan, f: EMSpan) -> Any:
-    """Iso-class key of span_compose(g, f), memoized on (g, f)."""
-    cache = inst.memo.composite_keys
-    hit = cache.get((g, f))
-    if hit is None:
-        hit = cache[g, f] = span_key(inst, span_compose(inst, g, f))
-    return hit
-
-
 def _bipullback_failures(inst: Instance, proj1: EMSpan, proj2: EMSpan,
                          side1: EMSpan, side2: EMSpan, span_bound: int) -> tuple[int, list]:
     """Check the bounded bipullback property of the corner carrying proj1
@@ -244,30 +240,29 @@ def _bipullback_failures(inst: Instance, proj1: EMSpan, proj2: EMSpan,
     the corner, unique up to iso.  Returns (pairs making a claim, failures).
     """
     corner = proj1.src
+
+    def composite_key(g: EMSpan, f: EMSpan) -> Any:
+        return span_key(inst, span_compose(inst, g, f))
+
     samples = 0
     failures: list = []
     for t in inst.enumerate_objects_up_to(span_bound):
         us = span_class_reps(inst, t, side1.src, span_bound)
         vs = span_class_reps(inst, t, side2.src, span_bound)
         ws = span_class_reps(inst, t, corner, span_bound)
-        w_entries = [
-            (_composite_key(inst, proj1, w), _composite_key(inst, proj2, w), w)
-            for w in ws
-        ]
-        u_keys = [(u, _composite_key(inst, side1, u)) for u in us]
-        v_keys = [(v, _composite_key(inst, side2, v)) for v in vs]
-        for u, ku in u_keys:
-            su = span_key(inst, u)
-            for v, kv in v_keys:
+        w_keys = [(composite_key(proj1, w), composite_key(proj2, w)) for w in ws]
+        u_keys = [(span_key(inst, u), composite_key(side1, u)) for u in us]
+        v_keys = [(span_key(inst, v), composite_key(side2, v)) for v in vs]
+        for su, ku in u_keys:
+            for sv, kv in v_keys:
                 if ku != kv:
                     continue
                 samples += 1
-                sv = span_key(inst, v)
-                mediators = [w for k1, k2, w in w_entries if k1 == su and k2 == sv]
-                if len(mediators) != 1:
+                mediators = w_keys.count((su, sv))
+                if mediators != 1:
                     failures.append({
                         "test_object": t.descriptor,
-                        "detail": f"{len(mediators)} mediating spans for a matched competitor pair",
+                        "detail": f"{mediators} mediating spans for a matched competitor pair",
                     })
     return samples, failures
 

@@ -38,7 +38,7 @@ from spancat.core import (
     Square,
     symmetric_group_table,
 )
-from spancat.finab import FinAbInstance, HomGroup, IndexedHoms, primary_factors
+from spancat.finab import FinAbInstance, primary_factors
 from spancat.gen import Sampler
 from spancat.jsonio import parse_mor
 from spancat.pinj import PInjInstance
@@ -500,35 +500,32 @@ class _FillCountingFinAb(FinAbInstance):
             self.fills -= 1
 
 
-def test_fs1_composes_hom_sets_by_walks():
+def test_fs1_composes_hom_sets_by_walks(matrices_built):
     # a cost guard: fs1's three loops compose whole hom sets with one fixed
-    # morphism, which compose_all walks in enumerate_homs order
+    # morphism, which compose_all walks in enumerate_homs order; fs1 matches
+    # walk positions and builds, per sample, at most the u and v of the
+    # square it fills and the diagonal it expects
     inst = _FillCountingFinAb()
-    (report,) = run_axiom_suite(inst, seed=0, samples=400, bound=8, checks=["fs1"])
-    assert report.ok and report.samples == 160
-    assert inst.composes == 0
+    (report,) = run_axiom_suite(inst, seed=0, samples=1000, bound=8, checks=["fs1"])
+    assert report.ok and report.samples == 400
+    assert inst.composes == 0 and matrices_built[0] == 274
 
 
-def test_fs2_enumerates_no_inverse_candidates(monkeypatch):
+def test_fs2_enumerates_no_inverse_candidates(matrices_built):
     # a cost guard: fs2 decides invertibility with one solve and draws its
     # morphism by index from a pool that builds only the member drawn, so
-    # it builds at most one matrix per draw and iterates no pool
-    counts = {"matrix_at": 0, "iterated": 0}
-    matrix_at, whole = HomGroup.matrix_at, IndexedHoms._tuple
-
-    def counting_matrix_at(self, i):
-        counts["matrix_at"] += 1
-        return matrix_at(self, i)
-
-    def counting_whole(self):
-        counts["iterated"] += 1
-        return whole(self)
-
-    monkeypatch.setattr(HomGroup, "matrix_at", counting_matrix_at)
-    monkeypatch.setattr(IndexedHoms, "_tuple", counting_whole)
+    # it builds at most one matrix per draw
     (report,) = run_axiom_suite(FinAbInstance(), seed=0, samples=1000, bound=8, checks=["fs2"])
     assert report.ok and report.samples == 1000
-    assert counts == {"matrix_at": 306, "iterated": 0}
+    assert matrices_built[0] == 306
+
+
+def test_order_16_axiom_suite_builds_few_matrices(matrices_built):
+    # a cost guard on the seed-3 order-16 suite that the CLI's peak-RSS test
+    # runs: no check iterates a pool to read a few of its members
+    reports = run_axiom_suite(FinAbInstance(), 3, 200, 16)
+    assert all(r.ok for r in reports)
+    assert matrices_built[0] == 1904
 
 
 def _primes_of(n):

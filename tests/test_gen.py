@@ -11,7 +11,7 @@ import hashlib
 import pytest
 
 from spancat.core import Mor, Square
-from spancat.finab import FinAbInstance, HomGroup, hom_classify
+from spancat.finab import FinAbInstance, hom_classify
 from spancat.gen import Sampler
 from spancat.pinj import PInjInstance
 
@@ -98,20 +98,7 @@ def test_finab_sampler_lists_match_classify_scan_up_to_order_16():
                 r for r in objs if exists[r, src, "E"] and exists[r, tgt, "M"]]
 
 
-def _count_matrices(monkeypatch):
-    """Counts HomGroup.matrix_at calls: the matrices a finab pool builds."""
-    built = [0]
-    matrix_at = HomGroup.matrix_at
-
-    def counting(self, i):
-        built[0] += 1
-        return matrix_at(self, i)
-
-    monkeypatch.setattr(HomGroup, "matrix_at", counting)
-    return built
-
-
-def test_largest_finab_pool_is_drawn_without_enumerating_homs(monkeypatch):
+def test_largest_finab_pool_is_drawn_without_enumerating_homs(matrices_built):
     inst = FinAbInstance()
     smp = Sampler(inst, "pool", 16)
     z = inst.group(2, 2, 2, 2)
@@ -120,26 +107,25 @@ def test_largest_finab_pool_is_drawn_without_enumerating_homs(monkeypatch):
     assert len(pool) == 20160  # |GL(4, 2)| of the 65,536 homs
     # between groups of one order E, M and the isos are one pool
     assert smp.pool(z, z, "M") is pool and smp.pool(z, z, "iso") is pool
-    assert not inst._classify_cache
+    assert inst._classify.cache_info().currsize == 0
     # a draw of class any from End(Z2^4) builds the one matrix drawn
-    built = _count_matrices(monkeypatch)
+    matrices_built[0] = 0
     smp.hom(z, z)
-    assert len(smp.pool(z, z)) == 65536 and built[0] == 1
+    assert len(smp.pool(z, z)) == 65536 and matrices_built[0] == 1
 
 
 @pytest.mark.parametrize("cls", ["any", "E"])
-def test_one_draw_from_the_largest_finab_pool_builds_one_hom(monkeypatch, cls):
+def test_one_draw_from_the_largest_finab_pool_builds_one_hom(matrices_built, cls):
     # the pool holds the indices of its members (65,536 homs of class any,
     # 20,160 of E); a draw builds the member drawn, and a member read again
     # is not built again
-    built = _count_matrices(monkeypatch)
     inst = FinAbInstance()
     smp = Sampler(inst, "pool", 16)
     z = inst.group(2, 2, 2, 2)
     smp.hom(z, z, cls)
-    assert built[0] == 1
+    assert matrices_built[0] == 1
     pool = smp.pool(z, z, cls)
-    assert pool[0] is pool[0] and built[0] == 2
+    assert pool[0] is pool[0] and matrices_built[0] == 2
 
 
 @pytest.mark.parametrize("make,bound", [(FinAbInstance, 16), (PInjInstance, 3)],
@@ -172,7 +158,7 @@ class _ComposeCounting(FinAbInstance):
 
 
 @pytest.mark.parametrize("op", [False, True])
-def test_commuting_pairs_composes_nothing_when_a_pool_is_empty(op):
+def test_commuting_pair_composes_nothing_when_a_pool_is_empty(op):
     inst = _ComposeCounting()
     smp = Sampler(inst, "pairs", 4)
     z2, z4 = inst.group(2), inst.group(4)
@@ -181,16 +167,17 @@ def test_commuting_pairs_composes_nothing_when_a_pool_is_empty(op):
     a, empty, full = (z4, z2, z4) if op else (z2, z4, z2)
     e, f = inst.identity(empty), inst.identity(full)
     assert smp.pool(*((full, a) if op else (a, full)))
-    assert smp.commuting_pairs(e, f, a, "E", "any", op) == []
-    assert smp.commuting_pairs(f, e, a, "any", "E", op) == []
+    assert smp.commuting_pair(e, f, a, "E", "any", op) is None
+    assert smp.commuting_pair(f, e, a, "any", "E", op) is None
     assert inst.composes == 0
 
 
 @pytest.mark.parametrize("op", [False, True])
-def test_commuting_pairs_build_only_paired_members(monkeypatch, op):
+def test_commuting_pair_builds_only_the_drawn_members(matrices_built, op):
     # (u, v) with g1 . u == g2 . v (u . g1 == v . g2 with op), u in E and v
-    # any: the pairs of a compose loop over both pools (on an instance of
-    # its own), in its order, with a pool member built only if it is paired
+    # any: the pair rng.choice takes from the pairs of a compose loop over
+    # both pools (on an instance of its own), in its order, and only its
+    # two members are built
     inst, ref = FinAbInstance(), FinAbInstance()
     smp = Sampler(inst, "pairs", 16)
 
@@ -209,8 +196,10 @@ def test_commuting_pairs_build_only_paired_members(monkeypatch, op):
         us, vs = ref.class_homs(a, g1.dom, "E"), ref.enumerate_homs(a, g2.dom)
         loop = [(u, v) for v in vs for u in us
                 if ref.compose(g1, u).payload == ref.compose(g2, v).payload]
-    built = _count_matrices(monkeypatch)
-    pairs = smp.commuting_pairs(*legs(inst), "E", "any", op)
-    assert _plain(pairs) == _plain(loop) and pairs
-    assert built[0] == len({u for u, _ in pairs}) + len({v for _, v in pairs})
-    assert built[0] < len(us) + len(vs)
+    assert 1 < len(loop) < len(us) * len(vs)
+    matrices_built[0] = 0
+    state = smp.rng.getstate()
+    pair = smp.commuting_pair(*legs(inst), "E", "any", op)
+    assert matrices_built[0] == 2
+    smp.rng.setstate(state)
+    assert _plain(pair) == _plain(smp.rng.choice(loop))

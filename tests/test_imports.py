@@ -1,7 +1,8 @@
 """Import hygiene: no module of the package, the tests or the scripts
 imports a name it never uses, no definition in the package lacks a
 caller in the package unless it is pinned as library API, the public
-methods of the Instance contract are pinned, no default of the contract
+methods of the Instance contract and the tables of the instances, the
+sampler and the memo are pinned, no default of the contract
 is one that every shipped instance overrides,
 the generic layers name no instance, and no cache of the package
 outlives the instance that fills it.
@@ -16,13 +17,15 @@ from __future__ import annotations
 
 import ast
 import collections
+import dataclasses
 import inspect
 import pathlib
 
 import pytest
 
-from spancat.core import GroupoidInstance, Instance
+from spancat.core import GroupoidInstance, Instance, Memo
 from spancat.finab import FinAbInstance
+from spancat.gen import Sampler
 from spancat.pinj import PInjInstance
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -89,6 +92,38 @@ def test_instance_contract_is_pinned():
     public = {name for name, fn in vars(Instance).items()
               if inspect.isfunction(fn) and not name.startswith("_")}
     assert public == INSTANCE_CONTRACT
+
+
+# The tables kept per instance or per sampler: the dicts and functools
+# caches that each __init__ sets, and the fields of core.Memo.  Adding a
+# table needs an edit here and a line in CHANGES.md with its hit rate on
+# the benchmark's units.
+INSTANCE_TABLES = {
+    "FinAbInstance": frozenset({
+        "_constructions", "_hom_group", "_invariants", "_present", "_classify",
+        "_prime_tops", "subgroups", "_catalogs", "_class_cache",
+    }),
+    "PInjInstance": frozenset({"_hom_sets", "_class_pools"}),
+    "Sampler": frozenset({"_class_pool", "_reach", "_em_apexes", "_em_ends"}),
+    "Memo": frozenset({
+        "handles", "spans", "fake_pullbacks", "span_composites", "span_keys",
+        "rel_composites", "span_reps", "properness", "pair_keys", "decisions",
+    }),
+}
+
+
+def _tables(obj: object) -> frozenset:
+    return frozenset(name for name, value in vars(obj).items()
+                     if isinstance(value, dict) or hasattr(value, "cache_info"))
+
+
+def test_instance_tables_are_pinned():
+    assert {
+        "FinAbInstance": _tables(FinAbInstance()),
+        "PInjInstance": _tables(PInjInstance()),
+        "Sampler": _tables(Sampler(PInjInstance(), 0, 2)),
+        "Memo": frozenset(f.name for f in dataclasses.fields(Memo)),
+    } == INSTANCE_TABLES
 
 
 def _named(tree: ast.AST) -> collections.Counter:

@@ -417,13 +417,13 @@ def _check_fs2(inst: Instance, seed: int, samples: int, bound: int) -> CheckRepo
     return run_sampled("fs2", inst, seed, samples, bound, body)
 
 
-# SFS1-SFS4: name -> (shaped draw, read in C^op, the cone leg that must stay
-# in its class, that class, the failure detail when it does not)
+# SFS1-SFS4: name -> (the class of cone_input's free leg, read in C^op, the cone
+# leg that must stay in its class, that class, the failure detail when it does not)
 _STABILITY = {
-    "sfs1": ("cospan_with_M", False, "leg1", "in_M", "pulled-back leg not in M"),
-    "sfs2": ("span_with_E", True, "leg1", "in_E", "pushed-out leg not in E"),
-    "sfs3": ("cospan_E_M", False, "leg2", "in_E", "pullback of E not in E"),
-    "sfs4": ("span_M_E", True, "leg2", "in_M", "pushout of M not in M"),
+    "sfs1": ("any", False, "leg1", "in_M", "pulled-back leg not in M"),
+    "sfs2": ("any", True, "leg1", "in_E", "pushed-out leg not in E"),
+    "sfs3": ("E", False, "leg2", "in_E", "pullback of E not in E"),
+    "sfs4": ("M", True, "leg2", "in_M", "pushout of M not in M"),
 }
 
 
@@ -434,12 +434,12 @@ def _check_stability(name: str, inst: Instance, seed: int, samples: int,
     along M lands in E again.  SFS2 and SFS4 are the same checks read in
     C^op, on pushouts along E.  A cone square that does not commute raises
     ShapeViolation."""
-    draw, op, leg, cls, detail = _STABILITY[name]
+    free, op, leg, cls, detail = _STABILITY[name]
     cone_of = inst.pushout_along_E if op else inst.pullback_along_M
     not_universal = "cocone is not a pushout" if op else "cone is not a pullback"
 
     def body(smp: Sampler) -> list[dict]:
-        f, g = getattr(smp, draw)()
+        f, g = smp.cone_input(op, free)
         cone = cone_of(f, g)
         sq = drawn_square(op, cone.leg2, cone.leg1, g, f)
         validate_square(inst, sq)
@@ -475,7 +475,7 @@ def _check_jointly(inst: Instance, seed: int, samples: int, bound: int) -> Check
         if smp.rng.randrange(2) == 0:
             d, m = smp.em_span_legs()
             return jointly_failures(inst, d, m, bound)
-        e, m = smp.cospan_E_M()
+        e, m = smp.cone_input(cls="E")
         return jointly_failures(inst, m, e, bound, op=True)
 
     return run_sampled("jointly", inst, seed, samples, bound, body)

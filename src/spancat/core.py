@@ -18,7 +18,7 @@ import functools
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 
 class SpanCatError(Exception):
@@ -183,7 +183,8 @@ class Memo:
     ``rel_composites`` holds each relation
     composite, keyed by the four legs of its two factors.  ``pair_keys``
     holds each span pair's ``rel_pair_key``, None included, but never the
-    answer of an iso search.
+    answer of an iso search.  ``pools``, the one table of pools, holds each
+    pool that ``class_homs`` hands out, keyed by its ends' obj_keys and class.
 
     ``decisions`` is the one bounded table: the pullback and pushout
     decisions of ``axioms``, a bool each, keyed by the square's four
@@ -202,6 +203,7 @@ class Memo:
     span_reps: dict = field(default_factory=dict)  # (src, tgt, bound) keys -> reps
     properness: dict = field(default_factory=dict)  # bound -> bool
     pair_keys: dict = field(default_factory=dict)  # (span, span) -> rel_pair_key
+    pools: dict = field(default_factory=dict)  # (dom key, cod key, class) -> pool
     decisions: collections.OrderedDict = field(
         default_factory=collections.OrderedDict)  # square key -> bool
 
@@ -255,8 +257,10 @@ class Instance(ABC):
     The samplers draw every morphism, of any class, from a pool through two
     hooks: ``class_homs(a, b, cls)`` gives the morphisms a -> b of a class
     (any, E, M or iso) in enumerate_homs order, and ``has_class_hom(a, b,
-    cls)`` says whether there is one.  Their defaults filter enumerate_homs
-    by classify; class any is enumerate_homs itself.  A pool is any
+    cls)`` says whether there is one.  Every pool is kept in
+    ``memo.pools``, made once per instance: the default of class any is
+    enumerate_homs itself, a class pool filters that kept pool by classify,
+    and has_class_hom asks whether the kept pool is empty.  A pool is any
     Sequence, so it may build a member only when it is read; the suites
     and the sampler read a pool by index, and pair members by their
     positions in compose_all's walks, not by iterating the pool.  finab
@@ -402,39 +406,38 @@ class Instance(ABC):
 
     def class_homs(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> Sequence[Mor]:
         """The morphisms a -> b of a class: any, E, M or iso, in
-        enumerate_homs order; for class any, enumerate_homs(a, b) itself.
-        The Sequence may build its members when they are read and need not
-        be a tuple."""
-        if cls == "any":
-            return self.enumerate_homs(a, b)
-        member = self._class_test(cls)
-        return tuple(f for f in self.enumerate_homs(a, b) if member(f))
+        enumerate_homs order, kept in ``memo.pools``.  Class any is
+        enumerate_homs(a, b), made once; a class pool filters the kept pool
+        of class any by classify.  The Sequence may build its members when
+        they are read and need not be a tuple."""
+        key = (a.obj_key, b.obj_key, cls)
+        hit = self.memo.pools.get(key)
+        if hit is None:
+            if cls == "any":
+                hit = self.enumerate_homs(a, b)
+            elif cls == "iso":
+                hit = tuple(filter(self.is_iso, self.class_homs(a, b)))
+            elif cls in ("E", "M"):
+                flag = "in_" + cls
+                hit = tuple(f for f in self.class_homs(a, b) if getattr(self.classify(f), flag))
+            else:
+                raise ValueError(f"unknown class filter {cls!r}")
+            self.memo.pools[key] = hit
+        return hit
 
     def has_class_hom(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> bool:
         """Whether class_homs(a, b, cls) is nonempty."""
-        member = self._class_test(cls)
-        return any(member(f) for f in self.enumerate_homs(a, b))
-
-    def _class_test(self, cls: str) -> Callable[[Mor], bool]:
-        if cls == "any":
-            return lambda f: True
-        if cls == "E":
-            return lambda f: self.classify(f).in_E
-        if cls == "M":
-            return lambda f: self.classify(f).in_M
-        if cls == "iso":
-            return self.is_iso
-        raise ValueError(f"unknown class filter {cls!r}")
+        return len(self.class_homs(a, b, cls)) > 0
 
     def solve_post_system(self, dom: ObjHandle, cod: ObjHandle,
                           eqs: Sequence[tuple[Mor, Mor]]) -> tuple[Optional[Mor], int]:
         """One solution (or None) and the total count for the system
         {post . w == rhs : (post, rhs) in eqs} over w: dom -> cod.
 
-        The default enumerates hom(dom, cod); instances with a solver
-        override this."""
+        The default walks the kept pool class_homs(dom, cod); instances
+        with a solver override this."""
         found, count = None, 0
-        for w in self.enumerate_homs(dom, cod):
+        for w in self.class_homs(dom, cod):
             if all(self.compose(post, w) == rhs for post, rhs in eqs):
                 if found is None:
                     found = w

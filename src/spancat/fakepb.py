@@ -621,7 +621,7 @@ def _sample_v2(inst: Instance, smp: Sampler, bound: int) -> V2Square:
 def _sample_v3(inst: Instance, smp: Sampler, bound: int) -> V3Result:
     # canonical mixed pullback square: pull an E-M cospan back, then feed
     # its mixed square and a fresh M-morphism into the completion
-    e, m = smp.cospan_E_M()
+    e, m = smp.cone_input(cls="E")
     cone = inst.pullback_along_M(e, m)
     sq = Square(top=cone.leg1, left=cone.leg2, right=e, bottom=m)
     a = smp.hom(b=sq.top.cod, cls="M")

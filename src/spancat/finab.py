@@ -894,15 +894,16 @@ PRESENTATIONS_CAPACITY = 512
 class FinAbInstance(Instance):
     """Finite abelian groups with E = onto and M = one-to-one homs.
 
-    Its tables live as long as the instance; all but the class pools and
-    the catalogs are ``functools.lru_cache``s.  Those keyed by catalog
-    objects (class pools, hom groups, invariant factors, prime tops,
-    subgroups) are unbounded, since the bound of a run caps them, and so
-    is ``_classify``, of hom_classify: its keys are single morphisms, few
-    per run, with two flags each.  has_class_hom keeps nothing of its own:
-    it reads ``_invariants``, and each sampler keeps its answers.  The two
-    tables that grow with the samples of a run are bounded, least recently
-    used first out, by the capacities above:
+    Its tables live as long as the instance, and all are
+    ``functools.lru_cache``s; its pools are kept in ``memo.pools`` (see
+    ``core.Memo``).  Those keyed by catalog objects (hom groups,
+    invariant factors, prime tops, subgroups) are unbounded, since the
+    bound of a run caps them, and so is ``_classify``, of hom_classify:
+    its keys are single morphisms, few per run, with two flags each.
+    has_class_hom keeps nothing of its own: it reads ``_invariants``, and
+    each sampler keeps its answers.  The two tables that grow with the
+    samples of a run are bounded, least recently used first out, by the
+    capacities above:
     - ``_constructions`` holds ab_pullback, ab_pushout and ab_factorize by
       their raw inputs, for pullback_along_M, pushout_along_E and
       factorize.  The class checks run in front of it, so a rejected input
@@ -914,14 +915,15 @@ class FinAbInstance(Instance):
     compose_all keeps nothing: its walks are cheap, and the decisions that
     read them are kept in ``memo.decisions`` (see ``core.Memo``).
 
-    It keeps no hom set: its pools are ``IndexedHoms``, which build a
-    morphism when it is read.  enumerate_homs, the pool of class any,
-    holds every index of the hom group and is made on each call, as the
-    sampler keeps its pools; the E, M and iso pools are kept.  They hold
-    the indices that class_members makes from the full-rank matrices mod
-    each prime, with no walk of the hom group and no hom outside the
-    class.  A draw from End(Z2^4) builds one of its 65,536 homs, and a
-    draw from Aut(Z2^4) one of its 20,160 members.  compose_all with a
+    Its pools are ``IndexedHoms``, which build a morphism when it is
+    read.  enumerate_homs holds every index of the hom group and is made
+    on each call; class_homs keeps it in ``memo.pools`` as the pool of
+    class any, through the ``Instance`` default, and keeps there the E, M
+    and iso pools, one object under all three keys between groups of one
+    order.  These hold the indices that class_members makes from the
+    full-rank matrices mod each prime, with no walk of the hom group and
+    no hom outside the class.  A draw from End(Z2^4) builds one of its
+    65,536 homs, and a draw from Aut(Z2^4) one of its 20,160 members.  compose_all with a
     class reads the composites of a kept pool off its walk at the pool's
     indices, so the sampler's commuting pair builds only the two members
     it draws.
@@ -938,8 +940,6 @@ class FinAbInstance(Instance):
         self._classify = functools.lru_cache(maxsize=None)(hom_classify)
         self._prime_tops = functools.lru_cache(maxsize=None)(prime_tops)
         self.subgroups = functools.lru_cache(maxsize=None)(all_subgroups)
-        self._catalogs: dict[int, list[ObjHandle]] = {}
-        self._class_cache: dict[tuple[Orders, Orders, bool], IndexedHoms] = {}
 
     # objects
     def validate_obj(self, key: Any) -> Orders:
@@ -1043,19 +1043,21 @@ class FinAbInstance(Instance):
         return super().has_class_hom(a, b, cls)
 
     def class_homs(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> Sequence[Mor]:
-        x, y = a.obj_key, b.obj_key
-        same_size = group_size(x) == group_size(y)
         if cls not in ("E", "M", "iso"):
             return super().class_homs(a, b, cls)
-        if cls == "iso" and not same_size:
-            return ()
-        # between groups of one order E, M and the isos are all Aut: one
-        # test finds them, and one pool serves all three
-        key = (x, y, cls == "E" or same_size)
-        hit = self._class_cache.get(key)
+        x, y = a.obj_key, b.obj_key
+        hit = self.memo.pools.get((x, y, cls))
         if hit is None:
-            hg = self._hom_group(x, y)
-            hit = self._class_cache[key] = IndexedHoms(hg, a, b, class_members(hg, key[2]))
+            # between groups of one order E, M and the isos are all Aut: one
+            # test finds them, and one pool serves all three
+            same_size = group_size(x) == group_size(y)
+            if cls == "iso" and not same_size:
+                hit = ()
+            else:
+                hg = self._hom_group(x, y)
+                hit = IndexedHoms(hg, a, b, class_members(hg, cls == "E" or same_size))
+            for c in ("E", "M", "iso") if same_size else (cls,):
+                self.memo.pools[x, y, c] = hit
         return hit
 
     def classify(self, f: Mor) -> OrthClass:
@@ -1101,10 +1103,7 @@ class FinAbInstance(Instance):
         return ConeResult(apex_h, Mor(f.cod, apex_h, leg1), Mor(e.cod, apex_h, leg2))
 
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
-        hit = self._catalogs.get(bound)
-        if hit is None:
-            hit = self._catalogs[bound] = [self.obj(o) for o in invariant_factor_groups(bound)]
-        return list(hit)
+        return [self.obj(o) for o in invariant_factor_groups(bound)]
 
     def enumerate_homs(self, a: ObjHandle, b: ObjHandle) -> Sequence[Mor]:
         hg = self._hom_group(a.obj_key, b.obj_key)

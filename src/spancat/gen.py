@@ -23,7 +23,6 @@ class Sampler:
         self.objects: list[ObjHandle] = inst.enumerate_objects_up_to(bound)
         if not self.objects:
             raise SpanCatError("instance catalog is empty")
-        self._class_pool: dict[tuple, Sequence[Mor]] = {}
         self._reach: dict[tuple, list[ObjHandle]] = {}
         self._em_apexes: dict[tuple, list[ObjHandle]] = {}
         self._em_ends: dict[tuple, list[ObjHandle]] = {}
@@ -32,14 +31,10 @@ class Sampler:
 
     def pool(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> Sequence[Mor]:
         """Morphisms a -> b of a class (any, E, M, iso), in enumerate_homs
-        order: the Sequence the instance's class_homs gives, kept for this
-        sampler as it is, not copied, so a pool that builds its members on
-        read builds only those drawn."""
-        key = (a.obj_key, b.obj_key, cls)
-        hit = self._class_pool.get(key)
-        if hit is None:
-            hit = self._class_pool[key] = self.inst.class_homs(a, b, cls)
-        return hit
+        order: the instance's class_homs, the one pool that its
+        ``memo.pools`` keeps for every sampler, not copied, so a pool that
+        builds its members on read builds only those drawn."""
+        return self.inst.class_homs(a, b, cls)
 
     def reachable(self, a: ObjHandle, cls: str, direction: str) -> list[ObjHandle]:
         """Objects b with a nonempty pool a->b (direction 'out') or b->a ('in')."""
@@ -80,27 +75,16 @@ class Sampler:
 
     # -- shaped draws ----------------------------------------------------------
 
-    def cospan_with_M(self) -> tuple[Mor, Mor]:
-        """(f, m) with common codomain and m in M; f unconstrained."""
-        m = self.hom(cls="M")
-        f = self.hom(b=m.cod)
-        return f, m
-
-    def cospan_E_M(self) -> tuple[Mor, Mor]:
-        m = self.hom(cls="M")
-        e = self.hom(b=m.cod, cls="E")
-        return e, m
-
-    def span_with_E(self) -> tuple[Mor, Mor]:
-        """(f, e) with common domain and e in E; f unconstrained."""
-        e = self.hom(cls="E")
-        f = self.hom(a=e.dom)
-        return f, e
-
-    def span_M_E(self) -> tuple[Mor, Mor]:
-        e = self.hom(cls="E")
-        m = self.hom(a=e.dom, cls="M")
-        return m, e
+    def cone_input(self, op: bool = False, cls: str = "any") -> tuple[Mor, Mor]:
+        """(f, g): g in M, then f of class cls with f.cod == g.cod, the
+        cospan that pullback_along_M takes.  With op, the same read in
+        C^op: g in E, then f of class cls with f.dom == g.dom, the span that
+        pushout_along_E takes."""
+        if op:
+            g = self.hom(cls="E")
+            return self.hom(a=g.dom, cls=cls), g
+        g = self.hom(cls="M")
+        return self.hom(b=g.cod, cls=cls), g
 
     def commuting_pair(self, g1: Mor, g2: Mor, a: ObjHandle, cls1: str = "any",
                        cls2: str = "any", op: bool = False) -> Optional[tuple[Mor, Mor]]:
@@ -146,7 +130,7 @@ class Sampler:
         """
 
         def canonical_pullback() -> Square:
-            e, m = self.cospan_E_M()
+            e, m = self.cone_input(cls="E")
             cone = self.inst.pullback_along_M(e, m)
             return Square(top=cone.leg1, left=cone.leg2, right=e, bottom=m)
 
@@ -163,7 +147,7 @@ class Sampler:
         if mode == 0:
             return canonical_pullback()
         if mode == 1:
-            m, e = self.span_M_E()
+            m, e = self.cone_input(op=True, cls="M")
             cone = self.inst.pushout_along_E(m, e)
             return Square(top=m, left=e, right=cone.leg1, bottom=cone.leg2)
         return self._fill_or(fill, canonical_pullback)

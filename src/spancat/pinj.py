@@ -8,7 +8,6 @@ E and M, which is how pushouts are computed from pullbacks.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional, Sequence
 
 from .core import (
@@ -113,11 +112,11 @@ def count_pinjs(n: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 class PInjInstance(Instance):
-    name = "pinj"
+    """Finite sets and partial injections, E onto and M total.  It keeps
+    no table of its own: its pools, class any included, are the ``Instance``
+    defaults, kept in ``memo.pools``; enumerate_homs lists anew on each call."""
 
-    def __init__(self) -> None:
-        self._hom_sets: dict[tuple[int, int], tuple[Mor, ...]] = {}
-        self._class_pools: dict[tuple[int, int, str], Sequence[Mor]] = {}
+    name = "pinj"
 
     # objects
     def validate_obj(self, key: Any) -> int:
@@ -205,29 +204,14 @@ class PInjInstance(Instance):
         return [self.obj(1)]
 
     def enumerate_homs(self, a: ObjHandle, b: ObjHandle) -> Sequence[Mor]:
-        key = (a.obj_key, b.obj_key)
-        hit = self._hom_sets.get(key)
-        if hit is None:
-            n, m = key
-            opts: list[Optional[int]] = [None] + list(range(m))
-            out = []
-            for combo in itertools.product(opts, repeat=n):
-                vals = [v for v in combo if v is not None]
-                if len(vals) == len(set(vals)):
-                    out.append(Mor(a, b, combo))
-            hit = tuple(out)
-            self._hom_sets[key] = hit
-        return hit
-
-    def class_homs(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> Sequence[Mor]:
-        """The default pools, kept per class as the hom sets are: the
-        sampler's commuting pair reads a pool's composites through
-        compose_all, which asks for the pool on each call."""
-        key = (a.obj_key, b.obj_key, cls)
-        hit = self._class_pools.get(key)
-        if hit is None:
-            hit = self._class_pools[key] = super().class_homs(a, b, cls)
-        return hit
+        # the injective tuples of the product of (None, 0, ..., m-1) over the
+        # n points, in its order: each prefix grows by None, then by each
+        # value it has not used
+        values = (None, *range(b.obj_key))
+        prefixes: list[Assign] = [()]
+        for _ in range(a.obj_key):
+            prefixes = [p + (v,) for p in prefixes for v in values if v is None or v not in p]
+        return tuple(Mor(a, b, p) for p in prefixes)
 
     def span_iso_key(self, d: Mor, m: Mor) -> Any:
         # an EM-span (d, m) out of one apex is determined up to iso by the

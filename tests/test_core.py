@@ -114,6 +114,14 @@ def test_any_class_pool_reads_enumerate_homs_order(inst, bound):
 
 
 @pytest.mark.parametrize("inst", [FA, PI, S3], ids=["finab", "pinj", "groupoid"])
+def test_unknown_class_raises(inst):
+    a = inst.enumerate_objects_up_to(1)[-1]
+    for hook in (inst.class_homs, inst.has_class_hom):
+        with pytest.raises(ValueError, match="unknown class"):
+            hook(a, a, "epi")
+
+
+@pytest.mark.parametrize("inst", [FA, PI, S3], ids=["finab", "pinj", "groupoid"])
 def test_validate_mor_rejects_other_instances(inst):
     # a morphism of another instance, and one with an endpoint of another
     # instance at either end, whatever its payload

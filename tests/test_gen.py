@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from spancat.core import Mor, Square
+from spancat.core import GroupoidInstance, Mor, Square, symmetric_group_table
 from spancat.finab import FinAbInstance, hom_classify
 from spancat.gen import Sampler
 from spancat.pinj import PInjInstance
@@ -32,7 +32,13 @@ def _plain(x):
 
 
 # streams drawn by a shaped draw with arguments: stream name -> the draw
-CALLS = {"factorization_ladder_dual": lambda smp: smp.factorization_ladder(op=True)}
+CALLS = {
+    "factorization_ladder_dual": lambda smp: smp.factorization_ladder(op=True),
+    "cospan_with_M": lambda smp: smp.cone_input(),
+    "span_with_E": lambda smp: smp.cone_input(op=True),
+    "cospan_E_M": lambda smp: smp.cone_input(cls="E"),
+    "span_M_E": lambda smp: smp.cone_input(op=True, cls="M"),
+}
 
 
 def stream_fingerprint(instance: str, draw: str) -> str:
@@ -203,3 +209,17 @@ def test_commuting_pair_builds_only_the_drawn_members(matrices_built, op):
     assert matrices_built[0] == 2
     smp.rng.setstate(state)
     assert _plain(pair) == _plain(smp.rng.choice(loop))
+
+
+@pytest.mark.parametrize("make", [
+    FinAbInstance, PInjInstance,
+    lambda: GroupoidInstance(symmetric_group_table(3), name="groupoid:s3"),
+], ids=["finab", "pinj", "s3"])
+def test_samplers_on_one_instance_hand_out_the_same_pool(make):
+    # every pool is kept once, in the instance's memo.pools
+    inst = make()
+    one, two = Sampler(inst, "one", 4), Sampler(inst, "two", 4)
+    for a in one.objects:
+        for b in one.objects:
+            for cls in ("any", "E", "M", "iso"):
+                assert one.pool(a, b, cls) is two.pool(a, b, cls), (a, b, cls)

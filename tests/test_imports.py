@@ -101,13 +101,14 @@ def test_instance_contract_is_pinned():
 INSTANCE_TABLES = {
     "FinAbInstance": frozenset({
         "_constructions", "_hom_group", "_invariants", "_present", "_classify",
-        "_prime_tops", "subgroups", "_catalogs", "_class_cache",
+        "_prime_tops", "subgroups",
     }),
-    "PInjInstance": frozenset({"_hom_sets", "_class_pools"}),
-    "Sampler": frozenset({"_class_pool", "_reach", "_em_apexes", "_em_ends"}),
+    "PInjInstance": frozenset(),
+    "Sampler": frozenset({"_reach", "_em_apexes", "_em_ends"}),
     "Memo": frozenset({
         "handles", "spans", "fake_pullbacks", "span_composites", "span_keys",
-        "rel_composites", "span_reps", "properness", "pair_keys", "decisions",
+        "rel_composites", "span_reps", "properness", "pair_keys", "pools",
+        "decisions",
     }),
 }
 

@@ -6,10 +6,13 @@ independently of how they are computed.
 """
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spancat.axioms import run_axiom_suite
 from spancat.core import ClassViolation, ValidationFailure
 from spancat.pinj import (
     PInjInstance,
@@ -313,3 +316,58 @@ def test_class_pools_are_kept_per_class():
     assert inst.class_homs(a, b, "E") is pool
     assert inst.compose_all(g, a, cls="E") == tuple(f.payload for f in pool)
     assert Counting.classified == seen
+
+
+class _CountingPInj(PInjInstance):
+    """PInjInstance that counts its classify calls and records the
+    (dom, cod) keys of its enumerate_homs calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.classified = 0
+        self.listed = []
+
+    def classify(self, f):
+        self.classified += 1
+        return super().classify(f)
+
+    def enumerate_homs(self, a, b):
+        self.listed.append((a.obj_key, b.obj_key))
+        return super().enumerate_homs(a, b)
+
+
+def test_a_kept_pool_answers_without_classifying_or_listing():
+    inst = _CountingPInj()
+    a, b = inst.fset(3), inst.fset(2)
+    pool = inst.class_homs(a, b, "E")
+    assert inst.listed == [(3, 2)] and inst.classified == len(homs(3, 2))
+    inst.classified, inst.listed = 0, []
+    assert inst.class_homs(a, b, "E") is pool
+    assert inst.has_class_hom(a, b, "E")
+    assert inst.solve_post_system(a, b, [(inst.identity(b), pool[0])]) == (pool[0], 1)
+    assert inst.classified == 0 and inst.listed == []
+
+
+def test_axiom_suite_lists_each_hom_set_once():
+    inst = _CountingPInj()
+    assert all(r.ok for r in run_axiom_suite(inst, 0, 100, 4))
+    assert inst.listed and len(inst.listed) == len(set(inst.listed))
+
+
+def reference_homs(n: int, m: int) -> list:
+    """The listing enumerate_homs replaced: the product of
+    (None, 0, ..., m-1) over the n points, keeping the injective tuples."""
+    out = []
+    for combo in itertools.product([None, *range(m)], repeat=n):
+        vals = [v for v in combo if v is not None]
+        if len(vals) == len(set(vals)):
+            out.append(combo)
+    return out
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("m", range(5))
+def test_enumerate_homs_matches_the_filtered_product(n, m):
+    listing = [f.payload for f in homs(n, m)]
+    assert listing == reference_homs(n, m)
+    assert len(listing) == count_pinjs(n, m)

@@ -179,9 +179,11 @@ class Memo:
     span builders hand out; spans compare by identity, so every table keyed
     on spans hits by identity.  ``span_keys`` holds each interned span's
     ``span_iso_key``, read through ``spans.span_key``, so a span is keyed
-    once however many composites and comparisons read it.
-    ``rel_composites`` holds each relation
-    composite, keyed by the four legs of its two factors.  ``pair_keys``
+    once however many composites and comparisons read it.  ``relations``
+    holds the one Relation per pair of legs (left, right) that the relation
+    builders hand out, so relations too compare by identity, and
+    ``rel_composites`` holds each relation composite, keyed by its two
+    factors (r2, r1).  ``pair_keys``
     holds each span pair's ``rel_pair_key``, None included, but never the
     answer of an iso search.  ``pools``, the one table of pools, holds each
     pool that ``class_homs`` hands out, keyed by its ends' obj_keys and class.
@@ -199,7 +201,8 @@ class Memo:
     fake_pullbacks: dict = field(default_factory=dict)  # (f, g) -> FakePullbackResult
     span_composites: dict = field(default_factory=dict)  # (g, f) -> EMSpan
     span_keys: dict = field(default_factory=dict)  # EMSpan -> span_iso_key
-    rel_composites: dict = field(default_factory=dict)  # (r2 legs, r1 legs) -> Relation
+    relations: dict = field(default_factory=dict)  # (left, right) -> Relation
+    rel_composites: dict = field(default_factory=dict)  # (r2, r1) -> Relation
     span_reps: dict = field(default_factory=dict)  # (src, tgt, bound) keys -> reps
     properness: dict = field(default_factory=dict)  # bound -> bool
     pair_keys: dict = field(default_factory=dict)  # (span, span) -> rel_pair_key
@@ -215,9 +218,10 @@ class Instance(ABC):
     Objects are referred to by hashable keys; ``obj`` validates a key on
     every call and interns it: equal keys give the one ObjHandle kept in
     ``memo.handles``.  The span builders of ``spans`` intern EM-spans the
-    same way, one per pair of legs in ``memo.spans``, so memo lookups on
-    equal inputs compare by identity.  Handles and spans of two instances
-    are never shared.
+    same way, one per pair of legs in ``memo.spans``, and the relation
+    builders of ``relations`` intern relations in ``memo.relations``, so
+    memo lookups on equal inputs compare by identity.  Handles, spans and
+    relations of two instances are never shared.
     All morphism payloads must be immutable and hashable so that
     morphisms can be deduplicated in the brute-force checks.
 
@@ -267,7 +271,9 @@ class Instance(ABC):
     answers both from structure: existence from invariant factors, members
     from the ranks of the hom's matrices mod each prime, with no hom
     classified one by one.  Its pools, class any included, hold indices in
-    its hom group, so a draw from one builds only the morphism drawn.
+    its hom group, so a draw from one builds only the morphism drawn.  pinj
+    answers existence from the two sizes, and solves post systems from the
+    posts' preimages, so neither reads a pool.
     """
 
     name: str = "abstract"

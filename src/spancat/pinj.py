@@ -114,7 +114,9 @@ def count_pinjs(n: int, m: int) -> int:
 class PInjInstance(Instance):
     """Finite sets and partial injections, E onto and M total.  It keeps
     no table of its own: its pools, class any included, are the ``Instance``
-    defaults, kept in ``memo.pools``; enumerate_homs lists anew on each call."""
+    defaults, kept in ``memo.pools``; enumerate_homs lists anew on each call.
+    Two hooks answer from structure and read no pool: has_class_hom from
+    the two sizes, and solve_post_system from the posts' preimages."""
 
     name = "pinj"
 
@@ -187,6 +189,47 @@ class PInjInstance(Instance):
         out1 = Mor(f.cod, apex, reverse_assign(leg1, f.cod.obj_key))
         out2 = Mor(e.cod, apex, reverse_assign(leg2, e.cod.obj_key))
         return ConeResult(apex, out1, out2)
+
+    def has_class_hom(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> bool:
+        n, m = a.obj_key, b.obj_key
+        if cls == "any":
+            return True  # the empty map
+        if cls == "E":
+            return n >= m
+        if cls == "M":
+            return n <= m
+        if cls == "iso":
+            return n == m
+        return super().has_class_hom(a, b, cls)
+
+    def solve_post_system(self, dom: ObjHandle, cod: ObjHandle,
+                          eqs: Sequence[tuple[Mor, Mor]]) -> tuple[Optional[Mor], int]:
+        # where some rhs(x) is defined, w(x) is forced to post's preimage of
+        # it; every other x goes to None or, injectively, into the points
+        # where every post is undefined.  The solution returned puts None at
+        # those x, the first solution in enumerate_homs order.
+        for post, rhs in eqs:
+            if post.dom != cod or rhs.dom != dom or rhs.cod != post.cod:
+                raise EndpointMismatch("solve_post_system: equation endpoints")
+        inverses = [reverse_assign(post.payload, post.cod.obj_key) for post, _ in eqs]
+        w: list[Optional[int]] = [None] * dom.obj_key
+        free = 0
+        for x in range(dom.obj_key):
+            forced = [inv[rhs.payload[x]] for inv, (_, rhs) in zip(inverses, eqs)
+                      if rhs.payload[x] is not None]
+            if not forced:
+                free += 1
+            elif forced[0] is None:
+                return None, 0
+            else:
+                w[x] = forced[0]
+        # every equation must hold at the forced points; rhs is injective,
+        # so that also keeps two forced points apart
+        if any(compose_assign(post.payload, w) != rhs.payload for post, rhs in eqs):
+            return None, 0
+        unused = sum(all(post.payload[y] is None for post, _ in eqs)
+                     for y in range(cod.obj_key))
+        return Mor(dom, cod, tuple(w)), count_pinjs(free, unused)
 
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
         return [self.obj(n) for n in range(bound + 1)]

@@ -11,9 +11,12 @@ relation has both legs the identity span; reversal swaps the legs.  Two
 relations with the same ends are identified when an iso of sources matches
 the legs up to their own apex isos (end-fixed isomorphism).
 
-Composites are memoized per instance on the legs of their two factors.
-The legs are interned spans, so a lookup compares them by identity, while
-relations themselves keep value equality: rel_reverse(rel_reverse(r)) == r.
+Relations are hash-consed per instance, as spans are: every builder here
+hands out the one Relation of its instance with given legs, kept in
+``Instance.memo``, so equal relations are identical and
+rel_reverse(inst, rel_reverse(inst, r)) is r.  Composites are memoized on
+the pair of their factors, and two bracketings that land on the same legs
+are one object, which rel_iso_eq answers without a key.
 
 Over finite abelian groups a zig-zag is classified by a subgroup of X + Z:
 pull the two E-legs back over the source, then take the image of the paired
@@ -55,9 +58,13 @@ from .spans import EMSpan, em_span, id_span, lift_e, lift_m, span_compose
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Relation:
-    """Zig-zag X <- U ->> Y <<- V -> Z, stored as two EM-spans out of Y."""
+    """Zig-zag X <- U ->> Y <<- V -> Z, stored as two EM-spans out of Y.
+
+    Equal means identical: build relations through relation, rel_identity,
+    rel_reverse and rel_compose, which hand out one relation per instance
+    and pair of legs, so equality and hashing are by identity."""
 
     X: ObjHandle
     Y: ObjHandle
@@ -66,22 +73,33 @@ class Relation:
     right: EMSpan
 
 
+def _relation(inst: Instance, left: EMSpan, right: EMSpan) -> Relation:
+    """The one relation of inst with legs left and right, kept in
+    ``inst.memo``."""
+    table = inst.memo.relations
+    hit = table.get((left, right))
+    if hit is None:
+        hit = table[left, right] = Relation(
+            X=left.tgt, Y=left.src, Z=right.tgt, left=left, right=right)
+    return hit
+
+
 def relation(inst: Instance, left: EMSpan, right: EMSpan) -> Relation:
     """Package two EM-spans out of one source as a relation; the spans are
     trusted, only the shared source is checked."""
     if left.src != right.src:
         raise EndpointMismatch("relation legs must share their source object")
-    return Relation(X=left.tgt, Y=left.src, Z=right.tgt, left=left, right=right)
+    return _relation(inst, left, right)
 
 
 def rel_identity(inst: Instance, x: ObjHandle) -> Relation:
     one = id_span(inst, x)
-    return Relation(X=x, Y=x, Z=x, left=one, right=one)
+    return _relation(inst, one, one)
 
 
-def rel_reverse(r: Relation) -> Relation:
+def rel_reverse(inst: Instance, r: Relation) -> Relation:
     """Swap the legs; an involution."""
-    return Relation(X=r.Z, Y=r.Y, Z=r.X, left=r.right, right=r.left)
+    return _relation(inst, r.right, r.left)
 
 
 def rel_key(inst: Instance, r: Relation) -> Any:
@@ -106,11 +124,10 @@ def graph_relation(inst: Instance, f: Mor) -> Relation:
 def rel_compose(inst: Instance, r2: Relation, r1: Relation) -> Relation:
     """Composite r2 . r1, the middle legs joined by fake pullback.
 
-    Memoized in ``inst.memo`` on the four legs of r2 and r1; a pair that
-    raises is not stored."""
+    Memoized in ``inst.memo`` on (r2, r1); a pair that raises is not
+    stored."""
     table = inst.memo.rel_composites
-    key = (r2.left, r2.right, r1.left, r1.right)
-    hit = table.get(key)
+    hit = table.get((r2, r1))
     if hit is not None:
         return hit
     if r1.Z != r2.X:
@@ -118,12 +135,17 @@ def rel_compose(inst: Instance, r2: Relation, r1: Relation) -> Relation:
     fp = fake_pullback(inst, r1.right, r2.left)
     left = span_compose(inst, r1.left, fp.left_leg)
     right = span_compose(inst, r2.right, fp.right_leg)
-    out = table[key] = Relation(X=r1.X, Y=left.src, Z=r2.Z, left=left, right=right)
+    out = table[r2, r1] = _relation(inst, left, right)
     return out
 
 
 def rel_iso_eq(inst: Instance, r1: Relation, r2: Relation) -> bool:
-    """End-fixed isomorphism of zig-zags; the ends must agree on the nose."""
+    """End-fixed isomorphism of zig-zags; the ends must agree on the nose.
+
+    An interned relation is iso to itself, so one relation passed twice
+    is answered before any key is read."""
+    if r1 is r2:
+        return True
     # interned handles are mostly identical: test identity before the
     # Python-level __eq__
     if (r1.X is not r2.X and r1.X != r2.X) or (r1.Z is not r2.Z and r1.Z != r2.Z):
@@ -325,7 +347,7 @@ def check_rrr(inst: Instance, r: Relation, bound: int) -> CheckReport:
             "r": relation_dict(inst, r),
             "detail": "properness precheck failed; rrr law not evaluated",
         }], bound)
-    back = rel_compose(inst, rel_compose(inst, r, rel_reverse(r)), r)
+    back = rel_compose(inst, rel_compose(inst, r, rel_reverse(inst, r)), r)
     ok = rel_iso_eq(inst, back, r)
     return one_sample_report(inst, "rrr", [] if ok else [{
         "r": relation_dict(inst, r),

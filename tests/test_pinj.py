@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spancat.axioms import run_axiom_suite
-from spancat.core import ClassViolation, ValidationFailure
+from spancat.core import ClassViolation, Instance, ValidationFailure
 from spancat.pinj import (
     PInjInstance,
     compose_assign,
@@ -371,3 +371,39 @@ def test_enumerate_homs_matches_the_filtered_product(n, m):
     listing = [f.payload for f in homs(n, m)]
     assert listing == reference_homs(n, m)
     assert len(listing) == count_pinjs(n, m)
+
+
+@pytest.mark.parametrize("cls", ["any", "E", "M", "iso"])
+def test_has_class_hom_reads_the_sizes(cls):
+    inst, ref = PInjInstance(), PInjInstance()
+    for n in range(5):
+        for m in range(5):
+            want = len(ref.class_homs(ref.fset(n), ref.fset(m), cls)) > 0
+            assert inst.has_class_hom(inst.fset(n), inst.fset(m), cls) == want, (n, m)
+    assert inst.memo.pools == {}
+
+
+def post_systems(eqs: int, size: int):
+    """(dom, cod, eqs) for every system of the given number of equations
+    with dom, cod and each equation's target of size at most size."""
+    sizes = range(size + 1)
+    for n, m in itertools.product(sizes, repeat=2):
+        for targets in itertools.product(sizes, repeat=eqs):
+            posts = [homs(m, p) for p in targets]
+            rhss = [homs(n, p) for p in targets]
+            for chosen in itertools.product(*posts, *rhss):
+                yield n, m, list(zip(chosen[:eqs], chosen[eqs:]))
+
+
+@pytest.mark.parametrize("eqs,size,systems", [(1, 3, 3_396), (2, 2, 5_568)])
+def test_solve_post_system_matches_the_pool_walk(eqs, size, systems):
+    # the direct solver against the Instance default, which walks the pool
+    # of every w: dom -> cod; solution and count must both agree
+    ref = PInjInstance()
+    seen = 0
+    for n, m, system in post_systems(eqs, size):
+        seen += 1
+        dom, cod = INST.fset(n), INST.fset(m)
+        want = Instance.solve_post_system(ref, ref.fset(n), ref.fset(m), system)
+        assert INST.solve_post_system(dom, cod, system) == want, (n, m, system)
+    assert seen == systems

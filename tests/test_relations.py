@@ -11,6 +11,7 @@ enumeration.
 """
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -131,10 +132,10 @@ def test_identity_shape():
 def test_reverse_swaps_and_involutes():
     z2, z4 = FA.group(2), FA.group(4)
     r = finab_relation(z4, z2, frozenset((x, x % 2) for x in range(4)))
-    rev = rel_reverse(r)
+    rev = rel_reverse(FA, r)
     assert (rev.X, rev.Z) == (r.Z, r.X)
     assert rev.left == r.right and rev.right == r.left
-    assert rel_reverse(rev) == r
+    assert rel_reverse(FA, rev) == r
 
 
 @pytest.mark.parametrize("inst,bound", INSTANCES, ids=INSTANCE_IDS)
@@ -143,7 +144,7 @@ def test_json_roundtrip(inst, bound):
     for _ in range(6):
         r = sample_relation(inst, smp)
         again = parse_relation(inst, json.loads(dumps(relation_dict(inst, r))))
-        assert again == r
+        assert again is r
 
 
 def test_parse_relation_guards():
@@ -229,7 +230,7 @@ def test_reverse_transposes_the_subgroup():
     z2, z4 = FA.group(2), FA.group(4)
     s = frozenset({(0, 0), (1, 1), (2, 0), (3, 1)})
     r = subgroup_to_zigzag(FA, z4, z2, s)
-    assert goursat_to_subgroup(FA, rel_reverse(r)) == frozenset(
+    assert goursat_to_subgroup(FA, rel_reverse(FA, r)) == frozenset(
         {(0, 0), (1, 1), (0, 2), (1, 3)}
     )
 
@@ -572,7 +573,7 @@ def test_endpoint_checks_compare_handles_of_two_instances_by_value():
     assert rel_iso_eq(a, ra, rb)
     assert span_pair_iso_eq(b, (ra.left, ra.right), (rb.left, rb.right))
     with pytest.raises(EndpointMismatch):
-        rel_iso_eq(a, ra, rel_reverse(rb))
+        rel_iso_eq(a, ra, rel_reverse(b, rb))
 
 
 def test_repeated_rel_compose_is_one_relation_from_one_fake_pullback(monkeypatch):
@@ -599,8 +600,63 @@ def test_repeated_rel_compose_is_one_relation_from_one_fake_pullback(monkeypatch
 
 def test_reverse_is_an_involution_by_value():
     r = matching_to_relation(PI, PI.fset(2), PI.fset(1), [(1, 0)], [0])
-    back = rel_reverse(rel_reverse(r))
-    assert back == r and back is not r
+    back = rel_reverse(PI, rel_reverse(PI, r))
+    assert back == r and back is r
+
+
+def test_equal_legs_give_one_relation():
+    inst = PInjInstance()
+    x, z = inst.fset(2), inst.fset(1)
+    r = matching_to_relation(inst, x, z, [(1, 0)], [0])
+    assert relation(inst, r.left, r.right) is r
+    assert matching_to_relation(inst, x, z, [(1, 0)], [0]) is r
+    assert rel_identity(inst, x) is relation(inst, id_span(inst, x), id_span(inst, x))
+    assert inst.memo.relations[r.left, r.right] is r
+
+
+def test_relations_of_two_instances_are_never_shared():
+    a, b = PInjInstance(), PInjInstance()
+    ra = matching_to_relation(a, a.fset(1), a.fset(2), [(0, 1)])
+    rb = matching_to_relation(b, b.fset(1), b.fset(2), [(0, 1)])
+    assert ra is not rb and ra != rb
+    assert rel_identity(a, a.fset(1)) is not rel_identity(b, b.fset(1))
+    assert not set(map(id, a.memo.relations.values())) & set(map(id, b.memo.relations.values()))
+
+
+def test_a_relation_is_iso_to_itself_without_a_key():
+    inst = CountingPInj()
+    r = matching_to_relation(inst, inst.fset(2), inst.fset(1), [(1, 0)], [0])
+    for s in (r, rel_identity(inst, inst.fset(2)), rel_compose(inst, r, rel_reverse(inst, r))):
+        assert rel_iso_eq(inst, s, s)
+    assert inst.keys == 0 and inst.memo.pair_keys == {}
+
+
+def test_exhaustive_pinj_sweep_brackets_to_one_relation():
+    # every composable triple of relations between sets of size <= 1: the
+    # two bracketings land on the same legs, so they are one relation and
+    # their comparison reads no key
+    inst = CountingPInj()
+    sizes = (0, 1)
+    rels = {
+        (nx, nz): [matching_to_relation(inst, inst.fset(nx), inst.fset(nz), *m)
+                   for m in all_matchings(nx, nz)]
+        for nx in sizes for nz in sizes
+    }
+    triples = 0
+    for nx, nz, nt, nw in itertools.product(sizes, repeat=4):
+        for r1 in rels[nx, nz]:
+            for r2 in rels[nz, nt]:
+                for r3 in rels[nt, nw]:
+                    lhs = rel_compose(inst, rel_compose(inst, r3, r2), r1)
+                    rhs = rel_compose(inst, r3, rel_compose(inst, r2, r1))
+                    assert lhs is rhs
+                    assert rel_iso_eq(inst, lhs, rhs)
+                    triples += 1
+    assert triples == 338
+    assert inst.keys == 0
+    # every composite is one of the 10 canonical matching relations
+    assert len(inst.memo.relations) == 10
+    assert len(inst.memo.rel_composites) == 58
 
 
 def test_mismatched_rel_compose_raises_every_time_and_stores_nothing():

@@ -13,13 +13,14 @@ over Z it computes, with no second algorithm beside them.
 """
 from __future__ import annotations
 
+import bisect
 import collections.abc
 import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     ClassViolation,
@@ -705,123 +706,122 @@ def prime_tops(orders: Orders) -> tuple[tuple[int, int], ...]:
     return tuple(top.items())
 
 
-def _independent_keys(p: int, lines: list[list[tuple[int, list[int]]]], width: int) -> list[int]:
-    """The keys of every way to give each line a vector in F_p^width, zero
-    off the line's cells, so that the vectors are linearly independent.
-
-    A cell (s, table) is coordinate s of its line's vector; its digit d adds
-    table[d] to the key.  Each vector is drawn outside the span of those
-    before it, so only members are ever made, and the keys of the later
-    lines are made once per span."""
-    choices = []
-    for cells in lines:
-        opts = []
-        for digits in itertools.product(range(p), repeat=len(cells)):
-            vec = [0] * width
-            for (s, _), d in zip(cells, digits):
-                vec[s] = d
-            opts.append((tuple(vec), sum(table[d] for (_, table), d in zip(cells, digits))))
-        choices.append(opts)
-    return _keys_after(p, choices, 0, frozenset([(0,) * width]), {})
-
-
-def _keys_after(p: int, choices: list, k: int, span: frozenset, made: dict) -> list[int]:
-    """The keys that lines k, k+1, ... of _independent_keys add, given the
-    span of the vectors of the lines before them.  made holds the answers
-    already found, by (k, span); it is local to one _independent_keys call,
-    so it goes when that call returns."""
-    if k == len(choices):
-        return [0]
-    out = made.get((k, span))
-    if out is None:
-        out = made[k, span] = []
-        for vec, add in choices[k]:
-            if vec not in span:
-                grown = frozenset(tuple((x + t * y) % p for x, y in zip(u, vec))
-                                  for u in span for t in range(p))
-                out.extend(add + rest for rest in _keys_after(p, choices, k + 1, grown, made))
-    return out
+def _steps(span: int, plus: list[list[int]], least: int, vs: Iterable[int]) -> dict[int, int]:
+    """For each v of vs, the span of span and v, or 0 where its order is
+    not a multiple of least.  A vector of the sum of F_p^w over some primes
+    p is numbered by its digits, plus[u][x] numbers u + x, and a span is
+    the bitmask of the numbers of its vectors.  Each s + t.v, s in span and
+    t prime to the order of v, gives the span v gives, made once."""
+    members = list(itertools.compress(itertools.count(), map(int, bin(span)[:1:-1])))
+    steps = dict.fromkeys(members, 0 if span.bit_count() % least else span)
+    for v in vs:
+        if v not in steps:
+            grown, same, x, order = span, [], v, 1
+            while x:
+                x, order = plus[x][v], order + 1
+            for t in range(1, order):
+                x = plus[x][v]
+                coset = list(map(plus[x].__getitem__, members))
+                grown = functools.reduce(operator.or_, map((1).__lshift__, coset), grown)
+                if math.gcd(t, order) == 1:
+                    same += coset
+            steps.update(dict.fromkeys(same, 0 if grown.bit_count() % least else grown))
+    return steps
 
 
-def class_members(hg: HomGroup, in_E: bool) -> list[int]:
+class ClassIndices(collections.abc.Sequence):
     """The matrix_at indices of the homs of hg that are onto (in_E) or
-    one-to-one, in increasing order.
+    one-to-one, in increasing order.  The length is a count and the k-th
+    index a descent of a table of counts, so no index is listed (Kreher
+    and Stinson, Combinatorial Algorithms, 1999, ch. 2).
 
     f is onto iff, for each prime p dividing |cod|, the map dom/p.dom ->
     cod/p.cod it induces is onto (Nakayama): f's entries mod p, on the rows
     with p | cod[i] and the columns with p | dom[j], make a matrix of full
     row rank.  f is one-to-one iff, for each prime p dividing |dom|, it is
-    one-to-one on the socles dom[p] -> cod[p]: on the same rows and columns,
-    the entry c * dom[j] / gcd mod p at coordinate c makes a matrix of full
-    column rank.
+    one-to-one on the socles dom[p] -> cod[p]: the same matrix, with entry
+    c * dom[j] / gcd mod p at coordinate c where onto reads c * step, has
+    full column rank.
 
-    Each entry of p's matrix is the digit d = c * mult mod p of one
-    coordinate c of f.  Where mult is not 0 mod p, the coordinate's
-    position is a cell of p and d fixes c mod p.  _independent_keys makes
-    p's full-rank matrices directly, each cell adding the index that its
-    coordinate d * mult^-1 mod p adds.  The sums of one key per prime are
-    the members whose every coordinate is the least of its class mod P,
-    the product of the primes its position is a cell of, and every other
-    member lies at fixed offsets above one of them: P * t at each
-    position.  A position that is a cell of several primes adds each
-    prime's residue to a tag digit above the indices instead; once every
-    prime is summed, the Chinese remainder theorem turns the digit into the
-    coordinate mod P.  No hom outside the class is made.
+    An index orders the coordinates row by row of cod, so the table reads
+    one row at a time, each row a vector mod every prime at once.  A state,
+    one per span of the rows before it, keeps (counts, row indices,
+    states): each tuple of the row's coordinates, in index order, that
+    leaves every full rank within reach, the cumulative count of the
+    members below it and the state it leads to.
 
-    >>> class_members(hom_group((2, 2), (2, 2)), True)
-    [6, 7, 9, 11, 13, 14]
-    >>> class_members(hom_group((6,), (6,)), True), class_members(hom_group((6,), (6,)), False)
+    >>> onto = ClassIndices(hom_group((2, 2), (2, 2)), True)
+    >>> len(onto), onto[2], onto[-1], list(onto)
+    (6, 9, 14, [6, 7, 9, 11, 13, 14])
+    >>> list(ClassIndices(hom_group((6,), (6,)), True)), list(ClassIndices(hom_group((6,), (6,)), False))
     ([1, 5], [1, 5])
     """
-    dom, cod = hg.dom, hg.cod
-    side, other = (cod, dom) if in_E else (dom, cod)
-    radix = [hg.size // r for r in hg.runs[1:]]  # index = sum of coordinate * radix
-    primes_at: list[list[int]] = [[] for _ in hg.orders]
-    cells_of = []
-    for p in _primes(group_size(side)):
-        line_at = {n: k for k, n in enumerate(i for i, o in enumerate(side) if o % p == 0)}
-        coord_at = {n: k for k, n in enumerate(j for j, o in enumerate(other) if o % p == 0)}
-        cells: list[list[tuple[int, int, int]]] = [[] for _ in line_at]
-        for k, (i, j, step, g) in enumerate(hg.positions):
-            line, s = (i, j) if in_E else (j, i)
-            mult = (step if in_E else dom[j] // g) % p
-            if line in line_at and s in coord_at and mult:
-                cells[line_at[line]].append((coord_at[s], k, pow(mult, -1, p)))
-                primes_at[k].append(p)
-        cells_of.append((p, cells, len(coord_at)))
-    # place[p, k] is what residue 1 mod p at position k adds; each position
-    # shared by several primes gets a tag digit of weight tag, and fixes
-    # maps that digit to its coordinate's index, less the digit itself
-    place, tags, tag = {}, [], hg.size
-    for k, ps in enumerate(primes_at):
-        if len(ps) == 1:
-            place[ps[0], k] = radix[k]
-        elif ps:
-            big, w = math.prod(ps), 1
-            crt = [0] * big
-            for p in ps:
-                place[p, k] = tag * w
-                unit = big // p * pow(big // p, -1, p)  # 1 mod p, 0 mod the others
-                crt = [c + t // w % p * unit for t, c in enumerate(crt)]
-                w *= p
-            tags.append((tag, big, [c % big * radix[k] - t * tag for t, c in enumerate(crt)]))
-            tag *= big
-    members = [0]
-    for p, cells, width in cells_of:
-        lines = [[(s, [d * inv % p * place[p, k] for d in range(p)]) for s, k, inv in line]
-                 for line in cells]
-        # keys outermost, so that they are made once; the sort below orders
-        members = [x + y for y in _independent_keys(p, lines, width) for x in members]
-        if not members:
-            return []
-    for tag, big, fixes in tags:
-        members = [x + fixes[x // tag % big] for x in members]
-    offsets = [0]
-    for k, g in enumerate(hg.orders):
-        offsets = [o + t * radix[k] for o in offsets for t in range(0, g, math.prod(primes_at[k]))]
-    members = [x + o for x in members for o in offsets]
-    members.sort()
-    return members
+
+    __slots__ = ("_start", "_len", "_sizes")
+
+    def __init__(self, hg: HomGroup, in_E: bool) -> None:
+        dom, cod = hg.dom, hg.cod
+        ps = _primes(group_size(cod if in_E else dom))
+        radices, weights, reaches = [], [], []  # digits, least first; per prime
+        for p in ps:
+            cols = [j for j, o in enumerate(dom) if o % p == 0]
+            weights.append({j: p ** s * math.prod(radices) for s, j in enumerate(cols)})
+            radices += [p] * len(cols)
+            # reach[i] is p to the number of rows from i on that p divides: a span of
+            # p^d vectors before row i can reach rank r iff p^d * reach[i] >= p^r
+            reaches.append(list(itertools.accumulate(
+                (p if o % p == 0 else 1 for o in reversed(cod)), operator.mul, initial=1))[::-1])
+        plus = [[0]]  # plus[u][x] numbers u + x, one digit more each pass
+        for p in reversed(radices):
+            plus = [[(d + e) % p + p * y for y in row for e in range(p)]
+                    for row in plus for d in range(p)]
+        fulls = [r[0] if in_E else p ** radices.count(p) for p, r in zip(ps, reaches)]
+        layers: list[dict] = [{1: None} if all(r[0] >= f for r, f in zip(reaches, fulls)) else {}]
+        for i, line in enumerate(hg.lines[0]):
+            keys = [0]  # the number of each coordinate tuple's row vector
+            for _, _, j, step, g in line:
+                parts = [(p, (step if in_E else dom[j] // g) % p, w.get(j, 0))
+                         for p, w in zip(ps, weights) if cod[i] % p == 0]
+                adds = [sum(c * m % p * w for p, m, w in parts) for c in range(g)]
+                keys = [x + a for x in keys for a in adds]
+            # a span after row i keeps every rank within reach iff its order
+            # is a multiple of least
+            least = math.prod(max(f // r[i + 1], 1) for f, r in zip(fulls, reaches))
+            here, there, vs = layers[-1], {}, dict.fromkeys(keys)
+            for span in here:
+                nexts = list(map(_steps(span, plus, least, vs).__getitem__, keys))
+                there.update(dict.fromkeys(filter(None, nexts)))
+                here[span] = list(itertools.compress(enumerate(nexts), nexts))
+            layers.append(there)
+        states = dict.fromkeys(layers.pop(), ((1,), (0,), (None,)))  # past the last row
+        while layers:
+            here = layers.pop()
+            for span, out in here.items():
+                live = [(r, states[after]) for r, after in out if states[after]]
+                counts = tuple(itertools.accumulate(state[0][-1] for _, state in live))
+                here[span] = (counts, *zip(*live)) if live else None
+            states = here
+        self._start = states.get(1)
+        self._len = self._start[0][-1] if self._start else 0
+        self._sizes = tuple(math.prod(g for *_, g in line) for line in hg.lines[0])
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k: int) -> int:
+        if not -self._len <= k < self._len:
+            raise IndexError("class index out of range")
+        k, state, index = k % self._len, self._start, 0
+        for size in self._sizes:
+            counts, rs, nexts = state
+            t = bisect.bisect_right(counts, k)
+            if t:
+                k -= counts[t - 1]
+            index, state = index * size + rs[t], nexts[t]
+        return index
+
+    def __iter__(self) -> Iterator[int]:
+        return map(self.__getitem__, range(self._len))
 
 
 def solve_hom_equations(
@@ -861,28 +861,29 @@ def solve_hom_equations(
 
 class IndexedHoms(collections.abc.Sequence):
     """The morphisms a -> b with matrices hg.matrix_at(i) for i in indices,
-    in that order: a pool read by index.  A member is built when it is
+    in that order: a pool read by index.  indices is a range or a
+    ClassIndices, so neither lists an index.  A member is built when it is
     first read, by index or by iteration, and kept once in ``_built``; no
     other copy is made.  So a draw of one member builds one morphism,
     however large the pool.  It holds the hom group, not the instance, so a
     pool kept by the instance makes no reference cycle."""
 
-    __slots__ = ("_hg", "_a", "_b", "indices", "_built")
+    __slots__ = ("_hg", "_a", "_b", "indices", "_len", "_built")
 
     def __init__(self, hg: HomGroup, a: ObjHandle, b: ObjHandle,
                  indices: Sequence[int]) -> None:
         self._hg, self._a, self._b = hg, a, b
-        self.indices = indices
-        self._built: dict[int, Mor] = {}
+        self.indices, self._len = indices, len(indices)
+        self._built: dict[int, Mor] = {}  # by position in the pool
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self._len
 
     def __getitem__(self, k: int) -> Mor:
-        i = self.indices[k]
-        hit = self._built.get(i)
+        hit = self._built.get(k)
         if hit is None:
-            hit = self._built[i] = Mor(self._a, self._b, self._hg.matrix_at(i))
+            i = self.indices[k]
+            hit = self._built.setdefault(k % self._len, Mor(self._a, self._b, self._hg.matrix_at(i)))
         return hit
 
 
@@ -916,17 +917,16 @@ class FinAbInstance(Instance):
     read them are kept in ``memo.decisions`` (see ``core.Memo``).
 
     Its pools are ``IndexedHoms``, which build a morphism when it is
-    read.  enumerate_homs holds every index of the hom group and is made
+    read.  enumerate_homs reads the hom group through a range and is made
     on each call; class_homs keeps it in ``memo.pools`` as the pool of
     class any, through the ``Instance`` default, and keeps there the E, M
     and iso pools, one object under all three keys between groups of one
-    order.  These hold the indices that class_members makes from the
-    full-rank matrices mod each prime, with no walk of the hom group and
-    no hom outside the class.  A draw from End(Z2^4) builds one of its
-    65,536 homs, and a draw from Aut(Z2^4) one of its 20,160 members.  compose_all with a
-    class reads the composites of a kept pool off its walk at the pool's
-    indices, so the sampler's commuting pair builds only the two members
-    it draws.
+    order.  These read a ClassIndices, which counts the full-rank matrices
+    mod each prime, so no index is listed and no hom outside the class is
+    made: a draw from Aut(Z2^5) builds one of its 9,999,360 members.
+    compose_all with a class reads the composites of a kept pool off its
+    walk at the pool's indices, so the sampler's commuting pair builds only
+    the two members it draws.
     """
 
     name = "finab"
@@ -1004,7 +1004,7 @@ class FinAbInstance(Instance):
             pool = self.class_homs(*((g.cod, t) if op else (t, g.dom)), cls)
             if not pool:
                 return ()
-            indices = pool.indices
+            indices = list(pool.indices)
         mat = g.payload
         if op:
             hg = self._hom_group(g.cod.obj_key, t.obj_key)
@@ -1055,7 +1055,7 @@ class FinAbInstance(Instance):
                 hit = ()
             else:
                 hg = self._hom_group(x, y)
-                hit = IndexedHoms(hg, a, b, class_members(hg, cls == "E" or same_size))
+                hit = IndexedHoms(hg, a, b, ClassIndices(hg, cls == "E" or same_size))
             for c in ("E", "M", "iso") if same_size else (cls,):
                 self.memo.pools[x, y, c] = hit
         return hit

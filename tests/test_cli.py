@@ -347,6 +347,17 @@ def test_finab_associativity_report_pinned(tmp_path):
     assert digest == "a080d5bd94025d60266f3a23f16aba37cd188aa18e2e19c450586054d5135610"
 
 
+def test_finab_associativity_at_order_32_runs_in_little_memory(tmp_path_factory):
+    # Aut(Z2^5) alone has 9,999,360 members: listing the pools of this run
+    # peaked at about 900 MB, where counting them keeps it near 25 MB
+    _, peak_kb = peak_rss_run(tmp_path_factory, "suite", "--suite", "associativity",
+                              "--instance", "finab", "--max-order", "32", "--samples", "50",
+                              "--seed", "1")
+    if peak_kb < 0:
+        pytest.skip("no /proc/self/status to read the peak RSS from")
+    assert peak_kb < 100 * 1024
+
+
 def test_finab_associativity_work_is_pinned(tmp_path, monkeypatch):
     # a cost guard on the run whose report is pinned above: its pools build
     # only the homs drawn (311 matrix_at calls; listing the pools built

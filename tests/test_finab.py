@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 import tracemalloc
 import weakref
 
@@ -403,29 +404,32 @@ def test_kernels_and_images_present_through_the_table():
     assert inst._present.cache_info()[:2] == (1, 3)  # (hits, misses)
 
 
-def test_independent_keys_leave_no_garbage():
-    # class_members on End(Z2^3) makes keys for three lines; its table of
-    # partial keys goes when the call returns, with no cycle left for the
-    # collector
+def test_class_indices_leave_no_garbage():
+    # the count table of End(Z2^3)'s onto homs and what its build makes
+    # hold no cycle: the build's spans and sums go when it returns, and the
+    # table goes with its last reference, so the collector finds nothing
     gc.collect()
     flags = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        members = finab.class_members(hom_group((2, 2, 2), (2, 2, 2)), True)
+        members = finab.ClassIndices(hom_group((2, 2, 2), (2, 2, 2)), True)
+        n = len(members)
+        del members
         gc.collect()
-        names = [getattr(x, "__qualname__", "") for x in gc.garbage]
+        garbage = list(gc.garbage)
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
-    assert len(members) == 168  # |GL(3, 2)|
-    assert not [n for n in names if n.startswith("_independent_keys")], names
+    assert n == 168  # |GL(3, 2)|
+    assert garbage == []
 
 
 def reference_class_members(hg, in_E):
-    """class_members as it was written before it made the members directly:
-    one walk keys every hom of hg by its digits mod each prime, and a hom
-    is kept when its key is among the keys of the full-rank matrices.  Its
-    own copy of the rank enumeration keeps it apart from the one it checks."""
+    """The matrix_at indices of the class, in increasing order, by a walk
+    of the whole hom group: one walk keys every hom of hg by its digits mod
+    each prime, and a hom is kept when its key is among the keys of the
+    full-rank matrices.  Its rank enumeration lists every independent
+    choice of vectors, apart from the counting it checks."""
     dom, cod = hg.dom, hg.cod
     side, other = (cod, dom) if in_E else (dom, cod)
     values = [[0] * g for g in hg.orders]
@@ -480,16 +484,26 @@ def _shared_positions(hg, in_E):
             if sum((step if in_E else hg.dom[j] // g) % p != 0 for p in finab._primes(g)) > 1]
 
 
+def assert_class_indices_match(hg, in_E, rng):
+    """ClassIndices(hg, in_E) against the oracle: its length, each index
+    (500 drawn by rng from a class of more than 3,000) and its walk."""
+    members, want = finab.ClassIndices(hg, in_E), reference_class_members(hg, in_E)
+    assert len(members) == len(want), (hg.dom, hg.cod, in_E)
+    ks = range(len(want)) if len(want) <= 3000 else rng.sample(range(len(want)), 500)
+    assert [members[k] for k in ks] == [want[k] for k in ks], (hg.dom, hg.cod, in_E)
+    assert list(members) == want, (hg.dom, hg.cod, in_E)
+    return want
+
+
 def test_class_members_match_the_walk_up_to_order_16():
     objs = [a.obj_key for a in INST.enumerate_objects_up_to(16)]
+    rng = random.Random(0)
     shared = []  # the cases whose members some coordinate's residues mod two primes fix
     for x in objs:
         for y in objs:
             hg = hom_group(x, y)
             for in_E in (True, False):
-                members = finab.class_members(hg, in_E)
-                assert members == reference_class_members(hg, in_E), (x, y, in_E)
-                if members and _shared_positions(hg, in_E):
+                if assert_class_indices_match(hg, in_E, rng) and _shared_positions(hg, in_E):
                     shared.append((x, y, in_E))
     assert len(objs) ** 2 * 2 == 1250
     assert len(shared) == 16
@@ -503,20 +517,74 @@ def test_class_members_match_the_walk_up_to_order_16():
 def test_class_members_match_the_walk_on_composite_orders(dom, cod, in_E):
     hg = hom_group(tuple(dom), tuple(cod))
     assume(hg.size <= 20_000)
-    assert finab.class_members(hg, in_E) == reference_class_members(hg, in_E)
+    assert_class_indices_match(hg, in_E, random.Random(0))
+
+
+def test_class_pools_are_sequences_up_to_order_16():
+    # past the end raises, negative indices count from it, and a walk ends
+    # after len members, also where the hom set has no matrix position
+    inst = FinAbInstance()
+    objs = inst.enumerate_objects_up_to(16)
+    for a in objs:
+        for b in objs:
+            for cls in ("E", "M"):
+                pool = inst.class_homs(a, b, cls)
+                n = len(pool)
+                for k in (n, -n - 1):
+                    with pytest.raises(IndexError):
+                        pool[k]
+                if n:
+                    assert pool[-1] is pool[n - 1] and pool[-n] is pool[0]
+                assert len(list(itertools.islice(pool.indices, n + 1))) == n, (a, b, cls)
+    no_positions = [(INST.group(2), INST.group(3)), (INST.group(2, 4), INST.group()),
+                    (INST.group(), INST.group(3)), (INST.group(), INST.group())]
+    for a, b in no_positions:
+        assert hom_group(a.obj_key, b.obj_key).positions == ()
+        for cls in ("E", "M", "iso"):
+            pool = inst.class_homs(a, b, cls)
+            members = list(itertools.islice(pool, len(pool) + 1))
+            assert members == [pool[k] for k in range(len(pool))], (a, b, cls)
+
+
+def test_a_class_pool_is_counted_and_drawn_without_a_listing(monkeypatch):
+    # Aut(Z2^4): its length is the table's count and a draw one descent;
+    # neither walks the table, and the draw builds one morphism
+    hg = hom_group((2, 2, 2, 2), (2, 2, 2, 2))
+    monkeypatch.setattr(finab.ClassIndices, "__iter__", lambda self: pytest.fail("listed"))
+    inst = FinAbInstance()
+    a = inst.group(2, 2, 2, 2)
+    pool = inst.class_homs(a, a, "E")
+    assert len(pool) == 20160
+    k = random.Random(0).randrange(20160)
+    assert pool[k].payload == hg.matrix_at(reference_class_members(hg, True)[k])
+    assert len(pool._built) == 1
 
 
 def test_class_members_of_the_largest_order_16_pool_stay_small():
-    # Aut(Z2^4): 20,160 members of 65,536 homs.  Walking and keying every
-    # hom peaked at 7.66 MB of Python heap; the members are made directly
+    # Aut(Z2^4): 20,160 members of 65,536 homs.  Their listing kept 0.92 MB
+    # of indices; the count table keeps a state per span of the rows so far
+    hg = hom_group((2, 2, 2, 2), (2, 2, 2, 2))
     tracemalloc.start()
     try:
-        members = finab.class_members(hom_group((2, 2, 2, 2), (2, 2, 2, 2)), True)
-        peak = tracemalloc.get_traced_memory()[1]
+        members = finab.ClassIndices(hg, True)
+        kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len(members) == 20160
-    assert peak < 3 * 1024 * 1024
+    assert kept < 512 * 1024
+
+
+def test_the_class_table_of_aut_z2_5_is_built_in_little_memory():
+    # Aut(Z2^5): 9,999,360 members, whose listing took the order-32 run to
+    # 900 MB of RSS; the table peaks near 0.6 MB
+    tracemalloc.start()
+    try:
+        members = finab.ClassIndices(hom_group((2,) * 5, (2,) * 5), True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(members) == 9999360
+    assert peak < 8 * 1024 * 1024
 
 
 @pytest.mark.parametrize("op", [False, True])

@@ -50,29 +50,22 @@ Vector = tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
 
 
 def freeze(mat: Iterable[Iterable[int]]) -> Matrix:
-    return tuple(tuple(row) for row in mat)
+    return tuple(map(tuple, mat))
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = []
-    for i in range(rows):
-        ai = a[i]
-        row = []
-        for j in range(cols):
-            row.append(sum(ai[k] * b[k][j] for k in range(inner)))
-        out.append(row)
-    return out
+    cols = list(zip(*b))
+    mul = operator.mul
+    return [[sum(map(mul, ai, col)) for col in cols] for ai in a]
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(ai[k] * v[k] for k in range(len(v))) for ai in a]
+    mul = operator.mul
+    return [sum(map(mul, ai, v)) for ai in a]
 
 
 @dataclass(frozen=True)
@@ -89,9 +82,8 @@ class SNF:
 
     @property
     def diag(self) -> tuple[int, ...]:
-        m = len(self.D)
-        n = len(self.D[0]) if m else 0
-        return tuple(self.D[i][i] for i in range(min(m, n)))
+        D = self.D
+        return tuple(map(operator.getitem, D, range(len(D[0])))) if D else ()
 
 
 def smith_normal_form(mat: Sequence[Sequence[int]], *, U: bool = False, V: bool = False,
@@ -107,7 +99,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]], *, U: bool = False, V: bool 
     m = len(mat)
     n = len(mat[0]) if m else 0
     A = [list(row) for row in mat]
-    if any(len(row) != n for row in A):
+    if any(map(n.__ne__, map(len, A))):
         raise ValidationFailure("ragged matrix")
     # the row operations act on A and U by rows; the column operations on A
     # and V by columns, and the inverse of each row operation on Uinv
@@ -201,7 +193,7 @@ def augmented(mat: Sequence[Sequence[int]], cod: Orders) -> list[list[int]]:
     """[mat | diag(cod)]: mat's rows, each followed by its modulus on the
     diagonal, so that congruences mod cod become equations over Z."""
     m = len(cod)
-    return [list(mat[i]) + [cod[i] if k == i else 0 for k in range(m)] for i in range(m)]
+    return [[*row, *[0] * i, c, *[0] * (m - i - 1)] for i, (row, c) in enumerate(zip(mat, cod))]
 
 
 def integer_kernel_basis(mat: Sequence[Sequence[int]]) -> list[Vector]:
@@ -212,11 +204,7 @@ def integer_kernel_basis(mat: Sequence[Sequence[int]]) -> list[Vector]:
         return []
     s = smith_normal_form(mat, V=True)
     diag = s.diag
-    rank = sum(1 for d in diag if d != 0)
-    basis = []
-    for j in range(rank, n):
-        basis.append(tuple(s.V[i][j] for i in range(n)))
-    return basis
+    return list(zip(*s.V))[len(diag) - diag.count(0):]
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +227,7 @@ def elements_of(orders: Orders) -> Iterable[Vector]:
 
 
 def reduce_matrix(mat: Sequence[Sequence[int]], cod: Orders) -> Matrix:
-    return tuple(
-        tuple(x % cod[i] for x in row) for i, row in enumerate(mat)
-    )
+    return tuple([tuple([x % c for x in row]) for row, c in zip(mat, cod)])
 
 
 def validate_hom(dom: Orders, cod: Orders, mat: Sequence[Sequence[int]]) -> Matrix:
@@ -275,7 +261,7 @@ def hom_compose(g_mat: Matrix, f_mat: Matrix, cod: Orders, ncols: Optional[int] 
 
 
 def apply_hom(mat: Matrix, x: Sequence[int], cod: Orders) -> Vector:
-    return tuple(v % cod[i] for i, v in enumerate(mat_vec(mat, x)))
+    return tuple(map(operator.mod, mat_vec(mat, x), cod))
 
 
 def hom_identity(orders: Orders) -> Matrix:
@@ -322,10 +308,10 @@ def solve_congruence(
     t = mat_vec(s.U, list(target))
     diag = s.diag
     order = math.prod(diag)
-    if any(t[i] % d for i, d in enumerate(diag)):
+    if any(map(operator.mod, t, diag)):
         return None, order
-    x_full = mat_vec(s.V, [t[i] // d for i, d in enumerate(diag)] + [0] * n)
-    return tuple(x_full[j] % dom[j] for j in range(n)), order
+    x_full = mat_vec(s.V, [*map(operator.floordiv, t, diag), *[0] * n])
+    return tuple(map(operator.mod, x_full, dom)), order
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +319,28 @@ def solve_congruence(
 # ---------------------------------------------------------------------------
 
 def close_elements(ambient: Orders, gens: Iterable[Vector]) -> frozenset[Vector]:
-    zero = tuple(0 for _ in ambient)
-    seen = {zero}
-    frontier = [zero]
-    gen_list = [tuple(g[i] % ambient[i] for i in range(len(ambient))) for g in gens]
-    while frontier:
-        x = frontier.pop()
-        for g in gen_list:
-            y = tuple((x[i] + g[i]) % ambient[i] for i in range(len(ambient)))
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
+    """The element set of the subgroup of ambient generated by gens, read
+    once and reduced mod ambient.  It grows by cosets: a generator g
+    outside the group H so far adds t.g + H for 0 < t < r, where r.g is
+    the first multiple in H, so each element is built once.
+
+    >>> sorted(close_elements((2, 4), iter([(1, 2), (0, 6), (3, -2)])))
+    [(0, 0), (0, 2), (1, 0), (1, 2)]
+    """
+    seen = {(0,) * len(ambient)}
+    cols = [[0] for _ in ambient]  # coordinate i of each element of H
+    for g in gens:
+        g = x = tuple([g[i] % o for i, o in enumerate(ambient)])
+        steps = []
+        while x not in seen:
+            steps.append(x)
+            x = tuple([(a + b) % o for a, b, o in zip(x, g, ambient)])
+        if steps:
+            cosets = [[(t + h) % o for t in ts for h in col]
+                      for ts, col, o in zip(zip(*steps), cols, ambient)]
+            seen.update(zip(*cosets))
+            for col, coset in zip(cols, cosets):
+                col += coset
     return frozenset(seen)
 
 
@@ -373,31 +370,23 @@ def subgroup_from_gens(
     k = len(gens)
     if k == 0:
         return (), tuple(() for _ in range(n)), ()
-    gen_mat = [[gens[j][i] % ambient[i] for j in range(k)] for i in range(n)]
-    # relation lattice of the chosen generators
-    rel_rows = [gen_mat[i] + [ambient[i] if t == i else 0 for t in range(n)] for i in range(n)]
-    kernel = integer_kernel_basis(rel_rows)
-    rel = [[vec[j] for vec in kernel] for j in range(k)]  # k x s, columns are relations
+    gen_mat = [[x % o for x in row] for row, o in zip(zip(*gens), ambient)]
+    # relation lattice of the chosen generators: k x s, columns are relations
+    rel = list(zip(*integer_kernel_basis(augmented(gen_mat, ambient))))[:k]
     s = smith_normal_form(rel, U=True, Uinv=True)
     diag = s.diag
-    if len(diag) < k or any(d == 0 for d in diag):
+    if len(diag) < k or 0 in diag:
         raise SpanCatError("subgroup relation lattice is not full rank")
-    kept = [i for i in range(k) if diag[i] > 1]
-    orders = tuple(diag[i] for i in kept)
-    h = mat_mul(gen_mat, s.Uinv)
-    embedding = tuple(tuple(h[r][i] % ambient[r] for i in kept) for r in range(n))
-    coords = tuple(tuple(x % diag[i] for x in s.U[i]) for i in kept)
+    orders = tuple([d for d in diag if d > 1])
+    embedding = tuple([tuple([x % o for x, d in zip(row, diag) if d > 1])
+                       for row, o in zip(mat_mul(gen_mat, s.Uinv), ambient)])
+    coords = tuple([tuple([x % d for x in u]) for u, d in zip(s.U, diag) if d > 1])
     return orders, embedding, coords
 
 
 def kernel_gens(dom: Orders, cod: Orders, mat: Matrix) -> list[Vector]:
-    n = len(dom)
-    rows = augmented(mat, cod)
-    if not rows:
-        basis = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    else:
-        basis = [vec[:n] for vec in integer_kernel_basis(rows)]
-    return [tuple(v[i] % dom[i] for i in range(n)) for v in basis]
+    basis = integer_kernel_basis(augmented(mat, cod)) if cod else identity_matrix(len(dom))
+    return [tuple(map(operator.mod, v, dom)) for v in basis]
 
 
 # Each of kernel_subgroup, image_subgroup, ab_factorize and ab_pullback
@@ -421,9 +410,8 @@ def cokernel_data(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix
         return (), ()
     s = smith_normal_form(augmented(mat, cod), U=True)
     diag = s.diag
-    kept = [i for i in range(m) if diag[i] > 1]
-    q_orders = tuple(diag[i] for i in kept)
-    quot = tuple(tuple(s.U[i][j] % diag[i] for j in range(m)) for i in kept)
+    q_orders = tuple([d for d in diag if d > 1])
+    quot = tuple([tuple([x % d for x in u]) for u, d in zip(s.U, diag) if d > 1])
     return q_orders, quot
 
 
@@ -438,8 +426,8 @@ def ab_factorize(dom: Orders, cod: Orders, mat: Matrix,
 def difference_map(c: Orders, f: Matrix, g: Matrix) -> Matrix:
     """[f | -g] mod c: the map a + b -> c that is f on a and -g on b, for
     f: a -> c and g: b -> c.  Its kernel is their pullback."""
-    return tuple(tuple(x % ci for x in fi) + tuple(-x % ci for x in gi)
-                 for fi, gi, ci in zip(f, g, c))
+    return tuple([tuple([x % ci for x in fi] + [-x % ci for x in gi])
+                  for fi, gi, ci in zip(f, g, c)])
 
 
 def ab_pullback(
@@ -451,12 +439,9 @@ def ab_pullback(
     Returns (apex orders, leg to a, leg to b); the apex is the kernel of the
     difference map a + b -> c in canonical form.
     """
-    na, nb = len(a), len(b)
     apex, emb, _ = kernel_subgroup(a + b, c, difference_map(c, f, g), present)
-    k = len(apex)
-    leg1 = reduce_matrix([[emb[i][j] for j in range(k)] for i in range(na)], a)
-    leg2 = reduce_matrix([[emb[na + i][j] for j in range(k)] for i in range(nb)], b)
-    return apex, leg1, leg2
+    # emb is reduced mod a + b row by row, so its rows are the legs
+    return apex, emb[:len(a)], emb[len(a):]
 
 
 def ab_pushout(
@@ -467,17 +452,11 @@ def ab_pushout(
     Returns (apex orders, leg from b, leg from c); the apex is the cokernel
     of the pairing map a -> b + c.
     """
-    nb, nc = len(b), len(c)
-    both = b + c
-    pairing = tuple(
-        tuple(f[i]) for i in range(nb)
-    ) + tuple(
-        tuple((-g[i][j]) % c[i] for j in range(len(a))) for i in range(nc)
-    )
-    q_orders, quot = cokernel_data(a, both, reduce_matrix(pairing, both))
-    leg1 = reduce_matrix([[quot[i][j] for j in range(nb)] for i in range(len(q_orders))], q_orders)
-    leg2 = reduce_matrix([[quot[i][nb + j] for j in range(nc)] for i in range(len(q_orders))], q_orders)
-    return q_orders, leg1, leg2
+    nb = len(b)
+    pairing = reduce_matrix(f, b) + tuple([tuple([-x % ci for x in gi]) for gi, ci in zip(g, c)])
+    q_orders, quot = cokernel_data(a, b + c, pairing)
+    # quot is reduced mod q_orders row by row, so its columns split into the legs
+    return q_orders, tuple([row[:nb] for row in quot]), tuple([row[nb:] for row in quot])
 
 
 def all_subgroups(ambient: Orders) -> list[frozenset[Vector]]:
@@ -999,6 +978,8 @@ class FinAbInstance(Instance):
         # entry of the composite is then a walk of the hom group's
         # coordinates by additions of those images alone.  A class pool's
         # composites are those at its indices, picked from each entry's walk.
+        # A hom group of one member, and so a class pool of it that is not
+        # empty, holds the zero map alone.
         indices = None
         if cls != "any":
             pool = self.class_homs(*((g.cod, t) if op else (t, g.dom)), cls)
@@ -1012,6 +993,8 @@ class FinAbInstance(Instance):
         else:
             hg = self._hom_group(t.obj_key, g.dom.obj_key)
             mods, width = g.cod.obj_key, len(t.obj_key)
+        if hg.size == 1:
+            return (((0,) * width,) * len(mods),)
         n = hg.size if indices is None else len(indices)
         lines = hg.lines[0 if op else 1]
         rows = []

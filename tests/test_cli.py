@@ -365,9 +365,10 @@ def test_finab_associativity_work_is_pinned(tmp_path, monkeypatch):
     # pullback read three, classify reads none into the trivial group, and
     # each distinct subgroup is presented once while it stays in finab's
     # presentation table (2,216 smith_normal_form calls before the first
-    # two of those changes, 1,768 before the last)
-    calls = {"matrix_at": 0, "smith_normal_form": 0}
-    matrix_at, snf = finab.HomGroup.matrix_at, finab.smith_normal_form
+    # two of those changes, 1,768 before the last); the subgroup keys close
+    # 230 element sets, the same count when each was a breadth-first walk
+    calls = {"matrix_at": 0, "smith_normal_form": 0, "close_elements": 0}
+    matrix_at, snf, close = finab.HomGroup.matrix_at, finab.smith_normal_form, finab.close_elements
 
     def counting_matrix_at(self, i):
         calls["matrix_at"] += 1
@@ -377,13 +378,18 @@ def test_finab_associativity_work_is_pinned(tmp_path, monkeypatch):
         calls["smith_normal_form"] += 1
         return snf(mat, **kw)
 
+    def counting_close(ambient, gens):
+        calls["close_elements"] += 1
+        return close(ambient, gens)
+
     monkeypatch.setattr(finab.HomGroup, "matrix_at", counting_matrix_at)
     monkeypatch.setattr(finab, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(finab, "close_elements", counting_close)
     out = tmp_path / "associativity.json"
     code = main(["suite", "--suite", "associativity", "--instance", "finab",
                  "--max-order", "16", "--samples", "50", "--seed", "0", "--out", str(out)])
     assert code == EXIT_OK
-    assert calls == {"matrix_at": 311, "smith_normal_form": 1590}
+    assert calls == {"matrix_at": 311, "smith_normal_form": 1590, "close_elements": 230}
 
 
 def test_finab_axioms_work_is_pinned(tmp_path, monkeypatch):

@@ -212,6 +212,69 @@ def test_close_elements():
     assert close_elements((4,), [(2,)]) == frozenset({(0,), (2,)})
 
 
+def reference_close_elements(ambient, gens):
+    """close_elements as a breadth-first walk: each element found adds
+    every generator, so each is built once per generator."""
+    zero = tuple(0 for _ in ambient)
+    seen = {zero}
+    frontier = [zero]
+    gen_list = [tuple(g[i] % ambient[i] for i in range(len(ambient))) for g in gens]
+    while frontier:
+        x = frontier.pop()
+        for g in gen_list:
+            y = tuple((x[i] + g[i]) % ambient[i] for i in range(len(ambient)))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(seen)
+
+
+def assert_closes_as_reference(ambient, gens):
+    got = close_elements(ambient, iter(gens))  # read once, as joint_image's zip
+    assert type(got) is frozenset
+    assert got == reference_close_elements(ambient, gens), (ambient, gens)
+
+
+def test_close_elements_matches_the_walk_on_generator_pairs_up_to_order_16():
+    cases = 0
+    for ambient in invariant_factor_groups(16):
+        elems = list(elements_of(ambient))
+        for g, h in itertools.product(elems, repeat=2):
+            assert_closes_as_reference(ambient, [g, h])
+            cases += 1
+    assert cases == 2889
+
+
+def test_close_elements_on_edge_inputs():
+    assert close_elements((), []) == close_elements((), [(), ()]) == frozenset({()})
+    assert close_elements((2, 4), []) == frozenset({(0, 0)})
+    # unreduced and negative entries, and generators already in the group
+    for gens in ([(3, -2)], [(-1, 6), (1, 2), (0, 0)], [(0, 2), (0, 2), (0, -6), (2, 4)],
+                 [(1, 1), (2, 2), (-1, -1), (5, 7)]):
+        assert_closes_as_reference((2, 4), gens)
+    gens = [(1, 0), (0, 1)]
+    assert close_elements((2, 4), iter(gens)) == frozenset(elements_of((2, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(6, 12), (2, 6, 12), (2, 2, 4), (3, 9), (4, 4)]).flatmap(
+    lambda ambient: st.tuples(st.just(ambient), st.lists(
+        st.tuples(*(st.integers(-2 * o, 2 * o) for o in ambient)), max_size=5))))
+def test_close_elements_matches_the_walk_on_composite_orders(case):
+    assert_closes_as_reference(*case)
+
+
+def test_joint_image_closes_a_zip_of_its_legs():
+    # joint_image hands close_elements the columns of both legs as one zip
+    for a, x, z in [((2, 4), (4,), (2, 2)), ((6,), (2,), (3,)), ((), (4,), (2,)),
+                    ((2,), (), (4,)), ((4,), (), ())]:
+        for to_x in all_matrices(hom_group(a, x)):
+            for to_z in all_matrices(hom_group(a, z)):
+                cols = list(zip(*to_x, *to_z))
+                assert joint_image(x, z, to_x, to_z) == (
+                    x, z, reference_close_elements(x + z, cols))
+
+
 def test_subgroup_compose_diagonals():
     d = diagonal_subgroup((2,))
     assert subgroup_compose((2,), (2,), (2,), d, d) == d
@@ -673,6 +736,38 @@ def test_compose_all_matches_compose_loop_on_order_8_catalog(op):
             else:
                 loop = [INST.compose(g, u).payload for u in INST.enumerate_homs(t, g.dom)]
             assert INST.compose_all(g, t, op) == tuple(loop), (g, t)
+
+
+@pytest.mark.parametrize("op", [False, True])
+@pytest.mark.parametrize("cls", ["any", "E", "M", "iso"])
+def test_compose_all_through_a_hom_set_of_the_zero_map_alone(op, cls, monkeypatch):
+    # Z/2 -> Z/3 and the maps into or out of the trivial group: the hom set
+    # holds one member, whose composites are zero matrices read without a walk
+    inst = FinAbInstance()
+    z0, z2, z3, z4, z6 = (inst.group(*o) for o in [(), (2,), (3,), (4,), (6,)])
+    z24 = inst.group(2, 4)
+    if op:  # u . g for u: g.cod -> t
+        cases = [(inst.hom(z4, z2, [[1]]), z3), (inst.hom(z24, z2, [[1, 1]]), z3),
+                 (inst.hom(z2, z0, []), z4), (inst.hom(z3, z6, [[2]]), z0),
+                 (inst.hom(z0, z0, []), z0)]
+    else:  # g . u for u: t -> g.dom
+        cases = [(inst.hom(z2, z6, [[3]]), z3), (inst.hom(z2, z24, [[1], [2]]), z0),
+                 (inst.hom(z0, z4, [[]]), z2), (inst.hom(z2, z0, []), z3),
+                 (inst.hom(z0, z0, []), z0)]
+    expect = {}
+    for g, t in cases:
+        us = (inst.enumerate_homs(g.cod, t) if cls == "any" else inst.class_homs(g.cod, t, cls)
+              ) if op else (inst.enumerate_homs(t, g.dom) if cls == "any"
+                            else inst.class_homs(t, g.dom, cls))
+        assert len(inst.enumerate_homs(*((g.cod, t) if op else (t, g.dom)))) == 1
+        loop = tuple((inst.compose(u, g) if op else inst.compose(g, u)).payload for u in us)
+        assert all(not any(map(any, mat)) for mat in loop)
+        expect[g, t] = loop
+    monkeypatch.setattr(finab.HomGroup, "walk", None)
+    for (g, t), loop in expect.items():
+        got = inst.compose_all(g, t, op, cls)
+        assert got == loop and type(got) is tuple, (g, t)
+        assert all(type(mat) is tuple and all(type(row) is tuple for row in mat) for mat in got)
 
 
 def test_hom_compose_matches_mat_mul_on_order_8_catalog():

@@ -1,4 +1,5 @@
-"""finab's Smith normal form against a reference copy of it.
+"""finab's Smith normal form, and the integer helpers around it, against
+reference copies of them.
 
 smith_normal_form must pick the same pivots and apply the same row and
 column operations as the reference below, the form it had when each
@@ -6,6 +7,12 @@ operation was a closure, so that U, D, V and Uinv stay the same matrices
 and no construction read off them moves.  The inputs are every matrix the
 two finab benchmark units hand it (recorded from in-process runs) and
 small matrices drawn by hypothesis.
+
+The helpers that build the forms' inputs and read their answers (products,
+kernels, presentations, cokernels, pullbacks and pushouts) must return
+what the index-loop copies below return, with the same tuple and list
+types, since callers hash them: on every hom of the order-8 catalog, on
+hypothesis inputs and on the empty shapes.
 """
 from __future__ import annotations
 
@@ -17,7 +24,27 @@ from hypothesis import strategies as st
 
 from spancat import finab
 from spancat.cli import EXIT_OK, main
-from spancat.finab import SNF, freeze, identity_matrix, smith_normal_form
+from spancat.core import SpanCatError
+from spancat.finab import (
+    SNF,
+    ab_pullback,
+    ab_pushout,
+    augmented,
+    cokernel_data,
+    difference_map,
+    freeze,
+    group_size,
+    hom_group,
+    identity_matrix,
+    integer_kernel_basis,
+    invariant_factor_groups,
+    kernel_gens,
+    mat_mul,
+    mat_vec,
+    reduce_matrix,
+    smith_normal_form,
+    subgroup_from_gens,
+)
 
 FLAGS = list(itertools.product([False, True], repeat=3))  # (U, V, Uinv)
 
@@ -164,3 +191,257 @@ def test_forms_match_the_reference_on_the_units_inputs(unit_inputs):
     st.lists(st.integers(-30, 30), min_size=n, max_size=n), max_size=4)))
 def test_forms_match_the_reference_on_small_matrices(mat):
     assert_same_forms(mat)
+
+
+# ---------------------------------------------------------------------------
+# the helpers around the forms
+# ---------------------------------------------------------------------------
+
+def reference_mat_mul(a, b):
+    rows = len(a)
+    inner = len(b)
+    cols = len(b[0]) if inner else 0
+    out = []
+    for i in range(rows):
+        ai = a[i]
+        row = []
+        for j in range(cols):
+            row.append(sum(ai[k] * b[k][j] for k in range(inner)))
+        out.append(row)
+    return out
+
+
+def reference_mat_vec(a, v):
+    return [sum(ai[k] * v[k] for k in range(len(v))) for ai in a]
+
+
+def reference_augmented(mat, cod):
+    m = len(cod)
+    return [list(mat[i]) + [cod[i] if k == i else 0 for k in range(m)] for i in range(m)]
+
+
+def reference_integer_kernel_basis(mat):
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    if n == 0:
+        return []
+    s = reference_smith_normal_form(mat, V=True)
+    diag = s.diag
+    rank = sum(1 for d in diag if d != 0)
+    basis = []
+    for j in range(rank, n):
+        basis.append(tuple(s.V[i][j] for i in range(n)))
+    return basis
+
+
+def reference_reduce_matrix(mat, cod):
+    return tuple(
+        tuple(x % cod[i] for x in row) for i, row in enumerate(mat)
+    )
+
+
+def reference_subgroup_from_gens(ambient, gens):
+    n = len(ambient)
+    if n == 0:
+        gens = []
+    k = len(gens)
+    if k == 0:
+        return (), tuple(() for _ in range(n)), ()
+    gen_mat = [[gens[j][i] % ambient[i] for j in range(k)] for i in range(n)]
+    rel_rows = [gen_mat[i] + [ambient[i] if t == i else 0 for t in range(n)] for i in range(n)]
+    kernel = reference_integer_kernel_basis(rel_rows)
+    rel = [[vec[j] for vec in kernel] for j in range(k)]
+    s = reference_smith_normal_form(rel, U=True, Uinv=True)
+    diag = s.diag
+    if len(diag) < k or any(d == 0 for d in diag):
+        raise SpanCatError("subgroup relation lattice is not full rank")
+    kept = [i for i in range(k) if diag[i] > 1]
+    orders = tuple(diag[i] for i in kept)
+    h = reference_mat_mul(gen_mat, s.Uinv)
+    embedding = tuple(tuple(h[r][i] % ambient[r] for i in kept) for r in range(n))
+    coords = tuple(tuple(x % diag[i] for x in s.U[i]) for i in kept)
+    return orders, embedding, coords
+
+
+def reference_kernel_gens(dom, cod, mat):
+    n = len(dom)
+    rows = reference_augmented(mat, cod)
+    if not rows:
+        basis = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    else:
+        basis = [vec[:n] for vec in reference_integer_kernel_basis(rows)]
+    return [tuple(v[i] % dom[i] for i in range(n)) for v in basis]
+
+
+def reference_cokernel_data(dom, cod, mat):
+    m = len(cod)
+    if m == 0:
+        return (), ()
+    s = reference_smith_normal_form(reference_augmented(mat, cod), U=True)
+    diag = s.diag
+    kept = [i for i in range(m) if diag[i] > 1]
+    q_orders = tuple(diag[i] for i in kept)
+    quot = tuple(tuple(s.U[i][j] % diag[i] for j in range(m)) for i in kept)
+    return q_orders, quot
+
+
+def reference_difference_map(c, f, g):
+    return tuple(tuple(x % ci for x in fi) + tuple(-x % ci for x in gi)
+                 for fi, gi, ci in zip(f, g, c))
+
+
+def reference_ab_pullback(a, b, c, f, g):
+    na, nb = len(a), len(b)
+    gens = tuple(reference_kernel_gens(a + b, c, reference_difference_map(c, f, g)))
+    apex, emb, _ = reference_subgroup_from_gens(a + b, gens)
+    k = len(apex)
+    leg1 = reference_reduce_matrix([[emb[i][j] for j in range(k)] for i in range(na)], a)
+    leg2 = reference_reduce_matrix([[emb[na + i][j] for j in range(k)] for i in range(nb)], b)
+    return apex, leg1, leg2
+
+
+def reference_ab_pushout(a, b, c, f, g):
+    nb, nc = len(b), len(c)
+    both = b + c
+    pairing = tuple(
+        tuple(f[i]) for i in range(nb)
+    ) + tuple(
+        tuple((-g[i][j]) % c[i] for j in range(len(a))) for i in range(nc)
+    )
+    q_orders, quot = reference_cokernel_data(a, both, reference_reduce_matrix(pairing, both))
+    leg1 = reference_reduce_matrix(
+        [[quot[i][j] for j in range(nb)] for i in range(len(q_orders))], q_orders)
+    leg2 = reference_reduce_matrix(
+        [[quot[i][nb + j] for j in range(nc)] for i in range(len(q_orders))], q_orders)
+    return q_orders, leg1, leg2
+
+
+def assert_same(got, expect) -> None:
+    """Equal, with the same tuple, list and int types all the way down."""
+    assert got == expect
+    assert type(got) is type(expect), (got, expect)
+    if isinstance(got, (tuple, list)):
+        for x, y in zip(got, expect):
+            assert_same(x, y)
+
+
+def assert_hom_helpers_match(dom, cod, mat) -> None:
+    """Every one-hom helper on mat: dom -> cod."""
+    assert_same(reduce_matrix(mat, cod), reference_reduce_matrix(mat, cod))
+    assert_same(augmented(mat, cod), reference_augmented(mat, cod))
+    rows = augmented(mat, cod)
+    assert_same(integer_kernel_basis(rows), reference_integer_kernel_basis(rows))
+    assert_same(kernel_gens(dom, cod, mat), reference_kernel_gens(dom, cod, mat))
+    assert_same(cokernel_data(dom, cod, mat), reference_cokernel_data(dom, cod, mat))
+    for x in ([1] * len(dom), list(range(len(dom)))):
+        assert_same(mat_vec(mat, x), reference_mat_vec(mat, x))
+    images = tuple(zip(*mat)) if mat else ((),) * len(dom)
+    kernel = tuple(kernel_gens(dom, cod, mat))
+    for ambient, gens in ((cod, images), (dom, kernel)):
+        assert_same(subgroup_from_gens(ambient, gens), reference_subgroup_from_gens(ambient, gens))
+
+
+def catalog_homs(bound):
+    groups = invariant_factor_groups(bound)
+    return {(a, b): [hg.matrix_at(i) for i in range(hg.size)]
+            for a in groups for b in groups for hg in [hom_group(a, b)]}
+
+
+def test_hom_helpers_match_the_references_on_the_order_8_catalog():
+    homs = catalog_homs(8)
+    count = 0
+    for (a, b), mats in homs.items():
+        for f in mats:
+            assert_hom_helpers_match(a, b, f)
+            count += 1
+    assert count == 1128
+
+
+def test_products_and_cones_match_the_references_on_the_order_8_catalog():
+    # every 13th product of composable catalog homs through each middle
+    # group, and every 101st cospan and span of them
+    homs = catalog_homs(8)
+    groups = invariant_factor_groups(8)
+    products = cones = 0
+    for b in groups:
+        into = [f for a in groups for f in homs[a, b]]
+        out = [g for c in groups for g in homs[b, c]]
+        for f, g in list(itertools.product(into, out))[::13]:
+            assert_same(mat_mul(g, f), reference_mat_mul(g, f))
+            products += 1
+    for c in groups:
+        into = [(a, f) for a in groups for f in homs[a, c]]
+        pairs = list(itertools.product(into, repeat=2))[::101]
+        for (a, f), (b, g) in pairs:
+            assert_same(difference_map(c, f, g), reference_difference_map(c, f, g))
+            assert_same(ab_pullback(a, b, c, f, g), reference_ab_pullback(a, b, c, f, g))
+            cones += 1
+    for a in groups:
+        out = [(b, f) for b in groups for f in homs[a, b]]
+        for (b, f), (c, g) in list(itertools.product(out, repeat=2))[::101]:
+            assert_same(ab_pushout(a, b, c, f, g), reference_ab_pushout(a, b, c, f, g))
+            cones += 1
+    assert (products, cones) == (38139, 9828)
+
+
+def test_helpers_on_empty_shapes():
+    # zero rows, zero columns, no generators, a trivial apex or cokernel
+    for mat in ([], [[]], [[], []], ((), ())):
+        assert_same(mat_mul(mat, []), reference_mat_mul(mat, []))
+        assert_same(mat_vec(mat, []), reference_mat_vec(mat, []))
+        assert_same(integer_kernel_basis(mat), reference_integer_kernel_basis(mat))
+    assert_same(mat_mul([[1, 2]], [[], []]), reference_mat_mul([[1, 2]], [[], []]))
+    for dom, cod in (((), ()), ((), (4,)), ((2, 4), ()), ((2,), (3,))):
+        mat = ((0,) * len(dom),) * len(cod)
+        assert_hom_helpers_match(dom, cod, mat)
+    for ambient in ((), (2, 4)):
+        assert_same(subgroup_from_gens(ambient, ()), reference_subgroup_from_gens(ambient, ()))
+    zero = ((0,),)
+    assert ab_pullback((2,), (3,), (6,), ((3,),), ((2,),))[0] == ()
+    assert ab_pushout((2,), (2,), (), ((1,),), ())[0] == ()
+    for a, b, c, f, g in (((2,), (3,), (6,), ((3,),), ((2,),)), ((), (), (), (), ()),
+                          ((2,), (), (2,), ((1,),), ((),)), ((3,), (2,), (2,), zero, zero)):
+        assert_same(ab_pullback(a, b, c, f, g), reference_ab_pullback(a, b, c, f, g))
+    for a, b, c, f, g in (((2,), (2,), (), ((1,),), ()), ((), (), (), (), ()),
+                          ((), (2,), (4,), ((),), ((),)), ((2,), (3,), (2,), zero, ((1,),))):
+        assert_same(ab_pushout(a, b, c, f, g), reference_ab_pushout(a, b, c, f, g))
+
+
+GROUPS_16 = invariant_factor_groups(16)
+# the ambients that subgroups are presented in: a group, or a sum of two
+AMBIENTS = sorted({x + z for x in GROUPS_16 for z in GROUPS_16
+                   if group_size(x) * group_size(z) <= 64})
+small_ints = st.integers(-30, 30)
+
+
+@st.composite
+def hom_of(draw, dom, cod):
+    hg = hom_group(dom, cod)
+    return hg.matrix_at(draw(st.integers(0, hg.size - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_helpers_match_the_references_on_drawn_inputs(data):
+    a, b, c = (data.draw(st.sampled_from(GROUPS_16)) for _ in range(3))
+    f, g = data.draw(hom_of(a, c)), data.draw(hom_of(b, c))
+    assert_hom_helpers_match(a, c, f)
+    assert_same(difference_map(c, f, g), reference_difference_map(c, f, g))
+    assert_same(ab_pullback(a, b, c, f, g), reference_ab_pullback(a, b, c, f, g))
+    f, g = data.draw(hom_of(c, a)), data.draw(hom_of(c, b))
+    assert_same(ab_pushout(c, a, b, f, g), reference_ab_pushout(c, a, b, f, g))
+    # unreduced integer matrices and generator lists
+    m, n, k = (data.draw(st.integers(0, 4)) for _ in range(3))
+    x = data.draw(st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=m, max_size=m))
+    y = data.draw(st.lists(st.lists(small_ints, min_size=k, max_size=k), min_size=n, max_size=n))
+    assert_same(mat_mul(x, y), reference_mat_mul(x, y))
+    v = data.draw(st.lists(small_ints, min_size=n, max_size=n))
+    assert_same(mat_vec(x, v), reference_mat_vec(x, v))
+    assert_same(integer_kernel_basis(x), reference_integer_kernel_basis(x))
+    ambient = tuple(data.draw(st.lists(st.integers(1, 12), min_size=m, max_size=m)))
+    assert_same(augmented(x, ambient), reference_augmented(x, ambient))
+    assert_same(reduce_matrix(x, ambient), reference_reduce_matrix(x, ambient))
+    assert_same(cokernel_data((0,) * n, ambient, x), reference_cokernel_data((0,) * n, ambient, x))
+    ambient = data.draw(st.sampled_from(AMBIENTS))
+    gens = tuple(data.draw(st.lists(st.tuples(*(small_ints for _ in ambient)), max_size=4)))
+    assert_same(subgroup_from_gens(ambient, gens), reference_subgroup_from_gens(ambient, gens))

@@ -74,7 +74,8 @@ def env_seed(environ: Mapping[str, str] = os.environ) -> Optional[int]:
 
 def read_json_file(path: str) -> Any:
     """The JSON value in the file at path; ConfigError when it cannot be read
-    or is not JSON."""
+    or decoded: not UTF-8, not JSON, nested too deep or with an integer
+    literal past Python's digit limit."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -82,6 +83,8 @@ def read_json_file(path: str) -> Any:
         raise ConfigError(f"cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot decode {path!r}: {exc}") from exc
 
 
 def load_instance(cfg: RunConfig) -> Instance:

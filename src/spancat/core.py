@@ -225,10 +225,16 @@ class Instance(ABC):
     All morphism payloads must be immutable and hashable so that
     morphisms can be deduplicated in the brute-force checks.
 
-    Every construction (compose, factorize, pullback_along_M, ...) must be a
-    deterministic function of the ``obj_key`` and payload of its arguments.
-    Together with immutable, hashable payloads this lets ``memo`` key derived
-    constructions (fake pullbacks, span composites) on their inputs.
+    ``Instance`` checks and wraps; an instance supplies payload arithmetic.
+    validate_mor, compose, factorize and the two cones check their
+    preconditions here (the owning instance, matching ends, m in M or e in
+    E), call one hook (check_payload, compose_payloads, factor_payloads,
+    pullback_payloads or pushout_payloads), and wrap the object keys and
+    payloads it returns in handles and morphisms.  Every construction must
+    be a deterministic function of the ``obj_key`` and payload of its
+    arguments.  Together with immutable, hashable payloads this lets
+    ``memo`` key derived constructions (fake pullbacks, span composites) on
+    their inputs.
 
     The bounded decisions, the FS1 check and the jointly and properness
     checks compose one fixed morphism with a whole hom set through
@@ -302,13 +308,17 @@ class Instance(ABC):
 
     # -- morphisms ---------------------------------------------------------
 
-    @abstractmethod
     def validate_mor(self, f: Mor) -> None:
         """Raise ValidationFailure/CrossInstance if f is not a morphism here."""
+        if f.dom.instance_id != self.name or f.cod.instance_id != self.name:
+            raise CrossInstance(f"morphism does not belong to the {self.name} instance")
+        self.check_payload(f)
 
-    @abstractmethod
     def compose(self, g: Mor, f: Mor) -> Mor:
         """g . f (apply f first).  Raises EndpointMismatch."""
+        if f.cod != g.dom:
+            raise EndpointMismatch(f"compose: {f.cod} != {g.dom}")
+        return Mor(f.dom, g.cod, self.compose_payloads(g, f))
 
     @abstractmethod
     def identity(self, a: ObjHandle) -> Mor:
@@ -318,11 +328,11 @@ class Instance(ABC):
     def classify(self, f: Mor) -> OrthClass:
         ...
 
-    @abstractmethod
     def factorize(self, f: Mor) -> Factorization:
-        ...
+        mid, e, m = self.factor_payloads(f)
+        mid = self.obj(mid)
+        return Factorization(Mor(f.dom, mid, e), Mor(mid, f.cod, m))
 
-    @abstractmethod
     def pullback_along_M(self, f: Mor, m: Mor) -> ConeResult:
         """Pullback of the cospan (f, m) with m in M.
 
@@ -330,8 +340,14 @@ class Instance(ABC):
         leg2: apex -> dom(m) satisfies f . leg1 == m . leg2.  When f is in E,
         leg2 is in E as well (stability of E under pullback along M).
         """
+        if f.cod != m.cod:
+            raise EndpointMismatch("pullback cospan endpoints differ")
+        if not self.classify(m).in_M:
+            raise ClassViolation("pullback_along_M: second argument must be in M")
+        apex, leg1, leg2 = self.pullback_payloads(f, m)
+        apex = self.obj(apex)
+        return ConeResult(apex, Mor(apex, f.dom, leg1), Mor(apex, m.dom, leg2))
 
-    @abstractmethod
     def pushout_along_E(self, f: Mor, e: Mor) -> ConeResult:
         """Pushout of the span (f, e) with e in E and dom(f) == dom(e).
 
@@ -339,6 +355,33 @@ class Instance(ABC):
         leg2: cod(e) -> apex satisfies leg1 . f == leg2 . e.  When f is in M,
         leg2 is in M as well.
         """
+        if f.dom != e.dom:
+            raise EndpointMismatch("pushout span endpoints differ")
+        if not self.classify(e).in_E:
+            raise ClassViolation("pushout_along_E: second argument must be in E")
+        apex, leg1, leg2 = self.pushout_payloads(f, e)
+        apex = self.obj(apex)
+        return ConeResult(apex, Mor(f.cod, apex, leg1), Mor(e.cod, apex, leg2))
+
+    @abstractmethod
+    def check_payload(self, f: Mor) -> None:
+        """Raise ValidationFailure unless f.payload is a morphism dom(f) -> cod(f)."""
+
+    @abstractmethod
+    def compose_payloads(self, g: Mor, f: Mor) -> Any:
+        """The payload of g . f."""
+
+    @abstractmethod
+    def factor_payloads(self, f: Mor) -> tuple[Any, Any, Any]:
+        """(mid key, e, m): f's factorization through the object mid."""
+
+    @abstractmethod
+    def pullback_payloads(self, f: Mor, m: Mor) -> tuple[Any, Any, Any]:
+        """(apex key, leg1, leg2) of pullback_along_M(f, m)."""
+
+    @abstractmethod
+    def pushout_payloads(self, f: Mor, e: Mor) -> tuple[Any, Any, Any]:
+        """(apex key, leg1, leg2) of pushout_along_E(f, e)."""
 
     @abstractmethod
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
@@ -537,12 +580,9 @@ class GroupoidInstance(Instance):
         triples = itertools.product(range(n), repeat=3)
         if any(tab[tab[i][j]][k] != tab[i][tab[j][k]] for i, j, k in triples):
             raise ValidationFailure("groupoid table is not associative")
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if tab[i][j] == ident and tab[j][i] == ident:
-                    inv[i] = j
-        if any(v is None for v in inv):
+        inv = [next((j for j in range(n) if tab[i][j] == ident == tab[j][i]), None)
+               for i in range(n)]
+        if None in inv:
             raise ValidationFailure("groupoid table is not invertible")
         self.table = tab
         self.size = n
@@ -560,16 +600,12 @@ class GroupoidInstance(Instance):
         return STAR
 
     # morphisms
-    def validate_mor(self, f: Mor) -> None:
-        if f.dom.instance_id != self.name or f.cod.instance_id != self.name:
-            raise CrossInstance(f"morphism does not belong to the {self.name} instance")
+    def check_payload(self, f: Mor) -> None:
         if not isinstance(f.payload, int) or not 0 <= f.payload < self.size:
             raise ValidationFailure("groupoid morphism payload must be an element index")
 
-    def compose(self, g: Mor, f: Mor) -> Mor:
-        if f.cod != g.dom:
-            raise EndpointMismatch("compose endpoint mismatch")
-        return Mor(f.dom, g.cod, self.table[g.payload][f.payload])
+    def compose_payloads(self, g: Mor, f: Mor) -> int:
+        return self.table[g.payload][f.payload]
 
     def identity(self, a: ObjHandle) -> Mor:
         return Mor(a, a, self.ident)
@@ -577,26 +613,18 @@ class GroupoidInstance(Instance):
     def classify(self, f: Mor) -> OrthClass:
         return OrthClass(True, True)
 
-    def factorize(self, f: Mor) -> Factorization:
+    def factor_payloads(self, f: Mor) -> tuple[str, int, int]:
         # canonical choice: e = f, m = identity
-        return Factorization(e=f, m=self.identity(f.cod))
+        return STAR, f.payload, self.ident
 
     def inverse(self, f: Mor) -> Mor:
         return Mor(f.cod, f.dom, self.inv[f.payload])
 
-    def pullback_along_M(self, f: Mor, m: Mor) -> ConeResult:
-        if f.cod != m.cod:
-            raise EndpointMismatch("pullback cospan endpoint mismatch")
-        leg1 = self.identity(f.dom)
-        leg2 = self.compose(self.inverse(m), f)
-        return ConeResult(f.dom, leg1, leg2)
+    def pullback_payloads(self, f: Mor, m: Mor) -> tuple[str, int, int]:
+        return STAR, self.ident, self.table[self.inv[m.payload]][f.payload]
 
-    def pushout_along_E(self, f: Mor, e: Mor) -> ConeResult:
-        if f.dom != e.dom:
-            raise EndpointMismatch("pushout span endpoint mismatch")
-        leg1 = self.identity(f.cod)
-        leg2 = self.compose(f, self.inverse(e))
-        return ConeResult(f.cod, leg1, leg2)
+    def pushout_payloads(self, f: Mor, e: Mor) -> tuple[str, int, int]:
+        return STAR, self.ident, self.table[f.payload][self.inv[e.payload]]
 
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
         return [self.star]
@@ -641,10 +669,4 @@ def symmetric_group_table(n: int) -> list[list[int]]:
     """
     perms = sorted(itertools.permutations(range(n)))
     index = {p: k for k, p in enumerate(perms)}
-    table = []
-    for p in perms:
-        row = []
-        for q in perms:
-            row.append(index[tuple(p[q[x]] for x in range(n))])
-        table.append(row)
-    return table
+    return [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]

@@ -23,11 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
-    ClassViolation,
-    ConeResult,
-    CrossInstance,
     EndpointMismatch,
-    Factorization,
     Instance,
     Mor,
     ObjHandle,
@@ -152,11 +148,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]], *, U: bool = False, V: bool 
                             X[t], X[i] = X[i], X[t]
                         for r in Ui:
                             r[t], r[i] = r[i], r[t]
-                        if A[t][t] < 0:
-                            for X in rows:
-                                X[t] = [-x for x in X[t]]
-                            for r in Ui:
-                                r[t] = -r[t]
                         dirty = True
             for j in range(t + 1, n):
                 if A[t][j]:
@@ -168,10 +159,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]], *, U: bool = False, V: bool 
                         for X in cols:
                             for r in X:
                                 r[t], r[j] = r[j], r[t]
-                        if A[t][t] < 0:
-                            for X in cols:
-                                for r in X:
-                                    r[t] = -r[t]
                         dirty = True
         # divisibility: the pivot must divide every remaining entry; else
         # add the first offending row to row t and pivot again
@@ -588,8 +575,6 @@ class HomGroup:
 
 
 def _repeat_each(values: list[int], times: int) -> list[int]:
-    if times == 1:
-        return values
     if len(values) == 1:
         return values * times
     return [x for x in values for _ in range(times)]
@@ -954,19 +939,13 @@ class FinAbInstance(Instance):
 
     # morphisms
     def hom(self, a: ObjHandle, b: ObjHandle, rows: Sequence[Sequence[int]]) -> Mor:
-        mat = validate_hom(a.obj_key, b.obj_key, rows)
-        return Mor(a, b, mat)
+        return Mor(a, b, validate_hom(a.obj_key, b.obj_key, rows))
 
-    def validate_mor(self, f: Mor) -> None:
-        if f.dom.instance_id != self.name or f.cod.instance_id != self.name:
-            raise CrossInstance("morphism does not belong to the finab instance")
+    def check_payload(self, f: Mor) -> None:
         validate_hom(f.dom.obj_key, f.cod.obj_key, f.payload)
 
-    def compose(self, g: Mor, f: Mor) -> Mor:
-        if f.cod != g.dom:
-            raise EndpointMismatch(f"compose: {f.cod} != {g.dom}")
-        payload = hom_compose(g.payload, f.payload, g.cod.obj_key, len(f.dom.obj_key))
-        return Mor(f.dom, g.cod, payload)
+    def compose_payloads(self, g: Mor, f: Mor) -> Matrix:
+        return hom_compose(g.payload, f.payload, g.cod.obj_key, len(f.dom.obj_key))
 
     def identity(self, a: ObjHandle) -> Mor:
         return Mor(a, a, hom_identity(a.obj_key))
@@ -1046,11 +1025,9 @@ class FinAbInstance(Instance):
     def classify(self, f: Mor) -> OrthClass:
         return self._classify(f.dom.obj_key, f.cod.obj_key, f.payload)
 
-    def factorize(self, f: Mor) -> Factorization:
-        mid, e, m = self._constructions(ab_factorize, f.dom.obj_key, f.cod.obj_key, f.payload,
-                                        self._present)
-        mid_h = self.obj(mid)
-        return Factorization(Mor(f.dom, mid_h, e), Mor(mid_h, f.cod, m))
+    def factor_payloads(self, f: Mor) -> tuple[Orders, Matrix, Matrix]:
+        return self._constructions(ab_factorize, f.dom.obj_key, f.cod.obj_key, f.payload,
+                                   self._present)
 
     def solve_post_system(self, dom: ObjHandle, cod: ObjHandle,
                           eqs: Sequence[tuple[Mor, Mor]]) -> tuple[Optional[Mor], int]:
@@ -1064,26 +1041,13 @@ class FinAbInstance(Instance):
             return None, 0
         return Mor(dom, cod, w), count
 
-    def pullback_along_M(self, f: Mor, m: Mor) -> ConeResult:
-        if f.cod != m.cod:
-            raise EndpointMismatch("pullback cospan endpoints differ")
-        if not self.classify(m).in_M:
-            raise ClassViolation("pullback_along_M: second argument must be in M")
-        apex, leg1, leg2 = self._constructions(
-            ab_pullback, f.dom.obj_key, m.dom.obj_key, f.cod.obj_key, f.payload, m.payload,
-            self._present)
-        apex_h = self.obj(apex)
-        return ConeResult(apex_h, Mor(apex_h, f.dom, leg1), Mor(apex_h, m.dom, leg2))
+    def pullback_payloads(self, f: Mor, m: Mor) -> tuple[Orders, Matrix, Matrix]:
+        return self._constructions(ab_pullback, f.dom.obj_key, m.dom.obj_key, f.cod.obj_key,
+                                   f.payload, m.payload, self._present)
 
-    def pushout_along_E(self, f: Mor, e: Mor) -> ConeResult:
-        if f.dom != e.dom:
-            raise EndpointMismatch("pushout span endpoints differ")
-        if not self.classify(e).in_E:
-            raise ClassViolation("pushout_along_E: second argument must be in E")
-        apex, leg1, leg2 = self._constructions(
-            ab_pushout, f.dom.obj_key, f.cod.obj_key, e.cod.obj_key, f.payload, e.payload)
-        apex_h = self.obj(apex)
-        return ConeResult(apex_h, Mor(f.cod, apex_h, leg1), Mor(e.cod, apex_h, leg2))
+    def pushout_payloads(self, f: Mor, e: Mor) -> tuple[Orders, Matrix, Matrix]:
+        return self._constructions(ab_pushout, f.dom.obj_key, f.cod.obj_key, e.cod.obj_key,
+                                   f.payload, e.payload)
 
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
         return [self.obj(o) for o in invariant_factor_groups(bound)]

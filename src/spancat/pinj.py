@@ -12,10 +12,7 @@ from typing import Any, Optional, Sequence
 
 from .core import (
     ClassViolation,
-    ConeResult,
-    CrossInstance,
     EndpointMismatch,
-    Factorization,
     Instance,
     Mor,
     ObjHandle,
@@ -136,15 +133,11 @@ class PInjInstance(Instance):
     def pinj(self, a: ObjHandle, b: ObjHandle, assign: Sequence[Optional[int]]) -> Mor:
         return Mor(a, b, validate_assign(a.obj_key, b.obj_key, assign))
 
-    def validate_mor(self, f: Mor) -> None:
-        if f.dom.instance_id != self.name or f.cod.instance_id != self.name:
-            raise CrossInstance("morphism does not belong to the pinj instance")
+    def check_payload(self, f: Mor) -> None:
         validate_assign(f.dom.obj_key, f.cod.obj_key, f.payload)
 
-    def compose(self, g: Mor, f: Mor) -> Mor:
-        if f.cod != g.dom:
-            raise EndpointMismatch(f"compose: {f.cod} != {g.dom}")
-        return Mor(f.dom, g.cod, compose_assign(g.payload, f.payload))
+    def compose_payloads(self, g: Mor, f: Mor) -> Assign:
+        return compose_assign(g.payload, f.payload)
 
     def identity(self, a: ObjHandle) -> Mor:
         return Mor(a, a, identity_assign(a.obj_key))
@@ -152,10 +145,8 @@ class PInjInstance(Instance):
     def classify(self, f: Mor) -> OrthClass:
         return assign_classify(f.cod.obj_key, f.payload)
 
-    def factorize(self, f: Mor) -> Factorization:
-        size, e, m = factor_assign(f.payload)
-        mid = self.obj(size)
-        return Factorization(Mor(f.dom, mid, e), Mor(mid, f.cod, m))
+    def factor_payloads(self, f: Mor) -> tuple[int, Assign, Assign]:
+        return factor_assign(f.payload)
 
     def reverse(self, f: Mor) -> Mor:
         """The same set of (input, output) pairs read backwards."""
@@ -166,29 +157,16 @@ class PInjInstance(Instance):
             raise ClassViolation("inverse requested for a non-isomorphism")
         return self.reverse(f)
 
-    def pullback_along_M(self, f: Mor, m: Mor) -> ConeResult:
-        if f.cod != m.cod:
-            raise EndpointMismatch("pullback cospan endpoints differ")
-        if not self.classify(m).in_M:
-            raise ClassViolation("pullback_along_M: second argument must be in M")
-        size, leg1, leg2 = pullback_assign(f.payload, m.payload)
-        apex = self.obj(size)
-        return ConeResult(apex, Mor(apex, f.dom, leg1), Mor(apex, m.dom, leg2))
+    def pullback_payloads(self, f: Mor, m: Mor) -> tuple[int, Assign, Assign]:
+        return pullback_assign(f.payload, m.payload)
 
-    def pushout_along_E(self, f: Mor, e: Mor) -> ConeResult:
-        if f.dom != e.dom:
-            raise EndpointMismatch("pushout span endpoints differ")
-        if not self.classify(e).in_E:
-            raise ClassViolation("pushout_along_E: second argument must be in E")
+    def pushout_payloads(self, f: Mor, e: Mor) -> tuple[int, Assign, Assign]:
         # reverse both, pull back along the reversal of e, reverse the cone
         size, leg1, leg2 = pullback_assign(
             reverse_assign(f.payload, f.cod.obj_key),
             reverse_assign(e.payload, e.cod.obj_key),
         )
-        apex = self.obj(size)
-        out1 = Mor(f.cod, apex, reverse_assign(leg1, f.cod.obj_key))
-        out2 = Mor(e.cod, apex, reverse_assign(leg2, e.cod.obj_key))
-        return ConeResult(apex, out1, out2)
+        return size, reverse_assign(leg1, f.cod.obj_key), reverse_assign(leg2, e.cod.obj_key)
 
     def has_class_hom(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> bool:
         n, m = a.obj_key, b.obj_key

@@ -243,6 +243,30 @@ def run_cli(*args: str, hashseed: Optional[str] = None,
     )
 
 
+# input files that cannot be decoded: bytes that are not UTF-8, an array
+# nested past the decoder's recursion limit, and an integer literal past
+# Python's 4,300-digit limit on converting strings to integers
+UNDECODABLE = {
+    "not_utf8": b"\xff\xfe{}",
+    "too_deep": b"[" * 100_000 + b"]" * 100_000,
+    "long_int": b"1" * 5_000,
+}
+
+
+@pytest.mark.parametrize("command", ["fake-pullback", "compose-relations", "check-axioms"])
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_undecodable_input_exits_two(tmp_path, name, command):
+    # bad input (exit 2) in one line, not a failed law (exit 1) with a traceback
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNDECODABLE[name])
+    if command == "check-axioms":
+        proc = run_cli(command, "--instance", f"groupoid:{path}")
+    else:
+        proc = run_cli(command, str(path))
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_check_axioms_report_pinned(tmp_path):
     # the sha256 of this report as the compose-loop decisions wrote it; a
     # faster decision must not move a verdict or a dump

@@ -84,6 +84,8 @@ INSTANCE_CONTRACT = frozenset({
     "enumerate_homs", "compose_all", "class_homs", "has_class_hom",
     "span_iso_key", "rel_pair_key",
     "obj_json", "mor_json", "parse_obj_json", "parse_mor_json",
+    "check_payload", "compose_payloads", "factor_payloads",
+    "pullback_payloads", "pushout_payloads",
 })
 
 
@@ -185,6 +187,19 @@ def test_every_instance_default_serves_a_shipped_instance():
     unused = {name for name, fn in defaults.items()
               if all(getattr(cls, name) is not fn for cls in shipped)}
     assert unused == set()
+
+
+# Instance checks the preconditions of these, calls one payload hook and
+# wraps its result; a shipped instance supplies the hooks alone.
+CHECKED_CONSTRUCTIONS = frozenset({
+    "validate_mor", "compose", "factorize", "pullback_along_M", "pushout_along_E",
+})
+
+
+def test_no_shipped_instance_defines_a_checked_construction():
+    for cls in (FinAbInstance, PInjInstance, GroupoidInstance):
+        assert CHECKED_CONSTRUCTIONS.isdisjoint(vars(cls)), cls.__name__
+        assert all(getattr(cls, name) is vars(Instance)[name] for name in CHECKED_CONSTRUCTIONS)
 
 
 # Modules written against the Instance contract alone: a new instance must

@@ -89,7 +89,7 @@ certify_grid validate the squares they are handed or build.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -125,15 +125,7 @@ class CheckReport:
         return self.passes == self.samples
 
     def as_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "instance": self.instance,
-            "samples": self.samples,
-            "passes": self.passes,
-            "failures": self.failures,
-            "seed": self.seed,
-            "bound": self.bound,
-        }
+        return asdict(self)
 
 
 def one_sample_report(inst: Instance, name: str, failures: list, bound: int) -> CheckReport:

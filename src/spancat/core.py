@@ -226,11 +226,14 @@ class Instance(ABC):
     morphisms can be deduplicated in the brute-force checks.
 
     ``Instance`` checks and wraps; an instance supplies payload arithmetic.
-    validate_mor, compose, factorize and the two cones check their
-    preconditions here (the owning instance, matching ends, m in M or e in
-    E), call one hook (check_payload, compose_payloads, factor_payloads,
-    pullback_payloads or pushout_payloads), and wrap the object keys and
-    payloads it returns in handles and morphisms.  Every construction must
+    validate_mor, compose, factorize, the two cones and solve_post_system
+    check their preconditions here (the owning instance, matching ends, m
+    in M or e in E), call one hook (check_payload, compose_payloads,
+    factor_payloads, pullback_payloads, pushout_payloads or
+    solve_post_payloads), and wrap the object keys and payloads it returns
+    in handles and morphisms.  inverse and fill_diagonal check their
+    classes here and check the solve_post_system answer they read; no
+    shipped instance overrides any of these.  Every construction must
     be a deterministic function of the ``obj_key`` and payload of its
     arguments.  Together with immutable, hashable payloads this lets
     ``memo`` key derived constructions (fake pullbacks, span composites) on
@@ -258,7 +261,9 @@ class Instance(ABC):
 
     ``solve_post_system`` is the one search for a unique morphism, "the w
     with post . w == rhs": diagonal fills, inverses, cells and V3 mediators.
-    Such a w is unique because M-morphisms are monic.
+    Such a w is unique because M-morphisms are monic.  Each shipped
+    instance solves exactly, reading no pool: finab by congruences, pinj
+    from the posts' preimages and the groupoid off its table.
 
     Iso classes of spans and zig-zags are compared through two keys that
     every instance gives, ``span_iso_key`` and ``rel_pair_key``; the latter
@@ -267,10 +272,11 @@ class Instance(ABC):
     The samplers draw every morphism, of any class, from a pool through two
     hooks: ``class_homs(a, b, cls)`` gives the morphisms a -> b of a class
     (any, E, M or iso) in enumerate_homs order, and ``has_class_hom(a, b,
-    cls)`` says whether there is one.  Every pool is kept in
-    ``memo.pools``, made once per instance: the default of class any is
-    enumerate_homs itself, a class pool filters that kept pool by classify,
-    and has_class_hom asks whether the kept pool is empty.  A pool is any
+    cls)`` says whether there is one.  class_homs alone writes
+    ``memo.pools``, where it keeps each pool that the hook class_pool makes,
+    once per instance: the default of class any is enumerate_homs itself, a
+    class pool filters that kept pool by classify, and has_class_hom asks
+    whether the kept pool is empty.  A pool is any
     Sequence, so it may build a member only when it is read; the suites
     and the sampler read a pool by index, and pair members by their
     positions in compose_all's walks, not by iterating the pool.  finab
@@ -278,8 +284,7 @@ class Instance(ABC):
     from the ranks of the hom's matrices mod each prime, with no hom
     classified one by one.  Its pools, class any included, hold indices in
     its hom group, so a draw from one builds only the morphism drawn.  pinj
-    answers existence from the two sizes, and solves post systems from the
-    posts' preimages, so neither reads a pool.
+    answers existence from the two sizes, without a pool.
     """
 
     name: str = "abstract"
@@ -384,6 +389,12 @@ class Instance(ABC):
         """(apex key, leg1, leg2) of pushout_along_E(f, e)."""
 
     @abstractmethod
+    def solve_post_payloads(self, dom: ObjHandle, cod: ObjHandle,
+                            eqs: Sequence[tuple[Mor, Mor]]) -> tuple[Any, int]:
+        """(payload of solve_post_system's solution or None, count), for
+        equations whose ends match."""
+
+    @abstractmethod
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
         """The object catalog used by bounded checks (bound is instance-specific:
         group order for finab, set size for pinj, ignored by groupoids), as
@@ -412,7 +423,7 @@ class Instance(ABC):
         is the bounded catalog."""
         return self.enumerate_objects_up_to(bound)
 
-    # -- generic implementations (instances may override with solvers) ------
+    # -- generic implementations ---------------------------------------------
 
     def is_iso(self, f: Mor) -> bool:
         # E and M intersect exactly in the isomorphisms.
@@ -455,24 +466,27 @@ class Instance(ABC):
 
     def class_homs(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> Sequence[Mor]:
         """The morphisms a -> b of a class: any, E, M or iso, in
-        enumerate_homs order, kept in ``memo.pools``.  Class any is
-        enumerate_homs(a, b), made once; a class pool filters the kept pool
-        of class any by classify.  The Sequence may build its members when
-        they are read and need not be a tuple."""
+        enumerate_homs order: class_pool(a, b, cls), made once and kept in
+        ``memo.pools``.  The Sequence may build its members when they are
+        read and need not be a tuple."""
         key = (a.obj_key, b.obj_key, cls)
         hit = self.memo.pools.get(key)
         if hit is None:
-            if cls == "any":
-                hit = self.enumerate_homs(a, b)
-            elif cls == "iso":
-                hit = tuple(filter(self.is_iso, self.class_homs(a, b)))
-            elif cls in ("E", "M"):
-                flag = "in_" + cls
-                hit = tuple(f for f in self.class_homs(a, b) if getattr(self.classify(f), flag))
-            else:
-                raise ValueError(f"unknown class filter {cls!r}")
-            self.memo.pools[key] = hit
+            hit = self.memo.pools[key] = self.class_pool(a, b, cls)
         return hit
+
+    def class_pool(self, a: ObjHandle, b: ObjHandle, cls: str) -> Sequence[Mor]:
+        """The pool that class_homs(a, b, cls) keeps.  Class any is
+        enumerate_homs(a, b); a class pool filters the kept pool of class
+        any by classify."""
+        if cls == "any":
+            return self.enumerate_homs(a, b)
+        if cls == "iso":
+            return tuple(filter(self.is_iso, self.class_homs(a, b)))
+        if cls in ("E", "M"):
+            flag = "in_" + cls
+            return tuple(f for f in self.class_homs(a, b) if getattr(self.classify(f), flag))
+        raise ValueError(f"unknown class filter {cls!r}")
 
     def has_class_hom(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> bool:
         """Whether class_homs(a, b, cls) is nonempty."""
@@ -481,17 +495,13 @@ class Instance(ABC):
     def solve_post_system(self, dom: ObjHandle, cod: ObjHandle,
                           eqs: Sequence[tuple[Mor, Mor]]) -> tuple[Optional[Mor], int]:
         """One solution (or None) and the total count for the system
-        {post . w == rhs : (post, rhs) in eqs} over w: dom -> cod.
-
-        The default walks the kept pool class_homs(dom, cod); instances
-        with a solver override this."""
-        found, count = None, 0
-        for w in self.class_homs(dom, cod):
-            if all(self.compose(post, w) == rhs for post, rhs in eqs):
-                if found is None:
-                    found = w
-                count += 1
-        return found, count
+        {post . w == rhs : (post, rhs) in eqs} over w: dom -> cod.  Raises
+        EndpointMismatch unless each post: cod -> y and rhs: dom -> y."""
+        for post, rhs in eqs:
+            if post.dom != cod or rhs.dom != dom or rhs.cod != post.cod:
+                raise EndpointMismatch("solve_post_system: equation endpoints")
+        w, count = self.solve_post_payloads(dom, cod, eqs)
+        return (None if w is None else Mor(dom, cod, w)), count
 
     # -- iso-class keys -----------------------------------------------------
 
@@ -617,14 +627,19 @@ class GroupoidInstance(Instance):
         # canonical choice: e = f, m = identity
         return STAR, f.payload, self.ident
 
-    def inverse(self, f: Mor) -> Mor:
-        return Mor(f.cod, f.dom, self.inv[f.payload])
-
     def pullback_payloads(self, f: Mor, m: Mor) -> tuple[str, int, int]:
         return STAR, self.ident, self.table[self.inv[m.payload]][f.payload]
 
     def pushout_payloads(self, f: Mor, e: Mor) -> tuple[str, int, int]:
         return STAR, self.ident, self.table[f.payload][self.inv[e.payload]]
+
+    def solve_post_payloads(self, dom: ObjHandle, cod: ObjHandle,
+                            eqs: Sequence[tuple[Mor, Mor]]) -> tuple[Optional[int], int]:
+        # post . w == rhs has the one solution w = post^-1 . rhs
+        ws = {self.table[self.inv[post.payload]][rhs.payload] for post, rhs in eqs}
+        if len(ws) > 1:
+            return None, 0
+        return (ws.pop(), 1) if ws else (0, self.size)
 
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
         return [self.star]
@@ -635,13 +650,12 @@ class GroupoidInstance(Instance):
     def span_iso_key(self, d: Mor, m: Mor) -> Any:
         # the composite d . m^{-1} is invariant under re-choosing the apex iso
         # and determines the span up to isomorphism
-        return self.compose(d, self.inverse(m)).payload
+        return self.table[d.payload][self.inv[m.payload]]
 
     def rel_pair_key(self, d1: Mor, m1: Mor, d2: Mor, m2: Mor) -> Any:
         # normalizing the middle iso away leaves m1 . d1^{-1} . d2 . m2^{-1}
-        k1 = self.compose(m1, self.inverse(d1))
-        k2 = self.compose(d2, self.inverse(m2))
-        return self.compose(k1, k2).payload
+        tab, inv = self.table, self.inv
+        return tab[tab[m1.payload][inv[d1.payload]]][tab[d2.payload][inv[m2.payload]]]
 
     def obj_json(self, a: ObjHandle) -> dict:
         """{"star": true}, the one object."""

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
-    EndpointMismatch,
     Instance,
     Mor,
     ObjHandle,
@@ -539,13 +538,13 @@ class HomGroup:
                      for j in range(len(self.dom)))
         return rows, cols
 
-    def walk(self, live: Sequence[tuple[int, Sequence[int]]], mod: int = 0) -> list[int]:
+    def walk(self, live: Sequence[tuple[int, Sequence[int]]], mod: int) -> list[int]:
         """For each coordinate tuple c, in matrix_at index order, the sum of
-        values[c[k]] over the pairs (k, values) of live, reduced mod `mod`
-        unless it is 0.  The positions k of live increase; the others add
-        nothing, so a run of them only repeats each sum found so far.
+        values[c[k]] over the pairs (k, values) of live, reduced mod `mod`.
+        The positions k of live increase; the others add nothing, so a run
+        of them only repeats each sum found so far.
 
-        >>> hom_group((2, 2, 2), (2,)).walk([(0, [0, 1]), (2, [0, 5])])
+        >>> hom_group((2, 2, 2), (2,)).walk([(0, [0, 1]), (2, [0, 5])], 7)
         [0, 5, 0, 5, 1, 6, 1, 6]
         """
         runs = self.runs
@@ -554,10 +553,7 @@ class HomGroup:
             if k > done:
                 sums = _repeat_each(sums, runs[k] // runs[done])
             done = k + 1
-            if mod:
-                sums = [(x + v) % mod for x in sums for v in vals]
-            else:
-                sums = [x + v for x in sums for v in vals]
+            sums = [(x + v) % mod for x in sums for v in vals]
         return _repeat_each(sums, runs[-1] // runs[done]) if done < len(self.orders) else sums
 
     def matrix_at(self, i: int) -> Matrix:
@@ -880,17 +876,21 @@ class FinAbInstance(Instance):
     compose_all keeps nothing: its walks are cheap, and the decisions that
     read them are kept in ``memo.decisions`` (see ``core.Memo``).
 
+    ``Instance`` checks the ends and classes of every construction and of
+    solve_post_system, and keeps every pool; the hooks here compute only
+    payloads and pools.  solve_post_payloads solves by congruences.
+
     Its pools are ``IndexedHoms``, which build a morphism when it is
     read.  enumerate_homs reads the hom group through a range and is made
     on each call; class_homs keeps it in ``memo.pools`` as the pool of
-    class any, through the ``Instance`` default, and keeps there the E, M
-    and iso pools, one object under all three keys between groups of one
-    order.  These read a ClassIndices, which counts the full-rank matrices
-    mod each prime, so no index is listed and no hom outside the class is
-    made: a draw from Aut(Z2^5) builds one of its 9,999,360 members.
-    compose_all with a class reads the composites of a kept pool off its
-    walk at the pool's indices, so the sampler's commuting pair builds only
-    the two members it draws.
+    class any.  class_pool makes the E, M and iso pools, one object under
+    all three keys between groups of one order.  These read a
+    ClassIndices, which counts the full-rank matrices mod each prime, so no
+    index is listed and no hom outside the class is made: a draw from
+    Aut(Z2^5) builds one of its 9,999,360 members.  compose_all with a
+    class reads the composites of a kept pool off its walk at the pool's
+    indices, so the sampler's commuting pair builds only the two members
+    it draws.
     """
 
     name = "finab"
@@ -1004,23 +1004,18 @@ class FinAbInstance(Instance):
             return embeds(x, y)
         return super().has_class_hom(a, b, cls)
 
-    def class_homs(self, a: ObjHandle, b: ObjHandle, cls: str = "any") -> Sequence[Mor]:
+    def class_pool(self, a: ObjHandle, b: ObjHandle, cls: str) -> Sequence[Mor]:
         if cls not in ("E", "M", "iso"):
-            return super().class_homs(a, b, cls)
+            return super().class_pool(a, b, cls)
         x, y = a.obj_key, b.obj_key
-        hit = self.memo.pools.get((x, y, cls))
-        if hit is None:
-            # between groups of one order E, M and the isos are all Aut: one
-            # test finds them, and one pool serves all three
-            same_size = group_size(x) == group_size(y)
-            if cls == "iso" and not same_size:
-                hit = ()
-            else:
-                hg = self._hom_group(x, y)
-                hit = IndexedHoms(hg, a, b, ClassIndices(hg, cls == "E" or same_size))
-            for c in ("E", "M", "iso") if same_size else (cls,):
-                self.memo.pools[x, y, c] = hit
-        return hit
+        # between groups of one order E, M and the isos are all Aut: one
+        # test finds them, and one pool serves all three
+        if group_size(x) == group_size(y) and cls != "E":
+            return self.class_homs(a, b, "E")
+        if cls == "iso":
+            return ()
+        hg = self._hom_group(x, y)
+        return IndexedHoms(hg, a, b, ClassIndices(hg, cls == "E"))
 
     def classify(self, f: Mor) -> OrthClass:
         return self._classify(f.dom.obj_key, f.cod.obj_key, f.payload)
@@ -1029,17 +1024,10 @@ class FinAbInstance(Instance):
         return self._constructions(ab_factorize, f.dom.obj_key, f.cod.obj_key, f.payload,
                                    self._present)
 
-    def solve_post_system(self, dom: ObjHandle, cod: ObjHandle,
-                          eqs: Sequence[tuple[Mor, Mor]]) -> tuple[Optional[Mor], int]:
-        sys_eqs = []
-        for post, rhs in eqs:
-            if post.dom != cod or rhs.dom != dom or rhs.cod != post.cod:
-                raise EndpointMismatch("solve_post_system: equation endpoints")
-            sys_eqs.append((post.cod.obj_key, post.payload, rhs.payload))
-        w, count = solve_hom_equations(dom.obj_key, cod.obj_key, sys_eqs, self._hom_group)
-        if w is None:
-            return None, 0
-        return Mor(dom, cod, w), count
+    def solve_post_payloads(self, dom: ObjHandle, cod: ObjHandle,
+                            eqs: Sequence[tuple[Mor, Mor]]) -> tuple[Optional[Matrix], int]:
+        sys_eqs = [(post.cod.obj_key, post.payload, rhs.payload) for post, rhs in eqs]
+        return solve_hom_equations(dom.obj_key, cod.obj_key, sys_eqs, self._hom_group)
 
     def pullback_payloads(self, f: Mor, m: Mor) -> tuple[Orders, Matrix, Matrix]:
         return self._constructions(ab_pullback, f.dom.obj_key, m.dom.obj_key, f.cod.obj_key,

@@ -240,15 +240,13 @@ class Sampler:
         """Legs (d: R->src in E, m: R->tgt in M) of an EM-span src -> tgt.
 
         With one end given, the other is drawn among the objects an EM-span
-        can join to it; with neither, both are drawn blindly until one can."""
+        can join to it; with neither, both are drawn blindly until one can,
+        as src == tgt does, so each try succeeds with chance >= 1/len(objects)."""
         if src is None and tgt is None:
-            for _ in range(128):
+            apexes = None
+            while not apexes:
                 src, tgt = self.obj(), self.obj()
                 apexes = self.em_apexes(src, tgt)
-                if apexes:
-                    break
-            else:
-                raise SpanCatError("failed to sample an EM-span")
         else:
             if src is None:
                 src = self.rng.choice(self.em_ends(tgt, "src"))

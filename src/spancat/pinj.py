@@ -11,8 +11,6 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 from .core import (
-    ClassViolation,
-    EndpointMismatch,
     Instance,
     Mor,
     ObjHandle,
@@ -112,8 +110,10 @@ class PInjInstance(Instance):
     """Finite sets and partial injections, E onto and M total.  It keeps
     no table of its own: its pools, class any included, are the ``Instance``
     defaults, kept in ``memo.pools``; enumerate_homs lists anew on each call.
-    Two hooks answer from structure and read no pool: has_class_hom from
-    the two sizes, and solve_post_system from the posts' preimages."""
+    ``Instance`` checks the ends and classes of every construction, and an
+    inverse is its solve_post_system answer.  Two hooks answer from
+    structure and read no pool: has_class_hom from the two sizes, and
+    solve_post_payloads from the posts' preimages."""
 
     name = "pinj"
 
@@ -148,15 +148,6 @@ class PInjInstance(Instance):
     def factor_payloads(self, f: Mor) -> tuple[int, Assign, Assign]:
         return factor_assign(f.payload)
 
-    def reverse(self, f: Mor) -> Mor:
-        """The same set of (input, output) pairs read backwards."""
-        return Mor(f.cod, f.dom, reverse_assign(f.payload, f.cod.obj_key))
-
-    def inverse(self, f: Mor) -> Mor:
-        if not self.is_iso(f):
-            raise ClassViolation("inverse requested for a non-isomorphism")
-        return self.reverse(f)
-
     def pullback_payloads(self, f: Mor, m: Mor) -> tuple[int, Assign, Assign]:
         return pullback_assign(f.payload, m.payload)
 
@@ -180,15 +171,12 @@ class PInjInstance(Instance):
             return n == m
         return super().has_class_hom(a, b, cls)
 
-    def solve_post_system(self, dom: ObjHandle, cod: ObjHandle,
-                          eqs: Sequence[tuple[Mor, Mor]]) -> tuple[Optional[Mor], int]:
+    def solve_post_payloads(self, dom: ObjHandle, cod: ObjHandle,
+                            eqs: Sequence[tuple[Mor, Mor]]) -> tuple[Optional[Assign], int]:
         # where some rhs(x) is defined, w(x) is forced to post's preimage of
         # it; every other x goes to None or, injectively, into the points
         # where every post is undefined.  The solution returned puts None at
         # those x, the first solution in enumerate_homs order.
-        for post, rhs in eqs:
-            if post.dom != cod or rhs.dom != dom or rhs.cod != post.cod:
-                raise EndpointMismatch("solve_post_system: equation endpoints")
         inverses = [reverse_assign(post.payload, post.cod.obj_key) for post, _ in eqs]
         w: list[Optional[int]] = [None] * dom.obj_key
         free = 0
@@ -207,7 +195,7 @@ class PInjInstance(Instance):
             return None, 0
         unused = sum(all(post.payload[y] is None for post, _ in eqs)
                      for y in range(cod.obj_key))
-        return Mor(dom, cod, tuple(w)), count_pinjs(free, unused)
+        return tuple(w), count_pinjs(free, unused)
 
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
         return [self.obj(n) for n in range(bound + 1)]

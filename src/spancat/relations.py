@@ -158,18 +158,21 @@ def rel_iso_eq(inst: Instance, r1: Relation, r2: Relation) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _require_finab(inst: Instance) -> FinAbInstance:
-    if not isinstance(inst, FinAbInstance):
+def _require(inst: Instance, cls: type) -> Any:
+    """inst, which the Goursat translation needs to be finab and the
+    matching translation pinj."""
+    if not isinstance(inst, cls):
         raise ValidationFailure(
             "the Goursat translation needs the finite abelian instance, finab"
-        )
+            if cls is FinAbInstance else
+            "the matching translation needs the partial injection instance")
     return inst
 
 
 def goursat_to_subgroup(inst: Instance, r: Relation) -> frozenset:
     """The subgroup of X + Z classifying the zig-zag: pull the two E-legs
     back over the source, then image the paired M-legs."""
-    _require_finab(inst)
+    _require(inst, FinAbInstance)
     return rel_key(inst, r)[2]
 
 
@@ -179,7 +182,7 @@ def subgroup_to_zigzag(
     """Present a subgroup of X + Z as a zig-zag: factorize the two
     restricted projections, then push their E-parts out to build the shared
     source.  goursat_to_subgroup of the result returns elems exactly."""
-    fa = _require_finab(inst)
+    fa = _require(inst, FinAbInstance)
     ambient = x.obj_key + z.obj_key
     elem_set = frozenset(
         tuple(int(v[i]) % ambient[i] for i in range(len(ambient))) for v in elems
@@ -219,14 +222,6 @@ def goursat_generators(ambient: Sequence[int], elems: Iterable[Sequence[int]]) -
 # ---------------------------------------------------------------------------
 
 
-def _require_pinj(inst: Instance) -> PInjInstance:
-    if not isinstance(inst, PInjInstance):
-        raise ValidationFailure(
-            "the matching translation needs the partial injection instance"
-        )
-    return inst
-
-
 def matching_to_relation(
     inst: Instance, x: ObjHandle, z: ObjHandle,
     pairs: Iterable[Sequence[int]],
@@ -236,7 +231,7 @@ def matching_to_relation(
     """Build the canonical zig-zag of a matching key over partial
     injections: the source holds one point per matched pair, and phantoms
     ride the M-legs without a source image."""
-    pi = _require_pinj(inst)
+    pi = _require(inst, PInjInstance)
     nx, nz = x.obj_key, z.obj_key
     matched = sorted((int(a), int(b)) for a, b in pairs)
     lph = sorted(int(a) for a in left_phantoms)
@@ -272,7 +267,7 @@ def relation_to_matching(inst: Instance, r: Relation) -> tuple:
     """(pairs, left phantoms, right phantoms) classifying a zig-zag of
     partial injections; inverse to matching_to_relation up to end-fixed
     iso."""
-    _require_pinj(inst)
+    _require(inst, PInjInstance)
     key = rel_key(inst, r)
     return key[2], key[3], key[4]
 
@@ -358,7 +353,7 @@ def check_rrr(inst: Instance, r: Relation, bound: int) -> CheckReport:
 def check_goursat_roundtrip_exact(inst: Instance, x: ObjHandle, z: ObjHandle,
                                   bound: int) -> CheckReport:
     """Every subgroup of X + Z returns unchanged from the zig-zag trip."""
-    fa = _require_finab(inst)
+    fa = _require(inst, FinAbInstance)
 
     def roundtrip(s: frozenset) -> CheckReport:
         back = goursat_to_subgroup(fa, subgroup_to_zigzag(fa, x, z, s))
@@ -376,7 +371,7 @@ def check_goursat_roundtrip_exact(inst: Instance, x: ObjHandle, z: ObjHandle,
 def check_goursat_zigzag_return(inst: Instance, r: Relation,
                                 bound: int) -> CheckReport:
     """Zig-zag to subgroup and back lands in the same end-fixed iso class."""
-    fa = _require_finab(inst)
+    fa = _require(inst, FinAbInstance)
     back = subgroup_to_zigzag(fa, r.X, r.Z, goursat_to_subgroup(fa, r))
     ok = rel_iso_eq(fa, back, r)
     return one_sample_report(fa, "goursat_return", [] if ok else [{
@@ -417,7 +412,7 @@ def run_goursat_suite(inst: Instance, seed: int, samples: int,
                       bound: int, max_order: int = 16) -> CheckReport:
     """Exact subgroup roundtrips over every catalog pair with
     |X + Z| <= max_order, then sampled zig-zag returns."""
-    fa = _require_finab(inst)
+    fa = _require(inst, FinAbInstance)
     objects = fa.enumerate_objects_up_to(bound)
     reports = [
         check_goursat_roundtrip_exact(fa, x, z, bound)

@@ -19,3 +19,21 @@ def matrices_built(monkeypatch):
 
     monkeypatch.setattr(HomGroup, "matrix_at", counting)
     return built
+
+
+@pytest.fixture
+def pool_walk():
+    """The reference solver of post systems, a function (inst, dom, cod,
+    eqs) -> (solution or None, count) over w: dom -> cod with post . w ==
+    rhs for each (post, rhs) of eqs.  It walks class_homs(dom, cod) and
+    so answers the solution first in enumerate_homs order; it calls no
+    solver of an instance."""
+    def solve(inst, dom, cod, eqs):
+        found, count = None, 0
+        for w in inst.class_homs(dom, cod):
+            if all(inst.compose(post, w) == rhs for post, rhs in eqs):
+                if found is None:
+                    found = w
+                count += 1
+        return found, count
+    return solve

@@ -220,6 +220,31 @@ def test_solve_post_system_counts_solutions():
     assert count == len(list(FA.enumerate_homs(z2, z2))) == 2
 
 
+@pytest.mark.parametrize("inst,a,b", [(FA, (2,), (4,)), (PI, 1, 2)], ids=["finab", "pinj"])
+def test_a_mismatched_equation_is_rejected(inst, a, b):
+    # Instance checks each equation's ends before any solver runs: post
+    # must leave cod, rhs leave dom, and both land in one object
+    x, y = inst.obj(a), inst.obj(b)
+    zero = {(s, t): inst.enumerate_homs(s, t)[0] for s in (x, y) for t in (x, y)}
+    for post, rhs in [(zero[y, x], zero[x, x]), (zero[x, y], zero[y, y]),
+                      (zero[x, y], zero[x, x])]:
+        with pytest.raises(EndpointMismatch):
+            inst.solve_post_system(x, x, [(post, rhs)])
+
+
+def test_groupoid_solves_post_systems_off_its_table(pool_walk):
+    # every system of 0, 1 and 2 equations over S3 against the reference
+    # walk of its six elements; solution and count must both agree
+    homs = S3.enumerate_homs(S3.star, S3.star)
+    eqs = list(itertools.product(homs, repeat=2))
+    systems = [[]] + [[e] for e in eqs] + [list(p) for p in itertools.product(eqs, repeat=2)]
+    assert len(systems) == 1 + 36 + 36 ** 2
+    for system in systems:
+        want = pool_walk(S3, S3.star, S3.star, system)
+        assert S3.solve_post_system(S3.star, S3.star, system) == want, system
+    assert S3.solve_post_system(S3.star, S3.star, []) == (homs[0], 6)
+
+
 def test_iso_inverse_round_trips():
     z3 = FA.group(3)
     twist = FA.hom(z3, z3, [[2]])

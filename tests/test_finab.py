@@ -513,7 +513,8 @@ def reference_class_members(hg, in_E):
         members = {x + y for x in members for y in keys}
         if not members:
             return []
-    sums = hg.walk([(k, vals) for k, vals in enumerate(values) if any(vals)])
+    # each sum is below the last weight, so reducing by it changes nothing
+    sums = hg.walk([(k, vals) for k, vals in enumerate(values) if any(vals)], weight)
     return [n for n, x in enumerate(sums) if x in members]
 
 

@@ -147,6 +147,16 @@ def test_em_apexes_match_has_class_hom_filter(make, bound):
                 if inst.has_class_hom(r, src, "E") and inst.has_class_hom(r, tgt, "M")]
 
 
+def test_em_spans_with_free_ends_are_drawn_until_a_pair_has_one():
+    # at finab order 96 about 1 pair of objects in 26 has an EM-span, so a
+    # draw with both ends free must try pairs until one has
+    inst = FinAbInstance()
+    smp = Sampler(inst, 0, 96)
+    for _ in range(1000):
+        d, m = smp.em_span_legs()
+        assert d.dom == m.dom and inst.classify(d).in_E and inst.classify(m).in_M
+
+
 class _ComposeCounting(FinAbInstance):
     """FinAbInstance that counts its compose and compose_all calls."""
 

@@ -81,11 +81,11 @@ INSTANCE_CONTRACT = frozenset({
     "validate_mor", "compose", "identity", "classify", "factorize",
     "is_iso", "inverse", "fill_diagonal", "solve_post_system",
     "pullback_along_M", "pushout_along_E",
-    "enumerate_homs", "compose_all", "class_homs", "has_class_hom",
+    "enumerate_homs", "compose_all", "class_homs", "class_pool", "has_class_hom",
     "span_iso_key", "rel_pair_key",
     "obj_json", "mor_json", "parse_obj_json", "parse_mor_json",
     "check_payload", "compose_payloads", "factor_payloads",
-    "pullback_payloads", "pushout_payloads",
+    "pullback_payloads", "pushout_payloads", "solve_post_payloads",
 })
 
 
@@ -189,10 +189,12 @@ def test_every_instance_default_serves_a_shipped_instance():
     assert unused == set()
 
 
-# Instance checks the preconditions of these, calls one payload hook and
-# wraps its result; a shipped instance supplies the hooks alone.
+# Instance checks the preconditions of these, calls one hook and wraps or
+# checks its result; a shipped instance supplies the hooks alone.
+# class_homs alone writes memo.pools, over the hook class_pool.
 CHECKED_CONSTRUCTIONS = frozenset({
     "validate_mor", "compose", "factorize", "pullback_along_M", "pushout_along_E",
+    "solve_post_system", "inverse", "class_homs", "fill_diagonal",
 })
 
 

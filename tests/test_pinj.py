@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spancat.axioms import run_axiom_suite
-from spancat.core import ClassViolation, Instance, ValidationFailure
+from spancat.core import ClassViolation, Mor, ValidationFailure
 from spancat.pinj import (
     PInjInstance,
     compose_assign,
@@ -30,6 +30,11 @@ INST = PInjInstance()
 
 def homs(n: int, m: int):
     return INST.enumerate_homs(INST.obj(n), INST.obj(m))
+
+
+def reverse(f):
+    """The same set of (input, output) pairs read backwards."""
+    return Mor(f.cod, f.dom, reverse_assign(f.payload, f.cod.obj_key))
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +123,7 @@ def test_inverse_and_reverse():
     f = INST.pinj(a, a, (1, 2, 0))
     g = INST.inverse(f)
     assert INST.compose(g, f) == INST.identity(a)
+    assert g == reverse(f)
     with pytest.raises(ClassViolation):
         INST.inverse(INST.pinj(a, a, (1, None, 0)))
 
@@ -153,8 +159,8 @@ def composable_pair(draw):
 @settings(max_examples=80, deadline=None)
 @given(one_pinj())
 def test_reverse_is_involutive_and_partial_inverse(f):
-    r = INST.reverse(f)
-    assert INST.reverse(r) == f
+    r = reverse(f)
+    assert reverse(r) == f
     assert INST.compose(f, INST.compose(r, f)) == f
 
 
@@ -163,7 +169,7 @@ def test_reverse_is_involutive_and_partial_inverse(f):
 def test_reverse_antihomomorphism(pair):
     f, g = pair
     gf = INST.compose(g, f)
-    assert INST.reverse(gf) == INST.compose(INST.reverse(f), INST.reverse(g))
+    assert reverse(gf) == INST.compose(reverse(f), reverse(g))
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,7 +217,7 @@ def test_pullback_universal_property(data):
         T = INST.obj(t)
         for u in homs(t, f.dom.obj_key):
             # the second cone leg is forced by m being a total injection
-            v = INST.compose(INST.reverse(m), INST.compose(f, u))
+            v = INST.compose(reverse(m), INST.compose(f, u))
             if INST.compose(f, u) != INST.compose(m, v):
                 continue
             mediators = [
@@ -247,7 +253,7 @@ def test_pushout_universal_property(data):
         T = INST.obj(t)
         for u in homs(f.cod.obj_key, t):
             # the second cone leg is forced by e being surjective
-            v = INST.compose(u, INST.compose(f, INST.reverse(e)))
+            v = INST.compose(u, INST.compose(f, reverse(e)))
             if INST.compose(u, f) != INST.compose(v, e):
                 continue
             mediators = [
@@ -396,14 +402,14 @@ def post_systems(eqs: int, size: int):
 
 
 @pytest.mark.parametrize("eqs,size,systems", [(1, 3, 3_396), (2, 2, 5_568)])
-def test_solve_post_system_matches_the_pool_walk(eqs, size, systems):
-    # the direct solver against the Instance default, which walks the pool
-    # of every w: dom -> cod; solution and count must both agree
+def test_solve_post_system_matches_the_pool_walk(eqs, size, systems, pool_walk):
+    # pinj's preimage solver against the reference walk of the pool of
+    # every w: dom -> cod; solution and count must both agree
     ref = PInjInstance()
     seen = 0
     for n, m, system in post_systems(eqs, size):
         seen += 1
         dom, cod = INST.fset(n), INST.fset(m)
-        want = Instance.solve_post_system(ref, ref.fset(n), ref.fset(m), system)
+        want = pool_walk(ref, ref.fset(n), ref.fset(m), system)
         assert INST.solve_post_system(dom, cod, system) == want, (n, m, system)
     assert seen == systems

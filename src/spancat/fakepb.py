@@ -353,12 +353,17 @@ def v2_square(inst: Instance, a: EMSpan, x: EMSpan) -> V2Square:
     the same object."""
     if a.tgt != x.tgt:
         raise EndpointMismatch("v2 square needs a cospan: targets differ")
-    if not inst.is_iso(a.m):
-        raise ClassViolation("a must be a reversed-E span (invertible m-leg)")
-    if not inst.is_iso(x.d):
-        raise ClassViolation("x must be a lifted-M span (invertible d-leg)")
-    e_base = inst.compose(a.d, inst.inverse(a.m))
-    m_base = inst.compose(x.m, inst.inverse(x.d))
+    # inverse classifies each leg and raises ClassViolation on a non-iso
+    try:
+        a_inv = inst.inverse(a.m)
+    except ClassViolation:
+        raise ClassViolation("a must be a reversed-E span (invertible m-leg)") from None
+    try:
+        x_inv = inst.inverse(x.d)
+    except ClassViolation:
+        raise ClassViolation("x must be a lifted-M span (invertible d-leg)") from None
+    e_base = inst.compose(a.d, a_inv)
+    m_base = inst.compose(x.m, x_inv)
     ex = exchange_square(inst, m_base, e_base)
     b = lift_e(inst, ex.e_bar)
     y = lift_m(inst, ex.m_bar)

@@ -6,10 +6,14 @@ integer matrix with len(cod) rows and len(dom) columns, entries reduced mod
 the codomain order of their row.  All arithmetic is exact (Python ints).
 
 The factorization system takes E = surjective morphisms and M = injective
-ones.  Pullbacks are kernels of difference maps, pushouts are cokernels of
-pairing maps, factorizations are images, and classification reads the order
-of a cokernel: each construction reads its answer off the Smith normal forms
-over Z it computes, with no second algorithm beside them.
+ones.  A pullback along a one-to-one m is the preimage of im m inside the
+domain of f, the kernel of f followed by the quotient by im m; a pushout
+along an onto e is the codomain of f modulo f(ker e).  Both read the
+quotient or kernel of the leg they hold fixed, and lift through it, off one
+Smith form of that leg, which the instance keeps.  Factorizations are
+images, and classification reads the order of a cokernel: each
+construction reads its answer off the Smith normal forms over Z it
+computes, with no second algorithm beside them.
 """
 from __future__ import annotations
 
@@ -276,13 +280,22 @@ def cokernel_order(cod: Orders, mat: Sequence[Sequence[int]]) -> int:
     return math.prod(smith_normal_form(augmented(mat, cod)).diag) if cod else 1
 
 
+def augmented_form(mat: Matrix, cod: Orders) -> SNF:
+    """The Smith form, with U and V, of [mat | diag(cod)] for a nonempty
+    cod, mat a tuple of tuples so that a table can key on it.  It gives the
+    quotient by mat's image (``quotient``), its kernel (``kernel_gens``)
+    and its solutions (``solve_congruence``)."""
+    return smith_normal_form(augmented(mat, cod), U=True, V=True)
+
+
 def solve_congruence(
-    mat: Sequence[Sequence[int]], dom: Orders, cod: Orders, target: Sequence[int]
+    mat: Matrix, dom: Orders, cod: Orders, target: Sequence[int],
+    form: Callable[[Matrix, Orders], SNF] = augmented_form,
 ) -> tuple[Optional[Vector], int]:
     """(one x (mod dom) with mat @ x == target (mod cod), or None; the order
-    of the cokernel of mat).  Both come from the Smith form of
-    [mat | diag(cod)], whose diagonal has no zero since diag(cod) makes it
-    full rank: the cokernel's order is the product of that diagonal.
+    of the cokernel of mat).  Both come from form(mat, cod), the Smith form
+    of [mat | diag(cod)] (augmented_form, or a table of it): the cokernel's
+    order is the product of its diagonal.
 
     >>> solve_congruence(((2,),), (4,), (4,), (2,)), solve_congruence(((2,),), (4,), (4,), (1,))
     (((1,), 2), (None, 2))
@@ -290,7 +303,7 @@ def solve_congruence(
     n = len(dom)
     if not cod:
         return tuple(0 for _ in range(n)), 1
-    s = smith_normal_form(augmented(mat, cod), U=True, V=True)
+    s = form(mat, cod)
     t = mat_vec(s.U, list(target))
     diag = s.diag
     order = math.prod(diag)
@@ -370,35 +383,42 @@ def subgroup_from_gens(
     return orders, embedding, coords
 
 
-def kernel_gens(dom: Orders, cod: Orders, mat: Matrix) -> list[Vector]:
-    basis = integer_kernel_basis(augmented(mat, cod)) if cod else identity_matrix(len(dom))
+def kernel_form(mat: Matrix, cod: Orders) -> SNF:
+    return smith_normal_form(augmented(mat, cod), V=True)
+
+
+def kernel_gens(dom: Orders, cod: Orders, mat: Matrix,
+                form: Callable[[Matrix, Orders], SNF] = kernel_form) -> list[Vector]:
+    """Generators of the kernel of mat: dom -> cod, reduced mod dom: the
+    columns of V past the first len(cod) in form(mat, cod), the Smith form
+    of [mat | diag(cod)], which has no zero on its diagonal."""
+    basis = list(zip(*form(mat, cod).V))[len(cod):] if cod else identity_matrix(len(dom))
     return [tuple(map(operator.mod, v, dom)) for v in basis]
 
 
-# Each of kernel_subgroup, image_subgroup, ab_factorize and ab_pullback
-# presents its subgroup through present(ambient, gens), given gens as a
-# tuple: subgroup_from_gens, or a table of it.
-
-def kernel_subgroup(dom: Orders, cod: Orders, mat: Matrix,
-                    present: Callable = subgroup_from_gens) -> tuple[Orders, Matrix, Matrix]:
-    return present(dom, tuple(kernel_gens(dom, cod, mat)))
-
-
-def image_subgroup(dom: Orders, cod: Orders, mat: Matrix,
-                   present: Callable = subgroup_from_gens) -> tuple[Orders, Matrix, Matrix]:
-    return present(cod, tuple(tuple(mat[i][j] for i in range(len(cod))) for j in range(len(dom))))
+def quotient(s: SNF) -> tuple[Orders, Matrix]:
+    """The cokernel group and the quotient matrix cod -> coker of mat, read
+    off the rows of U in the form s of [mat | diag(cod)]."""
+    diag = s.diag
+    return (tuple([d for d in diag if d > 1]),
+            tuple([tuple([x % d for x in u]) for u, d in zip(s.U, diag) if d > 1]))
 
 
 def cokernel_data(dom: Orders, cod: Orders, mat: Matrix) -> tuple[Orders, Matrix]:
     """The cokernel group and the quotient matrix cod -> coker."""
-    m = len(cod)
-    if m == 0:
+    if not cod:
         return (), ()
-    s = smith_normal_form(augmented(mat, cod), U=True)
-    diag = s.diag
-    q_orders = tuple([d for d in diag if d > 1])
-    quot = tuple([tuple([x % d for x in u]) for u, d in zip(s.U, diag) if d > 1])
-    return q_orders, quot
+    return quotient(smith_normal_form(augmented(mat, cod), U=True))
+
+
+# Each of image_subgroup, ab_factorize and ab_pullback_along_M presents its
+# subgroup through present(ambient, gens), given gens as a tuple:
+# subgroup_from_gens, or a table of it; each cone reads its fixed leg's
+# form through form(mat, cod): augmented_form, or a table of it.
+
+def image_subgroup(dom: Orders, cod: Orders, mat: Matrix,
+                   present: Callable = subgroup_from_gens) -> tuple[Orders, Matrix, Matrix]:
+    return present(cod, tuple(tuple(mat[i][j] for i in range(len(cod))) for j in range(len(dom))))
 
 
 def ab_factorize(dom: Orders, cod: Orders, mat: Matrix,
@@ -416,33 +436,47 @@ def difference_map(c: Orders, f: Matrix, g: Matrix) -> Matrix:
                   for fi, gi, ci in zip(f, g, c)])
 
 
-def ab_pullback(
-    a: Orders, b: Orders, c: Orders, f: Matrix, g: Matrix,
+def from_columns(cols: Sequence[Vector], nrows: int) -> Matrix:
+    """The matrix of nrows rows with the given columns."""
+    return tuple(zip(*cols)) if cols else ((),) * nrows
+
+
+def ab_pullback_along_M(
+    a: Orders, b: Orders, c: Orders, f: Matrix, m: Matrix,
+    form: Callable[[Matrix, Orders], SNF] = augmented_form,
     present: Callable = subgroup_from_gens,
 ) -> tuple[Orders, Matrix, Matrix]:
-    """Pullback of f: a -> c against g: b -> c.
+    """Pullback of f: a -> c along the one-to-one m: b -> c.
 
-    Returns (apex orders, leg to a, leg to b); the apex is the kernel of the
-    difference map a + b -> c in canonical form.
+    Returns (apex orders, leg to a, leg to b).  As m is one-to-one, the
+    apex is f^-1(im m) inside a (Cohen, A Course in Computational Algebraic
+    Number Theory, 1993, 2.4): the kernel of q . f, for the quotient
+    q: c -> coker m read off m's form, presented in a as leg1.  leg2 sends
+    each apex generator h to the one y with m y == f h, solved through the
+    same form.
     """
-    apex, emb, _ = kernel_subgroup(a + b, c, difference_map(c, f, g), present)
-    # emb is reduced mod a + b row by row, so its rows are the legs
-    return apex, emb[:len(a)], emb[len(a):]
+    k_orders, q = quotient(form(m, c)) if c else ((), ())
+    apex, leg1, _ = present(a, tuple(kernel_gens(a, k_orders, hom_compose(q, f, k_orders, len(a)))))
+    lifts = [solve_congruence(m, b, c, apply_hom(f, h, c), form)[0] for h in zip(*leg1)]
+    return apex, leg1, from_columns(lifts, len(b))
 
 
-def ab_pushout(
-    a: Orders, b: Orders, c: Orders, f: Matrix, g: Matrix
+def ab_pushout_along_E(
+    a: Orders, b: Orders, c: Orders, f: Matrix, e: Matrix,
+    form: Callable[[Matrix, Orders], SNF] = augmented_form,
 ) -> tuple[Orders, Matrix, Matrix]:
-    """Pushout of f: a -> b against g: a -> c.
+    """Pushout of f: a -> b along the onto e: a -> c.
 
-    Returns (apex orders, leg from b, leg from c); the apex is the cokernel
-    of the pairing map a -> b + c.
+    Returns (apex orders, leg from b, leg from c).  As e is onto, the apex
+    is b / f(ker e) (Cohen, 2.4): leg1 is the quotient of b by f of the
+    generators of ker e read off e's form.  leg2 sends each generator of c
+    to leg1 . f of a preimage under e, solved through the same form.
     """
-    nb = len(b)
-    pairing = reduce_matrix(f, b) + tuple([tuple([-x % ci for x in gi]) for gi, ci in zip(g, c)])
-    q_orders, quot = cokernel_data(a, b + c, pairing)
-    # quot is reduced mod q_orders row by row, so its columns split into the legs
-    return q_orders, tuple([row[:nb] for row in quot]), tuple([row[nb:] for row in quot])
+    kernel = kernel_gens(a, c, e, form)
+    p_orders, leg1 = cokernel_data(a, b, hom_compose(f, from_columns(kernel, len(a)), b, len(kernel)))
+    preimages = [solve_congruence(e, a, c, unit, form)[0] for unit in identity_matrix(len(c))]
+    via_b = hom_compose(f, from_columns(preimages, len(a)), b, len(c))
+    return p_orders, leg1, hom_compose(leg1, via_b, p_orders, len(c))
 
 
 def all_subgroups(ambient: Orders) -> list[frozenset[Vector]]:
@@ -789,12 +823,16 @@ def solve_hom_equations(
     cod: Orders,
     eqs: Sequence[tuple[Orders, Matrix, Matrix]],
     groups: Callable[[Orders, Orders], HomGroup],
+    form: Callable[[Matrix, Orders], SNF] = augmented_form,
 ) -> tuple[Optional[Matrix], int]:
     """Solve for w: dom -> cod subject to post . w == rhs equations.
 
     Each equation is (y, post, rhs) with post: cod -> y and rhs: dom -> y
     matrices; groups(x, y) gives the hom group of x -> y (hom_group, or a
-    cache of it).  Returns (one solution or None, number of solutions if
+    cache of it).  They make one system of congruences on w's coordinates
+    in that group, solved through form (augmented_form, or a table of it):
+    its matrix depends on the posts alone, so other right-hand sides read
+    the same form.  Returns (one solution or None, number of solutions if
     one exists else 0).
     """
     hg = groups(dom, cod)
@@ -808,8 +846,8 @@ def solve_hom_equations(
         big_orders.extend(hg_y.orders)
         for t in range(k):
             columns[t].extend(hg_y.to_coords(hom_compose(post, hg.generator(t), y, len(dom))))
-    mat = [[columns[t][r] for t in range(k)] for r in range(len(big_orders))]
-    x, coker = solve_congruence(mat, hg.orders, tuple(big_orders), big_target)
+    mat = tuple([tuple([columns[t][r] for t in range(k)]) for r in range(len(big_orders))])
+    x, coker = solve_congruence(mat, hg.orders, tuple(big_orders), big_target, form)
     if x is None:
         return None, 0
     return hg.from_coords(x), hg.size * coker // math.prod(big_orders)
@@ -847,9 +885,10 @@ class IndexedHoms(collections.abc.Sequence):
         return hit
 
 
-# The capacities of FinAbInstance's two bounded tables.
+# The capacities of FinAbInstance's three bounded tables.
 CONSTRUCTIONS_CAPACITY = 512
 PRESENTATIONS_CAPACITY = 512
+FORMS_CAPACITY = 512
 
 
 class FinAbInstance(Instance):
@@ -862,17 +901,24 @@ class FinAbInstance(Instance):
     bound of a run caps them, and so is ``_classify``, of hom_classify:
     its keys are single morphisms, few per run, with two flags each.
     has_class_hom keeps nothing of its own: it reads ``_invariants``, and
-    each sampler keeps its answers.  The two tables that grow with the
+    each sampler keeps its answers.  The three tables that grow with the
     samples of a run are bounded, least recently used first out, by the
     capacities above:
-    - ``_constructions`` holds ab_pullback, ab_pushout and ab_factorize by
-      their raw inputs, for pullback_along_M, pushout_along_E and
-      factorize.  The class checks run in front of it, so a rejected input
-      raises on every call; a construction that raises stores nothing.
+    - ``_constructions`` holds ab_pullback_along_M, ab_pushout_along_E and
+      ab_factorize by their raw inputs, for pullback_along_M,
+      pushout_along_E and factorize.  The class checks run in front of it,
+      so a rejected input raises on every call; a construction that raises
+      stores nothing.
     - ``_present`` holds subgroup_from_gens by (ambient, gens), for the
-      kernels and images that ab_pullback and ab_factorize present.  Two
-      different inputs to these often present the same subgroup on the
-      same generators, and each presentation reads two Smith forms.
+      kernels and images that ab_pullback_along_M and ab_factorize
+      present.  Two different inputs to these often present the same
+      subgroup on the same generators, and each presentation reads two
+      Smith forms.
+    - ``_forms`` holds augmented_form by (matrix, cod), for the matrix a
+      construction holds fixed: the m of a pullback, the e of a pushout
+      and the system of solve_post_payloads.  A cone reads its fixed leg's
+      quotient or kernel and every lift through that leg off one form, and
+      a leg or system met again with other inputs makes no new one.
     compose_all keeps nothing: its walks are cheap, and the decisions that
     read them are kept in ``memo.decisions`` (see ``core.Memo``).
 
@@ -901,6 +947,7 @@ class FinAbInstance(Instance):
         self._hom_group = functools.lru_cache(maxsize=None)(hom_group)
         self._invariants = functools.lru_cache(maxsize=None)(invariant_factors)
         self._present = functools.lru_cache(maxsize=PRESENTATIONS_CAPACITY)(subgroup_from_gens)
+        self._forms = functools.lru_cache(maxsize=FORMS_CAPACITY)(augmented_form)
         self._classify = functools.lru_cache(maxsize=None)(hom_classify)
         self._prime_tops = functools.lru_cache(maxsize=None)(prime_tops)
         self.subgroups = functools.lru_cache(maxsize=None)(all_subgroups)
@@ -1027,15 +1074,16 @@ class FinAbInstance(Instance):
     def solve_post_payloads(self, dom: ObjHandle, cod: ObjHandle,
                             eqs: Sequence[tuple[Mor, Mor]]) -> tuple[Optional[Matrix], int]:
         sys_eqs = [(post.cod.obj_key, post.payload, rhs.payload) for post, rhs in eqs]
-        return solve_hom_equations(dom.obj_key, cod.obj_key, sys_eqs, self._hom_group)
+        return solve_hom_equations(dom.obj_key, cod.obj_key, sys_eqs, self._hom_group,
+                                   self._forms)
 
     def pullback_payloads(self, f: Mor, m: Mor) -> tuple[Orders, Matrix, Matrix]:
-        return self._constructions(ab_pullback, f.dom.obj_key, m.dom.obj_key, f.cod.obj_key,
-                                   f.payload, m.payload, self._present)
+        return self._constructions(ab_pullback_along_M, f.dom.obj_key, m.dom.obj_key,
+                                   f.cod.obj_key, f.payload, m.payload, self._forms, self._present)
 
     def pushout_payloads(self, f: Mor, e: Mor) -> tuple[Orders, Matrix, Matrix]:
-        return self._constructions(ab_pushout, f.dom.obj_key, f.cod.obj_key, e.cod.obj_key,
-                                   f.payload, e.payload)
+        return self._constructions(ab_pushout_along_E, f.dom.obj_key, f.cod.obj_key,
+                                   e.cod.obj_key, f.payload, e.payload, self._forms)
 
     def enumerate_objects_up_to(self, bound: int) -> list[ObjHandle]:
         return [self.obj(o) for o in invariant_factor_groups(bound)]

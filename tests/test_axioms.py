@@ -42,6 +42,7 @@ from spancat.finab import FinAbInstance, primary_factors
 from spancat.gen import Sampler
 from spancat.jsonio import parse_mor
 from spancat.pinj import PInjInstance
+from test_snf import reference_ab_pullback, reference_ab_pushout
 
 FA = FinAbInstance()
 PI = PInjInstance()
@@ -602,10 +603,21 @@ def test_groupoid_scans_keep_every_object_whole():
 
 class _AnyClassFinAb(FinAbInstance):
     """finab with every hom in E and M, so that the jointly scan takes any
-    pair of homs and the samplers draw any hom for any class."""
+    pair of homs and the samplers draw any hom for any class.  finab's
+    cones read their second leg as one-to-one or onto, which this breaks,
+    so its cones are the general references, built on the sum of two
+    corners."""
 
     def classify(self, f):
         return OrthClass(True, True)
+
+    def pullback_payloads(self, f, m):
+        return reference_ab_pullback(f.dom.obj_key, m.dom.obj_key, f.cod.obj_key,
+                                     f.payload, m.payload)
+
+    def pushout_payloads(self, f, e):
+        return reference_ab_pushout(f.dom.obj_key, f.cod.obj_key, e.cod.obj_key,
+                                    f.payload, e.payload)
 
     def class_homs(self, a, b, cls="any"):
         return self.enumerate_homs(a, b)

@@ -389,8 +389,10 @@ def test_finab_associativity_work_is_pinned(tmp_path, monkeypatch):
     # pullback read three, classify reads none into the trivial group, and
     # each distinct subgroup is presented once while it stays in finab's
     # presentation table (2,216 smith_normal_form calls before the first
-    # two of those changes, 1,768 before the last); the subgroup keys close
-    # 230 element sets, the same count when each was a breadth-first walk
+    # two of those changes, 1,768 before the last), and the cones read one
+    # kept form of their fixed leg and present their apex in one corner,
+    # not in a sum of two (1,590 before); the subgroup keys close 230
+    # element sets, the same count when each was a breadth-first walk
     calls = {"matrix_at": 0, "smith_normal_form": 0, "close_elements": 0}
     matrix_at, snf, close = finab.HomGroup.matrix_at, finab.smith_normal_form, finab.close_elements
 
@@ -413,7 +415,18 @@ def test_finab_associativity_work_is_pinned(tmp_path, monkeypatch):
     code = main(["suite", "--suite", "associativity", "--instance", "finab",
                  "--max-order", "16", "--samples", "50", "--seed", "0", "--out", str(out)])
     assert code == EXIT_OK
-    assert calls == {"matrix_at": 311, "smith_normal_form": 1590, "close_elements": 230}
+    assert calls == {"matrix_at": 311, "smith_normal_form": 1153, "close_elements": 230}
+
+
+def test_finab_associativity_at_order_128_finishes(tmp_path):
+    # a scale guard: with the cones presented in the sum of two corners,
+    # this run stalled past 100 s in the Smith form of a subgroup of
+    # (2, 60, 2, 60); it takes about a second with the cones built in one
+    # corner.  The timeout makes a regression fail here, not hang the suite
+    proc = run_cli("suite", "--suite", "associativity", "--instance", "finab",
+                   "--max-order", "128", "--samples", "50", "--seed", "3",
+                   "--out", str(tmp_path / "associativity.json"), timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
 
 
 def test_finab_axioms_work_is_pinned(tmp_path, monkeypatch):
@@ -421,7 +434,12 @@ def test_finab_axioms_work_is_pinned(tmp_path, monkeypatch):
     # square is decided once while it stays in the decisions table, and
     # each distinct subgroup presented once while it stays in the
     # presentation table (10,582 mediator-bijection evaluations and 8,154
-    # smith_normal_form calls without the two tables)
+    # smith_normal_form calls without the two tables), and each post
+    # system's form, and each cone's form of its fixed leg, is made once
+    # while it stays in the forms table (6,002 calls without it).  The
+    # evaluations were 5,206 when the cones presented their apex in the sum
+    # of two corners: the legs are other matrices now, so the squares that
+    # the decisions table keys on are too
     calls = {"_pullback_bijection_at": 0, "smith_normal_form": 0}
     bijection, snf = axioms._pullback_bijection_at, finab.smith_normal_form
 
@@ -438,7 +456,7 @@ def test_finab_axioms_work_is_pinned(tmp_path, monkeypatch):
     code = main(["check-axioms", "--instance", "finab", "--max-order", "8", "--samples", "1000",
                  "--seed", "0", "--out", str(tmp_path / "axioms.json")])
     assert code == EXIT_OK
-    assert calls == {"_pullback_bijection_at": 5206, "smith_normal_form": 6002}
+    assert calls == {"_pullback_bijection_at": 5215, "smith_normal_form": 3243}
 
 
 def test_fake_pullback_law_reports_pinned(tmp_path):
@@ -471,11 +489,13 @@ def order9_cospan_file(tmp_path):
 
 @pytest.mark.parametrize("hashseed", ["0", "1", "777"])
 def test_fake_pullback_output_pinned(cospan_file, order9_cospan_file, tmp_path, hashseed):
-    # the sha256 of each grid as ab_pullback, ab_factorize and ab_pushout
-    # built it; a change to the subgroup presentation must not move a matrix
+    # the sha256 of each grid as ab_pullback_along_M, ab_factorize and
+    # ab_pushout_along_E built it; a change to the subgroup presentation
+    # must not move a matrix.  The Z/9 grid moved when the cones were first
+    # built in one corner, on other generators; the Z/2 grid did not
     pinned = {
         cospan_file: "678c1d7d018f9c155989ba48d815ee409b3939b714255f9715d4a82d9cee8c8f",
-        order9_cospan_file: "e814f13a0e89e2c37b91082c6659b559cc63d7e76a9b66f6abc52b06d38b5aa0",
+        order9_cospan_file: "22e57edb2fc1718d4201adfe8f6ce81f484d6b48f123122a633e954750c97175",
     }
     for cospan, expected in pinned.items():
         out = tmp_path / f"{cospan.stem}.grid.json"

@@ -11,6 +11,7 @@ machinery.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 import pytest
@@ -463,12 +464,34 @@ def test_v2_guards():
     z2, z4 = FA.group(2), FA.group(4)
     e42, m24 = FA.hom(z4, z2, [[1]]), FA.hom(z2, z4, [[2]])
     good_a, good_x = lift_e(FA, e42), lift_m(FA, m24)
-    with pytest.raises(ClassViolation):
+    with pytest.raises(ClassViolation, match="a must be a reversed-E span"):
         v2_square(FA, lift_m(FA, m24), good_x)
-    with pytest.raises(ClassViolation):
+    with pytest.raises(ClassViolation, match="x must be a lifted-M span"):
         v2_square(FA, good_a, lift_e(FA, e42))
     with pytest.raises(EndpointMismatch):
         v2_square(FA, lift_e(FA, FA.identity(z2)), good_x)
+
+
+class _CountingClassify(FinAbInstance):
+    def __init__(self):
+        super().__init__()
+        self.seen = collections.Counter()
+
+    def classify(self, f):
+        self.seen[f] += 1
+        return super().classify(f)
+
+
+def test_v2_classifies_its_reversed_e_leg_once():
+    # the iso check on a.m is the one inverse makes; nothing else in the
+    # square reads that leg
+    inst = _CountingClassify()
+    z2, z4 = inst.group(2), inst.group(4)
+    a = lift_e(inst, inst.hom(z4, z2, [[1]]))
+    x = lift_m(inst, inst.hom(z2, z4, [[2]]))
+    inst.seen.clear()
+    v2_square(inst, a, x)
+    assert inst.seen[a.m] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from spancat.finab import (
     FinAbInstance,
     IndexedHoms,
     ab_factorize,
-    ab_pullback,
-    ab_pushout,
+    ab_pullback_along_M,
+    ab_pushout_along_E,
     all_subgroups,
     apply_hom,
     close_elements,
@@ -39,6 +39,7 @@ from spancat.finab import (
     diagonal_subgroup,
     elements_of,
     freeze,
+    from_columns,
     group_size,
     hom_classify,
     hom_compose,
@@ -48,7 +49,7 @@ from spancat.finab import (
     joint_image,
     invariant_factor_groups,
     invariant_factors,
-    kernel_subgroup,
+    kernel_gens,
     mat_mul,
     primary_factors,
     reduce_matrix,
@@ -61,6 +62,7 @@ from spancat.finab import (
 )
 from spancat.gen import Sampler
 from spancat.relations import run_associativity_suite
+from test_snf import generators_in, reference_ab_pullback
 
 INST = FinAbInstance()
 
@@ -78,6 +80,11 @@ def brute_kernel(dom, cod, mat):
 
 def brute_image(dom, cod, mat):
     return {apply_hom(mat, x, cod) for x in elements_of(dom)}
+
+
+def kernel_subgroup(dom, cod, mat):
+    """The kernel of mat: dom -> cod, presented by subgroup_from_gens."""
+    return subgroup_from_gens(dom, tuple(kernel_gens(dom, cod, mat)))
 
 
 def presented(sub, ambient):
@@ -170,7 +177,7 @@ def test_factorize_zero_map_through_trivial_group():
 
 def test_pullback_of_mod2_cospan_is_z4():
     # Z/4 --mod 2--> Z/2 <--id-- Z/2
-    apex, leg1, leg2 = ab_pullback((4,), (2,), (2,), ((1,),), ((1,),))
+    apex, leg1, leg2 = ab_pullback_along_M((4,), (2,), (2,), ((1,),), ((1,),))
     assert apex == (4,)
     pairs = {
         (apply_hom(leg1, x, (4,)), apply_hom(leg2, x, (2,)))
@@ -181,7 +188,7 @@ def test_pullback_of_mod2_cospan_is_z4():
 
 def test_pushout_of_z2_inclusion_along_collapse():
     # Z/4 <--x2-- Z/2 --!--> 0  gives  Z/4 / <2> = Z/2
-    apex, leg1, leg2 = ab_pushout((2,), (4,), (), ((2,),), ())
+    apex, leg1, leg2 = ab_pushout_along_E((2,), (4,), (), ((2,),), ())
     assert apex == (2,)
     assert leg1 == ((1,),)
     assert leg2 == ((),)
@@ -397,32 +404,37 @@ def test_tables_answer_as_fresh_constructions_up_to_order_4():
             if m.cod == f.cod and inst.classify(m).in_M:
                 for _ in range(2):
                     cone = inst.pullback_along_M(f, m)
-                    assert (cone.apex.obj_key, cone.leg1.payload, cone.leg2.payload) == ab_pullback(
-                        f.dom.obj_key, m.dom.obj_key, f.cod.obj_key, f.payload, m.payload)
+                    assert (cone.apex.obj_key, cone.leg1.payload, cone.leg2.payload) == (
+                        ab_pullback_along_M(f.dom.obj_key, m.dom.obj_key, f.cod.obj_key,
+                                            f.payload, m.payload))
                 cones += 1
         for e in homs:
             if e.dom == f.dom and inst.classify(e).in_E:
                 for _ in range(2):
                     cone = inst.pushout_along_E(f, e)
-                    assert (cone.apex.obj_key, cone.leg1.payload, cone.leg2.payload) == ab_pushout(
-                        f.dom.obj_key, f.cod.obj_key, e.cod.obj_key, f.payload, e.payload)
+                    assert (cone.apex.obj_key, cone.leg1.payload, cone.leg2.payload) == (
+                        ab_pushout_along_E(f.dom.obj_key, f.cod.obj_key, e.cod.obj_key,
+                                           f.payload, e.payload))
                 cones += 1
     info = inst._constructions.cache_info()
     assert (cones, info.misses, info.hits) == (708, 768, 768)
 
 
 def test_tables_hold_at_most_their_capacity():
-    # every hom up to order 12 factorized, and pulled back along the
-    # identity: more constructions than the one table holds, and more
-    # kernels and images than the other
+    # every hom up to order 12 factorized, pulled back along the identity
+    # and solved for the w with f . w == f: more constructions than the one
+    # table holds, more kernels and images than the next, and more post
+    # systems than the forms table
     inst = FinAbInstance()
     homs = _all_homs(inst, 12)
     assert len(homs) > finab.CONSTRUCTIONS_CAPACITY
     for f in homs:
         inst.factorize(f)
         inst.pullback_along_M(f, inst.identity(f.cod))
+        inst.solve_post_system(f.dom, f.dom, [(f, f)])
     for table, capacity in ((inst._constructions, finab.CONSTRUCTIONS_CAPACITY),
-                            (inst._present, finab.PRESENTATIONS_CAPACITY)):
+                            (inst._present, finab.PRESENTATIONS_CAPACITY),
+                            (inst._forms, finab.FORMS_CAPACITY)):
         info = table.cache_info()
         assert info.maxsize == capacity
         assert info.currsize == capacity < info.misses
@@ -431,7 +443,8 @@ def test_tables_hold_at_most_their_capacity():
 
 def _presentation_inputs(inst, bound):
     """(ambient, gens) of the kernel and the image of every hom up to
-    bound, as kernel_subgroup and image_subgroup hand them to present."""
+    bound, as a pullback's kernel and image_subgroup hand them to
+    present."""
     out = []
     for f in _all_homs(inst, bound):
         dom, cod, mat = f.dom.obj_key, f.cod.obj_key, f.payload
@@ -457,11 +470,12 @@ def test_kernels_and_images_present_through_the_table():
     inst = FinAbInstance()
     f = inst.hom(inst.group(2, 4), inst.group(4), [[2, 1]])
     dom, cod, mat = f.dom.obj_key, f.cod.obj_key, f.payload
-    assert kernel_subgroup(dom, cod, mat, inst._present) == kernel_subgroup(dom, cod, mat)
+    kernel = tuple(kernel_gens(dom, cod, mat))
+    assert inst._present(dom, kernel) == kernel_subgroup(dom, cod, mat)
     assert image_subgroup(dom, cod, mat, inst._present) == image_subgroup(dom, cod, mat)
     assert inst._present.cache_info().misses == 2
-    # factorize presents the image again; the pullback's kernel is one in
-    # dom + cod, a new input
+    # factorize presents the image again; the pullback along the identity
+    # presents all of dom, a new input
     inst.factorize(f)
     inst.pullback_along_M(f, inst.identity(f.cod))
     assert inst._present.cache_info()[:2] == (1, 3)  # (hits, misses)
@@ -860,12 +874,12 @@ def test_class_hooks_on_keys_not_in_invariant_form():
 
 
 def reference_pair_key(d1, m1, d2, m2):
-    """The zig-zag key as the pullback gives it: the apex and legs of
-    ab_pullback of the E-legs, each leg composed with its M-leg, and the
-    joint image of the two composites."""
+    """The zig-zag key as the pullback gives it: the apex and legs of the
+    reference pullback of the E-legs, each leg composed with its M-leg, and
+    the joint image of the two composites."""
     x, z = m1.cod.obj_key, m2.cod.obj_key
-    apex, leg1, leg2 = ab_pullback(d1.dom.obj_key, d2.dom.obj_key, d1.cod.obj_key,
-                                   d1.payload, d2.payload)
+    apex, leg1, leg2 = reference_ab_pullback(d1.dom.obj_key, d2.dom.obj_key, d1.cod.obj_key,
+                                             d1.payload, d2.payload)
     return joint_image(x, z, hom_compose(m1.payload, leg1, x, len(apex)),
                        hom_compose(m2.payload, leg2, z, len(apex)))
 
@@ -1135,13 +1149,12 @@ def test_subgroup_presentation_matches_elements():
 
 @st.composite
 def pullback_inputs(draw):
+    # g: b -> c the inclusion of a drawn subgroup
     a = draw(small_orders)
-    b = draw(small_orders)
     c = draw(small_orders)
     hf = hom_group(a, c)
-    hg = hom_group(b, c)
     f = hf.from_coords(tuple(draw(st.integers(0, g - 1)) for g in hf.orders))
-    g = hg.from_coords(tuple(draw(st.integers(0, g - 1)) for g in hg.orders))
+    b, g, _ = subgroup_from_gens(c, draw(generators_in(c)))
     return a, b, c, f, g
 
 
@@ -1149,7 +1162,7 @@ def pullback_inputs(draw):
 @given(pullback_inputs())
 def test_pullback_matches_brute_force(data):
     a, b, c, f, g = data
-    apex, leg1, leg2 = ab_pullback(a, b, c, f, g)
+    apex, leg1, leg2 = ab_pullback_along_M(a, b, c, f, g)
     realized = {
         apply_hom(leg1, x, a) + apply_hom(leg2, x, b) for x in elements_of(apex)
     }
@@ -1165,14 +1178,13 @@ def test_pullback_matches_brute_force(data):
 
 @st.composite
 def pushout_inputs(draw):
+    # g: c -> b the quotient by a drawn subgroup
     c = draw(small_orders)
     a = draw(small_orders)
-    b = draw(small_orders)
+    b, g = cokernel_data(c, c, from_columns(draw(generators_in(c)), len(c)))
     assume(group_size(a) * group_size(b) <= 36)
     hf = hom_group(c, a)
-    hg = hom_group(c, b)
     f = hf.from_coords(tuple(draw(st.integers(0, g - 1)) for g in hf.orders))
-    g = hg.from_coords(tuple(draw(st.integers(0, g - 1)) for g in hg.orders))
     return c, a, b, f, g
 
 
@@ -1180,7 +1192,7 @@ def pushout_inputs(draw):
 @given(pushout_inputs())
 def test_pushout_universal_property_bounded(data):
     c, a, b, f, g = data
-    apex, leg1, leg2 = ab_pushout(c, a, b, f, g)
+    apex, leg1, leg2 = ab_pushout_along_E(c, a, b, f, g)
     nc = len(c)
     assert hom_compose(leg1, f, apex, nc) == hom_compose(leg2, g, apex, nc)
     for t_orders in [(), (2,), (3,), (4,), (2, 2), (6,)]:

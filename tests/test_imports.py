@@ -101,7 +101,7 @@ def test_instance_contract_is_pinned():
 # the benchmark's units.
 INSTANCE_TABLES = {
     "FinAbInstance": frozenset({
-        "_constructions", "_hom_group", "_invariants", "_present", "_classify",
+        "_constructions", "_hom_group", "_invariants", "_present", "_forms", "_classify",
         "_prime_tops", "subgroups",
     }),
     "PInjInstance": frozenset(),

@@ -9,10 +9,19 @@ two finab benchmark units hand it (recorded from in-process runs) and
 small matrices drawn by hypothesis.
 
 The helpers that build the forms' inputs and read their answers (products,
-kernels, presentations, cokernels, pullbacks and pushouts) must return
-what the index-loop copies below return, with the same tuple and list
-types, since callers hash them: on every hom of the order-8 catalog, on
-hypothesis inputs and on the empty shapes.
+kernels, presentations and cokernels) must return what the index-loop
+copies below return, with the same tuple and list types, since callers
+hash them: on every hom of the order-8 catalog, on hypothesis inputs and
+on the empty shapes.
+
+The cones, a pullback along a one-to-one leg and a pushout along an onto
+one, are built in one corner rather than in the sum of two, so they
+present their apex on other generators than the references below, the
+general pullback and pushout on that sum.  They must match them up to the
+one iso of cones: the same apex order, homs for legs, a commuting square,
+and the same joint image of the legs in a pullback's base sum, or kernel
+of the legs on a pushout's.  On larger ambients, where the references
+stall, an elementwise oracle takes their place.
 """
 from __future__ import annotations
 
@@ -27,13 +36,18 @@ from spancat.cli import EXIT_OK, main
 from spancat.core import SpanCatError
 from spancat.finab import (
     SNF,
-    ab_pullback,
-    ab_pushout,
+    ab_pullback_along_M,
+    ab_pushout_along_E,
+    apply_hom,
     augmented,
+    close_elements,
     cokernel_data,
     difference_map,
+    elements_of,
     freeze,
+    from_columns,
     group_size,
+    hom_compose,
     hom_group,
     identity_matrix,
     integer_kernel_basis,
@@ -44,6 +58,7 @@ from spancat.finab import (
     reduce_matrix,
     smith_normal_form,
     subgroup_from_gens,
+    validate_hom,
 )
 
 FLAGS = list(itertools.product([False, True], repeat=3))  # (U, V, Uinv)
@@ -316,6 +331,51 @@ def reference_ab_pushout(a, b, c, f, g):
     return q_orders, leg1, leg2
 
 
+def is_one_to_one(dom, cod, mat) -> bool:
+    """Whether mat: dom -> cod is one-to-one, by the order of the subgroup
+    its columns generate."""
+    return len(close_elements(cod, zip(*mat))) == group_size(dom)
+
+
+def is_onto(dom, cod, mat) -> bool:
+    """Whether mat: dom -> cod is onto, by the same order."""
+    return len(close_elements(cod, zip(*mat))) == group_size(cod)
+
+
+def assert_pullback_matches(a, b, c, f, m, got) -> None:
+    """got is the pullback of f: a -> c along the one-to-one m: b -> c, as
+    the reference builds it up to the one iso of cones: the apexes have
+    one order, the legs are homs, the square commutes, and the legs trace
+    out the reference's subgroup of a + b."""
+    apex, leg1, leg2 = got
+    expect = reference_ab_pullback(a, b, c, f, m)
+    assert apex == expect[0]
+    assert validate_hom(apex, a, leg1) == leg1 and validate_hom(apex, b, leg2) == leg2
+    assert hom_compose(f, leg1, c, len(apex)) == hom_compose(m, leg2, c, len(apex))
+    assert close_elements(a + b, zip(*leg1, *leg2)) == close_elements(a + b, zip(*expect[1], *expect[2]))
+
+
+def legs_kernel(b, c, cone):
+    """The kernel of [leg1 | leg2]: b + c -> apex of a pushout cone, as an
+    element set."""
+    apex, leg1, leg2 = cone
+    joined = tuple([r1 + r2 for r1, r2 in zip(leg1, leg2)])
+    return close_elements(b + c, reference_kernel_gens(b + c, apex, joined))
+
+
+def assert_pushout_matches(a, b, c, f, e, got) -> None:
+    """got is the pushout of f: a -> b along the onto e: a -> c, as the
+    reference builds it up to the one iso of cones: the apexes have one
+    order, the legs are homs, the square commutes, and the legs kill the
+    reference's subgroup of b + c."""
+    apex, leg1, leg2 = got
+    expect = reference_ab_pushout(a, b, c, f, e)
+    assert apex == expect[0]
+    assert validate_hom(b, apex, leg1) == leg1 and validate_hom(c, apex, leg2) == leg2
+    assert hom_compose(leg1, f, apex, len(a)) == hom_compose(leg2, e, apex, len(a))
+    assert legs_kernel(b, c, got) == legs_kernel(b, c, expect)
+
+
 def assert_same(got, expect) -> None:
     """Equal, with the same tuple, list and int types all the way down."""
     assert got == expect
@@ -359,10 +419,12 @@ def test_hom_helpers_match_the_references_on_the_order_8_catalog():
 
 def test_products_and_cones_match_the_references_on_the_order_8_catalog():
     # every 13th product of composable catalog homs through each middle
-    # group, and every 101st cospan and span of them
+    # group, every 101st cospan of them for the difference map, and along
+    # each one-to-one (onto) catalog hom every 41st cospan (span) that it
+    # closes
     homs = catalog_homs(8)
     groups = invariant_factor_groups(8)
-    products = cones = 0
+    products = differences = cones = 0
     for b in groups:
         into = [f for a in groups for f in homs[a, b]]
         out = [g for c in groups for g in homs[b, c]]
@@ -371,17 +433,22 @@ def test_products_and_cones_match_the_references_on_the_order_8_catalog():
             products += 1
     for c in groups:
         into = [(a, f) for a in groups for f in homs[a, c]]
-        pairs = list(itertools.product(into, repeat=2))[::101]
-        for (a, f), (b, g) in pairs:
+        for (a, f), (b, g) in list(itertools.product(into, repeat=2))[::101]:
             assert_same(difference_map(c, f, g), reference_difference_map(c, f, g))
-            assert_same(ab_pullback(a, b, c, f, g), reference_ab_pullback(a, b, c, f, g))
-            cones += 1
+            differences += 1
+        monos = [(b, m) for b, m in into if is_one_to_one(b, c, m)]
+        for i, (b, m) in enumerate(monos):
+            for a, f in into[i % len(into)::41]:
+                assert_pullback_matches(a, b, c, f, m, ab_pullback_along_M(a, b, c, f, m))
+                cones += 1
     for a in groups:
         out = [(b, f) for b in groups for f in homs[a, b]]
-        for (b, f), (c, g) in list(itertools.product(out, repeat=2))[::101]:
-            assert_same(ab_pushout(a, b, c, f, g), reference_ab_pushout(a, b, c, f, g))
-            cones += 1
-    assert (products, cones) == (38139, 9828)
+        epis = [(c, e) for c, e in out if is_onto(a, c, e)]
+        for i, (c, e) in enumerate(epis):
+            for b, f in out[i % len(out)::41]:
+                assert_pushout_matches(a, b, c, f, e, ab_pushout_along_E(a, b, c, f, e))
+                cones += 1
+    assert (products, differences, cones) == (38139, 4914, 6550)
 
 
 def test_helpers_on_empty_shapes():
@@ -397,14 +464,19 @@ def test_helpers_on_empty_shapes():
     for ambient in ((), (2, 4)):
         assert_same(subgroup_from_gens(ambient, ()), reference_subgroup_from_gens(ambient, ()))
     zero = ((0,),)
-    assert ab_pullback((2,), (3,), (6,), ((3,),), ((2,),))[0] == ()
-    assert ab_pushout((2,), (2,), (), ((1,),), ())[0] == ()
-    for a, b, c, f, g in (((2,), (3,), (6,), ((3,),), ((2,),)), ((), (), (), (), ()),
-                          ((2,), (), (2,), ((1,),), ((),)), ((3,), (2,), (2,), zero, zero)):
-        assert_same(ab_pullback(a, b, c, f, g), reference_ab_pullback(a, b, c, f, g))
-    for a, b, c, f, g in (((2,), (2,), (), ((1,),), ()), ((), (), (), (), ()),
-                          ((), (2,), (4,), ((),), ((),)), ((2,), (3,), (2,), zero, ((1,),))):
-        assert_same(ab_pushout(a, b, c, f, g), reference_ab_pushout(a, b, c, f, g))
+    assert ab_pullback_along_M((2,), (3,), (6,), ((3,),), ((2,),))[0] == ()
+    assert ab_pushout_along_E((2,), (2,), (), ((1,),), ())[0] == ()
+    # the second leg one-to-one or onto; a trivial corner with no factor or
+    # with the factor 1
+    for a, b, c, f, m in (((2,), (3,), (6,), ((3,),), ((2,),)), ((), (), (), (), ()),
+                          ((2,), (), (2,), ((1,),), ((),)), ((3,), (), (2,), zero, ((),)),
+                          ((2,), (), (), (), ()), ((2,), (1,), (), (), ()),
+                          ((2,), (1,), (2,), ((1,),), zero)):
+        assert_pullback_matches(a, b, c, f, m, ab_pullback_along_M(a, b, c, f, m))
+    for a, b, c, f, e in (((2,), (2,), (), ((1,),), ()), ((), (), (), (), ()),
+                          ((), (2,), (), ((),), ()), ((), (2,), (1,), ((),), ((),)),
+                          ((2,), (3,), (2,), zero, ((1,),)), ((2,), (), (1,), (), zero)):
+        assert_pushout_matches(a, b, c, f, e, ab_pushout_along_E(a, b, c, f, e))
 
 
 GROUPS_16 = invariant_factor_groups(16)
@@ -427,9 +499,11 @@ def test_helpers_match_the_references_on_drawn_inputs(data):
     f, g = data.draw(hom_of(a, c)), data.draw(hom_of(b, c))
     assert_hom_helpers_match(a, c, f)
     assert_same(difference_map(c, f, g), reference_difference_map(c, f, g))
-    assert_same(ab_pullback(a, b, c, f, g), reference_ab_pullback(a, b, c, f, g))
+    if is_one_to_one(b, c, g):
+        assert_pullback_matches(a, b, c, f, g, ab_pullback_along_M(a, b, c, f, g))
     f, g = data.draw(hom_of(c, a)), data.draw(hom_of(c, b))
-    assert_same(ab_pushout(c, a, b, f, g), reference_ab_pushout(c, a, b, f, g))
+    if is_onto(c, b, g):
+        assert_pushout_matches(c, a, b, f, g, ab_pushout_along_E(c, a, b, f, g))
     # unreduced integer matrices and generator lists
     m, n, k = (data.draw(st.integers(0, 4)) for _ in range(3))
     x = data.draw(st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=m, max_size=m))
@@ -445,3 +519,44 @@ def test_helpers_match_the_references_on_drawn_inputs(data):
     ambient = data.draw(st.sampled_from(AMBIENTS))
     gens = tuple(data.draw(st.lists(st.tuples(*(small_ints for _ in ambient)), max_size=4)))
     assert_same(subgroup_from_gens(ambient, gens), reference_subgroup_from_gens(ambient, gens))
+
+
+# two corners whose sum has up to four cyclic factors of order <= 60, such
+# as (2, 60, 2, 60), where the general pullback stalled in the Smith form
+# of its presentation
+corners = st.lists(st.integers(1, 60), max_size=2).map(tuple)
+
+
+@st.composite
+def generators_in(draw, ambient):
+    """Up to three elements of ambient, to generate a subgroup."""
+    return tuple(draw(st.lists(st.tuples(*(st.integers(0, o - 1) for o in ambient)), max_size=3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cones_match_elementwise_oracles_on_larger_ambients(data):
+    # a pullback along the inclusion of a drawn subgroup, against the pairs
+    # (x, y) with f x == m y; a pushout along the quotient by a drawn
+    # subgroup, whose legs must kill exactly the (f x, -e x): they kill its
+    # generators and have the right kernel order, as leg1 is onto
+    a, c = data.draw(corners), data.draw(corners)
+    b, m, _ = subgroup_from_gens(c, data.draw(generators_in(c)))
+    f = data.draw(hom_of(a, c))
+    apex, leg1, leg2 = ab_pullback_along_M(a, b, c, f, m)
+    assert validate_hom(apex, a, leg1) == leg1 and validate_hom(apex, b, leg2) == leg2
+    preimage = {apply_hom(m, y, c): y for y in elements_of(b)}
+    pairs = {x + preimage[fx] for x in elements_of(a) if (fx := apply_hom(f, x, c)) in preimage}
+    assert group_size(apex) == len(pairs)
+    assert close_elements(a + b, zip(*leg1, *leg2)) == pairs
+
+    a, b = data.draw(corners), data.draw(corners)
+    c, e = cokernel_data(a, a, from_columns(data.draw(generators_in(a)), len(a)))
+    f = data.draw(hom_of(a, b))
+    apex, leg1, leg2 = ab_pushout_along_E(a, b, c, f, e)
+    assert validate_hom(b, apex, leg1) == leg1 and validate_hom(c, apex, leg2) == leg2
+    assert hom_compose(leg1, f, apex, len(a)) == hom_compose(leg2, e, apex, len(a))
+    assert is_onto(b, apex, leg1)
+    glued = close_elements(b + c, [apply_hom(f, x, b) + apply_hom(e, [-v for v in x], c)
+                                   for x in identity_matrix(len(a))])
+    assert len(glued) * group_size(apex) == group_size(b) * group_size(c)

@@ -8,8 +8,19 @@ T exactly when w |-> (top . w, left . w) is a bijection from hom(T, apex)
 onto the set of cones over the cospan.  Each leg is composed with the whole
 hom set at T in one call, Instance.compose_all, which finab answers by
 additions in the hom group.  The cones are counted by grouping one cospan
-leg's composites by payload and probing with the other's, and the mediator
-map must be injective with as many mediators as cones.
+leg's composites and probing with the other's, and the mediator map must
+be injective with as many mediators as cones.
+
+The decisions and the jointly and properness scans read a leg's walk at T
+only through _walk, which keeps it in the bounded table memo.walks with
+each composite payload replaced by a small integer id (memo.composite_ids;
+see core.Memo).  A leg met again at T, in another square or scan, is
+walked once while the table keeps it, and the counts hash integers, not
+matrices.  Ids may stand in for payloads because equal payloads in one
+hom set are equal morphisms, and the walks compare composites only there:
+the right and bottom composites in hom(T, bottom-right corner), and the
+(top, left) pairs of mediators by their tops in hom(T, cod top) and their
+lefts in hom(T, cod left).
 
 Each instance names the test objects of a decision
 (Instance.decision_objects), by default the bounded catalog.  No decision
@@ -94,6 +105,7 @@ from typing import Callable, Optional, Sequence
 
 from .core import (
     DECISIONS_CAPACITY,
+    WALKS_CAPACITY,
     Instance,
     Mor,
     ObjHandle,
@@ -159,6 +171,27 @@ def merge_reports(check_name: str, reports: Sequence[CheckReport],
 # ---------------------------------------------------------------------------
 
 
+def _walk(inst: Instance, g: Mor, t: ObjHandle, op: bool) -> tuple[int, ...]:
+    """compose_all(g, t, op) with each composite payload replaced by its
+    id in inst.memo.composite_ids, read from, or else made and kept in,
+    the bounded table inst.memo.walks, keyed by g's ends' obj_keys, its
+    payload, t's obj_key and op; the least recently used walk goes first.
+    Two composites in one hom set share an id exactly when they are
+    equal."""
+    key = (g.dom.obj_key, g.cod.obj_key, g.payload, t.obj_key, op)
+    walks = inst.memo.walks
+    hit = walks.get(key)
+    if hit is not None:
+        walks.move_to_end(key)
+        return hit
+    ids = inst.memo.composite_ids
+    new_id = ids.setdefault
+    hit = walks[key] = tuple([new_id(k, len(ids)) for k in inst.compose_all(g, t, op)])
+    if len(walks) > WALKS_CAPACITY:
+        walks.popitem(last=False)
+    return hit
+
+
 def _pullback_bijection_at(inst: Instance, sq: Square, t: ObjHandle, op: bool) -> bool:
     """Whether w |-> (top . w, left . w) is a bijection from hom(t, apex)
     onto the cones at t over the cospan (right, bottom).
@@ -166,21 +199,22 @@ def _pullback_bijection_at(inst: Instance, sq: Square, t: ObjHandle, op: bool) -
     With op this is the pushout property of sq: the same count read in
     C^op, where the square is transposed (top<->right, left<->bottom),
     composites run the other way (compose_all with op), and the apex is the
-    bottom-right corner.  Each leg is composed with the whole hom set at t
-    on its free side, so the two mediator legs' sequences zip."""
+    bottom-right corner.  Each leg's walk at t is read through _walk, so
+    the right and bottom composites, which lie in one hom set, are matched
+    by id, and the two mediator legs' walks zip."""
     top, left, right, bottom = sq.top, sq.left, sq.right, sq.bottom
     if op:
         top, left, right, bottom = right, bottom, top, left
     groups: dict = {}
-    for k in inst.compose_all(right, t, op):
+    for k in _walk(inst, right, t, op):
         groups[k] = groups.get(k, 0) + 1
     cones = 0
-    for k in inst.compose_all(bottom, t, op):
+    for k in _walk(inst, bottom, t, op):
         cones += groups.get(k, 0)
-    tops = inst.compose_all(top, t, op)
+    tops = _walk(inst, top, t, op)
     if cones != len(tops):
         return False
-    return len(set(zip(tops, inst.compose_all(left, t, op)))) == len(tops)
+    return len(set(zip(tops, _walk(inst, left, t, op)))) == len(tops)
 
 
 def _decide(inst: Instance, sq: Square, bound: int, op: bool) -> bool:
@@ -188,7 +222,8 @@ def _decide(inst: Instance, sq: Square, bound: int, op: bool) -> bool:
     tested at the instance's decision_objects.  The answer is read from,
     or else made and kept in, the bounded table inst.memo.decisions, keyed
     by the corners' obj_keys, the payloads, bound and op; the least
-    recently used answer goes first."""
+    recently used answer goes first.  A new answer reads its legs' walks
+    from memo.walks (see _walk)."""
     key = (sq.apex.obj_key, sq.top.cod.obj_key, sq.left.cod.obj_key, sq.bottom_right.obj_key,
            sq.top.payload, sq.left.payload, sq.right.payload, sq.bottom.payload, bound, op)
     table = inst.memo.decisions
@@ -298,8 +333,8 @@ def jointly_failures(inst: Instance, first: Mor, second: Mor, bound: int,
     if not getattr(inst.classify(first), in_E) or not getattr(inst.classify(second), in_M):
         raise ShapeViolation(f"{shape} legs must be {classes}")
     for t in inst.scan_objects(apex, bound):
-        firsts = inst.compose_all(first, t, op)
-        if len(set(zip(firsts, inst.compose_all(second, t, op)))) < len(firsts):
+        firsts = _walk(inst, first, t, op)
+        if len(set(zip(firsts, _walk(inst, second, t, op)))) < len(firsts):
             return [{
                 names[0]: inst.mor_json(first),
                 names[1]: inst.mor_json(second),
@@ -481,7 +516,7 @@ def _check_properness(inst: Instance, seed: int, samples: int, bound: int) -> Ch
         for op, cls, name, prop in ((True, "E", "e", "epic"), (False, "M", "m", "monic")):
             f = smp.hom(cls=cls)
             for t in inst.scan_objects(f.cod if op else f.dom, bound):
-                composites = inst.compose_all(f, t, op)
+                composites = _walk(inst, f, t, op)
                 if len(set(composites)) < len(composites):
                     detail = f"not {prop} at {t.descriptor}"
                     return [{name: inst.mor_json(f), "detail": detail}]

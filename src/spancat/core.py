@@ -161,8 +161,9 @@ class ConeResult:
     leg2: Mor
 
 
-# The capacity of Memo.decisions.
+# The capacities of Memo.decisions and Memo.walks.
 DECISIONS_CAPACITY = 1024
+WALKS_CAPACITY = 1024
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -188,12 +189,23 @@ class Memo:
     answer of an iso search.  ``pools``, the one table of pools, holds each
     pool that ``class_homs`` hands out, keyed by its ends' obj_keys and class.
 
-    ``decisions`` is the one bounded table: the pullback and pushout
-    decisions of ``axioms``, a bool each, keyed by the square's four
-    corners' obj_keys, its four payloads, the bound and op.  It holds no
-    morphism, so it keeps none alive.  The distinct squares of a suite grow
-    with its samples, and each key keeps its payloads, so the table holds
-    only the DECISIONS_CAPACITY most recently used answers.
+    Two tables are bounded, least recently used first out, as the distinct
+    squares and legs of a suite grow with its samples and each key keeps
+    its payloads.  Neither holds a morphism, so neither keeps one alive.
+    ``decisions`` holds the DECISIONS_CAPACITY most recent pullback and
+    pushout decisions of ``axioms``, a bool each, keyed by the square's
+    four corners' obj_keys, its four payloads, the bound and op.
+    ``walks`` holds the WALKS_CAPACITY most recent leg walks that the
+    decisions and the jointly and properness scans read: the compose_all
+    walk of a leg g at a test object t, keyed by g's ends' obj_keys, its
+    payload, t's obj_key and op, with each composite payload replaced by
+    its id in ``composite_ids`` (hash-consing, Filliâtre & Conchon 2006).
+    That table numbers payloads in order of first sight and is not
+    bounded: it holds only composites at test objects, which are few and
+    small (in finab one-column matrices out of a cyclic group or one-row
+    matrices into one, in pinj maps out of or into a set of size 1 or 2).
+    An id stands for a payload, and so for a morphism, only inside one hom
+    set, which is where the walks compare them.
     """
 
     handles: dict = field(default_factory=dict)  # normalized obj_key -> ObjHandle
@@ -209,6 +221,9 @@ class Memo:
     pools: dict = field(default_factory=dict)  # (dom key, cod key, class) -> pool
     decisions: collections.OrderedDict = field(
         default_factory=collections.OrderedDict)  # square key -> bool
+    walks: collections.OrderedDict = field(
+        default_factory=collections.OrderedDict)  # (leg, t, op) key -> composite ids
+    composite_ids: dict = field(default_factory=dict)  # composite payload -> id
 
 
 class Instance(ABC):
@@ -257,7 +272,9 @@ class Instance(ABC):
     at size 1.  Each is exact at every bound (see the axioms module).  A
     decision is a function of the square's obj_keys and payloads, the bound
     and op, so its answer is kept in ``memo.decisions`` and made again only
-    once that bounded table has let it go.
+    once that bounded table has let it go.  The decisions and scans read
+    each leg's walk at a test object from ``memo.walks``, so a leg is
+    walked once per test object while that bounded table keeps it.
 
     ``solve_post_system`` is the one search for a unique morphism, "the w
     with post . w == rhs": diagonal fills, inverses, cells and V3 mediators.

@@ -919,8 +919,8 @@ class FinAbInstance(Instance):
       and the system of solve_post_payloads.  A cone reads its fixed leg's
       quotient or kernel and every lift through that leg off one form, and
       a leg or system met again with other inputs makes no new one.
-    compose_all keeps nothing: its walks are cheap, and the decisions that
-    read them are kept in ``memo.decisions`` (see ``core.Memo``).
+    compose_all keeps nothing: the decisions and scans keep its walks, as
+    ids, in ``memo.walks`` (see ``core.Memo``).
 
     ``Instance`` checks the ends and classes of every construction and of
     solve_post_system, and keeps every pool; the hooks here compute only
@@ -989,7 +989,9 @@ class FinAbInstance(Instance):
         return Mor(a, b, validate_hom(a.obj_key, b.obj_key, rows))
 
     def check_payload(self, f: Mor) -> None:
-        validate_hom(f.dom.obj_key, f.cod.obj_key, f.payload)
+        # a payload is reduced mod cod, so that equal homs have equal payloads
+        if validate_hom(f.dom.obj_key, f.cod.obj_key, f.payload) != f.payload:
+            raise ValidationFailure(f"matrix {f.payload!r} is not reduced mod {f.cod.obj_key}")
 
     def compose_payloads(self, g: Mor, f: Mor) -> Matrix:
         return hom_compose(g.payload, f.payload, g.cod.obj_key, len(f.dom.obj_key))
@@ -1125,7 +1127,7 @@ class FinAbInstance(Instance):
         dom = self.obj(json_ints(data["dom"], "'dom'"))
         cod = self.obj(json_ints(data["cod"], "'cod'"))
         rows = json_list(data["matrix"], "'matrix'")
-        return Mor(dom, cod, tuple(json_ints(row, "'matrix' row") for row in rows))
+        return self.hom(dom, cod, [json_ints(row, "'matrix' row") for row in rows])
 
 
 def invariant_factor_groups(bound: int) -> list[Orders]:

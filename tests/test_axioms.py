@@ -29,6 +29,7 @@ from spancat.axioms import (
 from spancat import cli
 from spancat.core import (
     DECISIONS_CAPACITY,
+    WALKS_CAPACITY,
     ConeResult,
     GroupoidInstance,
     Mor,
@@ -77,6 +78,21 @@ def pushout_competitors(inst, sq, bound):
     """The naive oracle's test objects for the pushout decision:
     pullback_competitors read in C^op."""
     return pullback_competitors(inst, sq, bound, op=True)
+
+
+def reference_bijection_at(inst, sq, t, op):
+    """The mediator bijection at t as _pullback_bijection_at decides it,
+    over fresh compose_all walks whose composite payloads are matched
+    themselves: no kept walk and no id."""
+    top, left, right, bottom = sq.top, sq.left, sq.right, sq.bottom
+    if op:
+        top, left, right, bottom = right, bottom, top, left
+    groups = collections.Counter(inst.compose_all(right, t, op))
+    cones = sum(groups[k] for k in inst.compose_all(bottom, t, op))
+    tops = inst.compose_all(top, t, op)
+    if cones != len(tops):
+        return False
+    return len(set(zip(tops, inst.compose_all(left, t, op)))) == len(tops)
 
 
 def naive_is_pullback(inst, sq, competitors):
@@ -372,15 +388,27 @@ def _cyclic_prime_power(key):
 
 
 class _Seen:
-    """Records the test object of every compose_all call in seen."""
+    """Records in seen the test object of every walk that the decisions and
+    scans read, kept or made, under the fixture walks_read."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.seen = []
 
-    def compose_all(self, g, t, op=False):
-        self.seen.append(t)
-        return super().compose_all(g, t, op)
+
+@pytest.fixture
+def walks_read(monkeypatch):
+    """Routes the walk reader of the decisions and scans through a recorder
+    that appends each walk's test object to the seen list of a _Seen
+    instance, so that a walk read from memo.walks is seen too."""
+    read = axioms._walk
+
+    def recording(inst, g, t, op):
+        if isinstance(inst, _Seen):
+            inst.seen.append(t)
+        return read(inst, g, t, op)
+
+    monkeypatch.setattr(axioms, "_walk", recording)
 
 
 class _SeenFinAb(_Seen, FinAbInstance):
@@ -433,7 +461,7 @@ class _CountingGroupoid(_Counting, GroupoidInstance):
 
 
 @pytest.mark.parametrize("op", [False, True], ids=["pullback", "pushout"])
-def test_finab_decides_at_one_torsion_object_per_prime(finab_square_pool, op):
+def test_finab_decides_at_one_torsion_object_per_prime(finab_square_pool, walks_read, op):
     # hom(Z/n, A) is the n-torsion of A, so the bijection at Z/p^e(p) for
     # each prime decides a square as the bijection at every group does;
     # bound 1 shows that the catalog plays no part
@@ -444,7 +472,7 @@ def test_finab_decides_at_one_torsion_object_per_prime(finab_square_pool, op):
     for sq in finab_square_pool:
         inst.seen = []
         outcome = decide(inst, sq, 1)
-        assert outcome == all(_pullback_bijection_at(FA, sq, t, op) for t in catalog), sq
+        assert outcome == all(reference_bijection_at(FA, sq, t, op) for t in catalog), sq
         primes = [_prime_of(k) for k in {t.obj_key for t in inst.seen}]
         assert len(primes) == len(set(primes)), (sq, primes)
         outcomes.add(outcome)
@@ -452,7 +480,7 @@ def test_finab_decides_at_one_torsion_object_per_prime(finab_square_pool, op):
 
 
 @pytest.mark.parametrize("decide", [is_pullback, is_pushout])
-def test_finab_decisions_visit_only_primary_cyclic_groups(finab_square_pool, decide):
+def test_finab_decisions_visit_only_primary_cyclic_groups(finab_square_pool, walks_read, decide):
     inst = _CountingFinAb()
     outcomes = {decide(inst, sq, 8) for sq in finab_square_pool[::4]}
     assert outcomes == {False, True}
@@ -547,11 +575,11 @@ class _ScanningFinAb(_SeenFinAb):
         return out
 
 
-def test_finab_jointly_and_properness_scan_one_z_p_per_prime():
+def test_finab_jointly_and_properness_scan_one_z_p_per_prime(walks_read):
     assert [t.obj_key for t in FA.scan_objects(FA.group(12, 2), 1)] == [(2,), (3,)]
     assert FA.scan_objects(FA.group(), 8) == []
-    # the jointly scan walks each object twice, once per leg; properness
-    # scans twice per draw, an E-morphism then an M-morphism
+    # the jointly scan reads two walks at each object, one per leg;
+    # properness scans twice per draw, an E-morphism then an M-morphism
     for check, scans, walks in (("jointly", 30, 2), ("properness", 60, 1)):
         inst = _ScanningFinAb()
         assert AXIOM_CHECKS[check](inst, 0, 30, 8).ok
@@ -563,9 +591,11 @@ def test_finab_jointly_and_properness_scan_one_z_p_per_prime():
 
 
 def _assert_visits(inst, squares, bound, decided_at, scanned_at):
-    """Each decision sees decided_at, in order, four walks per object, or a
-    prefix of it when it fails; the jointly and properness scans see
-    scanned_at, each object once per leg."""
+    """Each decision reads the walks of its four legs at each object of
+    decided_at, in order, or at a prefix of it when it fails; the jointly
+    and properness scans read one walk per leg at each object of
+    scanned_at.  The walks are counted as read, kept or made, under the
+    fixture walks_read."""
     decided = set()
     for sq in squares:
         for decide in (is_pullback, is_pushout):
@@ -587,7 +617,7 @@ def _assert_visits(inst, squares, bound, decided_at, scanned_at):
 
 
 @pytest.mark.parametrize("bound", [1, 3, 5])
-def test_pinj_decides_at_sizes_1_and_2_and_scans_at_size_1(bound):
+def test_pinj_decides_at_sizes_1_and_2_and_scans_at_size_1(walks_read, bound):
     # a partial injection is fixed by its restrictions to points and is
     # injective on every pair of them, so no decision reads the bound
     inst = _SeenPInj()
@@ -595,7 +625,7 @@ def test_pinj_decides_at_sizes_1_and_2_and_scans_at_size_1(bound):
     assert _assert_visits(inst, SQUARE_POOL[::40], bound, [one, two], [one]) == {False, True}
 
 
-def test_groupoid_scans_keep_every_object_whole():
+def test_groupoid_scans_keep_every_object_whole(walks_read):
     # the default test objects are the bounded catalog: the one object
     inst = _SeenGroupoid(symmetric_group_table(3), name="groupoid:s3")
     assert _assert_visits(inst, _s3_squares(), 1, [S3.star], [S3.star]) == {True}
@@ -756,7 +786,7 @@ def pinj_decisions_against_the_catalog(step):
             got = decide(PI, sq, 3)
             counts[name] += got
             counts["disagreements"] += got != all(
-                _pullback_bijection_at(PI, sq, t, op) for t in catalog)
+                reference_bijection_at(PI, sq, t, op) for t in catalog)
     return counts["squares"], counts["pullbacks"], counts["pushouts"], counts["disagreements"]
 
 
@@ -785,7 +815,7 @@ def test_decisions_table_answers_as_direct_decisions(finab_square_pool, monkeypa
     # again, after the first ones have been pushed out of it
     cases = [(FA, sq, 4) for sq in finab_square_pool] + [(PI, sq, 3) for sq in SQUARE_POOL]
     assert len(cases) > DECISIONS_CAPACITY
-    direct = [all(_pullback_bijection_at(inst, sq, t, op)
+    direct = [all(reference_bijection_at(inst, sq, t, op)
                   for t in inst.decision_objects(sq, bound, op)) for inst, sq, bound in cases]
     assert set(direct) == {False, True}
     decide = is_pushout if op else is_pullback
@@ -840,6 +870,120 @@ def test_decisions_are_told_apart_by_corners_bound_and_op():
                    bottom=pinj.pinj(two, point, (0, None)))
     assert is_pullback(pinj, small, 0)
     assert not is_pullback(pinj, small, 2)
+
+
+# ---------------------------------------------------------------------------
+# the walks table
+# ---------------------------------------------------------------------------
+
+
+def _walk_cases(finab_square_pool):
+    """(a new instance, its squares, bound): every square of the finab pool
+    and the pinj squares that pinj_decisions_against_the_catalog decides."""
+    pinj_squares = itertools.islice(_pinj_squares(PI.enumerate_objects_up_to(3)), 0, None, 50)
+    return [(FinAbInstance(), finab_square_pool, 4), (PInjInstance(), list(pinj_squares), 3)]
+
+
+@pytest.mark.parametrize("capacity", [WALKS_CAPACITY, 5], ids=["kept", "evicted"])
+def test_decisions_over_kept_walks_answer_as_fresh_walks(finab_square_pool, monkeypatch,
+                                                         capacity):
+    # each square is decided both ways on one instance, so the pushout
+    # decision reads walks of the pullback decision's legs at the same test
+    # objects, and a walk kept under a key short of op or t gives the wrong
+    # walk; at capacity 5 walks are let go inside one decision
+    monkeypatch.setattr(axioms, "WALKS_CAPACITY", capacity)
+    kept = []
+    for inst, squares, bound in _walk_cases(finab_square_pool):
+        answers = collections.Counter()
+        for sq in squares:
+            for op, decide in ((False, is_pullback), (True, is_pushout)):
+                objs = inst.decision_objects(sq, bound, op)
+                want = [reference_bijection_at(inst, sq, t, op) for t in objs]
+                assert [_pullback_bijection_at(inst, sq, t, op) for t in objs] == want, (sq, op)
+                assert decide(inst, sq, bound) == all(want), (sq, op)
+                assert len(inst.memo.walks) <= capacity
+                answers[op, all(want)] += 1
+        assert len(answers) == 4, answers
+        walks = inst.memo.walks
+        kept.append(len(walks))
+        held = {type(x) for key in walks for x in _parts(key)}
+        assert not held & {Mor, ObjHandle, Square}, held
+        assert {type(i) for ids in walks.values() for i in ids} == {int}
+    # the finab squares walk 320 legs at their test objects, the pinj 360
+    assert kept == [min(capacity, 320), min(capacity, 360)]
+
+
+def test_walks_table_holds_at_most_its_capacity(monkeypatch):
+    # the suite's decisions and scans walk more legs than the table keeps;
+    # each read leaves its walk the most recently used, and the table never
+    # grows past its capacity
+    read = axioms._walk
+    sizes = []
+
+    def recording(inst, g, t, op):
+        out = read(inst, g, t, op)
+        walks = inst.memo.walks
+        assert next(reversed(walks)) == (g.dom.obj_key, g.cod.obj_key, g.payload, t.obj_key, op)
+        assert walks[next(reversed(walks))] is out
+        sizes.append(len(walks))
+        return out
+
+    monkeypatch.setattr(axioms, "_walk", recording)
+    assert all(r.ok for r in run_axiom_suite(FinAbInstance(), 0, 1000, 8))
+    assert max(sizes) == WALKS_CAPACITY and sizes.count(WALKS_CAPACITY) > 100
+
+
+@pytest.mark.parametrize("make,bound", [(FinAbInstance, 4), (PInjInstance, 3)],
+                         ids=["finab", "pinj"])
+def test_composites_share_an_id_exactly_when_equal_in_one_hom_set(finab_square_pool, make,
+                                                                  bound):
+    # the decisions match ids of composites in one hom set, hom(t, cod g)
+    # or with op hom(dom g, t), so an id must stand for one payload there,
+    # across walks too; ids are numbered in order of first sight
+    inst = make()
+    pool = finab_square_pool if make is FinAbInstance else SQUARE_POOL
+    hom_sets = collections.defaultdict(set)
+    for sq in pool[::3]:
+        for op in (False, True):
+            for t in inst.decision_objects(sq, bound, op):
+                for g in (sq.top, sq.left, sq.right, sq.bottom):
+                    ids = axioms._walk(inst, g, t, op)
+                    payloads = inst.compose_all(g, t, op)
+                    assert len(ids) == len(payloads)
+                    home = (op, t.obj_key, (g.dom if op else g.cod).obj_key)
+                    hom_sets[home].update(zip(ids, payloads))
+    for pairs in hom_sets.values():
+        ids, payloads = zip(*pairs)
+        assert len(set(ids)) == len(set(payloads)) == len(pairs)
+    assert len(hom_sets) > 10
+    numbered = inst.memo.composite_ids
+    assert sorted(numbered.values()) == list(range(len(numbered)))
+
+
+class _WalkCountingFinAb(FinAbInstance):
+    """Counts its compose_all calls by leg, test object and op."""
+
+    def __init__(self):
+        super().__init__()
+        self.walked = collections.Counter()
+
+    def compose_all(self, g, t, op=False, cls="any"):
+        self.walked[g.dom, g.cod, g.payload, t, op, cls] += 1
+        return super().compose_all(g, t, op, cls)
+
+
+def test_each_leg_is_walked_once_per_test_object_while_kept(finab_square_pool, monkeypatch):
+    # with room for every walk, no decision or scan walks a leg twice at
+    # one test object; the decisions read 4 walks per test object
+    monkeypatch.setattr(axioms, "WALKS_CAPACITY", 10**6)
+    inst = _WalkCountingFinAb()
+    for sq in finab_square_pool:
+        is_pullback(inst, sq, 4)
+        is_pushout(inst, sq, 4)
+    for check in ("jointly", "properness"):
+        assert AXIOM_CHECKS[check](inst, 0, 30, 8).ok
+    assert set(inst.walked.values()) == {1}
+    assert len(inst.walked) == len(inst.memo.walks) > 300
 
 
 # ---------------------------------------------------------------------------

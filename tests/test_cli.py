@@ -18,7 +18,7 @@ from spancat import axioms, cli, config, finab
 from spancat.cli import EXIT_ERROR, EXIT_OK, SuiteReport, main
 from spancat.axioms import CheckReport
 from spancat.config import ConfigError, RunConfig, env_seed, instance_bound, load_instance
-from spancat.core import GroupoidInstance, ValidationFailure, symmetric_group_table
+from spancat.core import GroupoidInstance, Mor, ValidationFailure, symmetric_group_table
 from spancat.finab import FinAbInstance, close_elements
 from spancat.jsonio import dumps, parse_mor, parse_obj, relation_dict, span_dict
 from spancat.pinj import PInjInstance
@@ -439,9 +439,13 @@ def test_finab_axioms_work_is_pinned(tmp_path, monkeypatch):
     # while it stays in the forms table (6,002 calls without it).  The
     # evaluations were 5,206 when the cones presented their apex in the sum
     # of two corners: the legs are other matrices now, so the squares that
-    # the decisions table keys on are too
-    calls = {"_pullback_bijection_at": 0, "smith_normal_form": 0}
+    # the decisions table keys on are too.  The decisions and the jointly
+    # and properness scans walk each leg once per test object while it
+    # stays in the walks table (26,433 compose_all calls without it; the
+    # rest are fs1's walks and the sampler's commuting pairs)
+    calls = {"_pullback_bijection_at": 0, "smith_normal_form": 0, "compose_all": 0}
     bijection, snf = axioms._pullback_bijection_at, finab.smith_normal_form
+    compose_all = finab.FinAbInstance.compose_all
 
     def counting_bijection(*args):
         calls["_pullback_bijection_at"] += 1
@@ -451,12 +455,18 @@ def test_finab_axioms_work_is_pinned(tmp_path, monkeypatch):
         calls["smith_normal_form"] += 1
         return snf(mat, **kw)
 
+    def counting_compose_all(self, *args, **kw):
+        calls["compose_all"] += 1
+        return compose_all(self, *args, **kw)
+
     monkeypatch.setattr(axioms, "_pullback_bijection_at", counting_bijection)
     monkeypatch.setattr(finab, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(finab.FinAbInstance, "compose_all", counting_compose_all)
     code = main(["check-axioms", "--instance", "finab", "--max-order", "8", "--samples", "1000",
                  "--seed", "0", "--out", str(tmp_path / "axioms.json")])
     assert code == EXIT_OK
-    assert calls == {"_pullback_bijection_at": 5215, "smith_normal_form": 3243}
+    assert calls == {"_pullback_bijection_at": 5215, "smith_normal_form": 3243,
+                     "compose_all": 8409}
 
 
 def test_fake_pullback_law_reports_pinned(tmp_path):
@@ -734,6 +744,28 @@ def test_compose_identity_relations(tmp_path, capsys):
     assert sub["ambient"] == [4, 4]
     assert sub["order"] == 4
     assert sub["generators"] == [[1, 1]]
+
+
+def test_finab_matrices_are_read_reduced(tmp_path, capsys):
+    # [[5]], [[-3]] and [[1]] are one hom Z/4 -> Z/4; the parser reduces
+    # each mod 4, so the three inputs compose to one output, byte for byte
+    outputs = set()
+    for entry in (5, -3, 1):
+        rel = relation_dict(FA, rel_identity(FA, FA.group(4)))
+        rel["left"]["m"]["matrix"] = [[entry]]
+        path = tmp_path / f"rels{entry}.json"
+        path.write_text(dumps([rel]))
+        assert main(["compose-relations", "--format", "json", str(path)]) == EXIT_OK
+        outputs.add(capsys.readouterr().out)
+    (out,) = outputs
+    assert json.loads(out)["composite"]["left"]["m"]["matrix"] == [[1]]
+
+
+def test_finab_payloads_must_be_reduced():
+    z4 = FA.group(4)
+    FA.validate_mor(FA.hom(z4, z4, [[5]]))
+    with pytest.raises(ValidationFailure, match="not reduced"):
+        FA.validate_mor(Mor(z4, z4, ((5,),)))
 
 
 def test_compose_relations_middle_mismatch(tmp_path, capsys):

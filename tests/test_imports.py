@@ -109,7 +109,7 @@ INSTANCE_TABLES = {
     "Memo": frozenset({
         "handles", "spans", "fake_pullbacks", "span_composites", "span_keys",
         "relations", "rel_composites", "span_reps", "properness", "pair_keys", "pools",
-        "decisions",
+        "decisions", "walks", "composite_ids",
     }),
 }
 
